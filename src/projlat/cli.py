@@ -30,7 +30,7 @@ from .core import (
 from .coordinatize import coordinatize
 from .errors import OrthogonalityNotPreserved, ProjlatError
 from .halmos import halmos_decompose, reconstruct
-from .maps import FromConjugation, from_conjugation
+from .maps import ConjugationRingIso, from_conjugation
 from .report import CheckResult, Report, run_check
 from .ringiso import dye_extension, inner_factor
 from .sampling import random_element, random_invertible, random_projection, rng_from
@@ -175,8 +175,9 @@ def _cmd_coordinatize(args) -> int:
         tolerances=tol,
     )
     scale = 1.0
-    if isinstance(phi.provenance, FromConjugation):
-        scale = max(1.0, cond(phi.provenance.T))
+    prov = phi.provenance
+    if isinstance(prov, ConjugationRingIso) and all(s == "id" for s in prov.sigma):
+        scale = max(1.0, cond(prov.T))
     holder = {}
 
     def body():
@@ -252,7 +253,7 @@ def _cmd_factor(args) -> int:
     psi = _load(args.input, ring_iso_from_obj, tol)
     seed = _resolve_seed(args)
     samples = args.samples if args.samples is not None else 16
-    shape = psi.T.shape
+    shape = psi.source
     report = Report(
         command="factor",
         shape=list(shape.blocks),

@@ -174,36 +174,6 @@ class ThreeFrame:
         blocks = [v @ m @ v.conj().T for v, m in zip(self._vmats, mats)]
         return Element(self.shape, blocks)
 
-    def corner(self, x, i: int, j: int) -> Element:
-        """Corner-algebra coordinate of slot (i, j), zero-indexed."""
-        out = []
-        for v, a, n in zip(self._vmats, (_elem(x)).data, self.shape.blocks):
-            k = n // 3
-            m = v.conj().T @ a @ v
-            out.append(m[i * k : (i + 1) * k, j * k : (j + 1) * k])
-        return Element(self.corner_shape, out)
-
-    def embed_corner(self, xhat: Element, i: int, j: int) -> Element:
-        """Place a corner operator into slot (i, j) of the ambient algebra."""
-        if xhat.shape != self.corner_shape:
-            raise ShapeMismatch("operand is not a corner element of this frame")
-        blocks = []
-        for v, a, n in zip(self._vmats, xhat.data, self.shape.blocks):
-            k = n // 3
-            vi = v[:, i * k : (i + 1) * k]
-            vj = v[:, j * k : (j + 1) * k]
-            blocks.append(vi @ a @ vj.conj().T)
-        return Element(self.shape, blocks)
-
-    def slot_isometry(self, i: int, b: int) -> np.ndarray:
-        """Columns of the frame unitary for slot i on block b."""
-        n = self.shape.blocks[b]
-        k = n // 3
-        return self._vmats[b][:, i * k : (i + 1) * k]
-
-
-def _elem(x) -> Element:
-    return x.element if isinstance(x, Projection) else x
 
 
 def graph_projection(

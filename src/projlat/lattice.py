@@ -101,6 +101,19 @@ def _meet_basis(up: np.ndarray, uq: np.ndarray, rank_rel: float) -> np.ndarray:
     return b @ zh.conj().T[:, keep]
 
 
+def orth(a: np.ndarray, rank_rel: float) -> np.ndarray:
+    """Orthonormal basis of the column space of a.
+
+    Singular values at or below rank_rel times the largest count as
+    zero (left_support instead cuts at an absolute level).
+    """
+    if a.shape[1] == 0:
+        return a
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    r = int(np.count_nonzero(s > rank_rel * s[0])) if s[0] > 0 else 0
+    return u[:, :r]
+
+
 def meet(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Largest projection under both p and q (range intersection)."""
     if p.shape != q.shape:
@@ -115,15 +128,10 @@ def join(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Project
     """Smallest projection above both p and q (span of the ranges)."""
     if p.shape != q.shape:
         raise ShapeMismatch("join needs projections of one shape")
-    bases = []
-    for up, uq in zip(p.basis, q.basis):
-        stacked = np.concatenate([up, uq], axis=1)
-        if stacked.shape[1] == 0:
-            bases.append(stacked)
-            continue
-        u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-        r = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s[0] > 0 else 0
-        bases.append(u[:, :r])
+    bases = [
+        orth(np.concatenate([up, uq], axis=1), tol.rank_rel)
+        for up, uq in zip(p.basis, q.basis)
+    ]
     return Projection.from_basis(p.shape, bases)
 
 

@@ -27,7 +27,6 @@ from .core import (
     Projection,
     Tolerances,
     distance,
-    invert,
     is_central,
 )
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
     OrthogonalityNotPreserved,
 )
 from .coordinatize import coordinatize
-from .maps import LatticeMap, preserves_orthogonality
+from .maps import ConjugationRingIso, LatticeMap, preserves_orthogonality
 from .sampling import random_element, random_hermitian, random_projection, rng_from
 
 __all__ = [
@@ -53,16 +52,18 @@ class RingIsoFactorization:
     """Inner factorization Psi(x) = y psi0(x) y^{-1}.
 
     q is the central projection carrying the complex-linear part of the
-    target; psi0 applies identity or entrywise conjugation per source
-    block and routes it to the matching target block (block_map);
-    residual is the worst sampled deviation of the factorized form.
+    target; psi0 is the ConjugationRingIso with T = 1: it applies
+    identity or entrywise conjugation per source block and routes it to
+    the matching target block (block_map); residual is the worst
+    sampled deviation of the factorized form, the ConjugationRingIso
+    with T = y.
     """
 
     q: Projection
     y: Element
     psi0_kind: tuple[str, ...]
     residual: float
-    psi0: Callable[[Element], Element]
+    psi0: ConjugationRingIso
     block_map: tuple[int, ...]
 
 
@@ -230,18 +231,12 @@ def inner_factor(
 
     kinds = tuple(signs)
     bmap = tuple(block_map)
-
-    def psi0(x: Element) -> Element:
-        out = [np.zeros((m, m), dtype=np.complex128) for m in target.blocks]
-        for b, blk in enumerate(x.data):
-            out[bmap[b]] = blk.conj() if kinds[b] == "conjugate" else blk.copy()
-        return Element(target, out)
-
-    y_inv = invert(y, tol)
+    sigma = ["conj" if k == "conjugate" else "id" for k in kinds]
+    factored = ConjugationRingIso(y, sigma, tol, bmap)
     worst = 0.0
     for _ in range(samples):
         x = random_element(shape, rng, norm_bound=10.0)
-        worst = max(worst, distance(psi_full(x), y * psi0(x) * y_inv))
+        worst = max(worst, distance(psi_full(x), factored(x)))
 
     q_bases = []
     for t, m in enumerate(target.blocks):
@@ -255,7 +250,7 @@ def inner_factor(
         y=y,
         psi0_kind=kinds,
         residual=float(worst),
-        psi0=psi0,
+        psi0=ConjugationRingIso(Element.identity(target), sigma, tol, bmap),
         block_map=bmap,
     )
 

@@ -16,6 +16,7 @@ __all__ = [
     "random_hermitian",
     "random_projection",
     "random_pair_with_trivial_meet",
+    "random_overlapping_pair",
     "random_pair_with_angles",
     "random_unitary",
     "random_invertible",
@@ -86,6 +87,28 @@ def random_pair_with_trivial_meet(
         rp.append(a)
         rq.append(b)
     return random_projection(shape, rng, rp), random_projection(shape, rng, rq)
+
+
+def random_overlapping_pair(
+    shape: AlgebraShape, rng
+) -> tuple[Projection, Projection]:
+    """Random pair sharing a random subspace, so meets are nontrivial.
+
+    Per block, p spans the first rp columns of a random unitary and q
+    the first `shared` of them plus fresh columns beyond rp.
+    """
+    rng = rng_from(rng)
+    bases_p, bases_q = [], []
+    for n in shape.blocks:
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        u, _ = np.linalg.qr(g)
+        shared = int(rng.integers(0, n + 1))
+        rp = shared + int(rng.integers(0, n - shared + 1))
+        rq_extra = int(rng.integers(0, n - rp + 1))
+        bases_p.append(u[:, :rp])
+        take = list(range(shared)) + list(range(rp, rp + rq_extra))
+        bases_q.append(u[:, take])
+    return Projection.from_basis(shape, bases_p), Projection.from_basis(shape, bases_q)
 
 
 def random_pair_with_angles(

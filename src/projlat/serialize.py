@@ -17,13 +17,7 @@ from .core import AlgebraShape, DEFAULT_TOL, Element, Projection, Tolerances
 from .errors import NotAProjection
 from .graphs import ThreeFrame
 from .halmos import HalmosDecomposition
-from .maps import (
-    FromConjugation,
-    FromSemilinear,
-    LatticeMap,
-    from_conjugation,
-    from_semilinear,
-)
+from .maps import ConjugationRingIso, LatticeMap
 
 __all__ = [
     "element_to_obj",
@@ -36,7 +30,6 @@ __all__ = [
     "map_from_obj",
     "ring_iso_to_obj",
     "ring_iso_from_obj",
-    "ConjugationRingIso",
     "halmos_to_obj",
     "frame_to_obj",
     "frame_from_obj",
@@ -133,72 +126,47 @@ def pair_from_obj(d: dict, tol: Tolerances = DEFAULT_TOL) -> tuple[Projection, P
     return projection_from_obj(d["p"], tol), projection_from_obj(d["q"], tol)
 
 
-def map_to_obj(phi: LatticeMap) -> dict:
-    """Serialize by provenance; opaque and composite maps have none."""
-    prov = phi.provenance
-    if isinstance(prov, FromConjugation):
-        return {
-            "kind": "conjugation",
-            "T": element_to_obj(prov.T),
-            "sigma": "id",
-        }
-    if isinstance(prov, FromSemilinear):
-        return {
-            "kind": "conjugation",
-            "T": element_to_obj(prov.T),
-            "sigma": prov.sigma,
-        }
-    raise ValueError(
-        f"maps with {type(prov).__name__} provenance are not serializable"
+def _iso_to_obj(kind: str, T: Element, sigma, block_map=None) -> dict:
+    """One codec for both kinds: a sigma that is the same on every
+    block is written as one string, and block_map only when it is not
+    the identity."""
+    if not isinstance(sigma, str):
+        uniform = len(sigma) == len(T.shape.blocks) and len(set(sigma)) == 1
+        sigma = sigma[0] if uniform else list(sigma)
+    obj = {"kind": kind, "T": element_to_obj(T), "sigma": sigma}
+    if block_map is not None and list(block_map) != list(range(len(block_map))):
+        obj["block_map"] = list(block_map)
+    return obj
+
+
+def _iso_from_obj(kind: str, d: dict, tol: Tolerances) -> ConjugationRingIso:
+    if d.get("kind") != kind:
+        raise ValueError(f'expected kind "{kind}", got {d.get("kind")!r}')
+    return ConjugationRingIso(
+        element_from_obj(d["T"]), d.get("sigma", "id"), tol, d.get("block_map")
     )
 
 
+def map_to_obj(phi: LatticeMap) -> dict:
+    """Serialize by provenance; opaque and composite maps have none."""
+    prov = phi.provenance
+    if not isinstance(prov, ConjugationRingIso):
+        raise ValueError(
+            f"maps with {type(prov).__name__} provenance are not serializable"
+        )
+    return _iso_to_obj("conjugation", prov.T, prov.sigma, prov.block_map)
+
+
 def map_from_obj(d: dict, tol: Tolerances = DEFAULT_TOL) -> LatticeMap:
-    if d.get("kind") != "conjugation":
-        raise ValueError(f'expected kind "conjugation", got {d.get("kind")!r}')
-    t = element_from_obj(d["T"])
-    sigma = d.get("sigma", "id")
-    if sigma == "id":
-        return from_conjugation(t, tol)
-    return from_semilinear(t, sigma, tol)
+    return _iso_from_obj("conjugation", d, tol).lattice_map(tol)
 
 
-class ConjugationRingIso:
-    """Concrete serializable ring isomorphism x -> T sigma(x) T^{-1}."""
-
-    def __init__(self, T: Element, sigma, tol: Tolerances = DEFAULT_TOL):
-        from .core import invert
-
-        if isinstance(sigma, str):
-            sigma = (sigma,) * len(T.shape.blocks)
-        sigma = tuple(sigma)
-        if len(sigma) != len(T.shape.blocks) or any(
-            s not in ("id", "conj") for s in sigma
-        ):
-            raise ValueError(f"bad sigma spec {sigma!r}")
-        self.T = T
-        self.sigma = sigma
-        self._tinv = invert(T, tol)
-
-    def __call__(self, x: Element) -> Element:
-        blocks = [
-            b.conj() if s == "conj" else b for b, s in zip(x.data, self.sigma)
-        ]
-        return self.T * Element(x.shape, blocks) * self._tinv
-
-
-def ring_iso_to_obj(T: Element, sigma) -> dict:
-    if isinstance(sigma, str):
-        sigma_obj = sigma
-    else:
-        sigma_obj = list(sigma)
-    return {"kind": "ring-iso", "T": element_to_obj(T), "sigma": sigma_obj}
+def ring_iso_to_obj(T: Element, sigma, block_map=None) -> dict:
+    return _iso_to_obj("ring-iso", T, sigma, block_map)
 
 
 def ring_iso_from_obj(d: dict, tol: Tolerances = DEFAULT_TOL) -> ConjugationRingIso:
-    if d.get("kind") != "ring-iso":
-        raise ValueError(f'expected kind "ring-iso", got {d.get("kind")!r}')
-    return ConjugationRingIso(element_from_obj(d["T"]), d.get("sigma", "id"), tol)
+    return _iso_from_obj("ring-iso", d, tol)
 
 
 def halmos_to_obj(dec: HalmosDecomposition) -> dict:

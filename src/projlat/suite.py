@@ -24,7 +24,7 @@ from .core import (
     polar_decompose,
 )
 from .coordinatize import coordinatize, uniqueness_residual
-from .errors import NotAFrame, OrthogonalityNotPreserved
+from .errors import NotAFrame, NotOrderThree, OrthogonalityNotPreserved
 from .graphs import (
     ThreeFrame,
     graph_projection,
@@ -50,6 +50,7 @@ from .lattice import (
     principal_ideal_leq,
 )
 from .maps import (
+    ConjugationRingIso,
     from_conjugation,
     from_ring_iso,
     from_semilinear,
@@ -62,13 +63,13 @@ from .ringiso import dye_extension, inner_factor
 from .sampling import (
     random_element,
     random_invertible,
+    random_overlapping_pair,
     random_pair_with_angles,
     random_pair_with_trivial_meet,
     random_projection,
     random_unitary,
     rng_from,
 )
-from .serialize import ConjugationRingIso
 
 __all__ = ["verify_suite"]
 
@@ -77,30 +78,17 @@ def _skip_not_order3(shape: AlgebraShape, tol: Tolerances) -> ThreeFrame:
     try:
         return ThreeFrame.standard(shape, tol)
     except NotAFrame as exc:
-        err = RuntimeError(str(exc))
+        # only this instance skips; NotOrderThree from elsewhere is a FAIL
+        err = NotOrderThree(str(exc))
         err.skip_reason = "NotOrderThree"
         raise err from exc
-
-
-def _overlapping_pair(shape, rng) -> tuple[Projection, Projection]:
-    bases_p, bases_q = [], []
-    for n in shape.blocks:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        u, _ = np.linalg.qr(g)
-        shared = int(rng.integers(0, n + 1))
-        rp = shared + int(rng.integers(0, n - shared + 1))
-        rq_extra = int(rng.integers(0, n - rp + 1))
-        bases_p.append(u[:, :rp])
-        take = list(range(shared)) + list(range(rp, rp + rq_extra))
-        bases_q.append(u[:, take])
-    return Projection.from_basis(shape, bases_p), Projection.from_basis(shape, bases_q)
 
 
 def _check_lattice_axioms(shape, seed, samples, tol):
     rng = rng_from(seed)
     worst, ce = 0.0, None
     for k in range(samples):
-        p, q = _overlapping_pair(shape, rng)
+        p, q = random_overlapping_pair(shape, rng)
         r = random_projection(shape, rng)
         worst = max(worst, distance(meet(p, q, tol), meet(q, p, tol)))
         worst = max(worst, distance(join(p, q, tol), join(q, p, tol)))
@@ -167,9 +155,9 @@ def _check_halmos(shape, seed, samples, tol):
             try:
                 p, q = random_pair_with_angles(shape, rng, angles)
             except ValueError:
-                p, q = _overlapping_pair(shape, rng)
+                p, q = random_overlapping_pair(shape, rng)
         else:
-            p, q = _overlapping_pair(shape, rng)
+            p, q = random_overlapping_pair(shape, rng)
         dec = halmos_decompose(p, q, tol)
         p2, q2 = reconstruct(dec, tol)
         worst = max(worst, distance(p, p2), distance(q, q2))
@@ -338,7 +326,7 @@ def _check_map_family(shape, seed, samples, tol):
     if not ver.passed:
         bad = [c.name for c in ver.checks if not c.passed]
         return 1.0, {"failed_checks": bad}
-    worst = 0.0
+    worst = max(c.max_residual for c in ver.checks)
     for _ in range(max(4, samples // 4)):
         z = random_projection(shape, rng)
         if is_central_projection(z) and not is_central_projection(phi(z)):

@@ -171,3 +171,20 @@ def test_invalid_env_seed_is_usage_error(tmp_path, monkeypatch, capsys):
 
 def test_bad_shape_flag_is_usage_error(capsys):
     assert main(["gen", "projection-pair", "--shape", "3,zebra"]) == 2
+
+
+def test_factor_reads_routed_ring_isos(tmp_path, capsys):
+    path = _gen(tmp_path, "ring-iso", "iso.json", "--shape", "3,3", "--seed", "1")
+    obj = json.loads(open(path).read())
+    obj["block_map"] = [1, 0]
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    assert main(["factor", path, "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["status"] == "PASS"
+    assert rep["factorization"]["block_map"] == [1, 0]
+    for bad in ([0, 0], [0.5, 1]):
+        obj["block_map"] = bad
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        assert main(["factor", path]) == 2

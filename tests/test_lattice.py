@@ -155,3 +155,15 @@ def test_order_consistency(seed):
     if pl.leq(p, q):
         assert pl.distance(pl.meet(p, q), p) < 1e-9
         assert pl.distance(pl.join(p, q), q) < 1e-9
+
+
+def test_overlapping_pairs_share_subspaces():
+    shape = AlgebraShape([3, 4])
+    rng = np.random.default_rng(5)
+    shared = 0
+    for _ in range(20):
+        p, q = pl.random_overlapping_pair(shape, rng)
+        m, j = pl.meet(p, q), pl.join(p, q)
+        assert all(a + b == c + d for a, b, c, d in zip(m.ranks, j.ranks, p.ranks, q.ranks))
+        shared += m.rank()
+    assert shared > 0

@@ -132,3 +132,45 @@ def test_serialization_of_maps_roundtrips(rng):
     rogue = LatticeMap(shape, shape, lambda p: p, Opaque("no provenance"))
     with pytest.raises(ValueError):
         pl.map_to_obj(rogue)
+
+
+def test_order_residual_measures_the_complement_map(rng):
+    """p -> 1 - p reverses the order, so pairs a <= b leave a residual
+    ||f(a) - f(b) f(a)|| of order one in the order check."""
+    shape = AlgebraShape([3])
+    flip = LatticeMap(shape, shape, lambda p: p.complement(), Opaque("complement"))
+    check_tol = 1e-6
+    ver = pl.verify_lattice_iso(flip, samples=12, seed=0, check_tol=check_tol)
+    order = {c.name: c for c in ver.checks}["order-both-directions"]
+    assert not order.passed
+    assert order.max_residual > check_tol
+
+
+def test_conjugation_ring_iso_routes_blocks(rng):
+    shape = AlgebraShape([3, 3])
+    t = pl.random_invertible(shape, rng, cond_max=20.0)
+    iso = pl.ConjugationRingIso(t, ["id", "conj"], pl.DEFAULT_TOL, (1, 0))
+    assert iso.source == shape and iso.block_map == (1, 0)
+    x = pl.random_element(shape, rng)
+    t_inv = pl.invert(t)
+    y = iso(x)
+    assert np.allclose(y.data[1], t.data[1] @ x.data[0] @ t_inv.data[1], atol=1e-10)
+    assert np.allclose(y.data[0], t.data[0] @ x.data[1].conj() @ t_inv.data[0], atol=1e-10)
+    assert pl.distance(iso.inverse()(y), x) < 1e-10 * pl.cond(t) ** 2
+
+    phi = iso.lattice_map()
+    assert phi.provenance is iso
+    back = pl.invert_map(phi)
+    for _ in range(5):
+        p = pl.random_projection(shape, rng)
+        assert pl.distance(phi(p), pl.left_support(iso(p.element))) < 1e-8
+        assert pl.distance(back(phi(p)), p) < 1e-8
+
+
+def test_conjugation_ring_iso_rejects_bad_routing():
+    t = Element.identity(AlgebraShape([3, 3]))
+    for bad in ((0, 0), (0, 1, 2), (1, 2)):
+        with pytest.raises(ValueError):
+            pl.ConjugationRingIso(t, "id", pl.DEFAULT_TOL, bad)
+    with pytest.raises(pl.ShapeMismatch):
+        pl.ConjugationRingIso(t)(Element.identity(AlgebraShape([2, 3])))

@@ -138,3 +138,19 @@ def test_save_and_load_json(tmp_path, rng):
     assert all(np.array_equal(a, b) for a, b in zip(x.data, y.data))
     # files end with a newline so shell cat output stays tidy
     assert path.read_bytes().endswith(b"\n")
+
+
+def test_block_map_is_written_only_when_routing(rng):
+    shape = AlgebraShape([3, 3])
+    t = pl.random_invertible(shape, rng, cond_max=10.0)
+    plain = pl.map_to_obj(pl.from_semilinear(t, "conj"))
+    assert "block_map" not in plain and plain["sigma"] == "conj"
+    iso = pl.ConjugationRingIso(t, ["conj", "id"], pl.DEFAULT_TOL, [1, 0])
+    obj = json.loads(json.dumps(pl.map_to_obj(iso.lattice_map())))
+    assert obj["block_map"] == [1, 0] and obj["sigma"] == ["conj", "id"]
+    phi = pl.map_from_obj(obj)
+    p = pl.random_projection(shape, rng)
+    assert pl.distance(phi(p), iso.lattice_map()(p)) == 0.0
+    back = pl.ring_iso_from_obj(pl.ring_iso_to_obj(t, iso.sigma, iso.block_map))
+    x = pl.random_element(shape, rng)
+    assert pl.distance(back(x), iso(x)) == 0.0

@@ -1,0 +1,51 @@
+"""Suite plumbing: skip reasons, measured residuals, and the names
+that tooling looks up in the library modules."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import projlat as pl
+from projlat import AlgebraShape, suite
+from projlat.report import run_check
+
+
+def test_skip_is_a_named_not_order_three():
+    with pytest.raises(pl.NotOrderThree) as info:
+        suite._skip_not_order3(AlgebraShape([4]), pl.DEFAULT_TOL)
+    assert info.value.skip_reason == "NotOrderThree"
+
+
+def test_only_the_precondition_skips():
+    def family():
+        suite._skip_not_order3(AlgebraShape([2, 3]), pl.DEFAULT_TOL)
+        return 0.0, None
+
+    def broken_family():
+        raise pl.NotOrderThree("raised by the family body")
+
+    assert run_check("f", "a", family, 1.0).status == "SKIPPED(NotOrderThree)"
+    failed = run_check("f", "a", broken_family, 1.0)
+    assert failed.status == "FAIL" and "NotOrderThree" in failed.counterexample["error"]
+
+
+def test_lattice_map_family_reports_a_measured_residual():
+    residual, ce = suite._check_map_family(AlgebraShape([3]), 0, 8, pl.DEFAULT_TOL)
+    assert ce is None
+    assert 0.0 < residual <= 1e-8
+
+
+def test_every_exported_name_resolves():
+    for info in pkgutil.iter_modules(pl.__path__):
+        mod = importlib.import_module(f"projlat.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"projlat.{info.name}.__all__ lists {name}"
+    for name in pl.__all__:
+        assert hasattr(pl, name), name
+
+
+def test_suite_binds_the_map_constructors():
+    # tooling wraps the maps verify_suite builds by patching these names
+    for name in ("from_conjugation", "from_semilinear", "from_ring_iso"):
+        assert getattr(suite, name) is getattr(pl, name)
