@@ -4,9 +4,10 @@ The engine runs on an order-3 frame: a lattice isomorphism phi between
 projection lattices is first normalized (three invertible conjugations
 on the target side) until it fixes the frame projections and the unit
 graph projections, then the coordinate map psi is read off slot-12
-graph projections and reassembled entrywise into the ring isomorphism
-Psi with phi(l(x)) = l(Psi(x)).  Everything is verified by seeded
-sampling; the diagnostics travel with the result.
+graph projections.  The ring isomorphism Psi with phi(l(x)) = l(Psi(x))
+is psi reassembled entrywise; it is compiled once, by Skolem-Noether on
+the corner algebra, to a ConjugationRingIso.  Everything is verified by
+seeded sampling; the diagnostics travel with the result.
 """
 
 from __future__ import annotations
@@ -43,7 +44,13 @@ from .errors import (
 from .graphs import ThreeFrame, graph_projection, recover_operator
 from .halmos import ls_orthogonal, orthogonalizer
 from .lattice import canonicalize, join, meet, mv_equivalent
-from .maps import LatticeMap, compose, from_conjugation
+from .maps import (
+    ConjugationRingIso,
+    LatticeMap,
+    _skolem_noether,
+    compose,
+    from_conjugation,
+)
 from .sampling import random_element, random_projection, rng_from
 
 __all__ = [
@@ -61,14 +68,18 @@ __all__ = [
 class CoordinatizationResult:
     """Ring isomorphism assembled from a lattice isomorphism.
 
-    psi acts on corner elements (the coordinate algebra), Psi on full
-    elements; normalizers are the invertible S-operators applied to the
-    target, in order.  diagnostics holds the sampled residuals of the
-    ring axioms and the support intertwining.
+    psi acts on corner elements (the coordinate algebra) and is read
+    off the lattice on every call; Psi, on full elements, is compiled
+    to a ConjugationRingIso; normalizers are the invertible S-operators
+    applied to the target, in order.  diagnostics holds the sampled
+    residuals of the ring axioms and the support intertwining of Psi
+    re-derived from the lattice, plus compiled_agreement (the worst
+    distance of the compiled Psi from it) and compiled_intertwining
+    (the support intertwining of the compiled Psi) on the same samples.
     """
 
     psi: Callable[[Element], Element]
-    Psi: Callable[[Element], Element]
+    Psi: ConjugationRingIso
     source_frame: ThreeFrame
     target_frame: ThreeFrame
     normalizers: tuple[Element, Element, Element]
@@ -137,7 +148,12 @@ def _witness_through(
             blocks.append(np.zeros((n, n)))
             continue
         # ua = ub . alpha + uh . beta; the skew projection keeps -ub . alpha
-        coef = np.linalg.solve(np.concatenate([ub, uh], axis=1), ua)
+        try:
+            coef = np.linalg.solve(np.concatenate([ub, uh], axis=1), ua)
+        except np.linalg.LinAlgError as exc:
+            raise FrameAssemblyFailed(
+                f"complement meets the slot projection on block {b} ({exc})"
+            ) from exc
         t = -(ub @ coef[: ub.shape[1]])
         blocks.append(t @ ua.conj().T)
     tel = Element(shape, blocks)
@@ -241,12 +257,21 @@ def coordinatize(
     must nevertheless coincide, which is what uniqueness_residual
     measures.
 
+    Psi is compiled to a ConjugationRingIso at a cost of n/3 + 2
+    corner-map calls per block; _verify certifies it against Psi
+    re-derived from the lattice at every point it samples.
+
     Raises:
         NotOrderThree: some block size is not divisible by 3, or the
             map does not carry order-3 structure over.
+        FrameAssemblyFailed: normalization could not build the target
+            frame or its slot units.
         SlotMismatch: slot-13/23 recoveries disagree with slot 12;
             phi is not induced by any ring isomorphism.
-        IntertwiningFailure: assembled Psi fails the support identity.
+        NotRingIso, DegenerateWitness: the corner map does not compile
+            to a conjugation.
+        IntertwiningFailure: Psi, re-derived or compiled, fails the
+            support identity.
     """
     rng = rng_from(seed)
     if source_frame is None:
@@ -284,9 +309,9 @@ def coordinatize(
             "the map is not induced by a ring isomorphism"
         )
 
+    # Psi re-derived from the lattice, one corner at a time; only
+    # _verify calls it, to certify the compiled Psi against it
     def psi_full(x: Element) -> Element:
-        if x.shape != fr.shape:
-            raise ShapeMismatch("operand does not live in the source algebra")
         coords = fr.to_coords(x)
         out = [np.zeros((m, m), dtype=np.complex128) for m in target.shape.blocks]
         for i in range(3):
@@ -305,19 +330,48 @@ def coordinatize(
         y_norm = target.from_coords(out)
         return s_inv * y_norm * s_total
 
-    diagnostics = _verify(phi, phi_norm, fr, target, psi, psi_full, samples, rng, tol)
+    Psi = _compile(psi, fr, target, s_inv, tol)
+    diagnostics = _verify(
+        phi, phi_norm, fr, target, psi, psi_full, Psi, samples, rng, tol
+    )
     diagnostics["slot_agreement"] = float(slot_res)
     diagnostics["seed"] = seed
     diagnostics["samples"] = samples
 
     return CoordinatizationResult(
         psi=psi,
-        Psi=psi_full,
+        Psi=Psi,
         source_frame=fr,
         target_frame=target,
         normalizers=(s1, s2, s3),
         diagnostics=diagnostics,
     )
+
+
+def _compile(
+    psi: Callable[[Element], Element],
+    fr: ThreeFrame,
+    target: ThreeFrame,
+    s_inv: Element,
+    tol: Tolerances,
+) -> ConjugationRingIso:
+    """Psi as one ConjugationRingIso, read off the corner map.
+
+    psi is x -> R sigma(x) R^{-1} with blocks routed (Skolem-Noether on
+    the corner algebra), and Psi assembles psi entrywise in the frame
+    coordinates V (source) and W (target) before undoing the
+    normalizers S, so block t = block_map[b] of Psi is conjugation by
+    T_t = S_t^{-1} W_t (1_3 (x) R_t) sigma_b(V_b)*.
+    """
+    corner = _skolem_noether(psi, fr.corner_shape, target.corner_shape, tol)
+    blocks = [None] * len(corner.block_map)
+    for b, (s, t) in enumerate(zip(corner.sigma, corner.block_map)):
+        v = fr._vmats[b]
+        v = v.conj() if s == "conj" else v
+        r = np.kron(np.eye(3), corner.T.data[t])
+        blocks[t] = s_inv.data[t] @ target._vmats[t] @ r @ v.conj().T
+    T = Element(target.shape, blocks)
+    return ConjugationRingIso(T, corner.sigma, tol, corner.block_map)
 
 
 def _seeded_frame(
@@ -343,30 +397,43 @@ def _verify(
     target: ThreeFrame,
     psi: Callable[[Element], Element],
     psi_full: Callable[[Element], Element],
+    Psi: ConjugationRingIso,
     samples: int,
     rng: np.random.Generator,
     tol: Tolerances,
 ) -> dict:
     src, tgt = fr.shape, target.shape
-    unit_res = distance(psi_full(Element.identity(src)), Element.identity(tgt))
+    agree = 0.0
+
+    def lattice_psi(x: Element) -> Element:
+        nonlocal agree
+        y = psi_full(x)
+        agree = max(agree, distance(Psi(x), y))
+        return y
+
+    unit_res = distance(lattice_psi(Element.identity(src)), Element.identity(tgt))
 
     add_res = mul_res = 0.0
     for _ in range(samples):
         x = random_element(src, rng, norm_bound=2.0)
         y = random_element(src, rng, norm_bound=2.0)
-        fx, fy = psi_full(x), psi_full(y)
-        add_res = max(add_res, distance(psi_full(x + y), fx + fy))
-        mul_res = max(mul_res, distance(psi_full(x * y), fx * fy))
+        fx, fy = lattice_psi(x), lattice_psi(y)
+        add_res = max(add_res, distance(lattice_psi(x + y), fx + fy))
+        mul_res = max(mul_res, distance(lattice_psi(x * y), fx * fy))
 
-    sup_res = proj_res = 0.0
+    sup_res = proj_res = compiled_res = 0.0
     for _ in range(samples):
         x = random_element(src, rng)
-        sup_res = max(
-            sup_res, distance(left_support(psi_full(x), tol), phi(left_support(x, tol)))
-        )
+        img = phi(left_support(x, tol))
+        sup_res = max(sup_res, distance(left_support(lattice_psi(x), tol), img))
+        compiled_res = max(compiled_res, distance(left_support(Psi(x), tol), img))
         p = random_projection(src, rng)
+        img = phi(p)
         proj_res = max(
-            proj_res, distance(left_support(psi_full(p.element), tol), phi(p))
+            proj_res, distance(left_support(lattice_psi(p.element), tol), img)
+        )
+        compiled_res = max(
+            compiled_res, distance(left_support(Psi(p.element), tol), img)
         )
 
     # Reduction identity for non-graph projections: the meet expression
@@ -389,7 +456,7 @@ def _verify(
         )
         two_slot = max(two_slot, distance(lhs, rhs))
 
-    worst = max(sup_res, proj_res)
+    worst = max(sup_res, proj_res, compiled_res)
     if worst > 1e-3:
         raise IntertwiningFailure(worst)
 
@@ -400,6 +467,8 @@ def _verify(
         "support_intertwining": float(sup_res),
         "projection_intertwining": float(proj_res),
         "two_slot_meet": float(two_slot),
+        "compiled_agreement": float(agree),
+        "compiled_intertwining": float(compiled_res),
     }
 
 

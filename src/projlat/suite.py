@@ -326,7 +326,7 @@ def _check_map_family(shape, seed, samples, tol):
     if not ver.passed:
         bad = [c.name for c in ver.checks if not c.passed]
         return 1.0, {"failed_checks": bad}
-    worst = max(c.max_residual for c in ver.checks)
+    worst = max(c.max_residual for c in ver.checks if c.max_residual is not None)
     for _ in range(max(4, samples // 4)):
         z = random_projection(shape, rng)
         if is_central_projection(z) and not is_central_projection(phi(z)):

@@ -1,7 +1,12 @@
 """End-to-end CLI runs through main(argv), no subprocesses."""
 
+import dataclasses
 import json
 
+import numpy as np
+
+import projlat as pl
+from projlat import AlgebraShape, cli
 from projlat.cli import main
 
 
@@ -188,3 +193,62 @@ def test_factor_reads_routed_ring_isos(tmp_path, capsys):
         with open(path, "w") as fh:
             json.dump(obj, fh)
         assert main(["factor", path]) == 2
+
+
+def _unitary_map(tmp_path, name, blocks):
+    shape = AlgebraShape(blocks)
+    u = pl.random_unitary(shape, np.random.default_rng(4))
+    path = tmp_path / name
+    pl.save_json(pl.map_to_obj(pl.from_conjugation(u)), str(path))
+    return str(path)
+
+
+def test_dye_reports_measured_check_times(tmp_path, capsys):
+    path = _unitary_map(tmp_path, "unitary.json", [3])
+    assert main(["dye", path, "--json"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["status"] == "PASS"
+    assert [c["name"] for c in first["checks"]] == [
+        "projection-extension", "star-preservation", "unit", "hermitian-order",
+    ]
+    assert all(c["seconds"] > 0 for c in first["checks"])
+    # timings stay out of the certificate, so it repeats exactly
+    assert _strip_seconds(first["certificate"]) == first["certificate"]
+    assert main(["dye", path, "--json"]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert first["certificate"] == second["certificate"]
+
+
+def test_dye_refusal_reports_the_time_until_refusal(tmp_path, capsys):
+    path = _gen(tmp_path, "lattice-map", "map.json", "--seed", "2")
+    assert main(["dye", path, "--json"]) == 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["name"] == "orthogonality-preservation"
+    assert check["seconds"] > 0
+
+
+def test_coordinatize_grades_every_diagnostic(tmp_path, monkeypatch, capsys):
+    path = _gen(tmp_path, "lattice-map", "map.json", "--seed", "2")
+    real = cli.coordinatize
+
+    def with_new_residual(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return dataclasses.replace(
+            result, diagnostics={**result.diagnostics, "new_residual": 1.0}
+        )
+
+    monkeypatch.setattr(cli, "coordinatize", with_new_residual)
+    assert main(["coordinatize", path, "--samples", "2"]) == 1
+    assert "first failing check: coordinatize" in capsys.readouterr().err
+
+
+def test_compiled_psi_is_accepted_by_factor(tmp_path, capsys):
+    shape = AlgebraShape([3, 3])
+    t = pl.random_invertible(shape, np.random.default_rng(6), cond_max=50.0)
+    psi = pl.coordinatize(pl.from_semilinear(t, ["id", "conj"]), samples=2).Psi
+    path = tmp_path / "psi.json"
+    pl.save_json(pl.ring_iso_to_obj(psi.T, psi.sigma, psi.block_map), str(path))
+    assert main(["factor", str(path), "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["status"] == "PASS"
+    assert rep["factorization"]["psi0_kind"] == ["linear", "conjugate"]

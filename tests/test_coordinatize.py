@@ -1,10 +1,11 @@
 """The lattice-to-ring pipeline: frames, normalization, reconstruction."""
 
+import numpy as np
 import pytest
 
 import projlat as pl
 from projlat import AlgebraShape, Element, ThreeFrame
-from projlat.coordinatize import normalize_map, order_frame
+from projlat.coordinatize import _witness_through, normalize_map, order_frame
 
 
 S3 = AlgebraShape([3])
@@ -148,3 +149,50 @@ def test_block_split9_rejects_bad_cuts(rng):
     one = pl.random_element(AlgebraShape([1]), rng)
     with pytest.raises(pl.BadSplit):
         pl.block_split9(one, 0, 0)  # nothing to split in a 1x1 block
+
+
+def test_psi_is_a_compiled_conjugation_ring_iso(rng):
+    t = pl.random_invertible(S6, rng, cond_max=100.0)
+    result = pl.coordinatize(pl.from_conjugation(t), samples=4, seed=5)
+    psi = result.Psi
+    assert isinstance(psi, pl.ConjugationRingIso)
+    assert psi.sigma == ("id",) and psi.block_map == (0,)
+    diag = result.diagnostics
+    assert diag["compiled_agreement"] <= 1e-8
+    assert diag["compiled_intertwining"] <= 1e-8
+    back = psi.inverse()
+    for _ in range(5):
+        x = pl.random_element(S6, rng)
+        assert pl.distance(back(psi(x)), x) <= 1e-8
+
+
+def test_compiled_psi_of_the_transpose_map_conjugates_every_block():
+    shape = AlgebraShape([3, 6])
+    phi = pl.from_semilinear(Element.identity(shape), "conj")
+    result = pl.coordinatize(phi, samples=4, seed=5)
+    assert result.Psi.sigma == ("conj", "conj")
+    assert result.diagnostics["compiled_agreement"] <= 1e-8
+
+
+def test_compiled_psi_routes_reversed_blocks(rng):
+    shape = AlgebraShape([3, 3, 3, 3])
+
+    def reverse(x):
+        return Element(x.shape, x.data[::-1])
+
+    phi = pl.from_ring_iso(reverse, shape, shape, psi_inverse=reverse)
+    result = pl.coordinatize(phi, samples=4, seed=5)
+    assert result.Psi.block_map == (3, 2, 1, 0)
+    x = pl.random_element(shape, rng)
+    assert pl.distance(result.Psi(x), reverse(x)) <= 1e-8
+
+
+def test_witness_through_a_complement_containing_the_slot_is_refused():
+    # h = span(e2, e3) contains fb = span(e2): no perspectivity witness,
+    # and the linear solve behind it is exactly singular
+    eye = np.eye(3, dtype=np.complex128)
+    fa = pl.Projection.from_basis(S3, [eye[:, :1]])
+    fb = pl.Projection.from_basis(S3, [eye[:, 1:2]])
+    h = pl.Projection.from_basis(S3, [eye[:, 1:]])
+    with pytest.raises(pl.FrameAssemblyFailed, match="block 0"):
+        _witness_through(h, fa, fb, pl.DEFAULT_TOL)

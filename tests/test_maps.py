@@ -174,3 +174,14 @@ def test_conjugation_ring_iso_rejects_bad_routing():
             pl.ConjugationRingIso(t, "id", pl.DEFAULT_TOL, bad)
     with pytest.raises(pl.ShapeMismatch):
         pl.ConjugationRingIso(t)(Element.identity(AlgebraShape([2, 3])))
+
+
+def test_rank_profile_check_reports_no_residual(rng):
+    shape = AlgebraShape([3])
+    t = pl.random_invertible(shape, rng, cond_max=20.0)
+    ver = pl.verify_lattice_iso(pl.from_conjugation(t), samples=8, seed=0)
+    checks = {c.name: c for c in ver.checks}
+    assert checks["rank-profile-constancy"].passed
+    assert checks["rank-profile-constancy"].max_residual is None
+    others = [c for name, c in checks.items() if name != "rank-profile-constancy"]
+    assert all(isinstance(c.max_residual, float) for c in others)
