@@ -1,9 +1,15 @@
 """Block-diagonal complex matrix algebra.
 
 An algebra here is a finite direct sum of full complex matrix algebras,
-described by an :class:`AlgebraShape`.  Its elements are stored as one
+described by an :class:`AlgebraShape`.  Its elements store the blocks of
+each size as one stacked ``(k, n, n)`` array and expose them as one
 dense complex matrix per block.  Everything is pure: inputs are never
 mutated and results are fresh values whose arrays are read-only.
+
+Per-block linear algebra runs through :func:`_batched`, one numpy
+gufunc call per group of equal-shape blocks.  numpy's linalg gufuncs
+and matmul call LAPACK/BLAS once per slice of a stack, so a stacked
+call returns the same bits as one call per block.
 
 Supports, polar parts and the center-valued norm are computed per block
 with a relative singular-value cutoff: singular values at or below
@@ -76,6 +82,13 @@ class AlgebraShape:
         if any(n < 1 for n in blocks):
             raise ValueError(f"block sizes must be positive, got {blocks}")
         object.__setattr__(self, "blocks", blocks)
+        groups: dict[int, list[int]] = {}
+        for i, n in enumerate(blocks):
+            groups.setdefault(n, []).append(i)
+        # (size, block indices) per block size, in order of first use
+        object.__setattr__(
+            self, "size_groups", tuple((n, tuple(idx)) for n, idx in groups.items())
+        )
 
     @classmethod
     def parse(cls, text: str) -> "AlgebraShape":
@@ -99,26 +112,61 @@ class AlgebraShape:
         return ",".join(str(n) for n in self.blocks)
 
 
-def _as_block(matrix, n: int) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=np.complex128)
-    if arr.shape != (n, n):
-        raise ShapeMismatch(f"expected a {n}x{n} block, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("block contains non-finite entries")
-    arr = arr.copy()
+def _as_stack(blocks: list, n: int) -> np.ndarray:
+    """Validated read-only copy of k blocks of size n, as one (k, n, n) array."""
+    try:
+        arr = np.array(blocks, dtype=np.complex128)
+    except ValueError:
+        if all(np.shape(b) == (n, n) for b in blocks):
+            raise
+        arr = None  # ragged: the blocks do not share one shape
+    if arr is None or arr.shape[1:] != (n, n):
+        bad = next(np.shape(b) for b in blocks if np.shape(b) != (n, n))
+        raise ShapeMismatch(f"expected a {n}x{n} block, got shape {bad}")
+    return _freeze(arr)
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only, after checking that its entries are finite."""
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite entries")
     arr.setflags(write=False)
     return arr
 
 
-def _opnorm(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    s = np.linalg.svd(a, compute_uv=False)
-    return float(s[0]) if s.size else 0.0
+def _batched(fn: Callable, *operands: Sequence[np.ndarray]) -> list:
+    """fn at every position of the aligned operand lists, one call per
+    group of positions whose operands have equal shapes.
+
+    fn must broadcast over a leading stack axis, as numpy's linalg
+    gufuncs and matmul do (write transposes as ``.mT``).  A group of one
+    is passed through unstacked.  Returns fn's result per position: an
+    array, or a tuple when fn returns several.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, ops in enumerate(zip(*operands)):
+        groups.setdefault(tuple([a.shape for a in ops]), []).append(i)
+    out: list = [None] * len(operands[0])
+    for idx in groups.values():
+        if len(idx) == 1:
+            out[idx[0]] = fn(*[op[idx[0]] for op in operands])
+            continue
+        res = fn(*[np.array([op[i] for i in idx]) for op in operands])
+        for i, part in zip(idx, zip(*res) if isinstance(res, tuple) else res):
+            out[i] = part
+    return out
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(a, compute_uv=False)
 
 
 class Element:
-    """A block-diagonal operator: one complex matrix per block."""
+    """A block-diagonal operator: one complex matrix per block.
+
+    The blocks of each size are copied into one read-only (k, n, n)
+    stack; data holds one (n, n) view into it per block, in block order.
+    """
 
     __slots__ = ("shape", "data")
 
@@ -128,7 +176,12 @@ class Element:
                 f"shape {shape} wants {len(shape.blocks)} blocks, got {len(blocks)}"
             )
         self.shape = shape
-        self.data = tuple(_as_block(b, n) for b, n in zip(blocks, shape.blocks))
+        data: list = [None] * len(blocks)
+        for n, idx in shape.size_groups:
+            stack = _as_stack([blocks[i] for i in idx], n)
+            for i, view in zip(idx, stack):
+                data[i] = view
+        self.data = tuple(data)
 
     @classmethod
     def zeros(cls, shape: AlgebraShape) -> "Element":
@@ -202,7 +255,7 @@ class Element:
         return Element(self.shape, [a.T for a in self.data])
 
     def block_norms(self) -> tuple[float, ...]:
-        return tuple(_opnorm(a) for a in self.data)
+        return tuple(float(s[0]) for s in _batched(_singular_values, self.data))
 
     def norm(self) -> float:
         """Operator norm: the largest block operator norm."""
@@ -245,33 +298,45 @@ class Projection:
     """A Hermitian idempotent together with an orthonormal range basis.
 
     The basis is what the lattice operations actually consume; the dense
-    matrix ``element`` is kept alongside it so that arithmetic against
-    plain elements stays cheap and explicit.
+    matrix ``element`` serves arithmetic against plain elements.  A
+    projection made from a basis builds it, u u* per block, when it is
+    first read: most projections met inside a lattice computation are
+    only ever used through their basis.
     """
 
-    __slots__ = ("element", "basis", "ranks")
+    __slots__ = ("shape", "basis", "ranks", "_element")
 
     def __init__(self, element: Element, basis: Sequence[np.ndarray]):
-        self.element = element
-        bases = []
-        for u, n in zip(basis, element.shape.blocks):
-            u = np.asarray(u, dtype=np.complex128)
-            if u.shape[0] != n or u.shape[1] > n:
+        self._set_basis(element.shape, basis)
+        self._element = element
+
+    def _set_basis(self, shape: AlgebraShape, basis: Sequence[np.ndarray]) -> None:
+        if len(basis) != len(shape.blocks):
+            raise ShapeMismatch(
+                f"shape {shape} wants {len(shape.blocks)} basis blocks, got {len(basis)}"
+            )
+        bases = [np.asarray(u, dtype=np.complex128) for u in basis]
+        for u, n in zip(bases, shape.blocks):
+            if u.ndim != 2 or u.shape[0] != n or u.shape[1] > n:
                 raise ShapeMismatch(f"basis block {u.shape} does not fit n={n}")
-            u = u.copy()
-            u.setflags(write=False)
-            bases.append(u)
-        self.basis = tuple(bases)
+        self.shape = shape
+        self.basis = tuple(_batched(lambda u: _freeze(u.copy()), bases))
         self.ranks = tuple(u.shape[1] for u in self.basis)
 
     @classmethod
     def from_basis(cls, shape: AlgebraShape, bases: Sequence[np.ndarray]) -> "Projection":
         """Projection onto the span of orthonormal columns, per block."""
-        blocks = []
-        for u, n in zip(bases, shape.blocks):
-            u = np.asarray(u, dtype=np.complex128)
-            blocks.append(u @ u.conj().T if u.shape[1] else np.zeros((n, n)))
-        return cls(Element(shape, blocks), bases)
+        p = cls.__new__(cls)
+        p._set_basis(shape, bases)
+        p._element = None
+        return p
+
+    @property
+    def element(self) -> Element:
+        if self._element is None:
+            blocks = _batched(lambda u: u @ u.conj().mT, self.basis)
+            self._element = Element(self.shape, blocks)
+        return self._element
 
     @classmethod
     def zero(cls, shape: AlgebraShape) -> "Projection":
@@ -280,10 +345,6 @@ class Projection:
     @classmethod
     def identity(cls, shape: AlgebraShape) -> "Projection":
         return cls.from_basis(shape, [np.eye(n) for n in shape.blocks])
-
-    @property
-    def shape(self) -> AlgebraShape:
-        return self.element.shape
 
     def complement(self) -> "Projection":
         bases = [
@@ -329,16 +390,6 @@ class Projection:
         return f"Projection(shape=[{self.shape}], ranks={list(self.ranks)})"
 
 
-def _support_basis(a: np.ndarray, cutoff: float) -> np.ndarray:
-    """Orthonormal basis of the column space under an absolute cutoff."""
-    n = a.shape[0]
-    if n == 0 or not np.any(a):
-        return np.zeros((n, 0), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    r = int(np.count_nonzero(s > cutoff))
-    return u[:, :r]
-
-
 def left_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Smallest projection p with p x = x (column-space projection).
 
@@ -348,9 +399,14 @@ def left_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """
     x = _coerce(x)
     cutoff = tol.rank_rel * x.norm()
-    return Projection.from_basis(
-        x.shape, [_support_basis(a, cutoff) for a in x.data]
+    bases = [np.zeros((n, 0), dtype=np.complex128) for n in x.shape.blocks]
+    live = [i for i, a in enumerate(x.data) if a.any()]
+    svds = _batched(
+        lambda a: np.linalg.svd(a, full_matrices=False), [x.data[i] for i in live]
     )
+    for i, (u, s, _) in zip(live, svds):
+        bases[i] = u[:, : int(np.count_nonzero(s > cutoff))]
+    return Projection.from_basis(x.shape, bases)
 
 
 def right_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
@@ -361,13 +417,10 @@ def right_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
 def invert(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     """Blockwise inverse; raises NotInvertible on the first singular block."""
     x = _coerce(x)
-    out = []
-    for i, a in enumerate(x.data):
-        s = np.linalg.svd(a, compute_uv=False)
-        if s.size == 0 or s[-1] <= tol.rank_rel * s[0] or s[0] == 0:
-            raise NotInvertible(i, float(s[-1]) if s.size else 0.0)
-        out.append(np.linalg.inv(a))
-    return Element(x.shape, out)
+    for i, s in enumerate(_batched(_singular_values, x.data)):
+        if s[-1] <= tol.rank_rel * s[0] or s[0] == 0:
+            raise NotInvertible(i, float(s[-1]))
+    return Element(x.shape, _batched(np.linalg.inv, x.data))
 
 
 def polar_decompose(
@@ -397,7 +450,7 @@ def center_valued_norm(x: Element) -> Element:
     i.e. the center-valued analogue of the operator norm.
     """
     x = _coerce(x)
-    return Element.from_scalars(x.shape, [_opnorm(a) for a in x.data])
+    return Element.from_scalars(x.shape, x.block_norms())
 
 
 def is_central(x: Element, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -405,7 +458,7 @@ def is_central(x: Element, tol: Tolerances = DEFAULT_TOL) -> bool:
     x = _coerce(x)
     for a, n in zip(x.data, x.shape.blocks):
         lam = np.trace(a) / n
-        if _opnorm(a - lam * np.eye(n)) > tol.eq_tol:
+        if _singular_values(a - lam * np.eye(n))[0] > tol.eq_tol:
             return False
     return True
 

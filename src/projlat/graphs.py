@@ -30,6 +30,7 @@ from .core import (
     Element,
     Projection,
     Tolerances,
+    _batched,
     distance,
 )
 from .errors import NotAFrame, NotAGraphProjection, ShapeMismatch
@@ -167,11 +168,11 @@ class ThreeFrame:
             x = x.element
         if x.shape != self.shape:
             raise ShapeMismatch("element does not live in the frame's algebra")
-        return [v.conj().T @ a @ v for v, a in zip(self._vmats, x.data)]
+        return _batched(lambda v, a: v.conj().mT @ a @ v, self._vmats, x.data)
 
     def from_coords(self, mats) -> Element:
         """Inverse of to_coords."""
-        blocks = [v @ m @ v.conj().T for v, m in zip(self._vmats, mats)]
+        blocks = _batched(lambda v, m: v @ m @ v.conj().mT, self._vmats, mats)
         return Element(self.shape, blocks)
 
 
@@ -185,15 +186,15 @@ def graph_projection(
     if x.shape != frame.corner_shape:
         raise ShapeMismatch("graph operand must be a corner element of the frame")
     d, im = SLOTS[slot]
-    bases = []
-    for b, n in enumerate(frame.shape.blocks):
+    stds = []
+    for xb, n in zip(x.data, frame.shape.blocks):
         k = n // 3
         std = np.zeros((n, k), dtype=np.complex128)
         std[d * k : (d + 1) * k] = np.eye(k)
-        std[im * k : (im + 1) * k] = x.data[b]
-        qmat, _ = np.linalg.qr(frame._vmats[b] @ std)
-        bases.append(qmat)
-    return Projection.from_basis(frame.shape, bases)
+        std[im * k : (im + 1) * k] = xb
+        stds.append(std)
+    qrs = _batched(lambda v, std: np.linalg.qr(v @ std), frame._vmats, stds)
+    return Projection.from_basis(frame.shape, [qmat for qmat, _ in qrs])
 
 
 def is_slot_graph_projection(
@@ -240,18 +241,21 @@ def recover_operator(
         raise NotAGraphProjection(
             f"rank profile {q.ranks} does not match the slot rank {expected_ranks}"
         )
-    coords = frame.to_coords(q)
-    out = []
-    for b, n in enumerate(frame.shape.blocks):
-        k = n // 3
-        m = coords[b]
-        qdd = m[d * k : (d + 1) * k, d * k : (d + 1) * k]
-        qid = m[im * k : (im + 1) * k, d * k : (d + 1) * k]
-        lam, vec = np.linalg.eigh((qdd + qdd.conj().T) / 2)
+    qdds, qids = [], []
+    for m, k in zip(frame.to_coords(q), frame.corner_shape.blocks):
+        qdds.append(m[d * k : (d + 1) * k, d * k : (d + 1) * k])
+        qids.append(m[im * k : (im + 1) * k, d * k : (d + 1) * k])
+    eighs = _batched(lambda a: np.linalg.eigh((a + a.conj().mT) / 2), qdds)
+    for b, (lam, _) in enumerate(eighs):
         if lam[-1] <= 0 or lam[0] <= tol.rank_rel * lam[-1]:
             raise NotAGraphProjection(f"domain corner singular on block {b}")
-        out.append(qid @ (vec / lam) @ vec.conj().T)
-    x = Element(frame.corner_shape, out)
+    ratios = _batched(
+        lambda qid, lam, vec: qid @ (vec / lam[..., None, :]) @ vec.conj().mT,
+        qids,
+        [lam for lam, _ in eighs],
+        [vec for _, vec in eighs],
+    )
+    x = Element(frame.corner_shape, ratios)
     residual = distance(graph_projection(frame, x, slot, tol), q)
     if residual > residual_tol:
         raise NotAGraphProjection(

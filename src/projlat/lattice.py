@@ -12,6 +12,8 @@ two-projection pair instead of being folded into the intersection.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .core import (
@@ -19,6 +21,7 @@ from .core import (
     Element,
     Projection,
     Tolerances,
+    _batched,
     distance,
     left_support,
 )
@@ -80,47 +83,53 @@ def leq(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> bool:
     return distance(p.element, q.element * p.element) <= tol.eq_tol
 
 
-def _meet_basis(up: np.ndarray, uq: np.ndarray, rank_rel: float) -> np.ndarray:
-    n = up.shape[0]
-    if up.shape[1] == 0 or uq.shape[1] == 0:
-        return np.zeros((n, 0), dtype=np.complex128)
-    # Stage 1: candidate directions with principal-angle cosine >= 1/2.
-    # Anything below is far from the intersection; this only trims work.
-    w, sigma, _ = np.linalg.svd(up.conj().T @ uq, full_matrices=False)
-    cand = sigma >= 0.5
-    if not np.any(cand):
-        return np.zeros((n, 0), dtype=np.complex128)
-    b = up @ w[:, cand]
-    # Stage 2: sines of the candidate directions against range(q).
-    # The SVD of (1-q)B separates a true intersection (sine ~ eps) from
-    # a deliberately tiny angle (sine ~ theta) with gap theta, which the
-    # cosines cannot do at double precision.
-    d = b - uq @ (uq.conj().T @ b)
-    _, s, zh = np.linalg.svd(d, full_matrices=False)
-    keep = s <= rank_rel
-    return b @ zh.conj().T[:, keep]
+def _thin_svd(a: np.ndarray):
+    return np.linalg.svd(a, full_matrices=False)
 
 
-def orth(a: np.ndarray, rank_rel: float) -> np.ndarray:
-    """Orthonormal basis of the column space of a.
+def orth(blocks: Sequence[np.ndarray], rank_rel: float) -> list[np.ndarray]:
+    """Orthonormal basis of the column space of each array.
 
     Singular values at or below rank_rel times the largest count as
     zero (left_support instead cuts at an absolute level).
     """
-    if a.shape[1] == 0:
-        return a
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    r = int(np.count_nonzero(s > rank_rel * s[0])) if s[0] > 0 else 0
-    return u[:, :r]
+    out = list(blocks)
+    live = [i for i, a in enumerate(blocks) if a.shape[1]]
+    for i, (u, s, _) in zip(live, _batched(_thin_svd, [blocks[i] for i in live])):
+        r = int(np.count_nonzero(s > rank_rel * s[0])) if s[0] > 0 else 0
+        out[i] = u[:, :r]
+    return out
 
 
 def meet(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Largest projection under both p and q (range intersection)."""
     if p.shape != q.shape:
         raise ShapeMismatch("meet needs projections of one shape")
-    bases = [
-        _meet_basis(up, uq, tol.rank_rel) for up, uq in zip(p.basis, q.basis)
-    ]
+    bases = [np.zeros((n, 0), dtype=np.complex128) for n in p.shape.blocks]
+    live = [b for b, r in enumerate(p.ranks) if r and q.ranks[b]]
+    # Stage 1: candidate directions with principal-angle cosine >= 1/2.
+    # Anything below is far from the intersection; this only trims work.
+    cosines = _batched(
+        lambda up, uq: _thin_svd(up.conj().mT @ uq),
+        [p.basis[b] for b in live],
+        [q.basis[b] for b in live],
+    )
+    cands = []
+    for b, (w, sigma, _) in zip(live, cosines):
+        cand = sigma >= 0.5
+        if np.any(cand):
+            cands.append((b, p.basis[b] @ w[:, cand]))
+    # Stage 2: sines of the candidate directions against range(q).
+    # The SVD of (1-q)B separates a true intersection (sine ~ eps) from
+    # a deliberately tiny angle (sine ~ theta) with gap theta, which the
+    # cosines cannot do at double precision.
+    sines = _batched(
+        lambda c, uq: _thin_svd(c - uq @ (uq.conj().mT @ c)),
+        [c for _, c in cands],
+        [q.basis[b] for b, _ in cands],
+    )
+    for (b, c), (_, s, zh) in zip(cands, sines):
+        bases[b] = c @ zh.conj().T[:, s <= tol.rank_rel]
     return Projection.from_basis(p.shape, bases)
 
 
@@ -128,11 +137,8 @@ def join(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Project
     """Smallest projection above both p and q (span of the ranges)."""
     if p.shape != q.shape:
         raise ShapeMismatch("join needs projections of one shape")
-    bases = [
-        orth(np.concatenate([up, uq], axis=1), tol.rank_rel)
-        for up, uq in zip(p.basis, q.basis)
-    ]
-    return Projection.from_basis(p.shape, bases)
+    spans = [np.concatenate([up, uq], axis=1) for up, uq in zip(p.basis, q.basis)]
+    return Projection.from_basis(p.shape, orth(spans, tol.rank_rel))
 
 
 def mv_equivalent(

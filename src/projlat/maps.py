@@ -20,6 +20,7 @@ from .core import (
     Element,
     Projection,
     Tolerances,
+    _batched,
     distance,
     invert,
     left_support,
@@ -152,10 +153,13 @@ class ConjugationRingIso:
             raise ShapeMismatch(
                 f"iso expects elements of [{self.source}], got [{x.shape}]"
             )
+        xs = [xb.conj() if s == "conj" else xb for xb, s in zip(x.data, self.sigma)]
+        ts = [self.T.data[t] for t in self.block_map]
+        tinvs = [self._tinv.data[t] for t in self.block_map]
+        images = _batched(lambda t, xb, ti: (t @ xb) @ ti, ts, xs, tinvs)
         out = [None] * len(self.block_map)
-        for xb, s, t in zip(x.data, self.sigma, self.block_map):
-            xb = xb.conj() if s == "conj" else xb
-            out[t] = (self.T.data[t] @ xb) @ self._tinv.data[t]
+        for y, t in zip(images, self.block_map):
+            out[t] = y
         return Element(self.T.shape, out)
 
     def inverse(self, tol: Tolerances = DEFAULT_TOL) -> "ConjugationRingIso":
@@ -173,15 +177,14 @@ class ConjugationRingIso:
     def lattice_map(self, tol: Tolerances = DEFAULT_TOL) -> LatticeMap:
         """The induced map p -> projection onto T sigma(range p)."""
         target = self.T.shape
-        steps = [
-            (t, self.T.data[t], s == "conj")
-            for s, t in zip(self.sigma, self.block_map)
-        ]
+        ts = [self.T.data[t] for t in self.block_map]
 
         def apply(p: Projection) -> Projection:
-            bases = [None] * len(steps)
-            for (t, tb, conj), ub in zip(steps, p.basis):
-                bases[t] = orth(tb @ (ub.conj() if conj else ub), tol.rank_rel)
+            us = [ub.conj() if s == "conj" else ub for ub, s in zip(p.basis, self.sigma)]
+            images = orth(_batched(np.matmul, ts, us), tol.rank_rel)
+            bases = [None] * len(images)
+            for u, t in zip(images, self.block_map):
+                bases[t] = u
             return Projection.from_basis(target, bases)
 
         return LatticeMap(self.source, target, apply, self)
@@ -485,14 +488,10 @@ def preserves_orthogonality(
         ]
         sub = random_projection(shape, rng, comp_ranks)
         # push sub below the complement of p
-        bases = []
-        for ub, uc in zip(sub.basis, p.complement().basis):
-            if ub.shape[1] == 0 or uc.shape[1] == 0:
-                bases.append(uc[:, :0])
-                continue
-            g = uc @ (uc.conj().T @ ub)
-            bases.append(orth(g, tol.rank_rel))
-        probes.append((p, Projection.from_basis(shape, bases)))
+        pushed = [
+            uc @ (uc.conj().T @ ub) for ub, uc in zip(sub.basis, p.complement().basis)
+        ]
+        probes.append((p, Projection.from_basis(shape, orth(pushed, tol.rank_rel))))
 
     for p, q in probes:
         if (p.element * q.element).norm() > tol.proj_tol:

@@ -1,0 +1,177 @@
+"""Stacked block storage and batched per-block linear algebra.
+
+Blocks of equal shape go through one stacked numpy call.  Each batched
+operation must return exactly (bit for bit) what it returns on every
+block alone, where the one-block call is the plain unstacked one; and
+Element/Projection keep their validation and read-only guarantees.
+"""
+
+import numpy as np
+import pytest
+
+import projlat as pl
+from projlat import AlgebraShape, ConjugationRingIso, Element, Projection, ThreeFrame
+from projlat.graphs import SLOTS, graph_projection, recover_operator
+
+MIXED = [AlgebraShape([3, 2, 3, 3]), AlgebraShape([1, 3, 3])]
+MIXED_IDS = ["3+2+3+3", "1+3+3"]
+FRAMED = AlgebraShape([3, 6, 3, 3])  # frames need block sizes divisible by 3
+
+
+def _one(shape, b):
+    return AlgebraShape([shape.blocks[b]])
+
+
+def block_element(x, b):
+    return Element(_one(x.shape, b), [x.data[b]])
+
+
+def block_projection(p, b):
+    return Projection.from_basis(_one(p.shape, b), [p.basis[b]])
+
+
+def block_frame(fr, b):
+    ps = tuple(block_projection(p, b) for p in fr.projections)
+    units = tuple(tuple(block_element(w, b) for w in row) for row in fr.units)
+    return ThreeFrame(_one(fr.shape, b), ps, units, (fr._vmats[b],))
+
+
+def assert_blockwise(whole, parts):
+    assert len(whole) == len(parts)
+    for a, b in zip(whole, parts):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", MIXED, ids=MIXED_IDS)
+def test_core_ops_equal_blockwise_ops(shape):
+    rng = np.random.default_rng(11)
+    k = len(shape.blocks)
+    x = pl.random_element(shape, rng)
+    assert x.block_norms() == tuple(block_element(x, b).norm() for b in range(k))
+    assert_blockwise(
+        pl.invert(x).data, [pl.invert(block_element(x, b)).data[0] for b in range(k)]
+    )
+    for _ in range(10):
+        y = pl.random_projection(shape, rng).element * x  # some blocks rank deficient
+        assert_blockwise(
+            pl.left_support(y).basis,
+            [pl.left_support(block_element(y, b)).basis[0] for b in range(k)],
+        )
+
+
+@pytest.mark.parametrize("shape", MIXED, ids=MIXED_IDS)
+def test_join_and_meet_equal_blockwise(shape):
+    rng = np.random.default_rng(12)
+    k = len(shape.blocks)
+    pairs = [pl.random_overlapping_pair(shape, rng) for _ in range(20)]
+    full = [np.eye(n)[:, : (n + 1) // 2] for n in shape.blocks]
+    pairs.append((Projection.from_basis(shape, full), pl.random_projection(shape, rng, [1] * k)))
+    for p, q in pairs:
+        for op in (pl.join, pl.meet):
+            assert_blockwise(
+                op(p, q).basis,
+                [op(block_projection(p, b), block_projection(q, b)).basis[0] for b in range(k)],
+            )
+
+
+@pytest.mark.parametrize(
+    "shape,block_map,sigma",
+    [
+        (AlgebraShape([3, 2, 3, 3]), (3, 1, 0, 2), ("id", "conj", "conj", "id")),
+        (AlgebraShape([1, 3, 3]), (0, 2, 1), "conj"),
+    ],
+    ids=MIXED_IDS,
+)
+def test_conjugation_iso_equals_blockwise(shape, block_map, sigma):
+    rng = np.random.default_rng(13)
+    t = pl.random_invertible(shape, rng, cond_max=50.0)
+    iso = ConjugationRingIso(t, sigma, block_map=block_map)
+    sigmas = iso.sigma
+    x = pl.random_element(iso.source, rng)
+    p = pl.random_projection(iso.source, rng)
+    y, fp = iso(x), iso.lattice_map()(p)
+    for b, tb in enumerate(block_map):
+        one = ConjugationRingIso(block_element(t, tb), sigmas[b])
+        assert_blockwise((y.data[tb],), one(block_element(x, b)).data)
+        assert_blockwise((fp.basis[tb],), one.lattice_map()(block_projection(p, b)).basis)
+
+
+def test_graph_ops_equal_blockwise():
+    rng = np.random.default_rng(14)
+    u = pl.random_unitary(FRAMED, rng)
+    base = ThreeFrame.standard(FRAMED)
+    ps = [
+        Projection.from_basis(FRAMED, [ub @ eb for ub, eb in zip(u.data, p.basis)])
+        for p in base.projections
+    ]
+    w12 = u * base.units[0][1] * u.adjoint()
+    w13 = u * base.units[0][2] * u.adjoint()
+    fr = ThreeFrame.from_projections(ps[0], ps[1], ps[2], w12, w13)
+    k = len(FRAMED.blocks)
+    frames = [block_frame(fr, b) for b in range(k)]
+    x = pl.random_element(fr.corner_shape, rng, norm_bound=2.0)
+    for slot in SLOTS:
+        q = graph_projection(fr, x, slot)
+        assert_blockwise(
+            q.basis,
+            [graph_projection(frames[b], block_element(x, b), slot).basis[0] for b in range(k)],
+        )
+        assert_blockwise(
+            recover_operator(fr, q, slot).data,
+            [recover_operator(frames[b], block_projection(q, b), slot).data[0] for b in range(k)],
+        )
+    y = pl.random_element(FRAMED, rng)
+    coords = fr.to_coords(y)
+    assert_blockwise(coords, [frames[b].to_coords(block_element(y, b))[0] for b in range(k)])
+    assert_blockwise(
+        fr.from_coords(coords).data,
+        [frames[b].from_coords([coords[b]]).data[0] for b in range(k)],
+    )
+
+
+def test_element_blocks_are_read_only_copies():
+    shape = AlgebraShape([3, 2, 3, 3])
+    blocks = [np.arange(n * n, dtype=float).reshape(n, n) for n in shape.blocks]
+    x = Element(shape, blocks)
+    for blk, a in zip(blocks, x.data):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+        blk[0, 0] = -7.0
+    for a, n in zip(x.data, shape.blocks):
+        assert np.array_equal(a, np.arange(n * n).reshape(n, n))
+
+
+@pytest.mark.parametrize("b", range(4))
+def test_element_rejects_a_bad_block_anywhere(b):
+    shape = AlgebraShape([3, 2, 3, 3])
+    blocks = [np.eye(n) for n in shape.blocks]
+    blocks[b] = np.full((shape.blocks[b],) * 2, np.nan)
+    with pytest.raises(ValueError):
+        Element(shape, blocks)
+    blocks[b] = np.eye(shape.blocks[b] + 1)
+    with pytest.raises(pl.ShapeMismatch):
+        Element(shape, blocks)
+    blocks[b] = np.eye(shape.blocks[b])[:, :1]
+    with pytest.raises(pl.ShapeMismatch):
+        Element(shape, blocks)
+
+
+def test_lazy_projection_element_is_read_only_u_u_star():
+    shape = AlgebraShape([3, 2, 3, 3])
+    p = pl.random_projection(shape, np.random.default_rng(15), [1, 2, 0, 1])
+    dense = p.element
+    assert p.element is dense
+    for u, a in zip(p.basis, dense.data):
+        assert not a.flags.writeable
+        assert np.array_equal(a, u @ u.conj().T)
+
+
+def test_projection_from_basis_validates_at_construction():
+    shape = AlgebraShape([3, 2])
+    basis = [np.eye(3)[:, :1], np.eye(2)[:, :1]]
+    with pytest.raises(pl.ShapeMismatch):
+        Projection.from_basis(shape, basis[:1])
+    bad = [basis[0], np.array([[np.nan], [0.0]])]
+    with pytest.raises(ValueError):
+        Projection.from_basis(shape, bad)
