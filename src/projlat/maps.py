@@ -202,7 +202,8 @@ def _skolem_noether(
     Each source block b goes to the target block t that receives its
     central projection, the image of i on it gives sigma_b, and the
     columns of T_t are the images of the units E_j0 of block b applied
-    to one probe vector.  T is normalized so its largest entry is real
+    to one probe vector, the standard basis vector that the image of
+    E_00 stretches most.  T is normalized so its largest entry is real
     positive (it is only determined up to a central scalar).  Costs
     n_b + 2 calls of psi per block.
 
@@ -247,26 +248,18 @@ def _skolem_noether(
     for b, n in enumerate(shape.blocks):
         t = block_map[b]
         f11 = _unit_image(psi, shape, b, 0).data[t]
-        xi = None
-        for k in range(n):
-            cand = np.zeros(n, dtype=np.complex128)
-            cand[k] = 1.0
-            if np.linalg.norm(f11 @ cand) > tol.rank_rel * np.linalg.norm(f11, 2):
-                xi = cand
-                break
-        if xi is None:
-            u, _, _ = np.linalg.svd(f11)
-            xi = u[:, 0]
-            if np.linalg.norm(f11 @ xi) <= tol.rank_rel * max(
-                np.linalg.norm(f11, 2), 1e-300
-            ):
-                raise DegenerateWitness(
-                    f"image of the minimal idempotent on block {b} kills all probes"
-                )
+        # probe with the largest column: psi's error is absolute, so a
+        # small column would carry it into T at a large relative size
+        col_norms = np.linalg.norm(f11, axis=0)
+        k = int(np.argmax(col_norms))
+        if not col_norms[k] > 0:
+            raise DegenerateWitness(
+                f"image of the minimal idempotent on block {b} kills all probes"
+            )
         tb = np.zeros((n, n), dtype=np.complex128)
-        tb[:, 0] = f11 @ xi
+        tb[:, 0] = f11[:, k]
         for j in range(1, n):
-            tb[:, j] = _unit_image(psi, shape, b, j).data[t] @ xi
+            tb[:, j] = _unit_image(psi, shape, b, j).data[t][:, k]
         sv = np.linalg.svd(tb, compute_uv=False)
         if sv[-1] <= tol.rank_rel * sv[0]:
             raise DegenerateWitness(f"conjugating element singular on block {b}")

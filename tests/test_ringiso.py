@@ -62,6 +62,22 @@ def test_inner_factor_conjugation(rng):
     assert overlap >= 1.0 - 1e-8
 
 
+def test_inner_factor_keeps_digits_when_a_probe_column_is_small(rng):
+    # psi(E_00) = T E_00 T^-1 has column k proportional to (T^-1)_{0k};
+    # evaluated with roundoff, a tiny (0, 0) entry leaves column 0 with
+    # few correct digits, so probing with it would spoil y
+    tinv = pl.random_invertible(S3, rng, cond_max=10.0).data[0].copy()
+    tinv[0, 0] = 1e-7
+    t = Element(S3, [np.linalg.inv(tinv)])
+    u = pl.random_unitary(S3, rng)
+    inner, outer = pl.ConjugationRingIso(u), pl.ConjugationRingIso(t * u.adjoint())
+    fac = pl.inner_factor(lambda x: outer(inner(x)), S3)
+    y, tb = fac.y.data[0], t.data[0]
+    scale = np.vdot(tb, y) / np.vdot(tb, tb)
+    assert np.linalg.norm(y - scale * tb, 2) <= 1e-13 * np.linalg.norm(y, 2)
+    assert fac.residual <= 1e-12
+
+
 def test_inner_factor_entrywise_conjugation(rng):
     fac = pl.inner_factor(lambda x: x.conj(), S3)
     assert fac.psi0_kind == ("conjugate",)
