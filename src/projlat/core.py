@@ -87,7 +87,7 @@ class AlgebraShape:
             groups.setdefault(n, []).append(i)
         # (size, block indices) per block size, in order of first use
         object.__setattr__(
-            self, "size_groups", tuple((n, tuple(idx)) for n, idx in groups.items())
+            self, "_size_groups", tuple((n, tuple(idx)) for n, idx in groups.items())
         )
 
     @classmethod
@@ -161,6 +161,10 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
+def _thin_svd(a: np.ndarray):
+    return np.linalg.svd(a, full_matrices=False)
+
+
 class Element:
     """A block-diagonal operator: one complex matrix per block.
 
@@ -177,7 +181,7 @@ class Element:
             )
         self.shape = shape
         data: list = [None] * len(blocks)
-        for n, idx in shape.size_groups:
+        for n, idx in shape._size_groups:
             stack = _as_stack([blocks[i] for i in idx], n)
             for i, view in zip(idx, stack):
                 data[i] = view
@@ -401,10 +405,7 @@ def left_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
     cutoff = tol.rank_rel * x.norm()
     bases = [np.zeros((n, 0), dtype=np.complex128) for n in x.shape.blocks]
     live = [i for i, a in enumerate(x.data) if a.any()]
-    svds = _batched(
-        lambda a: np.linalg.svd(a, full_matrices=False), [x.data[i] for i in live]
-    )
-    for i, (u, s, _) in zip(live, svds):
+    for i, (u, s, _) in zip(live, _batched(_thin_svd, [x.data[i] for i in live])):
         bases[i] = u[:, : int(np.count_nonzero(s > cutoff))]
     return Projection.from_basis(x.shape, bases)
 

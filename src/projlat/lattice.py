@@ -22,6 +22,7 @@ from .core import (
     Projection,
     Tolerances,
     _batched,
+    _thin_svd,
     distance,
     left_support,
 )
@@ -81,10 +82,6 @@ def canonicalize(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
 def leq(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Order test p <= q, i.e. ||p - q p|| <= eq_tol."""
     return distance(p.element, q.element * p.element) <= tol.eq_tol
-
-
-def _thin_svd(a: np.ndarray):
-    return np.linalg.svd(a, full_matrices=False)
 
 
 def orth(blocks: Sequence[np.ndarray], rank_rel: float) -> list[np.ndarray]:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import time
+import traceback
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 from .core import Tolerances
@@ -93,7 +95,8 @@ def run_check(
 
     fn returns (max_residual, counterexample_or_None); raising a
     projlat error with a .skip_reason attribute marks the check
-    SKIPPED, any other exception is a FAIL with the message attached.
+    SKIPPED, any other exception is a FAIL with the message and the
+    innermost raising frame ("package/module.py:line") attached.
     """
     t0 = time.perf_counter()
     try:
@@ -103,8 +106,15 @@ def run_check(
         reason = getattr(exc, "skip_reason", None)
         if reason is not None:
             return CheckResult(name, anchor, f"SKIPPED({reason})", None, dt)
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        frame = f"{'/'.join(Path(where.filename).parts[-2:])}:{where.lineno}"
         return CheckResult(
-            name, anchor, "FAIL", None, dt, {"error": f"{type(exc).__name__}: {exc}"}
+            name,
+            anchor,
+            "FAIL",
+            None,
+            dt,
+            {"error": f"{type(exc).__name__}: {exc}", "frame": frame},
         )
     dt = time.perf_counter() - t0
     if ce is not None:

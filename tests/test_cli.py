@@ -209,14 +209,25 @@ def test_dye_reports_measured_check_times(tmp_path, capsys):
     first = json.loads(capsys.readouterr().out)
     assert first["status"] == "PASS"
     assert [c["name"] for c in first["checks"]] == [
+        "orthogonality-preservation", "coordinatization",
         "projection-extension", "star-preservation", "unit", "hermitian-order",
     ]
+    assert [c["max_residual"] for c in first["checks"][:2]] == [None, None]
     assert all(c["seconds"] > 0 for c in first["checks"])
     # timings stay out of the certificate, so it repeats exactly
     assert _strip_seconds(first["certificate"]) == first["certificate"]
     assert main(["dye", path, "--json"]) == 0
     second = json.loads(capsys.readouterr().out)
     assert first["certificate"] == second["certificate"]
+
+
+def test_dye_text_report_shows_every_stage_time(tmp_path, capsys):
+    path = _unitary_map(tmp_path, "unitary.json", [3])
+    assert main(["dye", path]) == 0
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    assert len(lines) == 6
+    for line in lines:
+        assert float(line.rsplit("(", 1)[1].rstrip("s)")) > 0, line
 
 
 def test_dye_refusal_reports_the_time_until_refusal(tmp_path, capsys):
