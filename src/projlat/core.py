@@ -143,6 +143,8 @@ def _batched(fn: Callable, *operands: Sequence[np.ndarray]) -> list:
     is passed through unstacked.  Returns fn's result per position: an
     array, or a tuple when fn returns several.
     """
+    if len(operands[0]) == 1:  # one block: skip the grouping
+        return [fn(*[op[0] for op in operands])]
     groups: dict[tuple, list[int]] = {}
     for i, ops in enumerate(zip(*operands)):
         groups.setdefault(tuple([a.shape for a in ops]), []).append(i)
@@ -183,8 +185,8 @@ class Element:
         data: list = [None] * len(blocks)
         for n, idx in shape._size_groups:
             stack = _as_stack([blocks[i] for i in idx], n)
-            for i, view in zip(idx, stack):
-                data[i] = view
+            for j, i in enumerate(idx):
+                data[i] = stack[j]
         self.data = tuple(data)
 
     @classmethod

@@ -249,11 +249,12 @@ def recover_operator(
     for b, (lam, _) in enumerate(eighs):
         if lam[-1] <= 0 or lam[0] <= tol.rank_rel * lam[-1]:
             raise NotAGraphProjection(f"domain corner singular on block {b}")
+    lams, vecs = zip(*eighs)
     ratios = _batched(
         lambda qid, lam, vec: qid @ (vec / lam[..., None, :]) @ vec.conj().mT,
         qids,
-        [lam for lam, _ in eighs],
-        [vec for _, vec in eighs],
+        lams,
+        vecs,
     )
     x = Element(frame.corner_shape, ratios)
     residual = distance(graph_projection(frame, x, slot, tol), q)

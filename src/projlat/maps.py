@@ -147,6 +147,9 @@ class ConjugationRingIso:
         self.block_map = block_map
         self.source = AlgebraShape(T.shape.blocks[t] for t in block_map)
         self._tinv = invert(T, tol)
+        # T_t and T_t^-1 for each source block b, t = block_map[b]
+        self._ts = [T.data[t] for t in block_map]
+        self._tinvs = [self._tinv.data[t] for t in block_map]
 
     def __call__(self, x: Element) -> Element:
         if x.shape != self.source:
@@ -154,9 +157,7 @@ class ConjugationRingIso:
                 f"iso expects elements of [{self.source}], got [{x.shape}]"
             )
         xs = [xb.conj() if s == "conj" else xb for xb, s in zip(x.data, self.sigma)]
-        ts = [self.T.data[t] for t in self.block_map]
-        tinvs = [self._tinv.data[t] for t in self.block_map]
-        images = _batched(lambda t, xb, ti: (t @ xb) @ ti, ts, xs, tinvs)
+        images = _batched(lambda t, xb, ti: (t @ xb) @ ti, self._ts, xs, self._tinvs)
         out = [None] * len(self.block_map)
         for y, t in zip(images, self.block_map):
             out[t] = y
@@ -177,11 +178,10 @@ class ConjugationRingIso:
     def lattice_map(self, tol: Tolerances = DEFAULT_TOL) -> LatticeMap:
         """The induced map p -> projection onto T sigma(range p)."""
         target = self.T.shape
-        ts = [self.T.data[t] for t in self.block_map]
 
         def apply(p: Projection) -> Projection:
             us = [ub.conj() if s == "conj" else ub for ub, s in zip(p.basis, self.sigma)]
-            images = orth(_batched(np.matmul, ts, us), tol.rank_rel)
+            images = orth(_batched(np.matmul, self._ts, us), tol.rank_rel)
             bases = [None] * len(images)
             for u, t in zip(images, self.block_map):
                 bases[t] = u
