@@ -1,9 +1,9 @@
 """Block-diagonal complex matrix algebra.
 
 An algebra here is a finite direct sum of full complex matrix algebras,
-described by an :class:`AlgebraShape`.  Its elements store the blocks of
-each size as one stacked ``(k, n, n)`` array and expose them as one
-dense complex matrix per block.  Everything is pure: inputs are never
+described by an :class:`AlgebraShape`.  Its elements store the k > 1
+blocks of one size as one stacked ``(k, n, n)`` array and expose them
+as one dense complex matrix per block.  Everything is pure: inputs are never
 mutated and results are fresh values whose arrays are read-only.
 
 Per-block linear algebra runs through :func:`_batched`, one numpy
@@ -112,18 +112,18 @@ class AlgebraShape:
         return ",".join(str(n) for n in self.blocks)
 
 
-def _as_stack(blocks: list, n: int) -> np.ndarray:
-    """Validated read-only copy of k blocks of size n, as one (k, n, n) array."""
-    try:
-        arr = np.array(blocks, dtype=np.complex128)
-    except ValueError:
-        if all(np.shape(b) == (n, n) for b in blocks):
-            raise
-        arr = None  # ragged: the blocks do not share one shape
-    if arr is None or arr.shape[1:] != (n, n):
-        bad = next(np.shape(b) for b in blocks if np.shape(b) != (n, n))
+def _as_stack(blocks: list, n: int):
+    """Validated read-only copies of k blocks of size n.
+
+    k > 1 blocks are copied into one (k, n, n) stack; one block is
+    copied as it is.  Iterating the result yields the (n, n) blocks.
+    """
+    bad = next((np.shape(b) for b in blocks if np.shape(b) != (n, n)), None)
+    if bad is not None:
         raise ShapeMismatch(f"expected a {n}x{n} block, got shape {bad}")
-    return _freeze(arr)
+    if len(blocks) == 1:
+        return (_freeze(np.array(blocks[0], dtype=np.complex128)),)
+    return _freeze(np.array(blocks, dtype=np.complex128))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -139,7 +139,7 @@ def _batched(fn: Callable, *operands: Sequence[np.ndarray]) -> list:
     group of positions whose operands have equal shapes.
 
     fn must broadcast over a leading stack axis, as numpy's linalg
-    gufuncs and matmul do (write transposes as ``.mT``).  A group of one
+    gufuncs and matmul do (write conjugate transposes with :func:`_ct`).  A group of one
     is passed through unstacked.  Returns fn's result per position: an
     array, or a tuple when fn returns several.
     """
@@ -159,6 +159,11 @@ def _batched(fn: Callable, *operands: Sequence[np.ndarray]) -> list:
     return out
 
 
+def _ct(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
 def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
@@ -170,8 +175,9 @@ def _thin_svd(a: np.ndarray):
 class Element:
     """A block-diagonal operator: one complex matrix per block.
 
-    The blocks of each size are copied into one read-only (k, n, n)
-    stack; data holds one (n, n) view into it per block, in block order.
+    The k > 1 blocks of one size are copied into one read-only (k, n, n)
+    stack and data holds one (n, n) view into it per block; a block of
+    a size met once is copied on its own.  data is in block order.
     """
 
     __slots__ = ("shape", "data")
@@ -184,9 +190,8 @@ class Element:
         self.shape = shape
         data: list = [None] * len(blocks)
         for n, idx in shape._size_groups:
-            stack = _as_stack([blocks[i] for i in idx], n)
-            for j, i in enumerate(idx):
-                data[i] = stack[j]
+            for i, block in zip(idx, _as_stack([blocks[i] for i in idx], n)):
+                data[i] = block
         self.data = tuple(data)
 
     @classmethod
@@ -326,7 +331,11 @@ class Projection:
             if u.ndim != 2 or u.shape[0] != n or u.shape[1] > n:
                 raise ShapeMismatch(f"basis block {u.shape} does not fit n={n}")
         self.shape = shape
-        self.basis = tuple(_batched(lambda u: _freeze(u.copy()), bases))
+        # _batched hands a group to fn as a stack it has just built, and a
+        # lone block as the caller's array, which alone needs a copy
+        self.basis = tuple(
+            _batched(lambda u: _freeze(u if u.ndim == 3 else u.copy()), bases)
+        )
         self.ranks = tuple(u.shape[1] for u in self.basis)
 
     @classmethod
@@ -340,7 +349,7 @@ class Projection:
     @property
     def element(self) -> Element:
         if self._element is None:
-            blocks = _batched(lambda u: u @ u.conj().mT, self.basis)
+            blocks = _batched(lambda u: u @ _ct(u), self.basis)
             self._element = Element(self.shape, blocks)
         return self._element
 

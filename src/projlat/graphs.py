@@ -31,6 +31,7 @@ from .core import (
     Projection,
     Tolerances,
     _batched,
+    _ct,
     distance,
 )
 from .errors import NotAFrame, NotAGraphProjection, ShapeMismatch
@@ -168,11 +169,11 @@ class ThreeFrame:
             x = x.element
         if x.shape != self.shape:
             raise ShapeMismatch("element does not live in the frame's algebra")
-        return _batched(lambda v, a: v.conj().mT @ a @ v, self._vmats, x.data)
+        return _batched(lambda v, a: _ct(v) @ a @ v, self._vmats, x.data)
 
     def from_coords(self, mats) -> Element:
         """Inverse of to_coords."""
-        blocks = _batched(lambda v, m: v @ m @ v.conj().mT, self._vmats, mats)
+        blocks = _batched(lambda v, m: v @ m @ _ct(v), self._vmats, mats)
         return Element(self.shape, blocks)
 
 
@@ -245,13 +246,13 @@ def recover_operator(
     for m, k in zip(frame.to_coords(q), frame.corner_shape.blocks):
         qdds.append(m[d * k : (d + 1) * k, d * k : (d + 1) * k])
         qids.append(m[im * k : (im + 1) * k, d * k : (d + 1) * k])
-    eighs = _batched(lambda a: np.linalg.eigh((a + a.conj().mT) / 2), qdds)
+    eighs = _batched(lambda a: np.linalg.eigh((a + _ct(a)) / 2), qdds)
     for b, (lam, _) in enumerate(eighs):
         if lam[-1] <= 0 or lam[0] <= tol.rank_rel * lam[-1]:
             raise NotAGraphProjection(f"domain corner singular on block {b}")
     lams, vecs = zip(*eighs)
     ratios = _batched(
-        lambda qid, lam, vec: qid @ (vec / lam[..., None, :]) @ vec.conj().mT,
+        lambda qid, lam, vec: qid @ (vec / lam[..., None, :]) @ _ct(vec),
         qids,
         lams,
         vecs,

@@ -22,6 +22,7 @@ from .core import (
     Projection,
     Tolerances,
     _batched,
+    _ct,
     _thin_svd,
     distance,
     left_support,
@@ -107,7 +108,7 @@ def meet(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Project
     # Stage 1: candidate directions with principal-angle cosine >= 1/2.
     # Anything below is far from the intersection; this only trims work.
     cosines = _batched(
-        lambda up, uq: _thin_svd(up.conj().mT @ uq),
+        lambda up, uq: _thin_svd(_ct(up) @ uq),
         [p.basis[b] for b in live],
         [q.basis[b] for b in live],
     )
@@ -121,7 +122,7 @@ def meet(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Project
     # a deliberately tiny angle (sine ~ theta) with gap theta, which the
     # cosines cannot do at double precision.
     sines = _batched(
-        lambda c, uq: _thin_svd(c - uq @ (uq.conj().mT @ c)),
+        lambda c, uq: _thin_svd(c - uq @ (_ct(uq) @ c)),
         [c for _, c in cands],
         [q.basis[b] for b, _ in cands],
     )
