@@ -118,9 +118,9 @@ def _as_stack(blocks: list, n: int):
     k > 1 blocks are copied into one (k, n, n) stack; one block is
     copied as it is.  Iterating the result yields the (n, n) blocks.
     """
-    bad = next((np.shape(b) for b in blocks if np.shape(b) != (n, n)), None)
-    if bad is not None:
-        raise ShapeMismatch(f"expected a {n}x{n} block, got shape {bad}")
+    for b in blocks:
+        if np.shape(b) != (n, n):
+            raise ShapeMismatch(f"expected a {n}x{n} block, got shape {np.shape(b)}")
     if len(blocks) == 1:
         return (_freeze(np.array(blocks[0], dtype=np.complex128)),)
     return _freeze(np.array(blocks, dtype=np.complex128))
@@ -161,7 +161,7 @@ def _batched(fn: Callable, *operands: Sequence[np.ndarray]) -> list:
 
 def _ct(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
-    return np.swapaxes(a.conj(), -1, -2)
+    return a.conj().swapaxes(-1, -2)
 
 
 def _singular_values(a: np.ndarray) -> np.ndarray:

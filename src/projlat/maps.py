@@ -147,21 +147,23 @@ class ConjugationRingIso:
         self.block_map = block_map
         self.source = AlgebraShape(T.shape.blocks[t] for t in block_map)
         self._tinv = invert(T, tol)
-        # T_t and T_t^-1 for each source block b, t = block_map[b]
+        # T_t and T_t^-1 for each source block b, t = block_map[b], the
+        # source blocks sigma conjugates, and the source of each target block
         self._ts = [T.data[t] for t in block_map]
         self._tinvs = [self._tinv.data[t] for t in block_map]
+        self._conj = [b for b, s in enumerate(sigma) if s == "conj"]
+        self._from = sorted(range(k), key=block_map.__getitem__)
 
     def __call__(self, x: Element) -> Element:
         if x.shape != self.source:
             raise ShapeMismatch(
                 f"iso expects elements of [{self.source}], got [{x.shape}]"
             )
-        xs = [xb.conj() if s == "conj" else xb for xb, s in zip(x.data, self.sigma)]
+        xs = list(x.data)
+        for b in self._conj:
+            xs[b] = xs[b].conj()
         images = _batched(lambda t, xb, ti: (t @ xb) @ ti, self._ts, xs, self._tinvs)
-        out = [None] * len(self.block_map)
-        for y, t in zip(images, self.block_map):
-            out[t] = y
-        return Element(self.T.shape, out)
+        return Element(self.T.shape, [images[b] for b in self._from])
 
     def inverse(self, tol: Tolerances = DEFAULT_TOL) -> "ConjugationRingIso":
         """y -> sigma(T^{-1} y T) per block, routed back: again of this
@@ -180,12 +182,11 @@ class ConjugationRingIso:
         target = self.T.shape
 
         def apply(p: Projection) -> Projection:
-            us = [ub.conj() if s == "conj" else ub for ub, s in zip(p.basis, self.sigma)]
+            us = list(p.basis)
+            for b in self._conj:
+                us[b] = us[b].conj()
             images = orth(_batched(np.matmul, self._ts, us), tol.rank_rel)
-            bases = [None] * len(images)
-            for u, t in zip(images, self.block_map):
-                bases[t] = u
-            return Projection.from_basis(target, bases)
+            return Projection.from_basis(target, [images[b] for b in self._from])
 
         return LatticeMap(self.source, target, apply, self)
 
