@@ -3,8 +3,8 @@
 An algebra here is a finite direct sum of full complex matrix algebras,
 described by an :class:`AlgebraShape`.  Its elements store the k > 1
 blocks of one size as one stacked ``(k, n, n)`` array and expose them
-as one dense complex matrix per block.  Everything is pure: inputs are never
-mutated and results are fresh values whose arrays are read-only.
+as one dense complex matrix per block.  Everything is pure: inputs are
+never mutated and results are fresh values whose arrays are read-only.
 
 Per-block linear algebra runs through :func:`_batched`, one numpy
 gufunc call per group of equal-shape blocks.  numpy's linalg gufuncs
@@ -139,9 +139,9 @@ def _batched(fn: Callable, *operands: Sequence[np.ndarray]) -> list:
     group of positions whose operands have equal shapes.
 
     fn must broadcast over a leading stack axis, as numpy's linalg
-    gufuncs and matmul do (write conjugate transposes with :func:`_ct`).  A group of one
-    is passed through unstacked.  Returns fn's result per position: an
-    array, or a tuple when fn returns several.
+    gufuncs and matmul do (write conjugate transposes with :func:`_ct`).
+    A group of one is passed through unstacked.  Returns fn's result per
+    position: an array, or a tuple when fn returns several.
     """
     if len(operands[0]) == 1:  # one block: skip the grouping
         return [fn(*[op[0] for op in operands])]
