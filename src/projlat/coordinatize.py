@@ -23,6 +23,8 @@ from .core import (
     Element,
     Projection,
     Tolerances,
+    _direct_sum,
+    _summands,
     distance,
     invert,
     left_support,
@@ -73,7 +75,9 @@ class CoordinatizationResult:
     to a ConjugationRingIso; normalizers are the invertible S-operators
     applied to the target, in order.  diagnostics holds the sampled
     residuals of the ring axioms and the support intertwining of Psi
-    re-derived from the lattice, plus compiled_agreement (the worst
+    re-derived from the lattice (at one point: one pass of the graph,
+    normalizer and recovery layers over its nonzero corners, through
+    psi.grid, plus one phi call per nonzero corner), plus compiled_agreement (the worst
     distance of the compiled Psi from it) and compiled_intertwining
     (the support intertwining of the compiled Psi) on the same samples.
     """
@@ -259,7 +263,10 @@ def coordinatize(
 
     Psi is compiled to a ConjugationRingIso at a cost of n/3 + 2
     corner-map calls per block; _verify certifies it against Psi
-    re-derived from the lattice at every point it samples.
+    re-derived from the lattice at every point it samples.  Re-deriving
+    Psi at one point is one pass of the graph, normalizer and recovery
+    layers over its nonzero corners, plus one phi call per nonzero
+    corner.
 
     Raises:
         NotOrderThree: some block size is not divisible by 3, or the
@@ -285,13 +292,7 @@ def coordinatize(
     s1, s2, s3 = normalizers
     s_total = s3 * (s2 * s1)
     s_inv = invert(s_total, tol)
-    corner_tgt = target.corner_shape
-
-    def psi(xhat: Element) -> Element:
-        if xhat.norm() == 0.0:
-            return Element.zeros(corner_tgt)
-        q = graph_projection(fr, xhat, 12, tol)
-        return recover_operator(target, phi_norm(q), 12, tol)
+    psi = _CornerMap(phi, fr, target, normalizers, tol)
 
     # The three slots must tell one story; disagreement means no ring
     # isomorphism induces phi.
@@ -309,21 +310,26 @@ def coordinatize(
             "the map is not induced by a ring isomorphism"
         )
 
-    # Psi re-derived from the lattice, one corner at a time; only
-    # _verify calls it, to certify the compiled Psi against it
+    # Psi re-derived from the lattice, the nine corners in one pass;
+    # only _verify calls it, to certify the compiled Psi against it
     def psi_full(x: Element) -> Element:
         coords = fr.to_coords(x)
-        out = [np.zeros((m, m), dtype=np.complex128) for m in target.shape.blocks]
-        for i in range(3):
-            for j in range(3):
-                xhat = Element(
+        rows = [
+            [
+                Element(
                     fr.corner_shape,
                     [
                         c[i * (n // 3) : (i + 1) * (n // 3), j * (n // 3) : (j + 1) * (n // 3)]
                         for c, n in zip(coords, fr.shape.blocks)
                     ],
                 )
-                yhat = psi(xhat)
+                for j in range(3)
+            ]
+            for i in range(3)
+        ]
+        out = [np.zeros((m, m), dtype=np.complex128) for m in target.shape.blocks]
+        for i, row in enumerate(psi.grid(rows)):
+            for j, yhat in enumerate(row):
                 for ob, yb, m in zip(out, yhat.data, target.shape.blocks):
                     s = m // 3
                     ob[i * s : (i + 1) * s, j * s : (j + 1) * s] = yb
@@ -346,6 +352,79 @@ def coordinatize(
         normalizers=(s1, s2, s3),
         diagnostics=diagnostics,
     )
+
+
+class _CornerMap:
+    """The corner map psi, read off the lattice on every call.
+
+    psi(x^) maps the slot-12 graph projection of x^ through phi and the
+    normalizers S1, S2, S3 and recovers the operator from the image.
+    grid() does this for a grid of corners at once: its c nonzero
+    corners are one element of the direct sum of c copies of the corner
+    algebra, which goes through one graph projection, the c-fold
+    normalizers and one recovery, with phi applied to each copy's
+    projection on its own.  Every layer on the way works per block, so
+    each corner's image is bit for bit what it is alone.
+    """
+
+    def __init__(
+        self,
+        phi: LatticeMap,
+        source: ThreeFrame,
+        target: ThreeFrame,
+        normalizers,
+        tol: Tolerances = DEFAULT_TOL,
+    ):
+        self.phi = phi
+        self.source = source
+        self.target = target
+        self.normalizers = tuple(normalizers)
+        self.tol = tol
+        self._zero = Element.zeros(target.corner_shape)
+        # c -> (c-fold source frame, c-fold target frame, c-fold normalizer maps)
+        self._tiled: dict = {}
+
+    def __call__(self, xhat: Element) -> Element:
+        return self.grid([[xhat]])[0][0]
+
+    def _tiles(self, c: int):
+        if c not in self._tiled:
+            self._tiled[c] = (
+                self.source.tile(c),
+                self.target.tile(c),
+                [from_conjugation(_direct_sum([s] * c), self.tol) for s in self.normalizers],
+            )
+        return self._tiled[c]
+
+    def grid(self, rows: list[list[Element]]) -> list[list[Element]]:
+        """psi at every corner of a grid; an exactly zero corner costs
+        nothing and maps to zero.
+
+        Raises:
+            NotAGraphProjection: a corner's image is not a slot-12 graph
+                projection; the message names the corner (i, j) and its
+                block.
+        """
+        live = [
+            (i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if not x.is_zero()
+        ]
+        out = [[self._zero] * len(row) for row in rows]
+        if not live:
+            return out
+        c = len(live)
+        src, tgt, maps = self._tiles(c)
+        graphs = graph_projection(src, _direct_sum([rows[i][j] for i, j in live]), 12, self.tol)
+        q = _direct_sum([self.phi(p) for p in _summands(graphs, c)])
+        for s_map in maps:
+            q = s_map(q)
+        try:
+            ys = recover_operator(tgt, q, 12, self.tol)
+        except NotAGraphProjection as exc:
+            m, b = divmod(exc.block, len(self.target.shape.blocks))
+            raise NotAGraphProjection(f"corner {live[m]}: {exc.reason}", b) from exc
+        for (i, j), y in zip(live, _summands(ys, c)):
+            out[i][j] = y
+        return out
 
 
 def _compile(
@@ -547,7 +626,7 @@ def block_split9(x: Element, n1, n2) -> list[Element]:
                 ]
                 blocks.append(piece)
             cand = Element(shape, blocks)
-            if cand.norm() > 0.0:
+            if not cand.is_zero():
                 pieces.append(cand)
     return pieces
 

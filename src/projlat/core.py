@@ -273,6 +273,10 @@ class Element:
         return max(self.block_norms())
 
     def is_zero(self, tol: float = 0.0) -> bool:
+        """Norm at most tol; at tol 0 the test reads the entries, with no
+        SVD, so an element with any nonzero entry is not zero."""
+        if tol == 0.0:
+            return not any(a.any() for a in self.data)
         return self.norm() <= tol
 
     def __repr__(self) -> str:
@@ -403,6 +407,29 @@ class Projection:
 
     def __repr__(self) -> str:
         return f"Projection(shape=[{self.shape}], ranks={list(self.ranks)})"
+
+
+def _direct_sum(parts: Sequence):
+    """The parts, elements or projections, as one value of the direct
+    sum of their algebras, blocks in order; one part is returned as is."""
+    if len(parts) == 1:
+        return parts[0]
+    shape = AlgebraShape([n for x in parts for n in x.shape.blocks])
+    if isinstance(parts[0], Projection):
+        return Projection.from_basis(shape, [u for p in parts for u in p.basis])
+    return Element(shape, [a for x in parts for a in x.data])
+
+
+def _summands(x, c: int) -> list:
+    """x, an element or projection of a c-fold direct sum, split into its
+    c summands (the inverse of :func:`_direct_sum`)."""
+    if c == 1:
+        return [x]
+    k = len(x.shape.blocks) // c
+    shape = AlgebraShape(x.shape.blocks[:k])
+    if isinstance(x, Projection):
+        return [Projection.from_basis(shape, x.basis[m * k : (m + 1) * k]) for m in range(c)]
+    return [Element(shape, x.data[m * k : (m + 1) * k]) for m in range(c)]
 
 
 def left_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:

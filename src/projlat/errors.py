@@ -57,7 +57,17 @@ class NotAFrame(ProjlatError):
 
 class NotAGraphProjection(ProjlatError):
     """Recovery was asked on a projection that is not the graph of an
-    operator in the requested slot."""
+    operator in the requested slot.
+
+    Attributes:
+        reason: what failed, without the block.
+        block: index of the first offending block.
+    """
+
+    def __init__(self, reason: str, block: int):
+        self.reason = reason
+        self.block = block
+        super().__init__(f"{reason} on block {block}")
 
 
 class NotOrderThree(ProjlatError):

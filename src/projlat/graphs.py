@@ -32,6 +32,7 @@ from .core import (
     Tolerances,
     _batched,
     _ct,
+    _direct_sum,
     distance,
 )
 from .errors import NotAFrame, NotAGraphProjection, ShapeMismatch
@@ -163,6 +164,15 @@ class ThreeFrame:
     def projections(self) -> tuple[Projection, Projection, Projection]:
         return (self.e1, self.e2, self.e3)
 
+    def tile(self, c: int) -> "ThreeFrame":
+        """The frame of the direct sum of c copies of the algebra: each
+        projection, matrix unit and coordinate unitary repeated c times."""
+        if c == 1:
+            return self
+        ps = tuple(_direct_sum([p] * c) for p in self.projections)
+        units = tuple(tuple(_direct_sum([w] * c) for w in row) for row in self.units)
+        return ThreeFrame(ps[0].shape, ps, units, self._vmats * c)
+
     def to_coords(self, x) -> list[np.ndarray]:
         """Standard 3x3 slot coordinates of an element, one matrix per block."""
         if isinstance(x, Projection):
@@ -231,17 +241,19 @@ def recover_operator(
     comparing it with Q.
 
     Raises:
-        NotAGraphProjection: wrong rank profile, singular domain corner,
-            or certification residual above residual_tol.
+        ShapeMismatch: q does not live in the frame's algebra.
+        NotAGraphProjection: wrong rank, singular domain corner, or
+            certification residual above residual_tol, on the block the
+            exception names.
     """
     if slot not in SLOTS:
         raise ValueError(f"slot must be one of {sorted(SLOTS)}, got {slot}")
+    if q.shape != frame.shape:
+        raise ShapeMismatch("projection does not live in the frame's algebra")
     d, im = SLOTS[slot]
-    expected_ranks = tuple(n // 3 for n in frame.shape.blocks)
-    if q.ranks != expected_ranks:
-        raise NotAGraphProjection(
-            f"rank profile {q.ranks} does not match the slot rank {expected_ranks}"
-        )
+    for b, (r, k) in enumerate(zip(q.ranks, frame.corner_shape.blocks)):
+        if r != k:
+            raise NotAGraphProjection(f"rank {r} does not match the slot rank {k}", b)
     qdds, qids = [], []
     for m, k in zip(frame.to_coords(q), frame.corner_shape.blocks):
         qdds.append(m[d * k : (d + 1) * k, d * k : (d + 1) * k])
@@ -249,7 +261,7 @@ def recover_operator(
     eighs = _batched(lambda a: np.linalg.eigh((a + _ct(a)) / 2), qdds)
     for b, (lam, _) in enumerate(eighs):
         if lam[-1] <= 0 or lam[0] <= tol.rank_rel * lam[-1]:
-            raise NotAGraphProjection(f"domain corner singular on block {b}")
+            raise NotAGraphProjection("domain corner singular", b)
     lams, vecs = zip(*eighs)
     ratios = _batched(
         lambda qid, lam, vec: qid @ (vec / lam[..., None, :]) @ _ct(vec),
@@ -258,11 +270,12 @@ def recover_operator(
         vecs,
     )
     x = Element(frame.corner_shape, ratios)
-    residual = distance(graph_projection(frame, x, slot, tol), q)
-    if residual > residual_tol:
-        raise NotAGraphProjection(
-            f"not a slot-{slot} graph projection (residual {residual:.3e})"
-        )
+    residuals = (graph_projection(frame, x, slot, tol).element - q.element).block_norms()
+    for b, residual in enumerate(residuals):
+        if residual > residual_tol:
+            raise NotAGraphProjection(
+                f"not a slot-{slot} graph projection (residual {residual:.3e})", b
+            )
     return x
 
 

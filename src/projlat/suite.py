@@ -300,7 +300,7 @@ def _check_center_valued_norm(shape, seed, samples, tol):
         cx, cy = center_valued_norm(x), center_valued_norm(y)
         _, absx = polar_decompose(x, tol)
         # (i) faithfulness and domination |x| <= |||x|||, with minimality
-        if cx.norm() == 0.0 and x.norm() != 0.0:
+        if cx.is_zero() and not x.is_zero():
             worst = max(worst, 1.0)
         worst = max(worst, -min_eig(cx - absx))
         shrunk = cx - (1e-6 * max(cx.norm(), 1e-12)) * Element.identity(shape)

@@ -129,6 +129,38 @@ def test_graph_ops_equal_blockwise():
     )
 
 
+@pytest.mark.parametrize(
+    "shape,kind",
+    [
+        (AlgebraShape([12]), "conj"),
+        (AlgebraShape([3, 6, 3]), "conj"),
+        (AlgebraShape([6]), "semilinear"),
+        (AlgebraShape([3, 3, 3, 3]), "reversal"),
+    ],
+    ids=["12", "3+6+3", "6-semilinear", "3+3+3+3-reversal"],
+)
+def test_corner_grid_equals_one_corner_at_a_time(shape, kind):
+    rng = np.random.default_rng(16)
+    t = pl.random_invertible(shape, rng, cond_max=50.0)
+    if kind == "reversal":
+        phi = pl.from_ring_iso(lambda x: Element(shape, x.data[::-1]), shape)
+    elif kind == "semilinear":
+        phi = pl.from_semilinear(t, "conj")
+    else:
+        phi = pl.from_conjugation(t)
+    psi = pl.coordinatize(phi, samples=2, seed=3).psi
+    ch, zero = psi.source.corner_shape, Element.zeros(psi.source.corner_shape)
+    xs = [pl.random_element(ch, rng, norm_bound=2.0) for _ in range(6)]
+    # a corner that is zero on one block only still goes through recovery
+    xs[2] = Element(ch, [np.zeros_like(a) if b == 0 else a for b, a in enumerate(xs[2].data)])
+    rows = [[xs[0], zero, xs[1]], [xs[2], xs[3], zero], [zero, xs[4], xs[5]]]
+    for grid in (rows, [[zero, zero]]):
+        for row, images in zip(grid, psi.grid(grid)):
+            for x, y in zip(row, images):
+                assert_blockwise(y.data, psi(x).data)
+    assert all(y.is_zero() for y in psi.grid([[zero, zero]])[0])
+
+
 def test_element_blocks_are_read_only_copies():
     shape = AlgebraShape([3, 2, 3, 3])
     blocks = [np.arange(n * n, dtype=float).reshape(n, n) for n in shape.blocks]

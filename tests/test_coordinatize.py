@@ -5,7 +5,7 @@ import pytest
 
 import projlat as pl
 from projlat import AlgebraShape, Element, ThreeFrame
-from projlat.coordinatize import _witness_through, normalize_map, order_frame
+from projlat.coordinatize import _CornerMap, _witness_through, normalize_map, order_frame
 
 
 S3 = AlgebraShape([3])
@@ -59,6 +59,34 @@ def test_coordinatize_conjugation(blocks, rng):
     a = pl.random_element(ch, rng)
     b = pl.random_element(ch, rng)
     assert pl.distance(result.psi(a * b), result.psi(a) * result.psi(b)) < 1e-6
+
+
+def test_corner_grid_names_the_corner_whose_recovery_fails(rng):
+    shape = AlgebraShape([3, 6])
+    phi = pl.from_conjugation(pl.random_invertible(shape, rng, cond_max=50.0))
+    result = pl.coordinatize(phi, samples=2, seed=5)
+    calls = []
+
+    def apply(p):
+        img = phi(p)
+        calls.append(p)
+        if len(calls) == 6:  # the sixth nonzero corner, (1, 2): rank 6 on block 1
+            return pl.Projection.from_basis(shape, [img.basis[0], np.eye(6)])
+        return img
+
+    bad = _CornerMap(
+        pl.LatticeMap(shape, shape, apply),
+        result.source_frame,
+        result.target_frame,
+        result.normalizers,
+    )
+    ch = result.source_frame.corner_shape
+    rows = [[pl.random_element(ch, rng) for _ in range(3)] for _ in range(3)]
+    with pytest.raises(pl.NotAGraphProjection) as info:
+        bad.grid(rows)
+    assert len(calls) == 9
+    assert info.value.block == 1
+    assert str(info.value) == "corner (1, 2): rank 6 does not match the slot rank 2 on block 1"
 
 
 def test_coordinatize_transpose(rng):

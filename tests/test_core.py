@@ -40,6 +40,20 @@ def test_element_shape_mismatch():
         Element(AlgebraShape([2, 2]), [np.eye(2)])
 
 
+def test_is_zero_reads_the_entries():
+    shape = AlgebraShape([3, 2, 3])
+    assert Element.zeros(shape).is_zero()
+    blocks = [np.zeros((n, n)) for n in shape.blocks]
+    blocks[1][0, 1] = 5e-324
+    assert not Element(shape, blocks).is_zero()
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        x = pl.random_element(shape, rng)
+        keep = rng.integers(0, 2, size=len(shape.blocks))
+        y = Element(shape, [a * k for a, k in zip(x.data, keep)])
+        assert y.is_zero() == (y.norm() == 0.0)
+
+
 def test_projection_from_basis():
     shape = AlgebraShape([2])
     p = Projection.from_basis(shape, [np.eye(2)[:, :1]])

@@ -109,6 +109,10 @@ def test_recover_operator_rejects_non_graphs(rng):
     # e2 has the slot rank but is not a slot-12 graph
     with pytest.raises(pl.NotAGraphProjection):
         pl.recover_operator(fr, fr.e2, 12)
+    # a projection of another algebra is refused as such, before its ranks
+    other = pl.random_projection(AlgebraShape([6, 6]), rng, ranks=[3, 2])
+    with pytest.raises(pl.ShapeMismatch):
+        pl.recover_operator(fr, other, 12)
 
 
 def test_graph_projection_rejects_wrong_corner():
