@@ -361,10 +361,11 @@ class _CornerMap:
     normalizers S1, S2, S3 and recovers the operator from the image.
     grid() does this for a grid of corners at once: its c nonzero
     corners are one element of the direct sum of c copies of the corner
-    algebra, which goes through one graph projection, the c-fold
-    normalizers and one recovery, with phi applied to each copy's
-    projection on its own.  Every layer on the way works per block, so
-    each corner's image is bit for bit what it is alone.
+    algebra, which goes through one graph projection in the c-fold slot
+    coordinates, the c-fold normalizers and one recovery, with phi
+    applied to each copy's projection on its own.  Every layer on the
+    way works per block, so each corner's image is bit for bit what it
+    is alone.
     """
 
     def __init__(
@@ -381,7 +382,7 @@ class _CornerMap:
         self.normalizers = tuple(normalizers)
         self.tol = tol
         self._zero = Element.zeros(target.corner_shape)
-        # c -> (c-fold source frame, c-fold target frame, c-fold normalizer maps)
+        # c -> (c-fold source and target slot coordinates, c-fold normalizer maps)
         self._tiled: dict = {}
 
     def __call__(self, xhat: Element) -> Element:

@@ -3,8 +3,9 @@
 A ThreeFrame splits every block into three equal slots via matrix units
 w_ij (w_ij maps the j-th slot onto the i-th).  Internally the frame
 carries one unitary V per block whose column groups are coordinates for
-the slots, so that every slot operation reduces to the standard picture
-of 3x3 operator matrices over the corner algebra.
+the slots (its SlotCoordinates), so that every slot operation reduces
+to the standard picture of 3x3 operator matrices over the corner
+algebra.
 
 The graph projection in slot (d, i) of a corner operator x is the
 projection onto { xi in slot d, x xi in slot i }; concretely, in
@@ -32,7 +33,6 @@ from .core import (
     Tolerances,
     _batched,
     _ct,
-    _direct_sum,
     distance,
 )
 from .errors import NotAFrame, NotAGraphProjection, ShapeMismatch
@@ -40,6 +40,7 @@ from .halmos import ls_orthogonal
 from .lattice import join, meet
 
 __all__ = [
+    "SlotCoordinates",
     "ThreeFrame",
     "SLOTS",
     "graph_projection",
@@ -54,10 +55,50 @@ __all__ = [
 SLOTS: dict[int, tuple[int, int]] = {12: (0, 1), 13: (0, 2), 23: (1, 2), 21: (1, 0)}
 
 
-class ThreeFrame:
+class SlotCoordinates:
+    """One unitary V per block whose column thirds span the three slots.
+
+    These coordinates are all that graph projections and their recovery
+    read off a frame, so tile(c) serves the direct sum of c copies of
+    the algebra without building c-fold frame projections and units.
+    """
+
+    __slots__ = ("shape", "corner_shape", "_vmats")
+
+    def __init__(self, shape: AlgebraShape, vmats: tuple[np.ndarray, ...]):
+        self.shape = shape
+        self.corner_shape = AlgebraShape(n // 3 for n in shape.blocks)
+        vs = []
+        for v in vmats:
+            v = np.asarray(v, dtype=np.complex128).copy()
+            v.setflags(write=False)
+            vs.append(v)
+        self._vmats = tuple(vs)
+
+    def tile(self, c: int) -> "SlotCoordinates":
+        """The coordinates of the direct sum of c copies of the algebra."""
+        if c == 1:
+            return self
+        return SlotCoordinates(AlgebraShape(self.shape.blocks * c), self._vmats * c)
+
+    def to_coords(self, x) -> list[np.ndarray]:
+        """Standard 3x3 slot coordinates of an element, one matrix per block."""
+        if isinstance(x, Projection):
+            x = x.element
+        if x.shape != self.shape:
+            raise ShapeMismatch("element does not live in the frame's algebra")
+        return _batched(lambda v, a: _ct(v) @ a @ v, self._vmats, x.data)
+
+    def from_coords(self, mats) -> Element:
+        """Inverse of to_coords."""
+        blocks = _batched(lambda v, m: v @ m @ _ct(v), self._vmats, mats)
+        return Element(self.shape, blocks)
+
+
+class ThreeFrame(SlotCoordinates):
     """Three equivalent orthogonal projections summing to 1, with units."""
 
-    __slots__ = ("shape", "corner_shape", "e1", "e2", "e3", "units", "_vmats")
+    __slots__ = ("e1", "e2", "e3", "units")
 
     def __init__(
         self,
@@ -66,16 +107,9 @@ class ThreeFrame:
         units: tuple[tuple[Element, ...], ...],
         vmats: tuple[np.ndarray, ...],
     ):
-        self.shape = shape
-        self.corner_shape = AlgebraShape(n // 3 for n in shape.blocks)
+        super().__init__(shape, vmats)
         self.e1, self.e2, self.e3 = projections
         self.units = units
-        vs = []
-        for v in vmats:
-            v = np.asarray(v, dtype=np.complex128).copy()
-            v.setflags(write=False)
-            vs.append(v)
-        self._vmats = tuple(vs)
 
     @classmethod
     def standard(cls, shape: AlgebraShape, tol: Tolerances = DEFAULT_TOL) -> "ThreeFrame":
@@ -164,32 +198,10 @@ class ThreeFrame:
     def projections(self) -> tuple[Projection, Projection, Projection]:
         return (self.e1, self.e2, self.e3)
 
-    def tile(self, c: int) -> "ThreeFrame":
-        """The frame of the direct sum of c copies of the algebra: each
-        projection, matrix unit and coordinate unitary repeated c times."""
-        if c == 1:
-            return self
-        ps = tuple(_direct_sum([p] * c) for p in self.projections)
-        units = tuple(tuple(_direct_sum([w] * c) for w in row) for row in self.units)
-        return ThreeFrame(ps[0].shape, ps, units, self._vmats * c)
-
-    def to_coords(self, x) -> list[np.ndarray]:
-        """Standard 3x3 slot coordinates of an element, one matrix per block."""
-        if isinstance(x, Projection):
-            x = x.element
-        if x.shape != self.shape:
-            raise ShapeMismatch("element does not live in the frame's algebra")
-        return _batched(lambda v, a: _ct(v) @ a @ v, self._vmats, x.data)
-
-    def from_coords(self, mats) -> Element:
-        """Inverse of to_coords."""
-        blocks = _batched(lambda v, m: v @ m @ _ct(v), self._vmats, mats)
-        return Element(self.shape, blocks)
-
 
 
 def graph_projection(
-    frame: ThreeFrame, x: Element, slot: int = 12, tol: Tolerances = DEFAULT_TOL
+    frame: SlotCoordinates, x: Element, slot: int = 12, tol: Tolerances = DEFAULT_TOL
 ) -> Projection:
     """Projection onto the graph of a corner operator in the given slot."""
     if slot not in SLOTS:
@@ -228,7 +240,7 @@ def is_slot_graph_projection(
 
 
 def recover_operator(
-    frame: ThreeFrame,
+    frame: SlotCoordinates,
     q: Projection,
     slot: int = 12,
     tol: Tolerances = DEFAULT_TOL,
