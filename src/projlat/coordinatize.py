@@ -43,7 +43,7 @@ from .errors import (
     ShapeMismatch,
     SlotMismatch,
 )
-from .graphs import ThreeFrame, graph_projection, recover_operator
+from .graphs import ThreeFrame, _slot, graph_projection, recover_operator
 from .halmos import ls_orthogonal, orthogonalizer
 from .lattice import canonicalize, join, meet, mv_equivalent
 from .maps import (
@@ -234,14 +234,14 @@ def normalize_map(
         c12_inv, c13_inv = invert(c12, tol), invert(c13, tol)
     except (NotAGraphProjection, NotInvertible) as exc:
         raise FrameAssemblyFailed(f"slot unit not invertible: {exc}") from exc
-    mats = []
-    for b, m in enumerate(target.shape.blocks):
-        s = m // 3
-        d = np.eye(m, dtype=np.complex128)
-        d[s : 2 * s, s : 2 * s] = c12_inv.data[b]
-        d[2 * s :, 2 * s :] = c13_inv.data[b]
-        mats.append(d)
-    s3 = target.from_coords(mats)
+    mats = [
+        (idx, np.tile(np.eye(v.shape[1], dtype=np.complex128), (len(idx), 1, 1)))
+        for idx, v in target._v._pieces()
+    ]
+    for (_, d), a, b in zip(mats, c12_inv._stacks, c13_inv._stacks):
+        _slot(d, 1, 1)[...] = a
+        _slot(d, 2, 2)[...] = b
+    s3 = target._from_coords(mats)
     phi3 = compose(from_conjugation(s3, tol), phi2)
     return phi3, target, [s1, s2, s3]
 
@@ -313,27 +313,15 @@ def coordinatize(
     # Psi re-derived from the lattice, the nine corners in one pass;
     # only _verify calls it, to certify the compiled Psi against it
     def psi_full(x: Element) -> Element:
-        coords = fr.to_coords(x)
-        rows = [
-            [
-                Element(
-                    fr.corner_shape,
-                    [
-                        c[i * (n // 3) : (i + 1) * (n // 3), j * (n // 3) : (j + 1) * (n // 3)]
-                        for c, n in zip(coords, fr.shape.blocks)
-                    ],
-                )
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-        out = [np.zeros((m, m), dtype=np.complex128) for m in target.shape.blocks]
+        coords = fr._coords(x)
+        corners = [[[(g, _slot(c, i, j)) for g, c in coords] for j in range(3)] for i in range(3)]
+        rows = [[Element._of(fr.corner_shape, pieces) for pieces in row] for row in corners]
+        out = [(idx, np.zeros_like(v)) for idx, v in target._v._pieces()]
         for i, row in enumerate(psi.grid(rows)):
             for j, yhat in enumerate(row):
-                for ob, yb, m in zip(out, yhat.data, target.shape.blocks):
-                    s = m // 3
-                    ob[i * s : (i + 1) * s, j * s : (j + 1) * s] = yb
-        y_norm = target.from_coords(out)
+                for (_, o), y in zip(out, yhat._stacks):
+                    _slot(o, i, j)[...] = y
+        y_norm = target._from_coords(out)
         return s_inv * y_norm * s_total
 
     Psi = _compile(psi, fr, target, s_inv, tol)
@@ -343,6 +331,9 @@ def coordinatize(
     diagnostics["slot_agreement"] = float(slot_res)
     diagnostics["seed"] = seed
     diagnostics["samples"] = samples
+    # the c-fold tiles served _verify's corner passes; a kept result
+    # holds on to the one-fold ones only
+    psi._tiled = {c: tiles for c, tiles in psi._tiled.items() if c == 1}
 
     return CoordinatizationResult(
         psi=psi,

@@ -1,15 +1,15 @@
 """Block-diagonal complex matrix algebra.
 
 An algebra here is a finite direct sum of full complex matrix algebras,
-described by an :class:`AlgebraShape`.  Its elements store the k > 1
-blocks of one size as one stacked ``(k, n, n)`` array and expose them
-as one dense complex matrix per block.  Everything is pure: inputs are
-never mutated and results are fresh values whose arrays are read-only.
-
-Per-block linear algebra runs through :func:`_batched`, one numpy
-gufunc call per group of equal-shape blocks.  numpy's linalg gufuncs
-and matmul call LAPACK/BLAS once per slice of a stack, so a stacked
-call returns the same bits as one call per block.
+described by an :class:`AlgebraShape`.  A value groups its blocks once,
+when it is built: an element keeps one read-only ``(k, n, n)`` stack per
+block size, a projection one ``(k, n, r)`` stack of range bases per
+block size and rank, and ``data``/``basis`` are per-block views into
+them.  Operations call numpy on the stacks; its linalg gufuncs and
+matmul call LAPACK/BLAS once per slice, with the same bits as one call
+per block.  Where a rank cutoff splits a group, :func:`_regroup` cuts
+the results into the new value's stacks.  Everything is pure: results
+are fresh values whose arrays are read-only and checked finite.
 
 Supports, polar parts and the center-valued norm are computed per block
 with a relative singular-value cutoff: singular values at or below
@@ -19,8 +19,10 @@ with a relative singular-value cutoff: singular values at or below
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -85,10 +87,8 @@ class AlgebraShape:
         groups: dict[int, list[int]] = {}
         for i, n in enumerate(blocks):
             groups.setdefault(n, []).append(i)
-        # (size, block indices) per block size, in order of first use
-        object.__setattr__(
-            self, "_size_groups", tuple((n, tuple(idx)) for n, idx in groups.items())
-        )
+        # the block indices of each size, sizes in order of first use
+        object.__setattr__(self, "_groups", tuple(tuple(idx) for idx in groups.values()))
 
     @classmethod
     def parse(cls, text: str) -> "AlgebraShape":
@@ -112,51 +112,73 @@ class AlgebraShape:
         return ",".join(str(n) for n in self.blocks)
 
 
-def _as_stack(blocks: list, n: int):
-    """Validated read-only copies of k blocks of size n.
+@functools.lru_cache(maxsize=1024)
+def _layout(shape: AlgebraShape, keys: tuple) -> tuple[tuple[int, ...], ...]:
+    """The block indices of each size split by keys[i], ascending: a
+    projection's stack layout when keys are its ranks."""
+    groups = []
+    for idx in shape._groups:
+        split: dict = {}
+        for i in idx:
+            split.setdefault(keys[i], []).append(i)
+        groups.extend(tuple(split[key]) for key in sorted(split))
+    return tuple(groups)
 
-    k > 1 blocks are copied into one (k, n, n) stack; one block is
-    copied as it is.  Iterating the result yields the (n, n) blocks.
-    """
-    for b in blocks:
-        if np.shape(b) != (n, n):
-            raise ShapeMismatch(f"expected a {n}x{n} block, got shape {np.shape(b)}")
-    if len(blocks) == 1:
-        return (_freeze(np.array(blocks[0], dtype=np.complex128)),)
-    return _freeze(np.array(blocks, dtype=np.complex128))
+
+def _regroup(pieces: Sequence[tuple], layout: Sequence[tuple]) -> list[np.ndarray]:
+    """One stack per group of layout, from pieces (block indices, stack)
+    that hold the blocks grouped another way: a piece's stack where it
+    is a group, else runs of consecutive slices concatenated."""
+    whole = dict(pieces)
+    if all(idx in whole for idx in layout):
+        return [whole[idx] for idx in layout]
+    at = {i: (s, j) for idx, s in pieces for j, i in enumerate(idx)}
+    out = []
+    for idx in layout:
+        runs: list[list] = []
+        for i in idx:
+            s, j = at[i]
+            if runs and runs[-1][0] is s and runs[-1][2] == j:
+                runs[-1][2] += 1
+            else:
+                runs.append([s, j, j + 1])
+        parts = [s[a:b] for s, a, b in runs]
+        out.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
+    return out
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    """arr made read-only, after checking that its entries are finite."""
+def _split(idx: tuple, keep: np.ndarray) -> list[tuple]:
+    """The blocks idx of one stack grouped by their widths, the counts of
+    True in each row of keep, as (width, positions in the stack, block
+    indices); a stack of one width stays whole, its positions a slice."""
+    widths = keep.sum(axis=-1).tolist()
+    if all(w == widths[0] for w in widths):
+        return [(widths[0], slice(None), idx)]
+    out = []
+    for w in sorted(set(widths)):
+        pos = [j for j, v in enumerate(widths) if v == w]
+        out.append((w, pos, tuple(idx[j] for j in pos)))
+    return out
+
+
+def _unstack(pieces: Sequence[tuple], k: int) -> tuple:
+    """The slices of pieces (block indices, stack) as one array per
+    block, in block order."""
+    out: list = [None] * k
+    for idx, s in pieces:
+        for i, a in zip(idx, s):
+            out[i] = a
+    return tuple(out)
+
+
+def _freeze(arr) -> np.ndarray:
+    """arr as a C-contiguous complex array made read-only, after
+    checking that its entries are finite."""
+    arr = np.ascontiguousarray(arr, dtype=np.complex128)
     if not np.isfinite(arr).all():
         raise ValueError("non-finite entries")
     arr.setflags(write=False)
     return arr
-
-
-def _batched(fn: Callable, *operands: Sequence[np.ndarray]) -> list:
-    """fn at every position of the aligned operand lists, one call per
-    group of positions whose operands have equal shapes.
-
-    fn must broadcast over a leading stack axis, as numpy's linalg
-    gufuncs and matmul do (write conjugate transposes with :func:`_ct`).
-    A group of one is passed through unstacked.  Returns fn's result per
-    position: an array, or a tuple when fn returns several.
-    """
-    if len(operands[0]) == 1:  # one block: skip the grouping
-        return [fn(*[op[0] for op in operands])]
-    groups: dict[tuple, list[int]] = {}
-    for i, ops in enumerate(zip(*operands)):
-        groups.setdefault(tuple([a.shape for a in ops]), []).append(i)
-    out: list = [None] * len(operands[0])
-    for idx in groups.values():
-        if len(idx) == 1:
-            out[idx[0]] = fn(*[op[idx[0]] for op in operands])
-            continue
-        res = fn(*[np.array([op[i] for i in idx]) for op in operands])
-        for i, part in zip(idx, zip(*res) if isinstance(res, tuple) else res):
-            out[i] = part
-    return out
 
 
 def _ct(a: np.ndarray) -> np.ndarray:
@@ -172,27 +194,77 @@ def _thin_svd(a: np.ndarray):
     return np.linalg.svd(a, full_matrices=False)
 
 
-class Element:
+def _stacked(shape: AlgebraShape, blocks: Sequence, fits) -> list[tuple]:
+    """Copies of per-block arrays stacked in their layout, once
+    fits(array shape, n) holds for each array and its block size n."""
+    if len(blocks) != len(shape.blocks):
+        raise ShapeMismatch(f"shape {shape} wants {len(shape.blocks)} blocks, got {len(blocks)}")
+    shapes = [np.shape(b) for b in blocks]
+    for s, n in zip(shapes, shape.blocks):
+        if not fits(s, n):
+            raise ShapeMismatch(f"a block of shape {s} does not fit n={n}")
+    layout = _layout(shape, tuple(s[1] for s in shapes))
+    return [(idx, np.array([blocks[i] for i in idx], dtype=np.complex128)) for idx in layout]
+
+
+class _Blocks:
+    """One complex matrix per block, kept as read-only stacks: the
+    blocks of each size and width form one (k, n, w) stack, in the
+    layout _layout(shape, widths)."""
+
+    __slots__ = ("shape", "_widths", "_groups", "_stacks", "_views")
+
+    @classmethod
+    def _of(cls, shape: AlgebraShape, pieces: Sequence[tuple]):
+        """The value whose blocks pieces (block indices, stack) hold."""
+        x = cls.__new__(cls)
+        x._set(shape, pieces)
+        return x
+
+    def _set(self, shape: AlgebraShape, pieces: Sequence[tuple]) -> None:
+        widths = [0] * len(shape.blocks)
+        for idx, s in pieces:
+            w = s.shape[2]
+            for i in idx:
+                widths[i] = w
+        groups = _layout(shape, tuple(widths))
+        self._put(shape, tuple(widths), groups, _regroup(pieces, groups))
+
+    def _put(self, shape: AlgebraShape, widths: tuple, groups: tuple, stacks) -> None:
+        """Store stacks already in the layout groups of these widths."""
+        self.shape, self._widths, self._groups, self._views = shape, widths, groups, None
+        self._stacks = tuple(map(_freeze, stacks))
+
+    def _pieces(self) -> list[tuple]:
+        return list(zip(self._groups, self._stacks))
+
+    def _blocks(self) -> tuple[np.ndarray, ...]:
+        """One view per block, in block order."""
+        if self._views is None:
+            self._views = _unstack(self._pieces(), len(self.shape.blocks))
+        return self._views
+
+
+class Element(_Blocks):
     """A block-diagonal operator: one complex matrix per block.
 
-    The k > 1 blocks of one size are copied into one read-only (k, n, n)
-    stack and data holds one (n, n) view into it per block; a block of
-    a size met once is copied on its own.  data is in block order.
+    The blocks of each size are one read-only (k, n, n) stack; data is
+    one (n, n) view into them per block, in block order.
     """
 
-    __slots__ = ("shape", "data")
+    __slots__ = ()
 
     def __init__(self, shape: AlgebraShape, blocks: Sequence[np.ndarray]):
-        if len(blocks) != len(shape.blocks):
-            raise ShapeMismatch(
-                f"shape {shape} wants {len(shape.blocks)} blocks, got {len(blocks)}"
-            )
-        self.shape = shape
-        data: list = [None] * len(blocks)
-        for n, idx in shape._size_groups:
-            for i, block in zip(idx, _as_stack([blocks[i] for i in idx], n)):
-                data[i] = block
-        self.data = tuple(data)
+        pieces = _stacked(shape, blocks, lambda s, n: s == (n, n))
+        self._put(shape, shape.blocks, shape._groups, [s for _, s in pieces])
+
+    data = property(_Blocks._blocks)
+
+    def _like(self, stacks: Sequence[np.ndarray]) -> "Element":
+        """The element of this shape with the given stacks."""
+        x = Element.__new__(Element)
+        x._put(self.shape, self._widths, self._groups, stacks)
+        return x
 
     @classmethod
     def zeros(cls, shape: AlgebraShape) -> "Element":
@@ -209,28 +281,21 @@ class Element:
             raise ShapeMismatch("one scalar per block required")
         return cls(shape, [c * np.eye(n) for c, n in zip(scalars, shape.blocks)])
 
-    def _require_same_shape(self, other: "Element") -> None:
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"shapes differ: {self.shape} vs {other.shape}")
-
-    def map_blocks(self, fn: Callable[[np.ndarray], np.ndarray]) -> "Element":
-        return Element(self.shape, [fn(b) for b in self.data])
-
-    def __add__(self, other):
+    def _zip(self, other, fn):
         other = _coerce(other)
         if not isinstance(other, Element):
             return NotImplemented
-        self._require_same_shape(other)
-        return Element(self.shape, [a + b for a, b in zip(self.data, other.data)])
+        if self.shape != other.shape:
+            raise ShapeMismatch(f"shapes differ: {self.shape} vs {other.shape}")
+        return self._like([fn(a, b) for a, b in zip(self._stacks, other._stacks)])
+
+    def __add__(self, other):
+        return self._zip(other, np.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._require_same_shape(other)
-        return Element(self.shape, [a - b for a, b in zip(self.data, other.data)])
+        return self._zip(other, np.subtract)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -239,16 +304,13 @@ class Element:
         return other.__sub__(self)
 
     def __neg__(self):
-        return Element(self.shape, [-a for a in self.data])
+        return self._like([-a for a in self._stacks])
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex, np.number)):
-            return Element(self.shape, [complex(other) * a for a in self.data])
-        other = _coerce(other)
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._require_same_shape(other)
-        return Element(self.shape, [a @ b for a, b in zip(self.data, other.data)])
+            c = complex(other)
+            return self._like([c * a for a in self._stacks])
+        return self._zip(other, np.matmul)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex, np.number)):
@@ -256,17 +318,18 @@ class Element:
         return NotImplemented
 
     def adjoint(self) -> "Element":
-        return Element(self.shape, [a.conj().T for a in self.data])
+        return self._like([_ct(a) for a in self._stacks])
 
     def conj(self) -> "Element":
         """Entrywise complex conjugate."""
-        return Element(self.shape, [a.conj() for a in self.data])
+        return self._like([a.conj() for a in self._stacks])
 
     def transpose(self) -> "Element":
-        return Element(self.shape, [a.T for a in self.data])
+        return self._like([a.swapaxes(-1, -2) for a in self._stacks])
 
     def block_norms(self) -> tuple[float, ...]:
-        return tuple(float(s[0]) for s in _batched(_singular_values, self.data))
+        norms = [_singular_values(a)[:, 0] for a in self._stacks]
+        return tuple(float(s) for s in _unstack(zip(self._groups, norms), len(self.shape.blocks)))
 
     def norm(self) -> float:
         """Operator norm: the largest block operator norm."""
@@ -276,7 +339,7 @@ class Element:
         """Norm at most tol; at tol 0 the test reads the entries, with no
         SVD, so an element with any nonzero entry is not zero."""
         if tol == 0.0:
-            return not any(a.any() for a in self.data)
+            return not any(a.any() for a in self._stacks)
         return self.norm() <= tol
 
     def __repr__(self) -> str:
@@ -299,62 +362,45 @@ def close(x, y, tol: float) -> bool:
     return distance(x, y) <= tol
 
 
-def _complement_basis(u: np.ndarray, n: int) -> np.ndarray:
-    r = u.shape[1]
-    if r == 0:
-        return np.eye(n, dtype=np.complex128)
-    if r == n:
-        return np.zeros((n, 0), dtype=np.complex128)
-    full, _, _ = np.linalg.svd(u, full_matrices=True)
-    return full[:, r:]
+def _fits_basis(s: tuple, n: int) -> bool:
+    return len(s) == 2 and s[0] == n and s[1] <= n
 
 
-class Projection:
+class Projection(_Blocks):
     """A Hermitian idempotent together with an orthonormal range basis.
 
-    The basis is what the lattice operations actually consume; the dense
-    matrix ``element`` serves arithmetic against plain elements.  A
-    projection made from a basis builds it, u u* per block, when it is
-    first read: most projections met inside a lattice computation are
-    only ever used through their basis.
+    The range bases of the blocks of each size and rank are one
+    read-only (k, n, r) stack; basis is one (n, r) view into them per
+    block, in block order.  The basis is what the lattice operations
+    actually consume; the dense matrix ``element`` serves arithmetic
+    against plain elements.  A projection made from a basis builds it,
+    u u* per block, when it is first read: most projections met inside
+    a lattice computation are only ever used through their basis.
     """
 
-    __slots__ = ("shape", "basis", "ranks", "_element")
+    __slots__ = ("_element",)
 
     def __init__(self, element: Element, basis: Sequence[np.ndarray]):
-        self._set_basis(element.shape, basis)
+        self._set(element.shape, _stacked(element.shape, basis, _fits_basis))
         self._element = element
-
-    def _set_basis(self, shape: AlgebraShape, basis: Sequence[np.ndarray]) -> None:
-        if len(basis) != len(shape.blocks):
-            raise ShapeMismatch(
-                f"shape {shape} wants {len(shape.blocks)} basis blocks, got {len(basis)}"
-            )
-        bases = [np.asarray(u, dtype=np.complex128) for u in basis]
-        for u, n in zip(bases, shape.blocks):
-            if u.ndim != 2 or u.shape[0] != n or u.shape[1] > n:
-                raise ShapeMismatch(f"basis block {u.shape} does not fit n={n}")
-        self.shape = shape
-        # _batched hands a group to fn as a stack it has just built, and a
-        # lone block as the caller's array, which alone needs a copy
-        self.basis = tuple(
-            _batched(lambda u: _freeze(u if u.ndim == 3 else u.copy()), bases)
-        )
-        self.ranks = tuple(u.shape[1] for u in self.basis)
 
     @classmethod
     def from_basis(cls, shape: AlgebraShape, bases: Sequence[np.ndarray]) -> "Projection":
         """Projection onto the span of orthonormal columns, per block."""
-        p = cls.__new__(cls)
-        p._set_basis(shape, bases)
-        p._element = None
-        return p
+        return cls._of(shape, _stacked(shape, bases, _fits_basis))
+
+    def _set(self, shape: AlgebraShape, pieces: Sequence[tuple]) -> None:
+        super()._set(shape, pieces)
+        self._element = None
+
+    basis = property(_Blocks._blocks)
+    ranks = property(lambda self: self._widths)
 
     @property
     def element(self) -> Element:
         if self._element is None:
-            blocks = _batched(lambda u: u @ _ct(u), self.basis)
-            self._element = Element(self.shape, blocks)
+            dense = [(idx, u @ _ct(u)) for idx, u in self._pieces()]
+            self._element = Element._of(self.shape, dense)
         return self._element
 
     @classmethod
@@ -366,10 +412,17 @@ class Projection:
         return cls.from_basis(shape, [np.eye(n) for n in shape.blocks])
 
     def complement(self) -> "Projection":
-        bases = [
-            _complement_basis(u, n) for u, n in zip(self.basis, self.shape.blocks)
-        ]
-        return Projection(Element.identity(self.shape) - self.element, bases)
+        pieces = []
+        for idx, u in self._pieces():
+            _, n, r = u.shape
+            if r == 0:
+                u = np.broadcast_to(np.eye(n), (len(idx), n, n))
+            elif r < n:
+                u = np.linalg.svd(u, full_matrices=True)[0]
+            pieces.append((idx, u[:, :, r:]))
+        p = Projection._of(self.shape, pieces)
+        p._element = Element.identity(self.shape) - self.element
+        return p
 
     def rank(self) -> int:
         return sum(self.ranks)
@@ -409,27 +462,43 @@ class Projection:
         return f"Projection(shape=[{self.shape}], ranks={list(self.ranks)})"
 
 
+def _cogroups(p: Projection, q: Projection) -> list[tuple]:
+    """(block indices, p's bases, q's bases) over groups of blocks of one
+    size whose ranks agree in p and in q."""
+    layout = _layout(p.shape, tuple(zip(p.ranks, q.ranks)))
+    return list(zip(layout, _regroup(p._pieces(), layout), _regroup(q._pieces(), layout)))
+
+
 def _direct_sum(parts: Sequence):
-    """The parts, elements or projections, as one value of the direct
-    sum of their algebras, blocks in order; one part is returned as is."""
+    """The parts, elements or projections of one algebra, as one value
+    of the direct sum of len(parts) copies of it, blocks in order: its
+    stacks are the parts' stacks concatenated.  One part is returned
+    as is."""
     if len(parts) == 1:
         return parts[0]
-    shape = AlgebraShape([n for x in parts for n in x.shape.blocks])
-    if isinstance(parts[0], Projection):
-        return Projection.from_basis(shape, [u for p in parts for u in p.basis])
-    return Element(shape, [a for x in parts for a in x.data])
+    one = parts[0].shape
+    k = len(one.blocks)
+    pieces = [
+        (tuple(i + m * k for i in idx), s) for m, x in enumerate(parts) for idx, s in x._pieces()
+    ]
+    return type(parts[0])._of(AlgebraShape(one.blocks * len(parts)), pieces)
 
 
 def _summands(x, c: int) -> list:
     """x, an element or projection of a c-fold direct sum, split into its
-    c summands (the inverse of :func:`_direct_sum`)."""
+    c summands (the inverse of :func:`_direct_sum`): slices of its
+    stacks."""
     if c == 1:
         return [x]
     k = len(x.shape.blocks) // c
+    parts: list[list] = [[] for _ in range(c)]
+    for idx, s in x._pieces():
+        for m in range(idx[0] // k, idx[-1] // k + 1):
+            lo, hi = bisect_left(idx, m * k), bisect_left(idx, (m + 1) * k)
+            if lo < hi:
+                parts[m].append((tuple(i - m * k for i in idx[lo:hi]), s[lo:hi]))
     shape = AlgebraShape(x.shape.blocks[:k])
-    if isinstance(x, Projection):
-        return [Projection.from_basis(shape, x.basis[m * k : (m + 1) * k]) for m in range(c)]
-    return [Element(shape, x.data[m * k : (m + 1) * k]) for m in range(c)]
+    return [type(x)._of(shape, pieces) for pieces in parts]
 
 
 def left_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
@@ -441,11 +510,12 @@ def left_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """
     x = _coerce(x)
     cutoff = tol.rank_rel * x.norm()
-    bases = [np.zeros((n, 0), dtype=np.complex128) for n in x.shape.blocks]
-    live = [i for i, a in enumerate(x.data) if a.any()]
-    for i, (u, s, _) in zip(live, _batched(_thin_svd, [x.data[i] for i in live])):
-        bases[i] = u[:, : int(np.count_nonzero(s > cutoff))]
-    return Projection.from_basis(x.shape, bases)
+    pieces = []
+    for idx, a in x._pieces():
+        u, s, _ = _thin_svd(a)
+        for r, pos, sub in _split(idx, s > cutoff):
+            pieces.append((sub, u[pos, :, :r]))
+    return Projection._of(x.shape, pieces)
 
 
 def right_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
@@ -453,13 +523,22 @@ def right_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
     return left_support(_coerce(x).adjoint(), tol)
 
 
+def _require_invertible(x: Element, tol: Tolerances) -> None:
+    """Raises NotInvertible on the first singular block of x."""
+    singular = []
+    for idx, a in x._pieces():
+        s = _singular_values(a)
+        bad = (s[:, -1] <= tol.rank_rel * s[:, 0]) | (s[:, 0] == 0)
+        singular.extend((idx[j], float(s[j, -1])) for j in np.flatnonzero(bad))
+    if singular:
+        raise NotInvertible(*min(singular))
+
+
 def invert(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     """Blockwise inverse; raises NotInvertible on the first singular block."""
     x = _coerce(x)
-    for i, s in enumerate(_batched(_singular_values, x.data)):
-        if s[-1] <= tol.rank_rel * s[0] or s[0] == 0:
-            raise NotInvertible(i, float(s[-1]))
-    return Element(x.shape, _batched(np.linalg.inv, x.data))
+    _require_invertible(x, tol)
+    return x._like([np.linalg.inv(a) for a in x._stacks])
 
 
 def polar_decompose(
@@ -474,12 +553,12 @@ def polar_decompose(
     x = _coerce(x)
     cutoff = tol.rank_rel * x.norm()
     vs, abss = [], []
-    for a in x.data:
+    for idx, a in x._pieces():
         u, s, vh = np.linalg.svd(a)
-        r = int(np.count_nonzero(s > cutoff))
-        vs.append(u[:, :r] @ vh[:r, :])
-        abss.append((vh.conj().T * s) @ vh)
-    return Element(x.shape, vs), Element(x.shape, abss)
+        for r, pos, sub in _split(idx, s > cutoff):
+            vs.append((sub, u[pos, :, :r] @ vh[pos, :r, :]))
+        abss.append((_ct(vh) * s[:, None, :]) @ vh)
+    return Element._of(x.shape, vs), x._like(abss)
 
 
 def center_valued_norm(x: Element) -> Element:
@@ -495,9 +574,10 @@ def center_valued_norm(x: Element) -> Element:
 def is_central(x: Element, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when every block is within eq_tol of a scalar matrix."""
     x = _coerce(x)
-    for a, n in zip(x.data, x.shape.blocks):
-        lam = np.trace(a) / n
-        if _singular_values(a - lam * np.eye(n))[0] > tol.eq_tol:
+    for a in x._stacks:
+        n = a.shape[1]
+        lam = np.trace(a, axis1=1, axis2=2) / n
+        if (_singular_values(a - lam[:, None, None] * np.eye(n))[:, 0] > tol.eq_tol).any():
             return False
     return True
 
@@ -506,9 +586,9 @@ def cond(x: Element) -> float:
     """Largest blockwise 2-norm condition number (inf on singular blocks)."""
     x = _coerce(x)
     worst = 1.0
-    for a in x.data:
-        s = np.linalg.svd(a, compute_uv=False)
-        if s.size == 0 or s[-1] == 0:
+    for a in x._stacks:
+        s = _singular_values(a)
+        if (s[:, -1] == 0).any():
             return float("inf")
-        worst = max(worst, float(s[0] / s[-1]))
+        worst = max(worst, float((s[:, 0] / s[:, -1]).max()))
     return worst

@@ -31,8 +31,9 @@ from .core import (
     Element,
     Projection,
     Tolerances,
-    _batched,
     _ct,
+    _direct_sum,
+    _unstack,
     distance,
 )
 from .errors import NotAFrame, NotAGraphProjection, ShapeMismatch
@@ -55,31 +56,48 @@ __all__ = [
 SLOTS: dict[int, tuple[int, int]] = {12: (0, 1), 13: (0, 2), 23: (1, 2), 21: (1, 0)}
 
 
+def _slot(c: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The (i, j) slot of each 3x3 slot matrix of a stack, as a view."""
+    k = c.shape[1] // 3
+    return c[:, i * k : (i + 1) * k, j * k : (j + 1) * k]
+
+
 class SlotCoordinates:
     """One unitary V per block whose column thirds span the three slots.
 
-    These coordinates are all that graph projections and their recovery
-    read off a frame, so tile(c) serves the direct sum of c copies of
-    the algebra without building c-fold frame projections and units.
+    V is kept as an element: one stack per block size, which the corner
+    algebra (block sizes divided by 3) groups the same way.  These
+    coordinates are all that graph projections and their recovery read
+    off a frame, so tile(c) serves the direct sum of c copies of the
+    algebra without building c-fold frame projections and units.
     """
 
-    __slots__ = ("shape", "corner_shape", "_vmats")
+    __slots__ = ("shape", "corner_shape", "_v")
 
-    def __init__(self, shape: AlgebraShape, vmats: tuple[np.ndarray, ...]):
+    def __init__(self, shape: AlgebraShape, vmats):
+        """vmats: one unitary per block, or an element holding them."""
         self.shape = shape
         self.corner_shape = AlgebraShape(n // 3 for n in shape.blocks)
-        vs = []
-        for v in vmats:
-            v = np.asarray(v, dtype=np.complex128).copy()
-            v.setflags(write=False)
-            vs.append(v)
-        self._vmats = tuple(vs)
+        self._v = vmats if isinstance(vmats, Element) else Element(shape, vmats)
+
+    @property
+    def _vmats(self) -> tuple[np.ndarray, ...]:
+        return self._v.data
 
     def tile(self, c: int) -> "SlotCoordinates":
         """The coordinates of the direct sum of c copies of the algebra."""
         if c == 1:
             return self
-        return SlotCoordinates(AlgebraShape(self.shape.blocks * c), self._vmats * c)
+        v = _direct_sum([self._v] * c)
+        return SlotCoordinates(v.shape, v)
+
+    def _coords(self, x: Element) -> list[tuple]:
+        """The slot coordinates of x as (block indices, stack) pieces."""
+        return [(idx, _ct(v) @ a @ v) for (idx, v), a in zip(self._v._pieces(), x._stacks)]
+
+    def _from_coords(self, pieces) -> Element:
+        images = [(idx, v @ m @ _ct(v)) for (idx, m), v in zip(pieces, self._v._stacks)]
+        return Element._of(self.shape, images)
 
     def to_coords(self, x) -> list[np.ndarray]:
         """Standard 3x3 slot coordinates of an element, one matrix per block."""
@@ -87,12 +105,11 @@ class SlotCoordinates:
             x = x.element
         if x.shape != self.shape:
             raise ShapeMismatch("element does not live in the frame's algebra")
-        return _batched(lambda v, a: _ct(v) @ a @ v, self._vmats, x.data)
+        return list(_unstack(self._coords(x), len(self.shape.blocks)))
 
     def from_coords(self, mats) -> Element:
         """Inverse of to_coords."""
-        blocks = _batched(lambda v, m: v @ m @ _ct(v), self._vmats, mats)
-        return Element(self.shape, blocks)
+        return self._from_coords(Element(self.shape, mats)._pieces())
 
 
 class ThreeFrame(SlotCoordinates):
@@ -209,15 +226,14 @@ def graph_projection(
     if x.shape != frame.corner_shape:
         raise ShapeMismatch("graph operand must be a corner element of the frame")
     d, im = SLOTS[slot]
-    stds = []
-    for xb, n in zip(x.data, frame.shape.blocks):
-        k = n // 3
-        std = np.zeros((n, k), dtype=np.complex128)
-        std[d * k : (d + 1) * k] = np.eye(k)
-        std[im * k : (im + 1) * k] = xb
-        stds.append(std)
-    qrs = _batched(lambda v, std: np.linalg.qr(v @ std), frame._vmats, stds)
-    return Projection.from_basis(frame.shape, [qmat for qmat, _ in qrs])
+    pieces = []
+    for (idx, v), a in zip(frame._v._pieces(), x._stacks):
+        k = a.shape[1]
+        std = np.zeros((len(idx), 3 * k, k), dtype=np.complex128)
+        std[:, d * k : (d + 1) * k] = np.eye(k)
+        std[:, im * k : (im + 1) * k] = a
+        pieces.append((idx, np.linalg.qr(v @ std)[0]))
+    return Projection._of(frame.shape, pieces)
 
 
 def is_slot_graph_projection(
@@ -266,22 +282,19 @@ def recover_operator(
     for b, (r, k) in enumerate(zip(q.ranks, frame.corner_shape.blocks)):
         if r != k:
             raise NotAGraphProjection(f"rank {r} does not match the slot rank {k}", b)
-    qdds, qids = [], []
-    for m, k in zip(frame.to_coords(q), frame.corner_shape.blocks):
-        qdds.append(m[d * k : (d + 1) * k, d * k : (d + 1) * k])
-        qids.append(m[im * k : (im + 1) * k, d * k : (d + 1) * k])
-    eighs = _batched(lambda a: np.linalg.eigh((a + _ct(a)) / 2), qdds)
-    for b, (lam, _) in enumerate(eighs):
-        if lam[-1] <= 0 or lam[0] <= tol.rank_rel * lam[-1]:
-            raise NotAGraphProjection("domain corner singular", b)
-    lams, vecs = zip(*eighs)
-    ratios = _batched(
-        lambda qid, lam, vec: qid @ (vec / lam[..., None, :]) @ _ct(vec),
-        qids,
-        lams,
-        vecs,
+    corners, singular = [], []
+    for idx, m in frame._coords(q.element):
+        qdd = _slot(m, d, d)
+        lam, vec = np.linalg.eigh((qdd + _ct(qdd)) / 2)
+        bad = (lam[:, -1] <= 0) | (lam[:, 0] <= tol.rank_rel * lam[:, -1])
+        singular.extend(idx[j] for j in np.flatnonzero(bad))
+        corners.append((idx, _slot(m, im, d), lam, vec))
+    if singular:
+        raise NotAGraphProjection("domain corner singular", min(singular))
+    x = Element._of(
+        frame.corner_shape,
+        [(idx, qid @ (vec / lam[..., None, :]) @ _ct(vec)) for idx, qid, lam, vec in corners],
     )
-    x = Element(frame.corner_shape, ratios)
     residuals = (graph_projection(frame, x, slot, tol).element - q.element).block_norms()
     for b, residual in enumerate(residuals):
         if residual > residual_tol:

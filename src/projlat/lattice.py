@@ -21,8 +21,12 @@ from .core import (
     Element,
     Projection,
     Tolerances,
-    _batched,
+    _cogroups,
     _ct,
+    _layout,
+    _regroup,
+    _singular_values,
+    _split,
     _thin_svd,
     distance,
     left_support,
@@ -60,24 +64,25 @@ def canonicalize(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """
     if isinstance(x, Projection):
         x = x.element
-    bases = []
-    for i, a in enumerate(x.data):
-        herm_defect = np.linalg.norm(a - a.conj().T, 2) if a.size else 0.0
-        if herm_defect > tol.proj_tol:
-            raise NotAProjection(
-                f"block {i} is not Hermitian (defect {herm_defect:.3e})"
-            )
-        h = (a + a.conj().T) / 2
-        lam, vec = np.linalg.eigh(h)
-        in_zero = (lam >= _ZERO_BAND[0]) & (lam <= _ZERO_BAND[1])
+    pieces, bad = [], []
+    for idx, a in x._pieces():
+        herm_defect = _singular_values(a - _ct(a))[:, 0]
+        lam, vec = np.linalg.eigh((a + _ct(a)) / 2)
         in_one = (lam >= _ONE_BAND[0]) & (lam <= _ONE_BAND[1])
-        if not np.all(in_zero | in_one):
-            bad = lam[~(in_zero | in_one)][0]
-            raise NotAProjection(
-                f"block {i} has eigenvalue {bad:.6f} in the forbidden band"
-            )
-        bases.append(vec[:, in_one])
-    return Projection.from_basis(x.shape, bases)
+        banned = ~(in_one | ((lam >= _ZERO_BAND[0]) & (lam <= _ZERO_BAND[1])))
+        for j in np.flatnonzero((herm_defect > tol.proj_tol) | banned.any(axis=1)):
+            i = idx[j]
+            if herm_defect[j] > tol.proj_tol:
+                bad.append((i, f"block {i} is not Hermitian (defect {herm_defect[j]:.3e})"))
+            else:
+                band = lam[j][banned[j]][0]
+                bad.append((i, f"block {i} has eigenvalue {band:.6f} in the forbidden band"))
+        # eigenvalues ascend, so the 1-cluster is the last columns
+        for r, pos, sub in _split(idx, in_one):
+            pieces.append((sub, vec[pos, :, vec.shape[2] - r :]))
+    if bad:
+        raise NotAProjection(min(bad)[1])
+    return Projection._of(x.shape, pieces)
 
 
 def leq(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -85,17 +90,22 @@ def leq(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> bool:
     return distance(p.element, q.element * p.element) <= tol.eq_tol
 
 
-def orth(blocks: Sequence[np.ndarray], rank_rel: float) -> list[np.ndarray]:
-    """Orthonormal basis of the column space of each array.
+def orth(pieces: Sequence[tuple], rank_rel: float) -> list[tuple]:
+    """Orthonormal bases of the column spaces of stacked matrices.
 
+    pieces are (block indices, (k, n, m) stack); the result is pieces
+    of (k, n, r) bases, split where the ranks of one stack differ.
     Singular values at or below rank_rel times the largest count as
     zero (left_support instead cuts at an absolute level).
     """
-    out = list(blocks)
-    live = [i for i, a in enumerate(blocks) if a.shape[1]]
-    for i, (u, s, _) in zip(live, _batched(_thin_svd, [blocks[i] for i in live])):
-        r = int(np.count_nonzero(s > rank_rel * s[0])) if s[0] > 0 else 0
-        out[i] = u[:, :r]
+    out = []
+    for idx, a in pieces:
+        if not a.shape[2]:
+            out.append((idx, a))
+            continue
+        u, s, _ = _thin_svd(a)
+        for r, pos, sub in _split(idx, s > rank_rel * s[:, :1]):
+            out.append((sub, u[pos, :, :r]))
     return out
 
 
@@ -103,40 +113,40 @@ def meet(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Project
     """Largest projection under both p and q (range intersection)."""
     if p.shape != q.shape:
         raise ShapeMismatch("meet needs projections of one shape")
-    bases = [np.zeros((n, 0), dtype=np.complex128) for n in p.shape.blocks]
-    live = [b for b, r in enumerate(p.ranks) if r and q.ranks[b]]
-    # Stage 1: candidate directions with principal-angle cosine >= 1/2.
-    # Anything below is far from the intersection; this only trims work.
-    cosines = _batched(
-        lambda up, uq: _thin_svd(_ct(up) @ uq),
-        [p.basis[b] for b in live],
-        [q.basis[b] for b in live],
-    )
-    cands = []
-    for b, (w, sigma, _) in zip(live, cosines):
-        cand = sigma >= 0.5
-        if np.any(cand):
-            cands.append((b, p.basis[b] @ w[:, cand]))
-    # Stage 2: sines of the candidate directions against range(q).
-    # The SVD of (1-q)B separates a true intersection (sine ~ eps) from
-    # a deliberately tiny angle (sine ~ theta) with gap theta, which the
-    # cosines cannot do at double precision.
-    sines = _batched(
-        lambda c, uq: _thin_svd(c - uq @ (_ct(uq) @ c)),
-        [c for _, c in cands],
-        [q.basis[b] for b, _ in cands],
-    )
-    for (b, c), (_, s, zh) in zip(cands, sines):
-        bases[b] = c @ zh.conj().T[:, s <= tol.rank_rel]
-    return Projection.from_basis(p.shape, bases)
+    pieces = []
+    for idx, up, uq in _cogroups(p, q):
+        if not (up.shape[2] and uq.shape[2]):
+            pieces.append((idx, up[:, :, :0]))
+            continue
+        # Stage 1: candidate directions with principal-angle cosine >= 1/2
+        # (a prefix, as the cosines descend).  Anything below is far from
+        # the intersection; this only trims work.
+        w, sigma, _ = _thin_svd(_ct(up) @ uq)
+        for m, pos, sub in _split(idx, sigma >= 0.5):
+            c = up[pos] @ w[pos, :, :m]
+            if not m:
+                pieces.append((sub, c))
+                continue
+            # Stage 2: sines of the candidate directions against range(q).
+            # The SVD of (1-q)B separates a true intersection (sine ~ eps)
+            # from a deliberately tiny angle (sine ~ theta) with gap theta,
+            # which the cosines cannot do at double precision.  The common
+            # directions are the trailing ones, with sine <= rank_rel.
+            b = uq[pos]
+            _, s, zh = _thin_svd(c - b @ (_ct(b) @ c))
+            for r, pos2, sub2 in _split(sub, s > tol.rank_rel):
+                pieces.append((sub2, c[pos2] @ _ct(zh[pos2])[:, :, r:]))
+    return Projection._of(p.shape, pieces)
 
 
 def join(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Smallest projection above both p and q (span of the ranges)."""
     if p.shape != q.shape:
         raise ShapeMismatch("join needs projections of one shape")
-    spans = [np.concatenate([up, uq], axis=1) for up, uq in zip(p.basis, q.basis)]
-    return Projection.from_basis(p.shape, orth(spans, tol.rank_rel))
+    spans = [(idx, np.concatenate([up, uq], axis=2)) for idx, up, uq in _cogroups(p, q)]
+    # one orthonormalization per span width, not per pair of ranks
+    widths = _layout(p.shape, tuple(rp + rq for rp, rq in zip(p.ranks, q.ranks)))
+    return Projection._of(p.shape, orth(list(zip(widths, _regroup(spans, widths))), tol.rank_rel))
 
 
 def mv_equivalent(

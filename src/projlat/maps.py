@@ -20,7 +20,10 @@ from .core import (
     Element,
     Projection,
     Tolerances,
-    _batched,
+    _cogroups,
+    _ct,
+    _regroup,
+    _require_invertible,
     distance,
     invert,
     left_support,
@@ -146,47 +149,70 @@ class ConjugationRingIso:
         self.sigma = sigma
         self.block_map = block_map
         self.source = AlgebraShape(T.shape.blocks[t] for t in block_map)
-        self._tinv = invert(T, tol)
-        # T_t and T_t^-1 for each source block b, t = block_map[b], the
-        # source blocks sigma conjugates, and the source of each target block
-        self._ts = [T.data[t] for t in block_map]
-        self._tinvs = [self._tinv.data[t] for t in block_map]
-        self._conj = [b for b, s in enumerate(sigma) if s == "conj"]
-        self._from = sorted(range(k), key=block_map.__getitem__)
+        _require_invertible(T, tol)
+        self._tol = tol
+        self._tinvs = None  # T^-1's stacks, built on first use: a lattice map never reads them
+        # per size group of T: the source blocks routed onto its blocks, the
+        # source size group holding them and their positions in it (None: in order)
+        back = sorted(range(k), key=block_map.__getitem__)
+        at = {b: (g, j) for g, idx in enumerate(self.source._groups) for j, b in enumerate(idx)}
+        self._feeds = []
+        for idx in T._groups:
+            src = tuple(back[t] for t in idx)
+            pos = [at[b][1] for b in src]
+            self._feeds.append((src, at[src[0]][0], None if pos == sorted(pos) else pos))
+
+    def _sigma(self, idx, a: np.ndarray) -> np.ndarray:
+        """a, a stack over the source blocks idx, conjugated on the
+        slices of the "conj" blocks."""
+        conj = [self.sigma[b] == "conj" for b in idx]
+        if not any(conj):
+            return a
+        if all(conj):
+            return a.conj()
+        return np.where(np.array(conj)[:, None, None], a.conj(), a)
+
+    def _tinv_stacks(self) -> tuple[np.ndarray, ...]:
+        if self._tinvs is None:
+            self._tinvs = invert(self.T, self._tol)._stacks
+        return self._tinvs
 
     def __call__(self, x: Element) -> Element:
         if x.shape != self.source:
             raise ShapeMismatch(
                 f"iso expects elements of [{self.source}], got [{x.shape}]"
             )
-        xs = list(x.data)
-        for b in self._conj:
-            xs[b] = xs[b].conj()
-        images = _batched(lambda t, xb, ti: (t @ xb) @ ti, self._ts, xs, self._tinvs)
-        return Element(self.T.shape, [images[b] for b in self._from])
+        images = [
+            (t @ self._sigma(src, x._stacks[g] if pos is None else x._stacks[g][pos])) @ ti
+            for (src, g, pos), t, ti in zip(self._feeds, self.T._stacks, self._tinv_stacks())
+        ]
+        return self.T._like(images)
 
     def inverse(self, tol: Tolerances = DEFAULT_TOL) -> "ConjugationRingIso":
         """y -> sigma(T^{-1} y T) per block, routed back: again of this
         form, with T^{-1} (conjugated on "conj" blocks) in the source."""
         k = len(self.block_map)
-        blocks, sigma, back = [None] * k, [None] * k, [0] * k
+        sigma, back = [None] * k, [0] * k
         for b, (s, t) in enumerate(zip(self.sigma, self.block_map)):
-            tinv = self._tinv.data[t]
-            blocks[b] = tinv.conj() if s == "conj" else tinv
             sigma[t] = s
             back[t] = b
-        return ConjugationRingIso(Element(self.source, blocks), sigma, tol, back)
+        tinvs = [
+            (src, self._sigma(src, ti)) for (src, _, _), ti in zip(self._feeds, self._tinv_stacks())
+        ]
+        return ConjugationRingIso(Element._of(self.source, tinvs), sigma, tol, back)
 
     def lattice_map(self, tol: Tolerances = DEFAULT_TOL) -> LatticeMap:
         """The induced map p -> projection onto T sigma(range p)."""
         target = self.T.shape
 
+        def route(idx: tuple) -> tuple:
+            return tuple(self.block_map[b] for b in idx)
+
         def apply(p: Projection) -> Projection:
-            us = list(p.basis)
-            for b in self._conj:
-                us[b] = us[b].conj()
-            images = orth(_batched(np.matmul, self._ts, us), tol.rank_rel)
-            return Projection.from_basis(target, [images[b] for b in self._from])
+            ts = _regroup(self.T._pieces(), [route(idx) for idx in p._groups])
+            images = [(idx, t @ self._sigma(idx, u)) for (idx, u), t in zip(p._pieces(), ts)]
+            bases = orth(images, tol.rank_rel)
+            return Projection._of(target, [(route(idx), u) for idx, u in bases])
 
         return LatticeMap(self.source, target, apply, self)
 
@@ -483,9 +509,9 @@ def preserves_orthogonality(
         sub = random_projection(shape, rng, comp_ranks)
         # push sub below the complement of p
         pushed = [
-            uc @ (uc.conj().T @ ub) for ub, uc in zip(sub.basis, p.complement().basis)
+            (idx, uc @ (_ct(uc) @ ub)) for idx, ub, uc in _cogroups(sub, p.complement())
         ]
-        probes.append((p, Projection.from_basis(shape, orth(pushed, tol.rank_rel))))
+        probes.append((p, Projection._of(shape, orth(pushed, tol.rank_rel))))
 
     for p, q in probes:
         if (p.element * q.element).norm() > tol.proj_tol:

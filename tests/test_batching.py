@@ -11,6 +11,7 @@ import pytest
 
 import projlat as pl
 from projlat import AlgebraShape, ConjugationRingIso, Element, Projection, ThreeFrame
+from projlat.core import _direct_sum, _summands
 from projlat.graphs import SLOTS, graph_projection, recover_operator
 
 MIXED = [AlgebraShape([3, 2, 3, 3]), AlgebraShape([1, 3, 3])]
@@ -57,6 +58,37 @@ def test_core_ops_equal_blockwise_ops(shape):
             pl.left_support(y).basis,
             [pl.left_support(block_element(y, b)).basis[0] for b in range(k)],
         )
+    z = pl.random_element(shape, rng)
+    binary = [
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a * b,
+        lambda a, b: (0.5 - 2j) * a,
+        lambda a, b: a.adjoint(),
+        lambda a, b: a.conj(),
+        lambda a, b: a.transpose(),
+    ]
+    for op in binary:
+        assert_blockwise(
+            op(x, z).data, [op(block_element(x, b), block_element(z, b)).data[0] for b in range(k)]
+        )
+    # y is rank deficient on some blocks, so v's ranks differ within a size
+    for whole, parts in zip(
+        pl.polar_decompose(y), zip(*[pl.polar_decompose(block_element(y, b)) for b in range(k)])
+    ):
+        assert_blockwise(whole.data, [part.data[0] for part in parts])
+    p = pl.random_projection(shape, rng)  # ranks differ within a size
+    assert_blockwise(
+        pl.canonicalize(p.element).basis,
+        [pl.canonicalize(block_element(p.element, b)).basis[0] for b in range(k)],
+    )
+    for w in (x, y):
+        assert pl.cond(w) == max(pl.cond(block_element(w, b)) for b in range(k))
+    c = pl.center_valued_norm(x)
+    off = Element(shape, [*c.data[:-1], c.data[-1] + 1e-3 * x.data[-1]])
+    for w in (x, c, off):
+        assert pl.is_central(w) == all(pl.is_central(block_element(w, b)) for b in range(k))
+    assert pl.is_central(c) and not pl.is_central(off)
 
 
 @pytest.mark.parametrize("shape", MIXED, ids=MIXED_IDS)
@@ -159,6 +191,33 @@ def test_corner_grid_equals_one_corner_at_a_time(shape, kind):
             for x, y in zip(row, images):
                 assert_blockwise(y.data, psi(x).data)
     assert all(y.is_zero() for y in psi.grid([[zero, zero]])[0])
+
+
+def _blocks(v):
+    return v.basis if isinstance(v, Projection) else v.data
+
+
+def test_direct_sum_and_summands_round_trip():
+    rng = np.random.default_rng(17)
+    shape = AlgebraShape([3, 2, 3, 3])
+    xs = [pl.random_element(shape, rng) for _ in range(3)]
+    # ranks differ across the blocks of one size and across the summands
+    ps = [
+        pl.random_projection(shape, rng, ranks)
+        for ranks in ([1, 2, 0, 3], [2, 1, 2, 1], [3, 0, 1, 1])
+    ]
+    for parts in (xs, ps):
+        whole = _direct_sum(parts)
+        assert whole.shape == AlgebraShape(shape.blocks * 3)
+        assert_blockwise(_blocks(whole), [a for part in parts for a in _blocks(part)])
+        backs = _summands(whole, 3)
+        assert len(backs) == 3
+        for part, back in zip(parts, backs):
+            assert back.shape == shape
+            assert_blockwise(_blocks(back), _blocks(part))
+    for part, back in zip(ps, _summands(_direct_sum(ps), 3)):
+        assert back.ranks == part.ranks
+        assert_blockwise(back.element.data, part.element.data)
 
 
 def test_element_blocks_are_read_only_copies():

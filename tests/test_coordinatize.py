@@ -89,6 +89,18 @@ def test_corner_grid_names_the_corner_whose_recovery_fails(rng):
     assert str(info.value) == "corner (1, 2): rank 6 does not match the slot rank 2 on block 1"
 
 
+def test_coordinatize_result_keeps_no_c_fold_tiles(rng):
+    shape = AlgebraShape([3, 3])
+    phi = pl.from_conjugation(pl.random_invertible(shape, rng, cond_max=50.0))
+    result = pl.coordinatize(phi, samples=2, seed=5)
+    assert set(result.psi._tiled) <= {1}
+    # the corner map still evaluates a grid, and c-fold tiles are rebuilt
+    ch = result.source_frame.corner_shape
+    rows = [[pl.random_element(ch, rng) for _ in range(2)]]
+    for x, y in zip(rows[0], result.psi.grid(rows)[0]):
+        assert np.array_equal(np.concatenate(y.data), np.concatenate(result.psi(x).data))
+
+
 def test_coordinatize_transpose(rng):
     phi = pl.from_semilinear(Element.identity(S3), "conj")
     result = pl.coordinatize(phi, samples=4, seed=5)
