@@ -234,14 +234,11 @@ def normalize_map(
         c12_inv, c13_inv = invert(c12, tol), invert(c13, tol)
     except (NotAGraphProjection, NotInvertible) as exc:
         raise FrameAssemblyFailed(f"slot unit not invertible: {exc}") from exc
-    mats = [
-        (idx, np.tile(np.eye(v.shape[1], dtype=np.complex128), (len(idx), 1, 1)))
-        for idx, v in target._v._pieces()
-    ]
-    for (_, d), a, b in zip(mats, c12_inv._stacks, c13_inv._stacks):
+    mats = [eye.copy() for eye in Element.identity(target.shape)._stacks]
+    for d, a, b in zip(mats, c12_inv._stacks, c13_inv._stacks):
         _slot(d, 1, 1)[...] = a
         _slot(d, 2, 2)[...] = b
-    s3 = target._from_coords(mats)
+    s3 = target._rotate(target._v._like(mats), back=True)
     phi3 = compose(from_conjugation(s3, tol), phi2)
     return phi3, target, [s1, s2, s3]
 
@@ -313,15 +310,15 @@ def coordinatize(
     # Psi re-derived from the lattice, the nine corners in one pass;
     # only _verify calls it, to certify the compiled Psi against it
     def psi_full(x: Element) -> Element:
-        coords = fr._coords(x)
+        coords = fr._rotate(x)._pieces()
         corners = [[[(g, _slot(c, i, j)) for g, c in coords] for j in range(3)] for i in range(3)]
         rows = [[Element._of(fr.corner_shape, pieces) for pieces in row] for row in corners]
-        out = [(idx, np.zeros_like(v)) for idx, v in target._v._pieces()]
+        out = [np.zeros_like(v) for v in target._v._stacks]
         for i, row in enumerate(psi.grid(rows)):
             for j, yhat in enumerate(row):
-                for (_, o), y in zip(out, yhat._stacks):
+                for o, y in zip(out, yhat._stacks):
                     _slot(o, i, j)[...] = y
-        y_norm = target._from_coords(out)
+        y_norm = target._rotate(target._v._like(out), back=True)
         return s_inv * y_norm * s_total
 
     Psi = _compile(psi, fr, target, s_inv, tol)

@@ -19,7 +19,6 @@ with a relative singular-value cutoff: singular values at or below
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -112,26 +111,20 @@ class AlgebraShape:
         return ",".join(str(n) for n in self.blocks)
 
 
-@functools.lru_cache(maxsize=1024)
-def _layout(shape: AlgebraShape, keys: tuple) -> tuple[tuple[int, ...], ...]:
+def _layout(shape: AlgebraShape, keys: Sequence) -> tuple[tuple[int, ...], ...]:
     """The block indices of each size split by keys[i], ascending: a
     projection's stack layout when keys are its ranks."""
-    groups = []
+    out = []
     for idx in shape._groups:
-        split: dict = {}
-        for i in idx:
-            split.setdefault(keys[i], []).append(i)
-        groups.extend(tuple(split[key]) for key in sorted(split))
-    return tuple(groups)
+        for key in sorted({keys[i] for i in idx}):
+            out.append(tuple([i for i in idx if keys[i] == key]))
+    return tuple(out)
 
 
 def _regroup(pieces: Sequence[tuple], layout: Sequence[tuple]) -> list[np.ndarray]:
     """One stack per group of layout, from pieces (block indices, stack)
-    that hold the blocks grouped another way: a piece's stack where it
-    is a group, else runs of consecutive slices concatenated."""
-    whole = dict(pieces)
-    if all(idx in whole for idx in layout):
-        return [whole[idx] for idx in layout]
+    that hold the blocks grouped another way: each run of consecutive
+    slices of one stack is cut as a view, and the runs are concatenated."""
     at = {i: (s, j) for idx, s in pieces for j, i in enumerate(idx)}
     out = []
     for idx in layout:
@@ -150,25 +143,10 @@ def _regroup(pieces: Sequence[tuple], layout: Sequence[tuple]) -> list[np.ndarra
 def _split(idx: tuple, keep: np.ndarray) -> list[tuple]:
     """The blocks idx of one stack grouped by their widths, the counts of
     True in each row of keep, as (width, positions in the stack, block
-    indices); a stack of one width stays whole, its positions a slice."""
+    indices)."""
     widths = keep.sum(axis=-1).tolist()
-    if all(w == widths[0] for w in widths):
-        return [(widths[0], slice(None), idx)]
-    out = []
-    for w in sorted(set(widths)):
-        pos = [j for j, v in enumerate(widths) if v == w]
-        out.append((w, pos, tuple(idx[j] for j in pos)))
-    return out
-
-
-def _unstack(pieces: Sequence[tuple], k: int) -> tuple:
-    """The slices of pieces (block indices, stack) as one array per
-    block, in block order."""
-    out: list = [None] * k
-    for idx, s in pieces:
-        for i, a in zip(idx, s):
-            out[i] = a
-    return tuple(out)
+    pos = {w: [j for j, v in enumerate(widths) if v == w] for w in sorted(set(widths))}
+    return [(w, p, tuple(idx[j] for j in p)) for w, p in pos.items()]
 
 
 def _freeze(arr) -> np.ndarray:
@@ -241,7 +219,11 @@ class _Blocks:
     def _blocks(self) -> tuple[np.ndarray, ...]:
         """One view per block, in block order."""
         if self._views is None:
-            self._views = _unstack(self._pieces(), len(self.shape.blocks))
+            views: list = [None] * len(self.shape.blocks)
+            for idx, s in self._pieces():
+                for i, a in zip(idx, s):
+                    views[i] = a
+            self._views = tuple(views)
         return self._views
 
 
@@ -328,8 +310,10 @@ class Element(_Blocks):
         return self._like([a.swapaxes(-1, -2) for a in self._stacks])
 
     def block_norms(self) -> tuple[float, ...]:
-        norms = [_singular_values(a)[:, 0] for a in self._stacks]
-        return tuple(float(s) for s in _unstack(zip(self._groups, norms), len(self.shape.blocks)))
+        norms = np.empty(len(self.shape.blocks))
+        for idx, a in self._pieces():
+            norms[list(idx)] = _singular_values(a)[:, 0]
+        return tuple(norms.tolist())
 
     def norm(self) -> float:
         """Operator norm: the largest block operator norm."""
@@ -477,6 +461,8 @@ def _direct_sum(parts: Sequence):
     if len(parts) == 1:
         return parts[0]
     one = parts[0].shape
+    if any(x.shape != one for x in parts):
+        raise ShapeMismatch(f"direct sum parts differ in shape: {[str(x.shape) for x in parts]}")
     k = len(one.blocks)
     pieces = [
         (tuple(i + m * k for i in idx), s) for m, x in enumerate(parts) for idx, s in x._pieces()

@@ -33,7 +33,6 @@ from .core import (
     Tolerances,
     _ct,
     _direct_sum,
-    _unstack,
     distance,
 )
 from .errors import NotAFrame, NotAGraphProjection, ShapeMismatch
@@ -91,25 +90,24 @@ class SlotCoordinates:
         v = _direct_sum([self._v] * c)
         return SlotCoordinates(v.shape, v)
 
-    def _coords(self, x: Element) -> list[tuple]:
-        """The slot coordinates of x as (block indices, stack) pieces."""
-        return [(idx, _ct(v) @ a @ v) for (idx, v), a in zip(self._v._pieces(), x._stacks)]
-
-    def _from_coords(self, pieces) -> Element:
-        images = [(idx, v @ m @ _ct(v)) for (idx, m), v in zip(pieces, self._v._stacks)]
-        return Element._of(self.shape, images)
+    def _rotate(self, x: Element, back: bool = False) -> Element:
+        """x, of this algebra, in slot coordinates: V* x V per block; back
+        rotates the other way, V x V*."""
+        vs = self._v._stacks
+        return x._like([v @ a @ _ct(v) if back else _ct(v) @ a @ v for v, a in zip(vs, x._stacks)])
 
     def to_coords(self, x) -> list[np.ndarray]:
-        """Standard 3x3 slot coordinates of an element, one matrix per block."""
+        """Standard 3x3 slot coordinates of an element, one read-only
+        matrix per block."""
         if isinstance(x, Projection):
             x = x.element
         if x.shape != self.shape:
             raise ShapeMismatch("element does not live in the frame's algebra")
-        return list(_unstack(self._coords(x), len(self.shape.blocks)))
+        return list(self._rotate(x).data)
 
     def from_coords(self, mats) -> Element:
         """Inverse of to_coords."""
-        return self._from_coords(Element(self.shape, mats)._pieces())
+        return self._rotate(Element(self.shape, mats), back=True)
 
 
 class ThreeFrame(SlotCoordinates):
@@ -122,7 +120,7 @@ class ThreeFrame(SlotCoordinates):
         shape: AlgebraShape,
         projections: tuple[Projection, Projection, Projection],
         units: tuple[tuple[Element, ...], ...],
-        vmats: tuple[np.ndarray, ...],
+        vmats,
     ):
         super().__init__(shape, vmats)
         self.e1, self.e2, self.e3 = projections
@@ -133,27 +131,21 @@ class ThreeFrame(SlotCoordinates):
         """Frame from contiguous index thirds of every block."""
         if any(n % 3 for n in shape.blocks):
             raise NotAFrame(f"every block size must be divisible by 3, got {shape}")
-        eyes = [np.eye(n, dtype=np.complex128) for n in shape.blocks]
-        projections = []
-        for i in range(3):
-            bases = [
-                eye[:, i * (n // 3) : (i + 1) * (n // 3)]
-                for eye, n in zip(eyes, shape.blocks)
-            ]
-            projections.append(Projection.from_basis(shape, bases))
-        units = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                blocks = []
-                for eye, n in zip(eyes, shape.blocks):
-                    k = n // 3
-                    w = np.zeros((n, n), dtype=np.complex128)
-                    w[i * k : (i + 1) * k, j * k : (j + 1) * k] = np.eye(k)
-                    blocks.append(w)
-                row.append(Element(shape, blocks))
-            units.append(tuple(row))
-        return cls(shape, tuple(projections), tuple(units), tuple(eyes))
+        eye = Element.identity(shape)
+        thirds = [np.split(e, 3, axis=2) for e in eye._stacks]  # column thirds
+        projections = tuple(
+            Projection._of(shape, [(idx, cols[i]) for idx, cols in zip(eye._groups, thirds)])
+            for i in range(3)
+        )
+
+        def unit(i: int, j: int) -> Element:
+            stacks = [np.zeros_like(e) for e in eye._stacks]
+            for w, e in zip(stacks, eye._stacks):
+                _slot(w, i, j)[...] = _slot(e, i, i)
+            return eye._like(stacks)
+
+        units = tuple(tuple(unit(i, j) for j in range(3)) for i in range(3))
+        return cls(shape, projections, units, eye)
 
     @classmethod
     def from_projections(
@@ -283,7 +275,7 @@ def recover_operator(
         if r != k:
             raise NotAGraphProjection(f"rank {r} does not match the slot rank {k}", b)
     corners, singular = [], []
-    for idx, m in frame._coords(q.element):
+    for idx, m in frame._rotate(q.element)._pieces():
         qdd = _slot(m, d, d)
         lam, vec = np.linalg.eigh((qdd + _ct(qdd)) / 2)
         bad = (lam[:, -1] <= 0) | (lam[:, 0] <= tol.rank_rel * lam[:, -1])

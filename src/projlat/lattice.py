@@ -23,8 +23,6 @@ from .core import (
     Tolerances,
     _cogroups,
     _ct,
-    _layout,
-    _regroup,
     _singular_values,
     _split,
     _thin_svd,
@@ -144,9 +142,7 @@ def join(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Project
     if p.shape != q.shape:
         raise ShapeMismatch("join needs projections of one shape")
     spans = [(idx, np.concatenate([up, uq], axis=2)) for idx, up, uq in _cogroups(p, q)]
-    # one orthonormalization per span width, not per pair of ranks
-    widths = _layout(p.shape, tuple(rp + rq for rp, rq in zip(p.ranks, q.ranks)))
-    return Projection._of(p.shape, orth(list(zip(widths, _regroup(spans, widths))), tol.rank_rel))
+    return Projection._of(p.shape, orth(spans, tol.rank_rel))
 
 
 def mv_equivalent(

@@ -8,6 +8,7 @@ verification is always sampled, never symbolic.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
@@ -25,7 +26,6 @@ from .core import (
     _regroup,
     _require_invertible,
     distance,
-    invert,
     left_support,
 )
 from .errors import (
@@ -109,6 +109,12 @@ def from_ring_iso(
     return LatticeMap(source, target, apply, FromRingIso(psi, psi_inverse))
 
 
+def _sigma(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """a, a fresh stack, with the slices mask selects complex conjugated
+    in place."""
+    return np.conjugate(a, out=a, where=mask)
+
+
 class ConjugationRingIso:
     """Ring isomorphism x -> T sigma(x) T^{-1}, with blocks routed.
 
@@ -150,32 +156,27 @@ class ConjugationRingIso:
         self.block_map = block_map
         self.source = AlgebraShape(T.shape.blocks[t] for t in block_map)
         _require_invertible(T, tol)
-        self._tol = tol
-        self._tinvs = None  # T^-1's stacks, built on first use: a lattice map never reads them
+        self._conj = np.array([s == "conj" for s in sigma])
         # per size group of T: the source blocks routed onto its blocks, the
-        # source size group holding them and their positions in it (None: in order)
+        # source size group holding them, their positions in it and sigma's mask
         back = sorted(range(k), key=block_map.__getitem__)
         at = {b: (g, j) for g, idx in enumerate(self.source._groups) for j, b in enumerate(idx)}
         self._feeds = []
         for idx in T._groups:
-            src = tuple(back[t] for t in idx)
-            pos = [at[b][1] for b in src]
-            self._feeds.append((src, at[src[0]][0], None if pos == sorted(pos) else pos))
+            src = [back[t] for t in idx]
+            pos = np.array([at[b][1] for b in src])
+            self._feeds.append((tuple(src), at[src[0]][0], pos, self._mask(src)))
 
-    def _sigma(self, idx, a: np.ndarray) -> np.ndarray:
-        """a, a stack over the source blocks idx, conjugated on the
-        slices of the "conj" blocks."""
-        conj = [self.sigma[b] == "conj" for b in idx]
-        if not any(conj):
-            return a
-        if all(conj):
-            return a.conj()
-        return np.where(np.array(conj)[:, None, None], a.conj(), a)
+    def _mask(self, idx) -> np.ndarray:
+        """Which of the source blocks idx sigma conjugates, shaped to
+        select the slices of a stack over them."""
+        return self._conj[list(idx), None, None]
 
-    def _tinv_stacks(self) -> tuple[np.ndarray, ...]:
-        if self._tinvs is None:
-            self._tinvs = invert(self.T, self._tol)._stacks
-        return self._tinvs
+    @functools.cached_property
+    def _tinvs(self) -> list[np.ndarray]:
+        """T^-1's stacks, built on first use (a lattice map never reads
+        them); the constructor has checked that T is invertible."""
+        return [np.linalg.inv(a) for a in self.T._stacks]
 
     def __call__(self, x: Element) -> Element:
         if x.shape != self.source:
@@ -183,8 +184,8 @@ class ConjugationRingIso:
                 f"iso expects elements of [{self.source}], got [{x.shape}]"
             )
         images = [
-            (t @ self._sigma(src, x._stacks[g] if pos is None else x._stacks[g][pos])) @ ti
-            for (src, g, pos), t, ti in zip(self._feeds, self.T._stacks, self._tinv_stacks())
+            (t @ _sigma(x._stacks[g].take(pos, axis=0), mask)) @ ti
+            for (_, g, pos, mask), t, ti in zip(self._feeds, self.T._stacks, self._tinvs)
         ]
         return self.T._like(images)
 
@@ -196,9 +197,8 @@ class ConjugationRingIso:
         for b, (s, t) in enumerate(zip(self.sigma, self.block_map)):
             sigma[t] = s
             back[t] = b
-        tinvs = [
-            (src, self._sigma(src, ti)) for (src, _, _), ti in zip(self._feeds, self._tinv_stacks())
-        ]
+        feeds = zip(self._feeds, self._tinvs)
+        tinvs = [(src, _sigma(ti.copy(), m)) for (src, _, _, m), ti in feeds]
         return ConjugationRingIso(Element._of(self.source, tinvs), sigma, tol, back)
 
     def lattice_map(self, tol: Tolerances = DEFAULT_TOL) -> LatticeMap:
@@ -210,7 +210,9 @@ class ConjugationRingIso:
 
         def apply(p: Projection) -> Projection:
             ts = _regroup(self.T._pieces(), [route(idx) for idx in p._groups])
-            images = [(idx, t @ self._sigma(idx, u)) for (idx, u), t in zip(p._pieces(), ts)]
+            images = [
+                (idx, t @ _sigma(u.copy(), self._mask(idx))) for (idx, u), t in zip(p._pieces(), ts)
+            ]
             bases = orth(images, tol.rank_rel)
             return Projection._of(target, [(route(idx), u) for idx, u in bases])
 

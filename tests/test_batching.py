@@ -218,6 +218,11 @@ def test_direct_sum_and_summands_round_trip():
     for part, back in zip(ps, _summands(_direct_sum(ps), 3)):
         assert back.ranks == part.ranks
         assert_blockwise(back.element.data, part.element.data)
+    # parts of different algebras, even of one block count, are refused
+    for other in (AlgebraShape([2, 3, 3, 3]), AlgebraShape([3])):
+        for parts in ([xs[0], pl.random_element(other, rng)], [ps[0], Projection.zero(other)]):
+            with pytest.raises(pl.ShapeMismatch):
+                _direct_sum(parts)
 
 
 def test_element_blocks_are_read_only_copies():

@@ -89,6 +89,32 @@ def test_corner_grid_names_the_corner_whose_recovery_fails(rng):
     assert str(info.value) == "corner (1, 2): rank 6 does not match the slot rank 2 on block 1"
 
 
+@pytest.mark.parametrize("other", [[6, 3], [3]], ids=["swapped", "one-block"])
+def test_corner_grid_refuses_an_image_of_another_shape(other, rng):
+    shape = AlgebraShape([3, 6])
+    phi = pl.from_conjugation(pl.random_invertible(shape, rng, cond_max=50.0))
+    result = pl.coordinatize(phi, samples=2, seed=5)
+    calls = []
+
+    def apply(p):
+        calls.append(p)
+        if len(calls) == 2:  # the second corner's image lives in another algebra
+            return pl.Projection.identity(AlgebraShape(other))
+        return phi(p)
+
+    bad = _CornerMap(
+        pl.LatticeMap(shape, shape, apply),
+        result.source_frame,
+        result.target_frame,
+        result.normalizers,
+    )
+    ch = result.source_frame.corner_shape
+    rows = [[pl.random_element(ch, rng) for _ in range(3)]]
+    with pytest.raises(pl.ShapeMismatch):
+        bad.grid(rows)
+    assert len(calls) == 3
+
+
 def test_coordinatize_result_keeps_no_c_fold_tiles(rng):
     shape = AlgebraShape([3, 3])
     phi = pl.from_conjugation(pl.random_invertible(shape, rng, cond_max=50.0))
