@@ -75,11 +75,12 @@ class CoordinatizationResult:
     to a ConjugationRingIso; normalizers are the invertible S-operators
     applied to the target, in order.  diagnostics holds the sampled
     residuals of the ring axioms and the support intertwining of Psi
-    re-derived from the lattice (at one point: one pass of the graph,
-    normalizer and recovery layers over its nonzero corners, through
-    psi.grid, plus one phi call per nonzero corner), plus compiled_agreement (the worst
-    distance of the compiled Psi from it) and compiled_intertwining
-    (the support intertwining of the compiled Psi) on the same samples.
+    re-derived from the lattice (at one point: one pass of the graph
+    layer, the normalized map phi' tiled over the nonzero corners and
+    the recovery layer, through psi.grid), plus compiled_agreement (the
+    worst distance of the compiled Psi from it) and
+    compiled_intertwining (the support intertwining of the compiled
+    Psi) on the same samples.
     """
 
     psi: Callable[[Element], Element]
@@ -162,9 +163,7 @@ def _witness_through(
         blocks.append(t @ ua.conj().T)
     tel = Element(shape, blocks)
     v, _ = polar_decompose(tel, tol)
-    if left_support(tel, tol).ranks != fb.ranks:
-        raise FrameAssemblyFailed("perspectivity witness is rank deficient")
-    if right_support(tel, tol).ranks != fa.ranks:
+    if (left_support(tel, tol).ranks, right_support(tel, tol).ranks) != (fb.ranks, fa.ranks):
         raise FrameAssemblyFailed("perspectivity witness is rank deficient")
     return v.adjoint()
 
@@ -261,9 +260,10 @@ def coordinatize(
     Psi is compiled to a ConjugationRingIso at a cost of n/3 + 2
     corner-map calls per block; _verify certifies it against Psi
     re-derived from the lattice at every point it samples.  Re-deriving
-    Psi at one point is one pass of the graph, normalizer and recovery
-    layers over its nonzero corners, plus one phi call per nonzero
-    corner.
+    Psi at one point is one pass over its nonzero corners: one graph
+    projection, one application of the normalized map phi' = S3 S2 S1
+    phi tiled over the c corners (phi'.tile(c), built once per c) and
+    one recovery.
 
     Raises:
         NotOrderThree: some block size is not divisible by 3, or the
@@ -289,7 +289,7 @@ def coordinatize(
     s1, s2, s3 = normalizers
     s_total = s3 * (s2 * s1)
     s_inv = invert(s_total, tol)
-    psi = _CornerMap(phi, fr, target, normalizers, tol)
+    psi = _CornerMap(phi_norm, fr, target, tol)
 
     # The three slots must tell one story; disagreement means no ring
     # isomorphism induces phi.
@@ -321,10 +321,8 @@ def coordinatize(
         y_norm = target._rotate(target._v._like(out), back=True)
         return s_inv * y_norm * s_total
 
-    Psi = _compile(psi, fr, target, s_inv, tol)
-    diagnostics = _verify(
-        phi, phi_norm, fr, target, psi, psi_full, Psi, samples, rng, tol
-    )
+    Psi = _compile(psi, s_inv, tol)
+    diagnostics = _verify(phi, psi, psi_full, Psi, samples, rng, tol)
     diagnostics["slot_agreement"] = float(slot_res)
     diagnostics["seed"] = seed
     diagnostics["samples"] = samples
@@ -345,15 +343,14 @@ def coordinatize(
 class _CornerMap:
     """The corner map psi, read off the lattice on every call.
 
-    psi(x^) maps the slot-12 graph projection of x^ through phi and the
-    normalizers S1, S2, S3 and recovers the operator from the image.
-    grid() does this for a grid of corners at once: its c nonzero
-    corners are one element of the direct sum of c copies of the corner
-    algebra, which goes through one graph projection in the c-fold slot
-    coordinates, the c-fold normalizers and one recovery, with phi
-    applied to each copy's projection on its own.  Every layer on the
-    way works per block, so each corner's image is bit for bit what it
-    is alone.
+    psi(x^) maps the slot-12 graph projection of x^ through the
+    normalized map phi' = S3 S2 S1 phi and recovers the operator from
+    the image.  grid() does this for a grid of corners at once: its c
+    nonzero corners are one element of the direct sum of c copies of
+    the corner algebra, which goes through one graph projection in the
+    c-fold slot coordinates, one application of phi'.tile(c) and one
+    recovery.  Every layer on the way works per block, so each corner's
+    image is bit for bit what it is alone.
     """
 
     def __init__(
@@ -361,29 +358,18 @@ class _CornerMap:
         phi: LatticeMap,
         source: ThreeFrame,
         target: ThreeFrame,
-        normalizers,
         tol: Tolerances = DEFAULT_TOL,
     ):
         self.phi = phi
         self.source = source
         self.target = target
-        self.normalizers = tuple(normalizers)
         self.tol = tol
         self._zero = Element.zeros(target.corner_shape)
-        # c -> (c-fold source and target slot coordinates, c-fold normalizer maps)
+        # c -> (c-fold source and target slot coordinates, phi.tile(c))
         self._tiled: dict = {}
 
     def __call__(self, xhat: Element) -> Element:
         return self.grid([[xhat]])[0][0]
-
-    def _tiles(self, c: int):
-        if c not in self._tiled:
-            self._tiled[c] = (
-                self.source.tile(c),
-                self.target.tile(c),
-                [from_conjugation(_direct_sum([s] * c), self.tol) for s in self.normalizers],
-            )
-        return self._tiled[c]
 
     def grid(self, rows: list[list[Element]]) -> list[list[Element]]:
         """psi at every corner of a grid; an exactly zero corner costs
@@ -401,13 +387,12 @@ class _CornerMap:
         if not live:
             return out
         c = len(live)
-        src, tgt, maps = self._tiles(c)
+        if c not in self._tiled:
+            self._tiled[c] = (self.source.tile(c), self.target.tile(c), self.phi.tile(c))
+        src, tgt, phi = self._tiled[c]
         graphs = graph_projection(src, _direct_sum([rows[i][j] for i, j in live]), 12, self.tol)
-        q = _direct_sum([self.phi(p) for p in _summands(graphs, c)])
-        for s_map in maps:
-            q = s_map(q)
         try:
-            ys = recover_operator(tgt, q, 12, self.tol)
+            ys = recover_operator(tgt, phi(graphs), 12, self.tol)
         except NotAGraphProjection as exc:
             m, b = divmod(exc.block, len(self.target.shape.blocks))
             raise NotAGraphProjection(f"corner {live[m]}: {exc.reason}", b) from exc
@@ -416,13 +401,7 @@ class _CornerMap:
         return out
 
 
-def _compile(
-    psi: Callable[[Element], Element],
-    fr: ThreeFrame,
-    target: ThreeFrame,
-    s_inv: Element,
-    tol: Tolerances,
-) -> ConjugationRingIso:
+def _compile(psi: _CornerMap, s_inv: Element, tol: Tolerances) -> ConjugationRingIso:
     """Psi as one ConjugationRingIso, read off the corner map.
 
     psi is x -> R sigma(x) R^{-1} with blocks routed (Skolem-Noether on
@@ -431,6 +410,7 @@ def _compile(
     normalizers S, so block t = block_map[b] of Psi is conjugation by
     T_t = S_t^{-1} W_t (1_3 (x) R_t) sigma_b(V_b)*.
     """
+    fr, target = psi.source, psi.target
     corner = _skolem_noether(psi, fr.corner_shape, target.corner_shape, tol)
     blocks = [None] * len(corner.block_map)
     for b, (s, t) in enumerate(zip(corner.sigma, corner.block_map)):
@@ -460,16 +440,14 @@ def _seeded_frame(
 
 def _verify(
     phi: LatticeMap,
-    phi_norm: LatticeMap,
-    fr: ThreeFrame,
-    target: ThreeFrame,
-    psi: Callable[[Element], Element],
+    psi: _CornerMap,
     psi_full: Callable[[Element], Element],
     Psi: ConjugationRingIso,
     samples: int,
     rng: np.random.Generator,
     tol: Tolerances,
 ) -> dict:
+    fr, target, phi_norm = psi.source, psi.target, psi.phi
     src, tgt = fr.shape, target.shape
     agree = 0.0
 

@@ -12,11 +12,11 @@ that the generic part of q is
 in the (e1, e2) frame given by v.  The eigenvalues of a are the cosines
 of the principal angles between the generic parts.
 
-The decomposition drives three constructions used downstream: the
-LS-orthogonality test (trivial meet plus invertible b), the invertible
-operator S that pushes q off p while fixing p and the complement of
-p v q, and the corner witness projection that encodes an off-diagonal
-contraction x as the unique projection e <= p + q with p e q = x.
+The decomposition drives two constructions used downstream: the
+invertible operator S that pushes q off p while fixing p and the
+complement of p v q, and the corner witness projection that encodes an
+off-diagonal contraction x as the unique projection e <= p + q with
+p e q = x.
 """
 
 from __future__ import annotations
@@ -73,7 +73,13 @@ class HalmosDecomposition:
 def halmos_decompose(
     p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL
 ) -> HalmosDecomposition:
-    """Split a projection pair into corners and generic part."""
+    """Split a projection pair into corners and generic part.
+
+    Raises:
+        PreconditionViolated: the corner meets disagree about a principal
+            angle at the rank cutoff, so the generic parts of p and of its
+            complement differ in rank on the block named.
+    """
     if p.shape != q.shape:
         raise ShapeMismatch("pair must live in one algebra")
     shape = p.shape
@@ -91,6 +97,10 @@ def halmos_decompose(
     for i, n in enumerate(shape.blocks):
         u1, u2 = e1.basis[i], e2.basis[i]
         r = u1.shape[1]
+        if u2.shape[1] != r:
+            raise PreconditionViolated(
+                f"generic parts differ in rank on block {i} ({r} != {u2.shape[1]})"
+            )
         if r == 0:
             zero = np.zeros((n, n))
             a_blocks.append(zero)
@@ -140,31 +150,17 @@ def reconstruct(
     return p, q
 
 
-def _b_invertible_on_e1(d: HalmosDecomposition, rank_rel: float) -> bool:
-    for u1, bb in zip(d.e1.basis, d.b.data):
-        r = u1.shape[1]
-        if r == 0:
-            continue
-        lam = np.linalg.eigvalsh(u1.conj().T @ bb @ u1)
-        if lam[0] <= rank_rel * lam[-1] or lam[-1] <= 0:
-            return False
-    return True
-
-
 def ls_orthogonal(
     p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL
 ) -> bool:
     """Strong disjointness of a pair: trivial meet and invertible b.
 
     In finite dimension the second condition is automatic once the meet
-    is trivial (every generic angle has a nonzero sine), so this test
-    collapses to meet(p, q) = 0; b is still checked against the rank
-    cutoff to keep the definition honest.
+    is trivial (every generic angle has a nonzero sine), so the test is
+    meet(p, q) = 0; it agrees with rank additivity of the join (see
+    ls_char_minimal_cover).
     """
-    if meet(p, q, tol).rank() != 0:
-        return False
-    d = halmos_decompose(p, q, tol)
-    return _b_invertible_on_e1(d, tol.rank_rel)
+    return meet(p, q, tol).rank() == 0
 
 
 def ls_char_minimal_cover(
@@ -226,11 +222,15 @@ def orthogonalizer(
     of S q S^{-1} is p v q - p.
 
     Raises:
-        NotLSOrthogonal: the pair is not LS-orthogonal.
+        NotLSOrthogonal: the pair is not LS-orthogonal, or a principal
+            angle sits at the rank cutoff (see halmos_decompose).
     """
     if meet(p, q, tol).rank() != 0:
         raise NotLSOrthogonal("pair has a nonzero meet")
-    d = halmos_decompose(p, q, tol)
+    try:
+        d = halmos_decompose(p, q, tol)
+    except PreconditionViolated as exc:
+        raise NotLSOrthogonal(str(exc)) from exc
     shape = p.shape
     blocks = []
     for i, n in enumerate(shape.blocks):

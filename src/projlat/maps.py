@@ -23,8 +23,10 @@ from .core import (
     Tolerances,
     _cogroups,
     _ct,
+    _direct_sum,
     _regroup,
     _require_invertible,
+    _summands,
     distance,
     left_support,
 )
@@ -63,8 +65,8 @@ class FromRingIso:
 
 @dataclass(frozen=True)
 class Composite:
-    outer: object
-    inner: object
+    outer: "LatticeMap"
+    inner: "LatticeMap"
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,31 @@ class LatticeMap:
                 f"map expects projections in [{self.source}], got [{p.shape}]"
             )
         return self.apply(p)
+
+    def tile(self, c: int) -> "LatticeMap":
+        """The map on the direct sum of c copies of its source, summand
+        by summand: built from a ConjugationRingIso or Composite
+        provenance, else applied to each summand (ShapeMismatch if the
+        images differ in shape).  Every layer works per block, so each
+        summand's image is bit for bit its image alone."""
+        if c == 1:
+            return self
+        prov = self.provenance
+        if isinstance(prov, ConjugationRingIso):
+            # T and sigma repeated, copy m routed within copy m
+            k = len(prov.block_map)
+            routing = [m * k + t for m in range(c) for t in prov.block_map]
+            iso = ConjugationRingIso(_direct_sum([prov.T] * c), prov.sigma * c, prov.tol, routing)
+            return iso.lattice_map()
+        if isinstance(prov, Composite):
+            return compose(prov.outer.tile(c), prov.inner.tile(c))
+        source, target = (AlgebraShape(s.blocks * c) for s in (self.source, self.target))
+        return LatticeMap(
+            source,
+            target,
+            lambda p: _direct_sum([self.apply(q) for q in _summands(p, c)]),
+            Opaque(f"{c}-fold tile"),
+        )
 
 
 def from_ring_iso(
@@ -154,6 +181,7 @@ class ConjugationRingIso:
         self.T = T
         self.sigma = sigma
         self.block_map = block_map
+        self.tol = tol
         self.source = AlgebraShape(T.shape.blocks[t] for t in block_map)
         _require_invertible(T, tol)
         self._conj = np.array([s == "conj" for s in sigma])
@@ -201,9 +229,10 @@ class ConjugationRingIso:
         tinvs = [(src, _sigma(ti.copy(), m)) for (src, _, _, m), ti in feeds]
         return ConjugationRingIso(Element._of(self.source, tinvs), sigma, tol, back)
 
-    def lattice_map(self, tol: Tolerances = DEFAULT_TOL) -> LatticeMap:
-        """The induced map p -> projection onto T sigma(range p)."""
-        target = self.T.shape
+    def lattice_map(self) -> LatticeMap:
+        """The induced map p -> projection onto T sigma(range p); ranks
+        are cut with the iso's tol, which its tiles keep (LatticeMap.tile)."""
+        target, tol = self.T.shape, self.tol
 
         def route(idx: tuple) -> tuple:
             return tuple(self.block_map[b] for b in idx)
@@ -248,7 +277,8 @@ def _skolem_noether(
 
     block_map: list[int] = []
     sigma: list[str] = []
-    for b, z in _central_blocks(shape):
+    for b in range(len(shape.blocks)):
+        z = Element.from_scalars(shape, [float(i == b) for i in range(len(shape.blocks))])
         fz = psi(z)
         norms = fz.block_norms()
         t = int(np.argmax(norms))
@@ -300,13 +330,6 @@ def _skolem_noether(
     return ConjugationRingIso(T, sigma, tol, block_map)
 
 
-def _central_blocks(shape: AlgebraShape):
-    for b in range(len(shape.blocks)):
-        blocks = [np.zeros((n, n), dtype=np.complex128) for n in shape.blocks]
-        blocks[b] = np.eye(shape.blocks[b], dtype=np.complex128)
-        yield b, Element(shape, blocks)
-
-
 def _unit_image(
     psi: Callable[[Element], Element], shape: AlgebraShape, b: int, j: int
 ) -> Element:
@@ -321,7 +344,7 @@ def from_conjugation(T: Element, tol: Tolerances = DEFAULT_TOL) -> LatticeMap:
     Raises:
         NotInvertible: T has a singular block.
     """
-    return ConjugationRingIso(T, "id", tol).lattice_map(tol)
+    return ConjugationRingIso(T, "id", tol).lattice_map()
 
 
 def from_semilinear(
@@ -334,7 +357,7 @@ def from_semilinear(
     With sigma = "id" this is the same map as from_conjugation(T); with
     T = 1 and sigma = "conj" it is p -> transpose(p).
     """
-    return ConjugationRingIso(T, sigma, tol).lattice_map(tol)
+    return ConjugationRingIso(T, sigma, tol).lattice_map()
 
 
 def compose(outer: LatticeMap, inner: LatticeMap) -> LatticeMap:
@@ -345,20 +368,23 @@ def compose(outer: LatticeMap, inner: LatticeMap) -> LatticeMap:
         inner.source,
         outer.target,
         lambda p: outer.apply(inner.apply(p)),
-        Composite(outer.provenance, inner.provenance),
+        Composite(outer, inner),
     )
 
 
 def invert_map(phi: LatticeMap, tol: Tolerances = DEFAULT_TOL) -> LatticeMap:
     """Inverse lattice map, available when provenance carries one.
 
+    A composite inverts part by part, in reverse order.
+
     Raises:
-        NotInvertibleProvenance: opaque provenance, or a ring-iso
-            provenance without an inverse function.
+        NotInvertibleProvenance: opaque provenance (also as a part of a
+            composite), or a ring-iso provenance without an inverse
+            function.
     """
     prov = phi.provenance
     if isinstance(prov, ConjugationRingIso):
-        return prov.inverse(tol).lattice_map(tol)
+        return prov.inverse(tol).lattice_map()
     if isinstance(prov, FromRingIso):
         if prov.psi_inverse is None:
             raise NotInvertibleProvenance("ring-iso provenance has no inverse")
@@ -366,11 +392,7 @@ def invert_map(phi: LatticeMap, tol: Tolerances = DEFAULT_TOL) -> LatticeMap:
             prov.psi_inverse, phi.target, phi.source, prov.psi, tol
         )
     if isinstance(prov, Composite):
-        # Rebuild the two halves as maps; only possible when both are
-        # themselves invertible provenances.
-        raise NotInvertibleProvenance(
-            "composite maps must be inverted part by part"
-        )
+        return compose(invert_map(prov.inner, tol), invert_map(prov.outer, tol))
     raise NotInvertibleProvenance(f"cannot invert provenance {type(prov).__name__}")
 
 

@@ -158,7 +158,7 @@ def map_to_obj(phi: LatticeMap) -> dict:
 
 
 def map_from_obj(d: dict, tol: Tolerances = DEFAULT_TOL) -> LatticeMap:
-    return _iso_from_obj("conjugation", d, tol).lattice_map(tol)
+    return _iso_from_obj("conjugation", d, tol).lattice_map()
 
 
 def ring_iso_to_obj(T: Element, sigma, block_map=None) -> dict:

@@ -108,6 +108,34 @@ def test_ls_orthogonal_iff_rank_additive(rng):
         assert pl.ls_char_minimal_cover(p, q, trials=4) == direct
 
 
+@pytest.mark.parametrize("angle", [1e-8, 5e-9, 3e-9])
+def test_ls_orthogonal_and_rank_additivity_agree_at_tiny_angles(angle):
+    # sines this small are below what sqrt(1 - cos^2) resolves; the pair
+    # is still LS-orthogonal, and its join is still rank-additive
+    for blocks in ([2, 3], [3], [6]):
+        shape = AlgebraShape(blocks)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            p, q = pl.random_pair_with_angles(shape, rng, [[angle]] * len(blocks))
+            additive = pl.join(p, q).ranks == tuple(
+                a + b for a, b in zip(p.ranks, q.ranks)
+            )
+            assert pl.ls_orthogonal(p, q) == additive, (blocks, seed)
+            assert additive, (blocks, seed)
+
+
+@pytest.mark.parametrize("seed", [13, 16])
+def test_an_angle_at_the_rank_cutoff_is_a_named_refusal(seed):
+    # the four corner meets disagree about an angle of 1e-9, so the
+    # generic parts of p and of its complement differ in rank
+    rng = np.random.default_rng(seed)
+    p, q = pl.random_pair_with_angles(AlgebraShape([3]), rng, [[1e-9]])
+    with pytest.raises(pl.PreconditionViolated, match="block 0"):
+        pl.halmos_decompose(p, q)
+    with pytest.raises(pl.NotLSOrthogonal, match="block 0"):
+        pl.orthogonalizer(p, q)
+
+
 def test_ls_orthogonal_fails_on_overlap(rng):
     shape = AlgebraShape([3])
     p = pl.random_projection(shape, rng, ranks=[2])

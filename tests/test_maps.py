@@ -5,6 +5,7 @@ import pytest
 
 import projlat as pl
 from projlat import AlgebraShape, Element, LatticeMap
+from projlat.core import _direct_sum
 from projlat.maps import Opaque
 
 
@@ -45,8 +46,57 @@ def test_compose_and_invert(rng):
     assert pl.distance(phi(p), oracle(p)) < 1e-8
     inv = pl.invert_map(pl.from_conjugation(t1))
     assert pl.distance(inv(pl.from_conjugation(t1)(p)), p) < 1e-8
-    with pytest.raises(pl.NotInvertibleProvenance):
-        pl.invert_map(phi)  # composite: invert part by part
+    back = pl.invert_map(phi)  # a composite inverts part by part
+    assert pl.distance(back(phi(p)), p) < 1e-8
+
+
+def test_invert_map_of_a_composite_inverts_part_by_part(rng):
+    shape = AlgebraShape([2, 3])
+    a = pl.random_invertible(shape, rng, cond_max=10.0)
+    b = pl.random_invertible(shape, rng, cond_max=10.0)
+    back = pl.invert_map(pl.compose(pl.from_conjugation(a), pl.from_conjugation(b)))
+    oracle = pl.from_conjugation(pl.invert(a * b))
+    for _ in range(5):
+        p = pl.random_projection(shape, rng)
+        assert pl.distance(back(p), oracle(p)) < 1e-8
+    opaque = LatticeMap(shape, shape, lambda p: p)
+    for phi in (pl.compose(pl.from_conjugation(a), opaque), pl.compose(opaque, pl.from_conjugation(b))):
+        with pytest.raises(pl.NotInvertibleProvenance):
+            pl.invert_map(phi)
+
+
+def _tile_cases(blocks, rng):
+    """Lattice maps on AlgebraShape(blocks): conjugations (id, conj, block
+    reversal), a ring-iso map, and composites of them."""
+    shape = AlgebraShape(blocks)
+    t = pl.random_invertible(shape, rng, cond_max=20.0)
+    sigma = ["conj" if b % 2 else "id" for b in range(len(blocks))]
+    reverse = tuple(reversed(range(len(blocks))))
+    routed = pl.ConjugationRingIso(t, sigma, pl.DEFAULT_TOL, reverse)
+    conj = pl.from_semilinear(pl.random_invertible(shape, rng, cond_max=20.0), "conj")
+    ring = pl.from_ring_iso(routed, routed.source, shape)
+    return {
+        "id": pl.from_conjugation(t),
+        "conj": conj,
+        "routed": routed.lattice_map(),
+        "ring-iso": ring,
+        "composite": pl.compose(conj, pl.from_conjugation(t)),
+        "composite-ring-iso": pl.compose(pl.from_conjugation(t), ring),
+    }
+
+
+@pytest.mark.parametrize("blocks", [[3], [2, 3], [3, 6, 3]])
+def test_tile_is_the_map_summand_by_summand(blocks, rng):
+    for name, phi in _tile_cases(blocks, rng).items():
+        for c in (1, 2, 3):
+            ps = [pl.random_projection(phi.source, rng) for _ in range(c)]
+            tiled = phi.tile(c)
+            assert tiled.source == _direct_sum(ps).shape
+            got = tiled(_direct_sum(ps))
+            want = _direct_sum([phi(p) for p in ps])
+            assert got.shape == want.shape and got.ranks == want.ranks, name
+            for u, v in zip(got.basis, want.basis):
+                assert np.array_equal(u, v), (name, c)
 
 
 def test_invert_map_semilinear(rng):
