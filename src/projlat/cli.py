@@ -49,7 +49,7 @@ from .serialize import (
     ring_iso_to_obj,
     save_json,
 )
-from .suite import verify_suite
+from .suite import _FAMILIES, verify_suite
 
 __all__ = ["main"]
 
@@ -76,6 +76,12 @@ def _resolve_tol(args) -> Tolerances:
         proj_tol=args.tol_proj if args.tol_proj is not None else DEFAULT_TOL.proj_tol,
         eq_tol=args.tol_eq if args.tol_eq is not None else DEFAULT_TOL.eq_tol,
     )
+
+
+def _family(name: str) -> tuple[str, float]:
+    """Anchor and gate of the verify-suite family called name, so that a
+    command and the suite grade one property alike."""
+    return next((anchor, gate) for fam, anchor, _, gate in _FAMILIES if fam == name)
 
 
 def _parse_shape(text: str) -> AlgebraShape:
@@ -153,11 +159,8 @@ def _cmd_halmos(args) -> int:
         p2, q2 = reconstruct(dec, tol)
         return max(distance(p, p2), distance(q, q2)), None
 
-    report.checks.append(
-        run_check(
-            "halmos-roundtrip", "two-projection canonical form round trip", body, 1e-8
-        )
-    )
+    anchor, gate = _family("halmos-roundtrip")
+    report.checks.append(run_check("halmos-roundtrip", anchor, body, gate))
     if "dec" in dec_holder:
         report.extra["decomposition"] = halmos_to_obj(dec_holder["dec"])
     return _emit(report, args)
@@ -191,11 +194,8 @@ def _cmd_coordinatize(args) -> int:
         )
         return max(residuals) / scale, None
 
-    report.checks.append(
-        run_check(
-            "coordinatize", "lattice-to-ring reconstruction", body, 1e-6
-        )
-    )
+    anchor, gate = _family("coordinatize-conjugation")
+    report.checks.append(run_check("coordinatize", anchor, body, gate))
     if "result" in holder:
         result = holder["result"]
         rng = rng_from(seed)
@@ -226,7 +226,7 @@ def _cmd_dye(args) -> int:
         samples=samples,
         tolerances=tol,
     )
-    anchor = "orthogonality-preserving extension"
+    anchor, gate = _family("dye")
     t0 = time.perf_counter()
     try:
         _, cert = dye_extension(phi, samples=samples, seed=seed, tol=tol)
@@ -252,7 +252,7 @@ def _cmd_dye(args) -> int:
         entry = dict(entry)
         seconds = entry.pop("seconds")
         res = float(entry["max_residual"])
-        status = "PASS" if res <= 1e-8 else "FAIL"
+        status = "PASS" if res <= gate else "FAIL"
         report.checks.append(CheckResult(entry["name"], anchor, status, res, seconds))
         entries.append(entry)
     report.extra["certificate"] = {**cert, "checks": entries}
@@ -279,11 +279,8 @@ def _cmd_factor(args) -> int:
         holder["fac"] = fac
         return fac.residual / max(1.0, cond(fac.y)), None
 
-    report.checks.append(
-        run_check(
-            "inner-factor", "inner factorization of ring isomorphisms", body, 1e-7
-        )
-    )
+    anchor, gate = _family("inner-factor")
+    report.checks.append(run_check("inner-factor", anchor, body, gate))
     if "fac" in holder:
         fac = holder["fac"]
         report.extra["factorization"] = {

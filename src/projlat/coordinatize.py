@@ -32,7 +32,6 @@ from .core import (
     right_support,
 )
 from .errors import (
-    BadSplit,
     FrameAssemblyFailed,
     IntertwiningFailure,
     NotAFrame,
@@ -62,7 +61,6 @@ __all__ = [
     "normalize_map",
     "coordinatize",
     "uniqueness_residual",
-    "block_split9",
 ]
 
 
@@ -123,8 +121,7 @@ def order_frame(
         raise NotAFrame(
             f"projections are not equivalent: ranks {p1.ranks}, {p2.ranks}, {p3.ranks}"
         )
-    w12 = mv_equivalent(p1, p2, tol)
-    w13 = mv_equivalent(p1, p3, tol)
+    w12, w13 = mv_equivalent(p1, p2), mv_equivalent(p1, p3)
     if w12 is None or w13 is None:
         raise NotAFrame("no Murray-von Neumann witness between frame projections")
     return ThreeFrame.from_projections(p1, p2, p3, w12, w13, tol)
@@ -223,13 +220,9 @@ def normalize_map(
         raise FrameAssemblyFailed(f"target frame rejected: {exc}") from exc
 
     one_hat = Element.identity(fr.corner_shape)
+    slot_units = _CornerMap(phi2, fr, target, tol)
     try:
-        c12 = recover_operator(
-            target, phi2(graph_projection(fr, one_hat, 12, tol)), 12, tol
-        )
-        c13 = recover_operator(
-            target, phi2(graph_projection(fr, one_hat, 13, tol)), 13, tol
-        )
+        c12, c13 = slot_units(one_hat, 12), slot_units(one_hat, 13)
         c12_inv, c13_inv = invert(c12, tol), invert(c13, tol)
     except (NotAGraphProjection, NotInvertible) as exc:
         raise FrameAssemblyFailed(f"slot unit not invertible: {exc}") from exc
@@ -298,9 +291,7 @@ def coordinatize(
         xh = random_element(fr.corner_shape, rng, norm_bound=2.0)
         y12 = psi(xh)
         for slot in (13, 23):
-            q = graph_projection(fr, xh, slot, tol)
-            yk = recover_operator(target, phi_norm(q), slot, tol)
-            slot_res = max(slot_res, distance(y12, yk))
+            slot_res = max(slot_res, distance(y12, psi(xh, slot)))
     if slot_res > 1e-5:
         raise SlotMismatch(
             f"slot recoveries disagree (residual {slot_res:.3e}); "
@@ -345,7 +336,9 @@ class _CornerMap:
 
     psi(x^) maps the slot-12 graph projection of x^ through the
     normalized map phi' = S3 S2 S1 phi and recovers the operator from
-    the image.  grid() does this for a grid of corners at once: its c
+    the image; psi(x^, slot) takes the same road through another slot,
+    which for a map induced by a ring isomorphism gives the same
+    operator.  grid() does this for a grid of corners at once: its c
     nonzero corners are one element of the direct sum of c copies of
     the corner algebra, which goes through one graph projection in the
     c-fold slot coordinates, one application of phi'.tile(c) and one
@@ -368,17 +361,17 @@ class _CornerMap:
         # c -> (c-fold source and target slot coordinates, phi.tile(c))
         self._tiled: dict = {}
 
-    def __call__(self, xhat: Element) -> Element:
-        return self.grid([[xhat]])[0][0]
+    def __call__(self, xhat: Element, slot: int = 12) -> Element:
+        return self.grid([[xhat]], slot)[0][0]
 
-    def grid(self, rows: list[list[Element]]) -> list[list[Element]]:
-        """psi at every corner of a grid; an exactly zero corner costs
-        nothing and maps to zero.
+    def grid(self, rows: list[list[Element]], slot: int = 12) -> list[list[Element]]:
+        """psi at every corner of a grid, through the given slot; an
+        exactly zero corner costs nothing and maps to zero.
 
         Raises:
-            NotAGraphProjection: a corner's image is not a slot-12 graph
-                projection; the message names the corner (i, j) and its
-                block.
+            NotAGraphProjection: a corner's image is not a graph
+                projection in the slot; the message names the corner
+                (i, j) and its block.
         """
         live = [
             (i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if not x.is_zero()
@@ -390,9 +383,9 @@ class _CornerMap:
         if c not in self._tiled:
             self._tiled[c] = (self.source.tile(c), self.target.tile(c), self.phi.tile(c))
         src, tgt, phi = self._tiled[c]
-        graphs = graph_projection(src, _direct_sum([rows[i][j] for i, j in live]), 12, self.tol)
+        graphs = graph_projection(src, _direct_sum([rows[i][j] for i, j in live]), slot)
         try:
-            ys = recover_operator(tgt, phi(graphs), 12, self.tol)
+            ys = recover_operator(tgt, phi(graphs), slot, self.tol)
         except NotAGraphProjection as exc:
             m, b = divmod(exc.block, len(self.target.shape.blocks))
             raise NotAGraphProjection(f"corner {live[m]}: {exc.reason}", b) from exc
@@ -427,7 +420,7 @@ def _seeded_frame(
 ) -> ThreeFrame:
     from .sampling import random_unitary
 
-    base = ThreeFrame.standard(shape, tol)
+    base = ThreeFrame.standard(shape)
     u = random_unitary(shape, rng)
     ps = [
         Projection.from_basis(shape, [ub @ eb for ub, eb in zip(u.data, p.basis)])
@@ -490,14 +483,14 @@ def _verify(
         x3 = random_element(fr.corner_shape, rng, norm_bound=2.0)
         lhs = phi_norm(
             meet(
-                join(graph_projection(fr, x2, 12, tol), fr.e3, tol),
-                join(graph_projection(fr, x3, 13, tol), fr.e2, tol),
+                join(graph_projection(fr, x2, 12), fr.e3, tol),
+                join(graph_projection(fr, x3, 13), fr.e2, tol),
                 tol,
             )
         )
         rhs = meet(
-            join(graph_projection(target, psi(x2), 12, tol), target.e3, tol),
-            join(graph_projection(target, psi(x3), 13, tol), target.e2, tol),
+            join(graph_projection(target, psi(x2), 12), target.e3, tol),
+            join(graph_projection(target, psi(x3), 13), target.e2, tol),
             tol,
         )
         two_slot = max(two_slot, distance(lhs, rhs))
@@ -556,54 +549,3 @@ def uniqueness_residual(
         witness=witness,
         samples=len(probes),
     )
-
-
-def block_split9(x: Element, n1, n2) -> list[Element]:
-    """Split x into at most 9 pieces, each living in one super-corner.
-
-    n1 <= n2 cut every block into three index intervals, each required
-    to span at most half the block; the pieces are the nine rectangles
-    p_i x p_j over the interval projections, returned without the ones
-    that are exactly zero.  The pieces sum to x exactly (disjoint index
-    sets).
-
-    Raises:
-        BadSplit: bad cut points or an interval longer than n/2.
-    """
-    shape = x.shape
-    cuts1 = _normalize_cuts(n1, shape)
-    cuts2 = _normalize_cuts(n2, shape)
-    for b, (a, c, n) in enumerate(zip(cuts1, cuts2, shape.blocks)):
-        if not 0 <= a <= c <= n:
-            raise BadSplit(f"cut points ({a}, {c}) out of order on block {b}")
-        for part in (a, c - a, n - c):
-            if 2 * part > n:
-                raise BadSplit(
-                    f"interval of length {part} exceeds half of block {b} (n = {n})"
-                )
-    pieces = []
-    for i in range(3):
-        for j in range(3):
-            blocks = []
-            for blk, a, c, n in zip(x.data, cuts1, cuts2, shape.blocks):
-                bounds = (0, a, c, n)
-                piece = np.zeros((n, n), dtype=np.complex128)
-                piece[bounds[i] : bounds[i + 1], bounds[j] : bounds[j + 1]] = blk[
-                    bounds[i] : bounds[i + 1], bounds[j] : bounds[j + 1]
-                ]
-                blocks.append(piece)
-            cand = Element(shape, blocks)
-            if not cand.is_zero():
-                pieces.append(cand)
-    return pieces
-
-
-def _normalize_cuts(n, shape: AlgebraShape) -> list[int]:
-    if isinstance(n, (int, np.integer)):
-        return [int(n)] * len(shape.blocks)
-    cuts = [int(v) for v in n]
-    if len(cuts) != len(shape.blocks):
-        raise BadSplit(
-            f"{len(cuts)} cut points for {len(shape.blocks)} blocks"
-        )
-    return cuts

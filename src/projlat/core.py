@@ -30,6 +30,7 @@ from .errors import NotInvertible, ShapeMismatch
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
+    "CHECK_TOL",
     "AlgebraShape",
     "Element",
     "Projection",
@@ -68,6 +69,12 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# Absolute bound on the residuals of the sampled certification checks:
+# lattice-iso and orthogonality sampling, Skolem-Noether probes, slot
+# graph recovery, and the real-linearity, multiplicativity and image-of-i
+# checks of ring isomorphisms.
+CHECK_TOL = 1e-6
 
 
 @dataclass(frozen=True, init=False)

@@ -127,11 +127,6 @@ class OrthogonalityNotPreserved(ProjlatError):
         )
 
 
-class BadSplit(ProjlatError):
-    """Split indices for the nine-piece decomposition are out of range
-    or leave a part larger than half the block."""
-
-
 class NotInvertibleProvenance(ProjlatError):
     """invert_map was called on a lattice map whose provenance does not
     carry an inverse."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    CHECK_TOL,
     DEFAULT_TOL,
     AlgebraShape,
     Element,
@@ -127,8 +128,9 @@ class ThreeFrame(SlotCoordinates):
         self.units = units
 
     @classmethod
-    def standard(cls, shape: AlgebraShape, tol: Tolerances = DEFAULT_TOL) -> "ThreeFrame":
-        """Frame from contiguous index thirds of every block."""
+    def standard(cls, shape: AlgebraShape) -> "ThreeFrame":
+        """Frame from contiguous index thirds of every block; exact, so no
+        tolerance enters."""
         if any(n % 3 for n in shape.blocks):
             raise NotAFrame(f"every block size must be divisible by 3, got {shape}")
         eye = Element.identity(shape)
@@ -208,11 +210,9 @@ class ThreeFrame(SlotCoordinates):
         return (self.e1, self.e2, self.e3)
 
 
-
-def graph_projection(
-    frame: SlotCoordinates, x: Element, slot: int = 12, tol: Tolerances = DEFAULT_TOL
-) -> Projection:
-    """Projection onto the graph of a corner operator in the given slot."""
+def graph_projection(frame: SlotCoordinates, x: Element, slot: int = 12) -> Projection:
+    """Projection onto the graph of a corner operator in the given slot,
+    orthonormalized by QR; no tolerance enters."""
     if slot not in SLOTS:
         raise ValueError(f"slot must be one of {sorted(SLOTS)}, got {slot}")
     if x.shape != frame.corner_shape:
@@ -252,18 +252,17 @@ def recover_operator(
     q: Projection,
     slot: int = 12,
     tol: Tolerances = DEFAULT_TOL,
-    residual_tol: float = 1e-6,
 ) -> Element:
     """Read the corner operator off a slot graph projection.
 
     In slot coordinates the operator is the ratio Q_{id} Q_{dd}^{-1};
     the result is certified by rebuilding the graph projection and
-    comparing it with Q.
+    comparing it with Q, block by block, within CHECK_TOL.
 
     Raises:
         ShapeMismatch: q does not live in the frame's algebra.
         NotAGraphProjection: wrong rank, singular domain corner, or
-            certification residual above residual_tol, on the block the
+            certification residual above CHECK_TOL, on the block the
             exception names.
     """
     if slot not in SLOTS:
@@ -287,9 +286,9 @@ def recover_operator(
         frame.corner_shape,
         [(idx, qid @ (vec / lam[..., None, :]) @ _ct(vec)) for idx, qid, lam, vec in corners],
     )
-    residuals = (graph_projection(frame, x, slot, tol).element - q.element).block_norms()
+    residuals = (graph_projection(frame, x, slot).element - q.element).block_norms()
     for b, residual in enumerate(residuals):
-        if residual > residual_tol:
+        if residual > CHECK_TOL:
             raise NotAGraphProjection(
                 f"not a slot-{slot} graph projection (residual {residual:.3e})", b
             )
@@ -303,11 +302,7 @@ def lattice_product(
 
     (P_23[-x] v P_12[y]) ^ (e1 v e3) = P_13[x y].
     """
-    left = join(
-        graph_projection(frame, -x, 23, tol),
-        graph_projection(frame, y, 12, tol),
-        tol,
-    )
+    left = join(graph_projection(frame, -x, 23), graph_projection(frame, y, 12), tol)
     return meet(left, join(frame.e1, frame.e3, tol), tol)
 
 
@@ -322,16 +317,12 @@ def lattice_sum(
     """
     one = Element.identity(frame.corner_shape)
     f = meet(
-        join(graph_projection(frame, x, 12, tol), frame.e3, tol),
-        join(graph_projection(frame, one, 13, tol), frame.e2, tol),
+        join(graph_projection(frame, x, 12), frame.e3, tol),
+        join(graph_projection(frame, one, 13), frame.e2, tol),
         tol,
     )
     g = meet(
-        join(
-            graph_projection(frame, y, 12, tol),
-            graph_projection(frame, one, 13, tol),
-            tol,
-        ),
+        join(graph_projection(frame, y, 12), graph_projection(frame, one, 13), tol),
         join(frame.e2, frame.e3, tol),
         tol,
     )
@@ -344,5 +335,5 @@ def inverse_coincidence(
     """Invertibility of x read off the lattice: P_12[x] is also a
     slot-21 graph projection exactly when x is invertible (and the
     slot-21 recovery then returns the inverse)."""
-    q = graph_projection(frame, x, 12, tol)
+    q = graph_projection(frame, x, 12)
     return is_slot_graph_projection(frame, q, 21, tol)

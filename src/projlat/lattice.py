@@ -145,14 +145,13 @@ def join(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Project
     return Projection._of(p.shape, orth(spans, tol.rank_rel))
 
 
-def mv_equivalent(
-    p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL
-) -> Element | None:
+def mv_equivalent(p: Projection, q: Projection) -> Element | None:
     """Murray-von Neumann equivalence witness, or None.
 
     In a direct sum of matrix algebras p ~ q exactly when the ranks
     agree blockwise; the witness v = U_p U_q* satisfies v v* = p and
-    v* v = q.  Returns None when some block ranks differ.
+    v* v = q.  Returns None when some block ranks differ.  Ranks are
+    compared exactly, so no tolerance enters.
     """
     if p.shape != q.shape:
         raise ShapeMismatch("equivalence needs projections of one shape")
@@ -176,7 +175,7 @@ def perspectivity_witness(
         raise NotComplementary("join(p, q) is not the identity")
     if meet(p, q, tol).rank() != 0:
         raise NotComplementary("meet(p, q) is not zero")
-    witness = mv_equivalent(p.complement(), q, tol)
+    witness = mv_equivalent(p.complement(), q)
     if witness is None:
         raise NotComplementary("rank bookkeeping failed for the complement")
     return witness

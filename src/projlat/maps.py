@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    CHECK_TOL,
     DEFAULT_TOL,
     AlgebraShape,
     Element,
@@ -59,8 +60,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FromRingIso:
+    """psi, its inverse if known, and the tol its lattice map cuts
+    ranks with (which the inverse map keeps)."""
+
     psi: Callable[[Element], Element]
     psi_inverse: Callable[[Element], Element] | None = None
+    tol: Tolerances = DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -127,13 +132,14 @@ def from_ring_iso(
     psi_inverse: Callable[[Element], Element] | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> LatticeMap:
-    """Lattice map induced by a ring isomorphism: p -> left support of psi(p)."""
+    """Lattice map induced by a ring isomorphism: p -> left support of
+    psi(p), cut with tol."""
     target = target or source
 
     def apply(p: Projection) -> Projection:
         return left_support(psi(p.element), tol)
 
-    return LatticeMap(source, target, apply, FromRingIso(psi, psi_inverse))
+    return LatticeMap(source, target, apply, FromRingIso(psi, psi_inverse, tol))
 
 
 def _sigma(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -217,9 +223,10 @@ class ConjugationRingIso:
         ]
         return self.T._like(images)
 
-    def inverse(self, tol: Tolerances = DEFAULT_TOL) -> "ConjugationRingIso":
+    def inverse(self) -> "ConjugationRingIso":
         """y -> sigma(T^{-1} y T) per block, routed back: again of this
-        form, with T^{-1} (conjugated on "conj" blocks) in the source."""
+        form, with T^{-1} (conjugated on "conj" blocks) in the source,
+        under this iso's tol."""
         k = len(self.block_map)
         sigma, back = [None] * k, [0] * k
         for b, (s, t) in enumerate(zip(self.sigma, self.block_map)):
@@ -227,7 +234,7 @@ class ConjugationRingIso:
             back[t] = b
         feeds = zip(self._feeds, self._tinvs)
         tinvs = [(src, _sigma(ti.copy(), m)) for (src, _, _, m), ti in feeds]
-        return ConjugationRingIso(Element._of(self.source, tinvs), sigma, tol, back)
+        return ConjugationRingIso(Element._of(self.source, tinvs), sigma, self.tol, back)
 
     def lattice_map(self) -> LatticeMap:
         """The induced map p -> projection onto T sigma(range p); ranks
@@ -253,7 +260,6 @@ def _skolem_noether(
     shape: AlgebraShape,
     target: AlgebraShape,
     tol: Tolerances = DEFAULT_TOL,
-    check_tol: float = 1e-6,
 ) -> ConjugationRingIso:
     """Read a ring isomorphism off the images of matrix units.
 
@@ -263,7 +269,8 @@ def _skolem_noether(
     to one probe vector, the standard basis vector that the image of
     E_00 stretches most.  T is normalized so its largest entry is real
     positive (it is only determined up to a central scalar).  Costs
-    n_b + 2 calls of psi per block.
+    n_b + 2 calls of psi per block.  The central and image-of-i probes
+    must hold within CHECK_TOL.
 
     Raises:
         NotRingIso: block counts differ, or central routing is not a
@@ -285,8 +292,8 @@ def _skolem_noether(
         eye_t = np.eye(target.blocks[t], dtype=np.complex128)
         off = max((v for i, v in enumerate(norms) if i != t), default=0.0)
         if (
-            np.linalg.norm(fz.data[t] - eye_t, 2) > check_tol
-            or off > check_tol
+            np.linalg.norm(fz.data[t] - eye_t, 2) > CHECK_TOL
+            or off > CHECK_TOL
             or shape.blocks[b] != target.blocks[t]
         ):
             raise NotRingIso(
@@ -296,7 +303,7 @@ def _skolem_noether(
         fiz = psi(1j * z)
         d_lin = distance(fiz, 1j * fz)
         d_conj = distance(fiz, -1j * fz)
-        if min(d_lin, d_conj) > check_tol:
+        if min(d_lin, d_conj) > CHECK_TOL:
             raise NotRingIso(f"image of i on block {b} is neither i nor -i")
         sigma.append("id" if d_lin <= d_conj else "conj")
         block_map.append(t)
@@ -372,10 +379,11 @@ def compose(outer: LatticeMap, inner: LatticeMap) -> LatticeMap:
     )
 
 
-def invert_map(phi: LatticeMap, tol: Tolerances = DEFAULT_TOL) -> LatticeMap:
+def invert_map(phi: LatticeMap) -> LatticeMap:
     """Inverse lattice map, available when provenance carries one.
 
-    A composite inverts part by part, in reverse order.
+    A composite inverts part by part, in reverse order.  The inverse
+    cuts ranks with the tol its provenance was built with.
 
     Raises:
         NotInvertibleProvenance: opaque provenance (also as a part of a
@@ -384,15 +392,13 @@ def invert_map(phi: LatticeMap, tol: Tolerances = DEFAULT_TOL) -> LatticeMap:
     """
     prov = phi.provenance
     if isinstance(prov, ConjugationRingIso):
-        return prov.inverse(tol).lattice_map()
+        return prov.inverse().lattice_map()
     if isinstance(prov, FromRingIso):
         if prov.psi_inverse is None:
             raise NotInvertibleProvenance("ring-iso provenance has no inverse")
-        return from_ring_iso(
-            prov.psi_inverse, phi.target, phi.source, prov.psi, tol
-        )
+        return from_ring_iso(prov.psi_inverse, phi.target, phi.source, prov.psi, prov.tol)
     if isinstance(prov, Composite):
-        return compose(invert_map(prov.inner, tol), invert_map(prov.outer, tol))
+        return compose(invert_map(prov.inner), invert_map(prov.outer))
     raise NotInvertibleProvenance(f"cannot invert provenance {type(prov).__name__}")
 
 
@@ -419,7 +425,6 @@ def verify_lattice_iso(
     samples: int = 32,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
-    check_tol: float = 1e-6,
 ) -> MapVerification:
     """Sampled verification that phi is a lattice isomorphism.
 
@@ -428,7 +433,8 @@ def verify_lattice_iso(
     a bijectivity proxy: the image rank profile is a function of the
     input rank profile.  The order check's residual is the worst
     ||phi(a) - phi(b) phi(a)|| over sampled pairs with a <= b; the
-    rank-profile check is yes/no and has no residual (None).
+    rank-profile check is yes/no and has no residual (None).  The
+    endpoint and meet/join residuals pass at or below CHECK_TOL.
     """
     rng = rng_from(seed)
     shape = phi.source
@@ -440,7 +446,7 @@ def verify_lattice_iso(
         distance(zero_img, Projection.zero(phi.target)),
         distance(one_img, Projection.identity(phi.target)),
     )
-    checks.append(MapCheck("endpoints", res <= check_tol, res))
+    checks.append(MapCheck("endpoints", res <= CHECK_TOL, res))
 
     worst_order, order_ok, order_ce = 0.0, True, None
     worst_mj, mj_ok, mj_ce = 0.0, True, None
@@ -469,7 +475,7 @@ def verify_lattice_iso(
         fm = distance(phi(meet(p, q, tol)), meet(fp, fq, tol))
         fj = distance(phi(join(p, q, tol)), join(fp, fq, tol))
         worst_mj = max(worst_mj, fm, fj)
-        if fm > check_tol or fj > check_tol:
+        if fm > CHECK_TOL or fj > CHECK_TOL:
             mj_ok = False
             mj_ce = mj_ce or {"check": "meet-join", "sample": k, "residual": max(fm, fj)}
 
@@ -501,9 +507,9 @@ def preserves_orthogonality(
     samples: int = 32,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
-    margin: float = 1e-6,
 ) -> tuple[bool, dict | None]:
-    """Sampled biconditional test: p q = 0 iff phi(p) phi(q) = 0.
+    """Sampled biconditional test: p q = 0 iff phi(p) phi(q) = 0, where
+    an image product counts as zero at or below CHECK_TOL.
 
     Returns (ok, witness); the witness records the first pair on which
     the biconditional failed (as storable objects, so it can go into a
@@ -541,7 +547,7 @@ def preserves_orthogonality(
         if (p.element * q.element).norm() > tol.proj_tol:
             continue  # sampler failed to make them orthogonal; skip
         res = images_product(p, q)
-        if res > margin:
+        if res > CHECK_TOL:
             return False, {
                 "kind": "orthogonal-pair-mapped-to-overlapping",
                 "residual": float(res),
@@ -559,7 +565,7 @@ def preserves_orthogonality(
         if overlap <= 1e-2:  # want a clear overlap to start from
             continue
         res = images_product(p, q)
-        if res <= margin:
+        if res <= CHECK_TOL:
             return False, {
                 "kind": "overlapping-pair-mapped-to-orthogonal",
                 "residual": float(res),

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    CHECK_TOL,
     DEFAULT_TOL,
     AlgebraShape,
     Element,
@@ -76,9 +77,9 @@ def classify_linearity(
     psi_full: Callable[[Element], Element],
     shape: AlgebraShape,
     tol: Tolerances = DEFAULT_TOL,
-    check_tol: float = 1e-6,
 ) -> Projection:
-    """Central projection q with psi_full(i 1) = q i - q^perp i.
+    """Central projection q with psi_full(i 1) = q i - q^perp i, each
+    identity holding within CHECK_TOL.
 
     Raises:
         NotRingIso: the image of i is not central or squares away
@@ -88,18 +89,18 @@ def classify_linearity(
     target = j.shape
     if not is_central(j, tol):
         raise NotRingIso("image of i is not central")
-    if distance(j * j, -1.0 * Element.identity(target)) > check_tol:
+    if distance(j * j, -1.0 * Element.identity(target)) > CHECK_TOL:
         raise NotRingIso("image of i does not square to -1")
     bases = []
     for jb, m in zip(j.data, target.blocks):
         lam = np.trace(jb) / m
-        if abs(abs(lam) - 1.0) > check_tol:
+        if abs(abs(lam) - 1.0) > CHECK_TOL:
             raise NotRingIso("image of i is not a central unimodular scalar")
         eye = np.eye(m, dtype=np.complex128)
         bases.append(eye if lam.imag > 0 else eye[:, :0])
     q = Projection.from_basis(target, bases)
     model = 1j * q.element - 1j * q.complement().element
-    if distance(j, model) > check_tol:
+    if distance(j, model) > CHECK_TOL:
         raise NotRingIso("image of i is not i on a central projection and -i off it")
     return q
 
@@ -109,8 +110,9 @@ def _check_real_linear(
     shape: AlgebraShape,
     rng: np.random.Generator,
     samples: int,
-    check_tol: float,
 ) -> float:
+    """Worst sampled residual of psi_full(r x + s y) = r psi_full(x) +
+    s psi_full(y); each must hold within CHECK_TOL (1 + |r| + |s|)."""
     worst = 0.0
     scalars = [0.5, -3.0, float(np.sqrt(2.0)), float(np.pi) / 3.0]
     for k in range(samples):
@@ -122,7 +124,7 @@ def _check_real_linear(
             r, s = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
         res = distance(psi_full(r * x + s * y), r * psi_full(x) + s * psi_full(y))
         worst = max(worst, res)
-        if res > check_tol * (1.0 + abs(r) + abs(s)):
+        if res > CHECK_TOL * (1.0 + abs(r) + abs(s)):
             raise NotRealLinear(
                 f"additivity over real scalars fails (residual {res:.3e})"
             )
@@ -135,7 +137,6 @@ def inner_factor(
     samples: int = 16,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
-    check_tol: float = 1e-6,
 ) -> RingIsoFactorization:
     """Skolem-Noether factorization psi_full = Ad_y composed with psi0.
 
@@ -143,7 +144,8 @@ def inner_factor(
     to the target block that receives the block's central projection;
     y conjugates it onto psi_full.  y is normalized so its largest
     entry is real positive (it is only determined up to a central
-    scalar).
+    scalar).  Real-linearity and the Skolem-Noether probes hold within
+    CHECK_TOL, multiplicativity within 10 CHECK_TOL.
 
     Raises:
         NotRealLinear: sampled real-linearity fails.
@@ -153,16 +155,16 @@ def inner_factor(
             every probe vector (bad input, not a ring isomorphism).
     """
     rng = rng_from(seed)
-    _check_real_linear(psi_full, shape, rng, max(4, samples), check_tol)
+    _check_real_linear(psi_full, shape, rng, max(4, samples))
     for _ in range(max(4, samples // 2)):
         x = random_element(shape, rng, norm_bound=2.0)
         y = random_element(shape, rng, norm_bound=2.0)
         res = distance(psi_full(x * y), psi_full(x) * psi_full(y))
-        if res > check_tol * 10:
+        if res > CHECK_TOL * 10:
             raise NotRingIso(f"multiplicativity fails (residual {res:.3e})")
 
     target = psi_full(Element.identity(shape)).shape
-    factored = _skolem_noether(psi_full, shape, target, tol, check_tol)
+    factored = _skolem_noether(psi_full, shape, target, tol)
     worst = 0.0
     for _ in range(samples):
         x = random_element(shape, rng, norm_bound=10.0)

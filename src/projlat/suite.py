@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    CHECK_TOL,
     DEFAULT_TOL,
     AlgebraShape,
     Element,
@@ -74,9 +75,9 @@ from .sampling import (
 __all__ = ["verify_suite"]
 
 
-def _skip_not_order3(shape: AlgebraShape, tol: Tolerances) -> ThreeFrame:
+def _skip_not_order3(shape: AlgebraShape) -> ThreeFrame:
     try:
-        return ThreeFrame.standard(shape, tol)
+        return ThreeFrame.standard(shape)
     except NotAFrame as exc:
         # only this instance skips; NotOrderThree from elsewhere is a FAIL
         err = NotOrderThree(str(exc))
@@ -228,7 +229,7 @@ def _check_corner_witness(shape, seed, samples, tol):
 
 
 def _check_graph_identities(shape, seed, samples, tol):
-    frame = _skip_not_order3(shape, tol)
+    frame = _skip_not_order3(shape)
     rng = rng_from(seed)
     worst, ce = 0.0, None
     for k in range(samples):
@@ -238,20 +239,20 @@ def _check_graph_identities(shape, seed, samples, tol):
             worst,
             distance(
                 lattice_product(frame, x, y, tol),
-                graph_projection(frame, x * y, 13, tol),
+                graph_projection(frame, x * y, 13),
             ),
         )
         worst = max(
             worst,
             distance(
                 lattice_sum(frame, x, y, tol),
-                graph_projection(frame, x + y, 12, tol),
+                graph_projection(frame, x + y, 12),
             ),
         )
         worst = max(
             worst,
             distance(
-                recover_operator(frame, graph_projection(frame, x, 12, tol), 12, tol),
+                recover_operator(frame, graph_projection(frame, x, 12), 12, tol),
                 x,
             )
             / max(1.0, x.norm()),
@@ -345,13 +346,13 @@ def _check_map_family(shape, seed, samples, tol):
         if ok:
             return 1.0, {"check": "shear-map-should-break-orthogonality"}
         res = witness["residual"]
-        if res <= 1e-6:
+        if res <= CHECK_TOL:
             return 1.0, {"check": "witness-not-verified", "residual": res}
     return worst, None
 
 
 def _check_coordinatize(shape, seed, samples, tol):
-    _skip_not_order3(shape, tol)
+    _skip_not_order3(shape)
     rng = rng_from(seed)
     t = random_invertible(shape, rng, cond_max=100.0)
     t_inv = invert(t, tol)
@@ -364,7 +365,7 @@ def _check_coordinatize(shape, seed, samples, tol):
 
 
 def _check_coordinatize_transpose(shape, seed, samples, tol):
-    _skip_not_order3(shape, tol)
+    _skip_not_order3(shape)
     rng = rng_from(seed)
     phi = from_semilinear(Element.identity(shape), "conj", tol)
     result = coordinatize(phi, samples=6, seed=seed, tol=tol)
@@ -376,12 +377,12 @@ def _check_coordinatize_transpose(shape, seed, samples, tol):
 
 
 def _check_uniqueness(shape, seed, samples, tol):
-    _skip_not_order3(shape, tol)
+    _skip_not_order3(shape)
     rng = rng_from(seed)
     t = random_invertible(shape, rng, cond_max=50.0)
     phi = from_conjugation(t, tol)
     r2 = coordinatize(phi, samples=4, seed=seed + 1, tol=tol)
-    r1_inv = coordinatize(invert_map(phi, tol), samples=4, seed=seed, tol=tol)
+    r1_inv = coordinatize(invert_map(phi), samples=4, seed=seed, tol=tol)
     rep = uniqueness_residual(
         lambda x: r1_inv.Psi(r2.Psi(x)), shape, samples=samples, seed=seed, tol=tol
     )
@@ -391,7 +392,7 @@ def _check_uniqueness(shape, seed, samples, tol):
 
 
 def _check_round_trips(shape, seed, samples, tol):
-    _skip_not_order3(shape, tol)
+    _skip_not_order3(shape)
     rng = rng_from(seed)
     t = random_invertible(shape, rng, cond_max=50.0)
     worst = 0.0
@@ -414,7 +415,7 @@ def _check_round_trips(shape, seed, samples, tol):
 
 
 def _check_dye(shape, seed, samples, tol):
-    _skip_not_order3(shape, tol)
+    _skip_not_order3(shape)
     rng = rng_from(seed)
     u = random_unitary(shape, rng)
     _, cert = dye_extension(from_conjugation(u, tol), samples=6, seed=seed, tol=tol)
@@ -426,7 +427,7 @@ def _check_dye(shape, seed, samples, tol):
             dye_extension(from_conjugation(t, tol), samples=6, seed=seed, tol=tol)
             return 1.0, {"check": "non-unitary-map-not-rejected"}
         except OrthogonalityNotPreserved as exc:
-            if exc.witness is None or exc.witness.get("residual", 0.0) <= 1e-6:
+            if exc.witness is None or exc.witness.get("residual", 0.0) <= CHECK_TOL:
                 return 1.0, {"check": "witness-not-verified"}
     return worst, None
 

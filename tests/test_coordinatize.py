@@ -65,21 +65,17 @@ def test_corner_grid_names_the_corner_whose_recovery_fails(rng):
     shape = AlgebraShape([3, 6])
     phi = pl.from_conjugation(pl.random_invertible(shape, rng, cond_max=50.0))
     result = pl.coordinatize(phi, samples=2, seed=5)
+    phi_norm = result.psi.phi
     calls = []
 
     def apply(p):
-        img = phi(p)
+        img = phi_norm(p)
         calls.append(p)
         if len(calls) == 6:  # the sixth nonzero corner, (1, 2): rank 6 on block 1
             return pl.Projection.from_basis(shape, [img.basis[0], np.eye(6)])
         return img
 
-    bad = _CornerMap(
-        pl.LatticeMap(shape, shape, apply),
-        result.source_frame,
-        result.target_frame,
-        result.normalizers,
-    )
+    bad = _CornerMap(pl.LatticeMap(shape, shape, apply), result.source_frame, result.target_frame)
     ch = result.source_frame.corner_shape
     rows = [[pl.random_element(ch, rng) for _ in range(3)] for _ in range(3)]
     with pytest.raises(pl.NotAGraphProjection) as info:
@@ -94,20 +90,16 @@ def test_corner_grid_refuses_an_image_of_another_shape(other, rng):
     shape = AlgebraShape([3, 6])
     phi = pl.from_conjugation(pl.random_invertible(shape, rng, cond_max=50.0))
     result = pl.coordinatize(phi, samples=2, seed=5)
+    phi_norm = result.psi.phi
     calls = []
 
     def apply(p):
         calls.append(p)
         if len(calls) == 2:  # the second corner's image lives in another algebra
             return pl.Projection.identity(AlgebraShape(other))
-        return phi(p)
+        return phi_norm(p)
 
-    bad = _CornerMap(
-        pl.LatticeMap(shape, shape, apply),
-        result.source_frame,
-        result.target_frame,
-        result.normalizers,
-    )
+    bad = _CornerMap(pl.LatticeMap(shape, shape, apply), result.source_frame, result.target_frame)
     ch = result.source_frame.corner_shape
     rows = [[pl.random_element(ch, rng) for _ in range(3)]]
     with pytest.raises(pl.ShapeMismatch):
@@ -185,36 +177,6 @@ def test_normalizers_compose_to_the_returned_map(rng):
         pl.left_support(result.Psi(x)), phi(pl.left_support(x))
     ) < 1e-8
     assert pl.distance(s * s_inv, Element.identity(S3)) < 1e-10
-
-
-def test_block_split9_roundtrip(rng):
-    shape = AlgebraShape([6, 9])
-    x = pl.random_element(shape, rng)
-    pieces = pl.block_split9(x, [2, 3], [4, 6])
-    total = pieces[0]
-    for piece in pieces[1:]:
-        total = total + piece
-    assert pl.distance(total, x) == 0.0
-    assert len(pieces) == 9
-
-
-def test_block_split9_broadcast_int(rng):
-    x = pl.random_element(S6, rng)
-    pieces = pl.block_split9(x, 2, 4)
-    assert len(pieces) == 9
-
-
-def test_block_split9_rejects_bad_cuts(rng):
-    x = pl.random_element(S6, rng)
-    with pytest.raises(pl.BadSplit):
-        pl.block_split9(x, 4, 2)  # out of order
-    with pytest.raises(pl.BadSplit):
-        pl.block_split9(x, 0, 2)  # empty first interval
-    with pytest.raises(pl.BadSplit):
-        pl.block_split9(x, 1, 5)  # last interval longer than n/2
-    one = pl.random_element(AlgebraShape([1]), rng)
-    with pytest.raises(pl.BadSplit):
-        pl.block_split9(one, 0, 0)  # nothing to split in a 1x1 block
 
 
 def test_psi_is_a_compiled_conjugation_ring_iso(rng):

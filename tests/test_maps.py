@@ -184,16 +184,35 @@ def test_serialization_of_maps_roundtrips(rng):
         pl.map_to_obj(rogue)
 
 
+def test_inverse_maps_cut_ranks_with_the_tol_they_were_built_with():
+    """A map's tol is fixed when it is built, and its inverse keeps it:
+    a conjugation's inverse iso and the inverse of a from_ring_iso map
+    cut ranks with a non-default tol, not with DEFAULT_TOL."""
+    shape = AlgebraShape([3])
+    loose = pl.Tolerances(rank_rel=1e-3)
+    iso = pl.ConjugationRingIso(Element(shape, [np.diag([10.0, 1.0, 0.1])]), "id", loose)
+    assert iso.inverse().tol is loose
+    assert pl.invert_map(iso.lattice_map()).provenance.tol is loose
+
+    # p -> left support of T^-1 p T, built from isos under DEFAULT_TOL
+    t = Element(shape, [np.diag([1e2, 1.0, 1e-2])])
+    fwd = pl.ConjugationRingIso(t)
+    back = pl.invert_map(pl.from_ring_iso(fwd, shape, psi_inverse=fwd.inverse(), tol=loose))
+    # range e2 + (e1 + e3): T^-1 p T has singular values 5e3 and 1
+    p = pl.Projection.from_basis(shape, [np.array([[1, 0], [0, np.sqrt(2)], [1, 0]]) / np.sqrt(2)])
+    assert pl.left_support(fwd.inverse()(p.element)).ranks == (2,)
+    assert back(p).ranks == (1,)
+
+
 def test_order_residual_measures_the_complement_map(rng):
     """p -> 1 - p reverses the order, so pairs a <= b leave a residual
     ||f(a) - f(b) f(a)|| of order one in the order check."""
     shape = AlgebraShape([3])
     flip = LatticeMap(shape, shape, lambda p: p.complement(), Opaque("complement"))
-    check_tol = 1e-6
-    ver = pl.verify_lattice_iso(flip, samples=12, seed=0, check_tol=check_tol)
+    ver = pl.verify_lattice_iso(flip, samples=12, seed=0)
     order = {c.name: c for c in ver.checks}["order-both-directions"]
     assert not order.passed
-    assert order.max_residual > check_tol
+    assert order.max_residual > pl.CHECK_TOL
 
 
 def test_conjugation_ring_iso_routes_blocks(rng):

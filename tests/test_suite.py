@@ -1,8 +1,10 @@
 """Suite plumbing: skip reasons, measured residuals, and the names
 that tooling looks up in the library modules."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -13,13 +15,13 @@ from projlat.report import run_check
 
 def test_skip_is_a_named_not_order_three():
     with pytest.raises(pl.NotOrderThree) as info:
-        suite._skip_not_order3(AlgebraShape([4]), pl.DEFAULT_TOL)
+        suite._skip_not_order3(AlgebraShape([4]))
     assert info.value.skip_reason == "NotOrderThree"
 
 
 def test_only_the_precondition_skips():
     def family():
-        suite._skip_not_order3(AlgebraShape([2, 3]), pl.DEFAULT_TOL)
+        suite._skip_not_order3(AlgebraShape([2, 3]))
         return 0.0, None
 
     def broken_family():
@@ -51,3 +53,28 @@ def test_suite_binds_the_map_constructors():
     # tooling wraps the maps verify_suite builds by patching these names
     for name in ("from_conjugation", "from_semilinear", "from_ring_iso"):
         assert getattr(suite, name) is getattr(pl, name)
+
+
+def test_no_public_function_ignores_a_parameter():
+    """Every parameter of a public function, or of a method of a public
+    class, is read somewhere in its body: a knob that changes nothing
+    is not offered."""
+    ignored = []
+    for path in sorted(Path(pl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [("", node) for node in tree.body]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                defs += [(f"{cls.name}.", node) for node in cls.body]
+        for owner, fn in defs:
+            if not isinstance(fn, ast.FunctionDef) or (owner + fn.name).startswith("_"):
+                continue
+            a = fn.args
+            params = [p for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            ignored += [
+                f"{path.name}: {owner}{fn.name}({p.arg})"
+                for p in params
+                if p.arg not in read and p.arg not in ("self", "cls")
+            ]
+    assert ignored == []
