@@ -19,6 +19,7 @@ with a relative singular-value cutoff: singular values at or below
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -118,9 +119,11 @@ class AlgebraShape:
         return ",".join(str(n) for n in self.blocks)
 
 
-def _layout(shape: AlgebraShape, keys: Sequence) -> tuple[tuple[int, ...], ...]:
+@functools.lru_cache(maxsize=1024)
+def _layout(shape: AlgebraShape, keys: tuple) -> tuple[tuple[int, ...], ...]:
     """The block indices of each size split by keys[i], ascending: a
-    projection's stack layout when keys are its ranks."""
+    projection's stack layout when keys are its ranks (memoized: a
+    computation meets few layouts, and each many times)."""
     out = []
     for idx in shape._groups:
         for key in sorted({keys[i] for i in idx}):
@@ -130,8 +133,12 @@ def _layout(shape: AlgebraShape, keys: Sequence) -> tuple[tuple[int, ...], ...]:
 
 def _regroup(pieces: Sequence[tuple], layout: Sequence[tuple]) -> list[np.ndarray]:
     """One stack per group of layout, from pieces (block indices, stack)
-    that hold the blocks grouped another way: each run of consecutive
-    slices of one stack is cut as a view, and the runs are concatenated."""
+    that hold the blocks grouped another way: a piece's own stack where
+    it is a group, else each run of consecutive slices of one stack is
+    cut as a view, and the runs are concatenated."""
+    whole = dict(pieces)
+    if all(idx in whole for idx in layout):
+        return [whole[idx] for idx in layout]
     at = {i: (s, j) for idx, s in pieces for j, i in enumerate(idx)}
     out = []
     for idx in layout:
@@ -150,8 +157,10 @@ def _regroup(pieces: Sequence[tuple], layout: Sequence[tuple]) -> list[np.ndarra
 def _split(idx: tuple, keep: np.ndarray) -> list[tuple]:
     """The blocks idx of one stack grouped by their widths, the counts of
     True in each row of keep, as (width, positions in the stack, block
-    indices)."""
+    indices); a stack of one width stays whole, its positions a slice."""
     widths = keep.sum(axis=-1).tolist()
+    if widths.count(widths[0]) == len(widths):
+        return [(widths[0], slice(None), idx)]
     pos = {w: [j for j, v in enumerate(widths) if v == w] for w in sorted(set(widths))}
     return [(w, p, tuple(idx[j] for j in p)) for w, p in pos.items()]
 
