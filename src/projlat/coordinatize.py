@@ -74,8 +74,9 @@ class CoordinatizationResult:
     applied to the target, in order.  diagnostics holds the sampled
     residuals of the ring axioms and the support intertwining of Psi
     re-derived from the lattice (at one point: one pass of the graph
-    layer, the normalized map phi' tiled over the nonzero corners and
-    the recovery layer, through psi.grid), plus compiled_agreement (the
+    layer, the normalized map phi' = Ad(S3 S2 S1) o phi tiled over the
+    nonzero corners, which applies phi and one conjugation, and the
+    recovery layer, through psi.grid), plus compiled_agreement (the
     worst distance of the compiled Psi from it) and
     compiled_intertwining (the support intertwining of the compiled
     Psi) on the same samples.
@@ -176,9 +177,12 @@ def normalize_map(
     S1 pushes the image of e3 onto the complement of the image of
     e1 v e2, S2 separates the images of e1 and e2, and the diagonal S3
     rescales the slots so the unit graph projections are fixed.  The
-    returned map phi' satisfies phi'(e_i) = f_i for the target frame
-    (f_1, f_2, f_3) and phi'(P_12[1]) = P_12[1], phi'(P_13[1]) = P_13[1]
-    in the two frames' coordinates.
+    normalizers compose as elements: the returned map is
+    phi' = Ad(S) o phi with S = S3 (S2 S1), one conjugation after phi
+    (a two-part Composite, whose outer provenance is the
+    ConjugationRingIso of S).  phi' satisfies phi'(e_i) = f_i for the
+    target frame (f_1, f_2, f_3) and phi'(P_12[1]) = P_12[1],
+    phi'(P_13[1]) = P_13[1] in the two frames' coordinates.
 
     Returns (phi', target_frame, [S1, S2, S3]).
 
@@ -231,7 +235,10 @@ def normalize_map(
         _slot(d, 1, 1)[...] = a
         _slot(d, 2, 2)[...] = b
     s3 = target._rotate(target._v._like(mats), back=True)
-    phi3 = compose(from_conjugation(s3, tol), phi2)
+    # phi2 stays a chain: S2 S1 can fail the invertibility cutoff where
+    # S1 and S2 each pass it, and such an input must reach the frame
+    # checks above.  S = S3 (S2 S1) is the product coordinatize inverts.
+    phi3 = compose(from_conjugation(s3 * (s2 * s1), tol), phi)
     return phi3, target, [s1, s2, s3]
 
 
@@ -254,9 +261,10 @@ def coordinatize(
     corner-map calls per block; _verify certifies it against Psi
     re-derived from the lattice at every point it samples.  Re-deriving
     Psi at one point is one pass over its nonzero corners: one graph
-    projection, one application of the normalized map phi' = S3 S2 S1
-    phi tiled over the c corners (phi'.tile(c), built once per c) and
-    one recovery.
+    projection, one application of the normalized map
+    phi' = Ad(S3 S2 S1) o phi tiled over the c corners (phi'.tile(c),
+    built once per c: two lattice maps, phi's tile and one tiled
+    conjugation) and one recovery.
 
     Raises:
         NotOrderThree: some block size is not divisible by 3, or the
@@ -335,15 +343,16 @@ class _CornerMap:
     """The corner map psi, read off the lattice on every call.
 
     psi(x^) maps the slot-12 graph projection of x^ through the
-    normalized map phi' = S3 S2 S1 phi and recovers the operator from
-    the image; psi(x^, slot) takes the same road through another slot,
-    which for a map induced by a ring isomorphism gives the same
+    normalized map phi' = Ad(S3 S2 S1) o phi and recovers the operator
+    from the image; psi(x^, slot) takes the same road through another
+    slot, which for a map induced by a ring isomorphism gives the same
     operator.  grid() does this for a grid of corners at once: its c
     nonzero corners are one element of the direct sum of c copies of
     the corner algebra, which goes through one graph projection in the
-    c-fold slot coordinates, one application of phi'.tile(c) and one
-    recovery.  Every layer on the way works per block, so each corner's
-    image is bit for bit what it is alone.
+    c-fold slot coordinates, one application of phi'.tile(c) (phi's
+    tile, then one tiled conjugation) and one recovery.  Every layer on
+    the way works per block, so each corner's image is bit for bit what
+    it is alone.
     """
 
     def __init__(

@@ -96,7 +96,9 @@ def run_check(
     fn returns (max_residual, counterexample_or_None); raising a
     projlat error with a .skip_reason attribute marks the check
     SKIPPED, any other exception is a FAIL with the message and the
-    innermost raising frame ("package/module.py:line") attached.
+    innermost raising frame ("package/module.py:function") attached;
+    the frame names the function, not the line, so a report's bytes do
+    not change when lines of the source move.
     """
     t0 = time.perf_counter()
     try:
@@ -107,7 +109,7 @@ def run_check(
         if reason is not None:
             return CheckResult(name, anchor, f"SKIPPED({reason})", None, dt)
         where = traceback.extract_tb(exc.__traceback__)[-1]
-        frame = f"{'/'.join(Path(where.filename).parts[-2:])}:{where.lineno}"
+        frame = f"{'/'.join(Path(where.filename).parts[-2:])}:{where.name}"
         return CheckResult(
             name,
             anchor,

@@ -6,6 +6,7 @@ import pytest
 import projlat as pl
 from projlat import AlgebraShape, Element, ThreeFrame
 from projlat.coordinatize import _CornerMap, _witness_through, normalize_map, order_frame
+from projlat.maps import Composite
 
 
 S3 = AlgebraShape([3])
@@ -177,6 +178,60 @@ def test_normalizers_compose_to_the_returned_map(rng):
         pl.left_support(result.Psi(x)), phi(pl.left_support(x))
     ) < 1e-8
     assert pl.distance(s * s_inv, Element.identity(S3)) < 1e-10
+
+
+def _maps_of(blocks, rng):
+    """A conjugation, a semilinear map and, where two blocks share a
+    size, a block reversal, on the given shape."""
+    shape = AlgebraShape(blocks)
+    t = pl.random_invertible(shape, rng, cond_max=50.0)
+    maps = {
+        "conj": pl.from_conjugation(t),
+        "semilinear": pl.from_semilinear(t, "conj"),
+    }
+    if blocks[::-1] == blocks and len(blocks) > 1:
+        reversal = pl.ConjugationRingIso(t, "id", block_map=range(len(blocks))[::-1])
+        maps["reversal"] = reversal.lattice_map()
+    return maps
+
+
+@pytest.mark.parametrize("blocks", [[3], [6], [3, 6, 3]])
+def test_normalized_map_is_one_conjugation_after_phi(blocks, rng):
+    """phi' is Ad(S) after phi with S = S3 (S2 S1), the S behind the
+    compiled Psi, and it agrees with the chain of the three normalizer
+    maps."""
+    shape = AlgebraShape(blocks)
+    for name, phi in _maps_of(blocks, rng).items():
+        result = pl.coordinatize(phi, samples=2, seed=5)
+        s1, s2, s3 = result.normalizers
+        s = s3 * (s2 * s1)
+        prov = result.psi.phi.provenance
+        assert isinstance(prov, Composite), name
+        assert prov.inner is phi, name
+        outer = prov.outer.provenance
+        assert isinstance(outer, pl.ConjugationRingIso), name
+        assert all(np.array_equal(a, b) for a, b in zip(outer.T.data, s.data)), name
+        chain = phi
+        for si in (s1, s2, s3):
+            chain = pl.compose(pl.from_conjugation(si), chain)
+        gate = 1e-10 * pl.cond(s)
+        for _ in range(8):
+            p = pl.random_projection(shape, rng)
+            assert pl.distance(result.psi.phi(p), chain(p)) <= gate, name
+
+
+@pytest.mark.parametrize("c", [1e2, 1e4])
+def test_conditioning_envelope_holds_on_six(c):
+    # T = U diag(s) V with cond(T) = c exactly, as bench/envelope.py builds it
+    rng = np.random.default_rng(1)
+    u, v = pl.random_unitary(S6, rng), pl.random_unitary(S6, rng)
+    s = np.geomspace(c**-0.5, c**0.5, 6)
+    t = Element(S6, [(ub * s) @ vb for ub, vb in zip(u.data, v.data)])
+    t_inv = pl.invert(t)
+    result = pl.coordinatize(pl.from_conjugation(t), seed=1)
+    for _ in range(8):
+        x = pl.random_element(S6, rng)
+        assert pl.distance(result.Psi(x), t * x * t_inv) <= 1e-6 * c
 
 
 def test_psi_is_a_compiled_conjugation_ring_iso(rng):
