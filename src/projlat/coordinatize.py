@@ -1,13 +1,16 @@
 """Reconstruction of a ring isomorphism from a lattice isomorphism.
 
 The engine runs on an order-3 frame: a lattice isomorphism phi between
-projection lattices is first normalized (three invertible conjugations
-on the target side) until it fixes the frame projections and the unit
-graph projections, then the coordinate map psi is read off slot-12
-graph projections.  The ring isomorphism Psi with phi(l(x)) = l(Psi(x))
-is psi reassembled entrywise; it is compiled once, by Skolem-Noether on
-the corner algebra, to a ConjugationRingIso.  Everything is verified by
-seeded sampling; the diagnostics travel with the result.
+projection lattices is first normalized by one invertible conjugation
+on the target side, Ad(S3 S0), where S0 is the inverse of the frame
+images' concatenated range bases and S3 a diagonal slot rescaling.  The
+normalized map carries the source frame onto the standard frame of the
+target and fixes the unit graph projections; the coordinate map psi is
+then read off slot-12 graph projections.  The ring isomorphism Psi with
+phi(l(x)) = l(Psi(x)) is psi reassembled entrywise; it is compiled
+once, by Skolem-Noether on the corner algebra, to a ConjugationRingIso.
+Everything is verified by seeded sampling; the diagnostics travel with
+the result.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .core import (
     distance,
     invert,
     left_support,
-    polar_decompose,
-    right_support,
 )
 from .errors import (
     FrameAssemblyFailed,
@@ -37,14 +38,12 @@ from .errors import (
     NotAFrame,
     NotAGraphProjection,
     NotInvertible,
-    NotLSOrthogonal,
     NotOrderThree,
     ShapeMismatch,
     SlotMismatch,
 )
 from .graphs import ThreeFrame, _slot, graph_projection, recover_operator
-from .halmos import ls_orthogonal, orthogonalizer
-from .lattice import canonicalize, join, meet, mv_equivalent
+from .lattice import join, meet, mv_equivalent
 from .maps import (
     ConjugationRingIso,
     LatticeMap,
@@ -70,11 +69,12 @@ class CoordinatizationResult:
 
     psi acts on corner elements (the coordinate algebra) and is read
     off the lattice on every call; Psi, on full elements, is compiled
-    to a ConjugationRingIso; normalizers are the invertible S-operators
-    applied to the target, in order.  diagnostics holds the sampled
+    to a ConjugationRingIso; normalizers are (S0, S3), the invertible
+    operators applied to the target in that order; target_frame is the
+    standard frame of the target.  diagnostics holds the sampled
     residuals of the ring axioms and the support intertwining of Psi
     re-derived from the lattice (at one point: one pass of the graph
-    layer, the normalized map phi' = Ad(S3 S2 S1) o phi tiled over the
+    layer, the normalized map phi' = Ad(S3 S0) o phi tiled over the
     nonzero corners, which applies phi and one conjugation, and the
     recovery layer, through psi.grid), plus compiled_agreement (the
     worst distance of the compiled Psi from it) and
@@ -86,7 +86,7 @@ class CoordinatizationResult:
     Psi: ConjugationRingIso
     source_frame: ThreeFrame
     target_frame: ThreeFrame
-    normalizers: tuple[Element, Element, Element]
+    normalizers: tuple[Element, Element]
     diagnostics: dict
 
 
@@ -128,118 +128,80 @@ def order_frame(
     return ThreeFrame.from_projections(p1, p2, p3, w12, w13, tol)
 
 
-def _witness_through(
-    h: Projection, fa: Projection, fb: Projection, tol: Tolerances
-) -> Element:
-    """Partial isometry fa -> fb read off the common complement h.
-
-    h complements both fa and fb, so projecting range(fa) onto
-    range(fb) along range(h) is a linear bijection; its negated polar
-    part is the canonical perspectivity witness.  Returned in the
-    convention w w* = fa, w* w = fb.
-    """
-    shape = fa.shape
-    blocks = []
-    for b, n in enumerate(shape.blocks):
-        ua, ub, uh = fa.basis[b], fb.basis[b], h.basis[b]
-        if ub.shape[1] + uh.shape[1] != n:
-            raise FrameAssemblyFailed(
-                f"complement ranks do not fill block {b} "
-                f"({ub.shape[1]} + {uh.shape[1]} != {n})"
-            )
-        if ua.shape[1] == 0:
-            blocks.append(np.zeros((n, n)))
-            continue
-        # ua = ub . alpha + uh . beta; the skew projection keeps -ub . alpha
-        try:
-            coef = np.linalg.solve(np.concatenate([ub, uh], axis=1), ua)
-        except np.linalg.LinAlgError as exc:
-            raise FrameAssemblyFailed(
-                f"complement meets the slot projection on block {b} ({exc})"
-            ) from exc
-        t = -(ub @ coef[: ub.shape[1]])
-        blocks.append(t @ ua.conj().T)
-    tel = Element(shape, blocks)
-    v, _ = polar_decompose(tel, tol)
-    if (left_support(tel, tol).ranks, right_support(tel, tol).ranks) != (fb.ranks, fa.ranks):
-        raise FrameAssemblyFailed("perspectivity witness is rank deficient")
-    return v.adjoint()
-
-
 def normalize_map(
     phi: LatticeMap,
     source_frame: ThreeFrame,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[LatticeMap, ThreeFrame, list[Element]]:
-    """Normalize a lattice isomorphism against an order-3 frame.
+    """Normalize a lattice isomorphism onto the standard frame of its target.
 
-    Three invertible conjugations are composed onto the target side:
-    S1 pushes the image of e3 onto the complement of the image of
-    e1 v e2, S2 separates the images of e1 and e2, and the diagonal S3
-    rescales the slots so the unit graph projections are fixed.  The
+    Two invertible conjugations are composed onto the target side.  S0
+    is B^{-1}, B = [B1 B2 B3] per block, where B_i is the range basis of
+    phi(e_i): Ad(S0) o phi carries e_i exactly onto the i-th index
+    third.  The diagonal S3 = diag(1, c12^{-1}, c13^{-1}) then rescales
+    the slots, where c12, c13 are the slot units read through
+    Ad(S0) o phi, so the unit graph projections are fixed.  The
     normalizers compose as elements: the returned map is
-    phi' = Ad(S) o phi with S = S3 (S2 S1), one conjugation after phi
-    (a two-part Composite, whose outer provenance is the
+    phi' = Ad(S) o phi with S = S3 S0, one conjugation after phi (a
+    two-part Composite, whose outer provenance is the
     ConjugationRingIso of S).  phi' satisfies phi'(e_i) = f_i for the
-    target frame (f_1, f_2, f_3) and phi'(P_12[1]) = P_12[1],
+    standard target frame (f_1, f_2, f_3) and phi'(P_12[1]) = P_12[1],
     phi'(P_13[1]) = P_13[1] in the two frames' coordinates.
 
-    Returns (phi', target_frame, [S1, S2, S3]).
+    Returns (phi', target_frame, [S0, S3]).
 
     Raises:
-        NotOrderThree: the frame images fail the LS-orthogonality or
-            join checks, so the target has no usable order-3 structure.
-        FrameAssemblyFailed: witnesses or slot units collapse.
+        ShapeMismatch: the map's source is not the frame's algebra, or
+            a frame image lives outside the map's target.
+        NotOrderThree: some phi(e_i) is not a third of a target block,
+            or B is singular at the rank cutoff, so the target has no
+            order-3 structure to carry over.
+        FrameAssemblyFailed: a slot unit does not recover or invert, or
+            S3 S0 fails the rank cutoff (the message names the block).
     """
     if phi.source != source_frame.shape:
         raise ShapeMismatch("map source does not match the frame's algebra")
-    fr = source_frame
-    g1, g2, g3 = phi(fr.e1), phi(fr.e2), phi(fr.e3)
-    for a, b, name in ((g1, g2, "1,2"), (g1, g3, "1,3"), (g2, g3, "2,3")):
-        if not ls_orthogonal(a, b, tol):
-            raise NotOrderThree(f"images of frame projections {name} not LS-orthogonal")
-    if not join(join(g1, g2, tol), g3, tol).is_identity():
-        raise NotOrderThree("frame images do not join to 1")
-
+    fr, shape = source_frame, phi.target
+    images = [phi(e) for e in fr.projections]
+    for i, g in enumerate(images, 1):
+        if g.shape != shape:
+            raise ShapeMismatch("frame images do not live in the map's target")
+        for b, (r, n) in enumerate(zip(g.ranks, shape.blocks)):
+            if 3 * r != n:
+                raise NotOrderThree(
+                    f"image of frame projection {i} has rank {r} on block {b} of size {n}"
+                )
+    # all ranks are n/3, so the three images share the layout of shape
+    stacks = zip(*(g._stacks for g in images))
+    b_mat = Element._of(
+        shape, [(idx, np.concatenate(ps, axis=2)) for idx, ps in zip(shape._groups, stacks)]
+    )
     try:
-        s1 = orthogonalizer(phi(join(fr.e1, fr.e2, tol)), g3, tol)
-    except NotLSOrthogonal as exc:
-        raise NotOrderThree(f"orthogonalization stage 1 failed: {exc}") from exc
-    phi1 = compose(from_conjugation(s1, tol), phi)
-    try:
-        s2 = orthogonalizer(phi1(fr.e1), phi1(fr.e2), tol)
-    except NotLSOrthogonal as exc:
-        raise NotOrderThree(f"orthogonalization stage 2 failed: {exc}") from exc
-    phi2 = compose(from_conjugation(s2, tol), phi1)
+        s0 = invert(b_mat, tol)
+        phi0 = compose(from_conjugation(s0, tol), phi)
+    except NotInvertible as exc:
+        raise NotOrderThree(f"frame images are not independent: {exc}") from exc
 
-    f1, f2, f3 = phi2(fr.e1), phi2(fr.e2), phi2(fr.e3)
-    u = fr.units
-    h12 = canonicalize(0.5 * (u[0][0] + u[0][1] + u[1][0] + u[1][1]) + u[2][2], tol)
-    h13 = canonicalize(0.5 * (u[0][0] + u[0][2] + u[2][0] + u[2][2]) + u[1][1], tol)
-    w12 = _witness_through(phi2(h12), f1, f2, tol)
-    w13 = _witness_through(phi2(h13), f1, f3, tol)
-    try:
-        target = ThreeFrame.from_projections(f1, f2, f3, w12, w13, tol)
-    except NotAFrame as exc:
-        raise FrameAssemblyFailed(f"target frame rejected: {exc}") from exc
-
+    target = ThreeFrame.standard(shape)
     one_hat = Element.identity(fr.corner_shape)
-    slot_units = _CornerMap(phi2, fr, target, tol)
+    slot_units = _CornerMap(phi0, fr, target, tol)
     try:
         c12, c13 = slot_units(one_hat, 12), slot_units(one_hat, 13)
         c12_inv, c13_inv = invert(c12, tol), invert(c13, tol)
     except (NotAGraphProjection, NotInvertible) as exc:
         raise FrameAssemblyFailed(f"slot unit not invertible: {exc}") from exc
-    mats = [eye.copy() for eye in Element.identity(target.shape)._stacks]
+    eye = Element.identity(shape)
+    mats = [e.copy() for e in eye._stacks]
     for d, a, b in zip(mats, c12_inv._stacks, c13_inv._stacks):
         _slot(d, 1, 1)[...] = a
         _slot(d, 2, 2)[...] = b
-    s3 = target._rotate(target._v._like(mats), back=True)
-    # phi2 stays a chain: S2 S1 can fail the invertibility cutoff where
-    # S1 and S2 each pass it, and such an input must reach the frame
-    # checks above.  S = S3 (S2 S1) is the product coordinatize inverts.
-    phi3 = compose(from_conjugation(s3 * (s2 * s1), tol), phi)
-    return phi3, target, [s1, s2, s3]
+    s3 = eye._like(mats)
+    # S = S3 S0 is the product coordinatize inverts
+    try:
+        phi_norm = compose(from_conjugation(s3 * s0, tol), phi)
+    except NotInvertible as exc:
+        raise FrameAssemblyFailed(f"normalizer S3 S0 rejected: {exc}") from exc
+    return phi_norm, target, [s0, s3]
 
 
 def coordinatize(
@@ -262,15 +224,16 @@ def coordinatize(
     re-derived from the lattice at every point it samples.  Re-deriving
     Psi at one point is one pass over its nonzero corners: one graph
     projection, one application of the normalized map
-    phi' = Ad(S3 S2 S1) o phi tiled over the c corners (phi'.tile(c),
+    phi' = Ad(S3 S0) o phi tiled over the c corners (phi'.tile(c),
     built once per c: two lattice maps, phi's tile and one tiled
     conjugation) and one recovery.
 
     Raises:
         NotOrderThree: some block size is not divisible by 3, or the
-            map does not carry order-3 structure over.
-        FrameAssemblyFailed: normalization could not build the target
-            frame or its slot units.
+            frame images are not three independent thirds of the
+            target blocks.
+        FrameAssemblyFailed: a slot unit does not recover or invert, or
+            the normalizer S3 S0 fails the rank cutoff.
         SlotMismatch: slot-13/23 recoveries disagree with slot 12;
             phi is not induced by any ring isomorphism.
         NotRingIso, DegenerateWitness: the corner map does not compile
@@ -287,8 +250,8 @@ def coordinatize(
     fr = source_frame
 
     phi_norm, target, normalizers = normalize_map(phi, fr, tol)
-    s1, s2, s3 = normalizers
-    s_total = s3 * (s2 * s1)
+    s0, s3 = normalizers
+    s_total = s3 * s0
     s_inv = invert(s_total, tol)
     psi = _CornerMap(phi_norm, fr, target, tol)
 
@@ -317,8 +280,9 @@ def coordinatize(
             for j, yhat in enumerate(row):
                 for o, y in zip(out, yhat._stacks):
                     _slot(o, i, j)[...] = y
-        y_norm = target._rotate(target._v._like(out), back=True)
-        return s_inv * y_norm * s_total
+        # the target frame is the standard one: its slot coordinates
+        # are the identity, so the slot matrices are the element
+        return s_inv * target._v._like(out) * s_total
 
     Psi = _compile(psi, s_inv, tol)
     diagnostics = _verify(phi, psi, psi_full, Psi, samples, rng, tol)
@@ -334,7 +298,7 @@ def coordinatize(
         Psi=Psi,
         source_frame=fr,
         target_frame=target,
-        normalizers=(s1, s2, s3),
+        normalizers=(s0, s3),
         diagnostics=diagnostics,
     )
 
@@ -343,7 +307,7 @@ class _CornerMap:
     """The corner map psi, read off the lattice on every call.
 
     psi(x^) maps the slot-12 graph projection of x^ through the
-    normalized map phi' = Ad(S3 S2 S1) o phi and recovers the operator
+    normalized map phi' = Ad(S3 S0) o phi and recovers the operator
     from the image; psi(x^, slot) takes the same road through another
     slot, which for a map induced by a ring isomorphism gives the same
     operator.  grid() does this for a grid of corners at once: its c
@@ -407,10 +371,10 @@ def _compile(psi: _CornerMap, s_inv: Element, tol: Tolerances) -> ConjugationRin
     """Psi as one ConjugationRingIso, read off the corner map.
 
     psi is x -> R sigma(x) R^{-1} with blocks routed (Skolem-Noether on
-    the corner algebra), and Psi assembles psi entrywise in the frame
-    coordinates V (source) and W (target) before undoing the
-    normalizers S, so block t = block_map[b] of Psi is conjugation by
-    T_t = S_t^{-1} W_t (1_3 (x) R_t) sigma_b(V_b)*.
+    the corner algebra), and Psi assembles psi entrywise in the source
+    frame coordinates V and the standard target coordinates before
+    undoing the normalizer S, so block t = block_map[b] of Psi is
+    conjugation by T_t = S_t^{-1} (1_3 (x) R_t) sigma_b(V_b)*.
     """
     fr, target = psi.source, psi.target
     corner = _skolem_noether(psi, fr.corner_shape, target.corner_shape, tol)
@@ -419,7 +383,7 @@ def _compile(psi: _CornerMap, s_inv: Element, tol: Tolerances) -> ConjugationRin
         v = fr._vmats[b]
         v = v.conj() if s == "conj" else v
         r = np.kron(np.eye(3), corner.T.data[t])
-        blocks[t] = s_inv.data[t] @ target._vmats[t] @ r @ v.conj().T
+        blocks[t] = s_inv.data[t] @ r @ v.conj().T
     T = Element(target.shape, blocks)
     return ConjugationRingIso(T, corner.sigma, tol, corner.block_map)
 

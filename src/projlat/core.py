@@ -335,12 +335,10 @@ class Element(_Blocks):
         """Operator norm: the largest block operator norm."""
         return max(self.block_norms())
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        """Norm at most tol; at tol 0 the test reads the entries, with no
-        SVD, so an element with any nonzero entry is not zero."""
-        if tol == 0.0:
-            return not any(a.any() for a in self._stacks)
-        return self.norm() <= tol
+    def is_zero(self) -> bool:
+        """Every entry zero; read off the entries, with no SVD, so an
+        element with any nonzero entry is not zero."""
+        return not any(a.any() for a in self._stacks)
 
     def __repr__(self) -> str:
         return f"Element(shape=[{self.shape}], norm={self.norm():.3g})"

@@ -71,12 +71,17 @@ class NotAGraphProjection(ProjlatError):
 
 
 class NotOrderThree(ProjlatError):
-    """Coordinatization needs every block size divisible by 3 and
-    frame images that behave like three equivalent orthogonal pieces."""
+    """Coordinatization needs every block size divisible by 3 and frame
+    images that are three independent thirds of every target block: each
+    image has rank n/3 on a block of size n, and the concatenation of
+    their range bases passes the rank cutoff."""
 
 
 class FrameAssemblyFailed(ProjlatError):
-    """Normalization could not assemble the target frame."""
+    """Normalization onto the standard target frame failed: a slot unit
+    read through the first normalizer does not recover or invert, or
+    the normalizer S3 S0 fails the rank cutoff on the block the message
+    names."""
 
 
 class SlotMismatch(ProjlatError):

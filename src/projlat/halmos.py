@@ -12,11 +12,13 @@ that the generic part of q is
 in the (e1, e2) frame given by v.  The eigenvalues of a are the cosines
 of the principal angles between the generic parts.
 
-The decomposition drives two constructions used downstream: the
-invertible operator S that pushes q off p while fixing p and the
+The decomposition drives two constructions: the invertible operator S
+(the orthogonalizer) that pushes q off p while fixing p and the
 complement of p v q, and the corner witness projection that encodes an
 off-diagonal contraction x as the unique projection e <= p + q with
-p e q = x.
+p e q = x.  The verification suite checks both; coordinatization does
+not call them, as in finite dimension one basis inverse normalizes a
+frame.
 """
 
 from __future__ import annotations

@@ -50,12 +50,12 @@ def random_element(
     return x
 
 
-def random_hermitian(shape: AlgebraShape, rng, scale: float = 1.0) -> Element:
+def random_hermitian(shape: AlgebraShape, rng) -> Element:
     rng = rng_from(rng)
     blocks = []
     for n in shape.blocks:
         g = _cgauss(rng, n, n)
-        blocks.append(scale * (g + g.conj().T) / 2)
+        blocks.append((g + g.conj().T) / 2)
     return Element(shape, blocks)
 
 

@@ -77,3 +77,27 @@ def test_no_public_function_ignores_a_parameter():
                 if p.arg not in read and p.arg not in ("self", "cls")
             ]
     assert ignored == []
+
+
+def test_no_module_imports_an_unread_name():
+    """Every name a module imports is read in it or re-exported through
+    its __all__: an import left behind by deleted code is deleted too."""
+    unread = []
+    for path in sorted(Path(pl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported = set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and name not in exported:
+                        unread.append(f"{path.name}: {name}")
+    assert unread == []
