@@ -15,8 +15,10 @@ the result.
 
 from __future__ import annotations
 
+import collections
+import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -62,6 +64,12 @@ __all__ = [
     "uniqueness_residual",
 ]
 
+# complex entries a pass of _CornerMap.full may hold: the nine corners
+# of a point become nine graph projections of the whole algebra, 9 sum
+# n_b^2 entries, so a pass takes max(1, PASS_BUDGET // (9 sum n_b^2))
+# points; chosen by measurement, see ROADMAP
+PASS_BUDGET = 2592
+
 
 @dataclass(frozen=True)
 class CoordinatizationResult:
@@ -73,13 +81,13 @@ class CoordinatizationResult:
     operators applied to the target in that order; target_frame is the
     standard frame of the target.  diagnostics holds the sampled
     residuals of the ring axioms and the support intertwining of Psi
-    re-derived from the lattice (at one point: one pass of the graph
-    layer, the normalized map phi' = Ad(S3 S0) o phi tiled over the
-    nonzero corners, which applies phi and one conjugation, and the
-    recovery layer, through psi.grid), plus compiled_agreement (the
-    worst distance of the compiled Psi from it) and
-    compiled_intertwining (the support intertwining of the compiled
-    Psi) on the same samples.
+    re-derived from the lattice (through psi.full: a pass takes several
+    points, up to PASS_BUDGET, and goes once through the graph layer,
+    the normalized map phi' = Ad(S3 S0) o phi tiled over the nonzero
+    corners of all of them, which applies phi and one conjugation, and
+    the recovery layer), plus compiled_agreement (the worst distance of
+    the compiled Psi from it) and compiled_intertwining (the support
+    intertwining of the compiled Psi) on the same samples.
     """
 
     psi: Callable[[Element], Element]
@@ -221,12 +229,14 @@ def coordinatize(
 
     Psi is compiled to a ConjugationRingIso at a cost of n/3 + 2
     corner-map calls per block; _verify certifies it against Psi
-    re-derived from the lattice at every point it samples.  Re-deriving
-    Psi at one point is one pass over its nonzero corners: one graph
-    projection, one application of the normalized map
-    phi' = Ad(S3 S0) o phi tiled over the c corners (phi'.tile(c),
-    built once per c: two lattice maps, phi's tile and one tiled
-    conjugation) and one recovery.
+    re-derived from the lattice at every point it samples.  It draws
+    the points in a fixed order and re-derives Psi at them in passes
+    of max(1, PASS_BUDGET // (9 sum n_b^2)) points.  A pass goes once
+    over the c nonzero corners of its points: one graph projection, one
+    application of the normalized map phi' = Ad(S3 S0) o phi tiled over
+    them (phi'.tile(c), built once per c: two lattice maps, phi's tile
+    and one tiled conjugation) and one recovery.  Each image is bit for
+    bit what a pass of its own point gives.
 
     Raises:
         NotOrderThree: some block size is not divisible by 3, or the
@@ -269,23 +279,8 @@ def coordinatize(
             "the map is not induced by a ring isomorphism"
         )
 
-    # Psi re-derived from the lattice, the nine corners in one pass;
-    # only _verify calls it, to certify the compiled Psi against it
-    def psi_full(x: Element) -> Element:
-        coords = fr._rotate(x)._pieces()
-        corners = [[[(g, _slot(c, i, j)) for g, c in coords] for j in range(3)] for i in range(3)]
-        rows = [[Element._of(fr.corner_shape, pieces) for pieces in row] for row in corners]
-        out = [np.zeros_like(v) for v in target._v._stacks]
-        for i, row in enumerate(psi.grid(rows)):
-            for j, yhat in enumerate(row):
-                for o, y in zip(out, yhat._stacks):
-                    _slot(o, i, j)[...] = y
-        # the target frame is the standard one: its slot coordinates
-        # are the identity, so the slot matrices are the element
-        return s_inv * target._v._like(out) * s_total
-
     Psi = _compile(psi, s_inv, tol)
-    diagnostics = _verify(phi, psi, psi_full, Psi, samples, rng, tol)
+    diagnostics = _verify(phi, psi, s_total, s_inv, Psi, samples, rng, tol)
     diagnostics["slot_agreement"] = float(slot_res)
     diagnostics["seed"] = seed
     diagnostics["samples"] = samples
@@ -310,13 +305,14 @@ class _CornerMap:
     normalized map phi' = Ad(S3 S0) o phi and recovers the operator
     from the image; psi(x^, slot) takes the same road through another
     slot, which for a map induced by a ring isomorphism gives the same
-    operator.  grid() does this for a grid of corners at once: its c
-    nonzero corners are one element of the direct sum of c copies of
+    operator.  grid() does this for a grid of corners in one pass: its
+    c nonzero corners are one element of the direct sum of c copies of
     the corner algebra, which goes through one graph projection in the
     c-fold slot coordinates, one application of phi'.tile(c) (phi's
-    tile, then one tiled conjugation) and one recovery.  Every layer on
-    the way works per block, so each corner's image is bit for bit what
-    it is alone.
+    tile, then one tiled conjugation) and one recovery.  full() re-derives
+    Psi on full elements, the corners of several points in each pass.
+    Every layer on the way works per block, so each corner's image is
+    bit for bit what it is alone.
     """
 
     def __init__(
@@ -338,8 +334,8 @@ class _CornerMap:
         return self.grid([[xhat]], slot)[0][0]
 
     def grid(self, rows: list[list[Element]], slot: int = 12) -> list[list[Element]]:
-        """psi at every corner of a grid, through the given slot; an
-        exactly zero corner costs nothing and maps to zero.
+        """psi at every corner of a grid, through the given slot, in one
+        pass; an exactly zero corner costs nothing and maps to zero.
 
         Raises:
             NotAGraphProjection: a corner's image is not a graph
@@ -347,24 +343,75 @@ class _CornerMap:
                 (i, j) and its block.
         """
         live = [
-            (i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if not x.is_zero()
+            ((i, j), x) for i, row in enumerate(rows) for j, x in enumerate(row) if not x.is_zero()
         ]
         out = [[self._zero] * len(row) for row in rows]
-        if not live:
-            return out
-        c = len(live)
+        if live:
+            ys = self._pass([name for name, _ in live], _direct_sum([x for _, x in live]), slot)
+            for ((i, j), _), y in zip(live, _summands(ys, len(live))):
+                out[i][j] = y
+        return out
+
+    def full(self, xs: Iterable[Element], s: Element, s_inv: Element) -> Iterator[Element]:
+        """Psi re-derived from the lattice at each element of xs, in order.
+
+        The nine slot-12 corners of a point go through psi and are
+        reassembled in the target's slot coordinates, which for the
+        standard target frame are the identity; S^{-1} Y S undoes the
+        normalizer S.  The points go in passes of
+        max(1, PASS_BUDGET // (9 sum n_b^2)), the nonzero corners of a
+        pass being one direct sum, and only one pass's images are held
+        at a time.  Every layer works per block, so each image is bit
+        for bit what a pass of its own gives.
+
+        Raises:
+            NotAGraphProjection: a corner's image is not a graph
+                projection; the message names the corner (i, j) of its
+                point and the block.
+        """
+        fr, target = self.source, self.target
+        blocks = fr.corner_shape.blocks
+        per_pass = max(1, PASS_BUDGET // (9 * sum(n * n for n in fr.shape.blocks)))
+        xs = iter(xs)
+        while points := list(itertools.islice(xs, per_pass)):
+            # the nonzero corners, as the pieces of their direct sum
+            at, pieces = [], []
+            for m, x in enumerate(points):
+                coords = fr._rotate(x)._pieces()
+                for i, j in itertools.product(range(3), repeat=2):
+                    corner = [(g, _slot(a, i, j)) for g, a in coords]
+                    if any(a.any() for _, a in corner):
+                        shift = len(at) * len(blocks)
+                        pieces += [(tuple(b + shift for b in g), a) for g, a in corner]
+                        at.append((m, i, j))
+            outs = [[np.zeros_like(v) for v in target._v._stacks] for _ in points]
+            if at:
+                c = len(at)
+                x = Element._of(AlgebraShape(blocks * c), pieces)
+                ys = self._pass([(i, j) for _, i, j in at], x, 12)
+                # each size group's stack holds the corners one after another
+                stacks = [a.reshape(c, -1, *a.shape[1:]) for a in ys._stacks]
+                for q, (m, i, j) in enumerate(at):
+                    for o, a in zip(outs[m], stacks):
+                        _slot(o, i, j)[...] = a[q]
+            for out in outs:
+                yield s_inv * target._v._like(out) * s
+
+    def _pass(self, names: list, x: Element, slot: int) -> Element:
+        """psi at the c corners whose direct sum is x, in one pass: one
+        element of the direct sum of c copies of the corner algebra,
+        mapped to one of the target's; an error names the corner by
+        names[m]."""
+        c = len(names)
         if c not in self._tiled:
             self._tiled[c] = (self.source.tile(c), self.target.tile(c), self.phi.tile(c))
         src, tgt, phi = self._tiled[c]
-        graphs = graph_projection(src, _direct_sum([rows[i][j] for i, j in live]), slot)
+        graphs = graph_projection(src, x, slot)
         try:
-            ys = recover_operator(tgt, phi(graphs), slot, self.tol)
+            return recover_operator(tgt, phi(graphs), slot, self.tol)
         except NotAGraphProjection as exc:
             m, b = divmod(exc.block, len(self.target.shape.blocks))
-            raise NotAGraphProjection(f"corner {live[m]}: {exc.reason}", b) from exc
-        for (i, j), y in zip(live, _summands(ys, c)):
-            out[i][j] = y
-        return out
+            raise NotAGraphProjection(f"corner {names[m]}: {exc.reason}", b) from exc
 
 
 def _compile(psi: _CornerMap, s_inv: Element, tol: Tolerances) -> ConjugationRingIso:
@@ -407,7 +454,8 @@ def _seeded_frame(
 def _verify(
     phi: LatticeMap,
     psi: _CornerMap,
-    psi_full: Callable[[Element], Element],
+    s: Element,
+    s_inv: Element,
     Psi: ConjugationRingIso,
     samples: int,
     rng: np.random.Generator,
@@ -415,35 +463,57 @@ def _verify(
 ) -> dict:
     fr, target, phi_norm = psi.source, psi.target, psi.phi
     src, tgt = fr.shape, target.shape
+
+    def draws() -> Iterator[tuple[Element, Projection | None]]:
+        """The points, each with the projection it is (or None), drawn
+        in the order the checks read them."""
+        yield Element.identity(src), None
+        for _ in range(samples):
+            x = random_element(src, rng, norm_bound=2.0)
+            y = random_element(src, rng, norm_bound=2.0)
+            yield from ((x, None), (y, None), (x + y, None), (x * y, None))
+        for _ in range(samples):
+            yield random_element(src, rng), None
+            p = random_projection(src, rng)
+            yield p.element, p
+
     agree = 0.0
 
-    def lattice_psi(x: Element) -> Element:
+    def lattice_psi() -> Iterator[tuple[Element, Projection | None, Element]]:
+        """Each point, its projection and Psi re-derived at it from the
+        lattice, measured against the compiled Psi."""
         nonlocal agree
-        y = psi_full(x)
-        agree = max(agree, distance(Psi(x), y))
-        return y
+        # psi.full reads a pass of points ahead of the checks; they
+        # wait here, so the points are never all held at once
+        ahead: collections.deque = collections.deque()
 
-    unit_res = distance(lattice_psi(Element.identity(src)), Element.identity(tgt))
+        def feed() -> Iterator[Element]:
+            for x, p in draws():
+                ahead.append((x, p))
+                yield x
+
+        for y in psi.full(feed(), s, s_inv):
+            x, p = ahead.popleft()
+            agree = max(agree, distance(Psi(x), y))
+            yield x, p, y
+
+    images = lattice_psi()
+    unit_res = distance(next(images)[2], Element.identity(tgt))
 
     add_res = mul_res = 0.0
     for _ in range(samples):
-        x = random_element(src, rng, norm_bound=2.0)
-        y = random_element(src, rng, norm_bound=2.0)
-        fx, fy = lattice_psi(x), lattice_psi(y)
-        add_res = max(add_res, distance(lattice_psi(x + y), fx + fy))
-        mul_res = max(mul_res, distance(lattice_psi(x * y), fx * fy))
+        fx, fy, f_sum, f_prod = (y for _, _, y in itertools.islice(images, 4))
+        add_res = max(add_res, distance(f_sum, fx + fy))
+        mul_res = max(mul_res, distance(f_prod, fx * fy))
 
     sup_res = proj_res = compiled_res = 0.0
     for _ in range(samples):
-        x = random_element(src, rng)
+        (x, _, fx), (_, p, fp) = itertools.islice(images, 2)
         img = phi(left_support(x, tol))
-        sup_res = max(sup_res, distance(left_support(lattice_psi(x), tol), img))
+        sup_res = max(sup_res, distance(left_support(fx, tol), img))
         compiled_res = max(compiled_res, distance(left_support(Psi(x), tol), img))
-        p = random_projection(src, rng)
         img = phi(p)
-        proj_res = max(
-            proj_res, distance(left_support(lattice_psi(p.element), tol), img)
-        )
+        proj_res = max(proj_res, distance(left_support(fp, tol), img))
         compiled_res = max(
             compiled_res, distance(left_support(Psi(p.element), tol), img)
         )
@@ -509,12 +579,13 @@ def uniqueness_residual(
     for _ in range(max(4, samples // 4)):
         probes.append(random_projection(shape, rng).element)
     for k, x in enumerate(probes):
-        d = distance(left_support(psi_full(x), tol), left_support(x, tol))
+        y = psi_full(x)
+        d = distance(left_support(y, tol), left_support(x, tol))
         support_res = max(support_res, d)
         if d > tol.proj_tol and support_ok:
             support_ok = False
             witness = {"sample": k, "support_distance": float(d)}
-        residual = max(residual, distance(psi_full(x), x))
+        residual = max(residual, distance(y, x))
     return UniquenessReport(
         residual=float(residual),
         support_ok=support_ok,

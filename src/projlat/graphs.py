@@ -34,6 +34,7 @@ from .core import (
     Tolerances,
     _ct,
     _direct_sum,
+    _singular_values,
     distance,
 )
 from .errors import NotAFrame, NotAGraphProjection, ShapeMismatch
@@ -257,7 +258,9 @@ def recover_operator(
 
     In slot coordinates the operator is the ratio Q_{id} Q_{dd}^{-1};
     the result is certified by rebuilding the graph projection and
-    comparing it with Q, block by block, within CHECK_TOL.
+    comparing it with Q, block by block: the spectral norm of the
+    difference must be within CHECK_TOL.  A block whose Frobenius norm
+    is within CHECK_TOL / 2 passes on that bound, with no SVD.
 
     Raises:
         ShapeMismatch: q does not live in the frame's algebra.
@@ -286,12 +289,20 @@ def recover_operator(
         frame.corner_shape,
         [(idx, qid @ (vec / lam[..., None, :]) @ _ct(vec)) for idx, qid, lam, vec in corners],
     )
-    residuals = (graph_projection(frame, x, slot).element - q.element).block_norms()
-    for b, residual in enumerate(residuals):
-        if residual > CHECK_TOL:
-            raise NotAGraphProjection(
-                f"not a slot-{slot} graph projection (residual {residual:.3e})", b
-            )
+    # ||R||_2 <= ||R||_F: a block whose Frobenius residual is at most
+    # CHECK_TOL / 2 passes without an SVD; the margin keeps the decision
+    # the one its spectral norm gives
+    failed = []
+    for idx, r in (graph_projection(frame, x, slot).element - q.element)._pieces():
+        rest = np.flatnonzero(np.linalg.norm(r, axis=(1, 2)) > CHECK_TOL / 2)
+        if rest.size:
+            norms = _singular_values(r[rest])[:, 0]
+            failed.extend((idx[j], s) for j, s in zip(rest, norms) if s > CHECK_TOL)
+    if failed:
+        b, residual = min(failed)
+        raise NotAGraphProjection(
+            f"not a slot-{slot} graph projection (residual {residual:.3e})", b
+        )
     return x
 
 

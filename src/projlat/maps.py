@@ -109,11 +109,7 @@ class LatticeMap:
             return self
         prov = self.provenance
         if isinstance(prov, ConjugationRingIso):
-            # T and sigma repeated, copy m routed within copy m
-            k = len(prov.block_map)
-            routing = [m * k + t for m in range(c) for t in prov.block_map]
-            iso = ConjugationRingIso(_direct_sum([prov.T] * c), prov.sigma * c, prov.tol, routing)
-            return iso.lattice_map()
+            return prov._tile(c).lattice_map()
         if isinstance(prov, Composite):
             return compose(prov.outer.tile(c), prov.inner.tile(c))
         source, target = (AlgebraShape(s.blocks * c) for s in (self.source, self.target))
@@ -171,6 +167,11 @@ class ConjugationRingIso:
         tol: Tolerances = DEFAULT_TOL,
         block_map=None,
     ):
+        self._build(T, sigma, tol, block_map)
+        _require_invertible(T, tol)
+
+    def _build(self, T: Element, sigma, tol: Tolerances, block_map) -> None:
+        """Everything __init__ does but check that T is invertible."""
         k = len(T.shape.blocks)
         if isinstance(sigma, str):
             sigma = (sigma,) * k
@@ -189,7 +190,6 @@ class ConjugationRingIso:
         self.block_map = block_map
         self.tol = tol
         self.source = AlgebraShape(T.shape.blocks[t] for t in block_map)
-        _require_invertible(T, tol)
         self._conj = np.array([s == "conj" for s in sigma])
         # per size group of T: the source blocks routed onto its blocks, the
         # source size group holding them, their positions in it and sigma's mask
@@ -201,6 +201,17 @@ class ConjugationRingIso:
             pos = np.array([at[b][1] for b in src])
             self._feeds.append((tuple(src), at[src[0]][0], pos, self._mask(src)))
 
+    def _tile(self, c: int) -> "ConjugationRingIso":
+        """The iso on the direct sum of c copies of its source: T and
+        sigma repeated, copy m routed within copy m.  T passed the
+        invertibility check when this iso was built, so its copies are
+        not checked again."""
+        k = len(self.block_map)
+        routing = [m * k + t for m in range(c) for t in self.block_map]
+        iso = ConjugationRingIso.__new__(ConjugationRingIso)
+        iso._build(_direct_sum([self.T] * c), self.sigma * c, self.tol, routing)
+        return iso
+
     def _mask(self, idx) -> np.ndarray:
         """Which of the source blocks idx sigma conjugates, shaped to
         select the slices of a stack over them."""
@@ -209,7 +220,8 @@ class ConjugationRingIso:
     @functools.cached_property
     def _tinvs(self) -> list[np.ndarray]:
         """T^-1's stacks, built on first use (a lattice map never reads
-        them); the constructor has checked that T is invertible."""
+        them); the constructor has checked that T is invertible (a
+        tile's T is copies of a checked one)."""
         return [np.linalg.inv(a) for a in self.T._stacks]
 
     def __call__(self, x: Element) -> Element:

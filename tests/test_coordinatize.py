@@ -5,7 +5,8 @@ import pytest
 
 import projlat as pl
 from projlat import AlgebraShape, Element, ThreeFrame
-from projlat.coordinatize import _CornerMap, normalize_map, order_frame
+from projlat.coordinatize import PASS_BUDGET, _CornerMap, normalize_map, order_frame
+from projlat.graphs import _slot
 from projlat.maps import Composite
 
 
@@ -118,6 +119,55 @@ def test_coordinatize_result_keeps_no_c_fold_tiles(rng):
     rows = [[pl.random_element(ch, rng) for _ in range(2)]]
     for x, y in zip(rows[0], result.psi.grid(rows)[0]):
         assert np.array_equal(np.concatenate(y.data), np.concatenate(result.psi(x).data))
+
+
+@pytest.mark.parametrize("blocks,kind", [([3], "conj"), ([12], "semilinear"), ([3, 6, 3], "reversal")])
+def test_multi_point_pass_equals_one_point_per_pass(blocks, kind, rng):
+    shape = AlgebraShape(blocks)
+    t = pl.random_invertible(shape, rng, cond_max=50.0)
+    if kind == "reversal":
+        phi = pl.ConjugationRingIso(t, "id", block_map=(2, 1, 0)).lattice_map()
+    elif kind == "semilinear":
+        phi = pl.from_semilinear(t, "conj")
+    else:
+        phi = pl.from_conjugation(t)
+    result = pl.coordinatize(phi, samples=2, seed=5)
+    assert set(result.psi._tiled) == {1}
+    s0, s3 = result.normalizers
+    s = s3 * s0
+    s_inv = pl.invert(s)
+    # two full passes and a partial one
+    per_pass = max(1, PASS_BUDGET // (9 * sum(n * n for n in blocks)))
+    xs = [pl.random_element(shape, rng, norm_bound=2.0) for _ in range(2 * per_pass + 1)]
+    # the unit has three nonzero corners, zero none, a projection nine
+    xs[0], xs[1], xs[-1] = Element.identity(shape), Element.zeros(shape), pl.random_projection(shape, rng).element
+    # a point that is zero on its first block
+    xs[2] = Element(shape, [np.zeros_like(a) if b == 0 else a for b, a in enumerate(xs[2].data)])
+    images = list(result.psi.full(xs, s, s_inv))
+    assert len(images) == len(xs)
+    for x, y in zip(xs, images):
+        (alone,) = result.psi.full([x], s, s_inv)
+        assert all(np.array_equal(u, v) for u, v in zip(y.data, alone.data))
+        by_grid = _psi_by_grid(result.psi, x, s, s_inv)
+        assert all(np.array_equal(u, v) for u, v in zip(y.data, by_grid.data))
+        assert pl.distance(y, result.Psi(x)) < 1e-6
+    assert images[1].is_zero()
+
+
+def _psi_by_grid(psi, x, s, s_inv):
+    """Psi re-derived at x through one 3x3 grid of its slot corners."""
+    fr, target = psi.source, psi.target
+    coords = fr._rotate(x)._pieces()
+    rows = [
+        [Element._of(fr.corner_shape, [(g, _slot(a, i, j)) for g, a in coords]) for j in range(3)]
+        for i in range(3)
+    ]
+    out = [np.zeros_like(v) for v in target._v._stacks]
+    for i, row in enumerate(psi.grid(rows)):
+        for j, y in enumerate(row):
+            for o, a in zip(out, y._stacks):
+                _slot(o, i, j)[...] = a
+    return s_inv * target._v._like(out) * s
 
 
 def test_coordinatize_transpose(rng):

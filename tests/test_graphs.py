@@ -1,10 +1,13 @@
 """Graph projections over an order-3 frame and operator transport."""
 
+import re
+
 import numpy as np
 import pytest
 
 import projlat as pl
 from projlat import AlgebraShape, Element, Projection, ThreeFrame
+from projlat.coordinatize import _CornerMap
 
 
 S3 = AlgebraShape([3])
@@ -113,6 +116,76 @@ def test_recover_operator_rejects_non_graphs(rng):
     other = pl.random_projection(AlgebraShape([6, 6]), rng, ranks=[3, 2])
     with pytest.raises(pl.ShapeMismatch):
         pl.recover_operator(fr, other, 12)
+
+
+def _residuals(p, q, b):
+    """Spectral and Frobenius norm of block b of p - q."""
+    r = p.element.data[b] - q.element.data[b]
+    return np.linalg.norm(r, 2), np.linalg.norm(r)
+
+
+def _tilted(p, b, target, frobenius):
+    """p, a slot-12 graph projection over the standard frame, with the
+    range of block b tilted into the third slot until the spectral (or
+    Frobenius) residual against p is target.  Its slot-12 ratio is still
+    the operator of p, so recovery rebuilds p."""
+    u = p.basis[b]
+    k = u.shape[1]
+    tilt = np.zeros_like(u)
+    tilt[2 * k :] = np.random.default_rng(7).standard_normal((k, k))
+
+    def forged(eps):
+        bases = list(p.basis)
+        bases[b] = np.linalg.qr(u + eps * tilt)[0]
+        return Projection.from_basis(p.shape, bases)
+
+    eps = 1e-6
+    for _ in range(4):
+        eps *= target / _residuals(p, forged(eps), b)[frobenius]
+    return forged(eps)
+
+
+def test_forged_corner_just_above_check_tol_is_refused_by_name(rng):
+    shape = AlgebraShape([3, 6, 6])
+    fr = ThreeFrame.standard(shape)
+    rows = [[pl.random_element(fr.corner_shape, rng) for _ in range(3)] for _ in range(3)]
+    p = pl.graph_projection(fr, rows[1][2], 12)
+    forged = _tilted(p, 2, 1.05 * pl.CHECK_TOL, frobenius=False)
+    calls = []
+
+    def apply(q):
+        calls.append(q)
+        return forged if len(calls) == 6 else q  # the sixth corner, (1, 2)
+
+    corner_map = _CornerMap(pl.LatticeMap(shape, shape, apply), fr, fr)
+    with pytest.raises(pl.NotAGraphProjection) as info:
+        corner_map.grid(rows)
+    assert info.value.block == 2
+    message = re.fullmatch(
+        r"corner \(1, 2\): not a slot-12 graph projection \(residual (\S+)\) on block 2",
+        str(info.value),
+    )
+    assert message and abs(float(message.group(1)) - 1.05 * pl.CHECK_TOL) < 1e-9
+
+
+def test_frobenius_residual_above_half_check_tol_falls_back_to_the_spectral_norm(
+    monkeypatch, rng
+):
+    fr = ThreeFrame.standard(AlgebraShape([3, 6, 6]))
+    x = pl.random_element(fr.corner_shape, rng)
+    p = pl.graph_projection(fr, x, 12)
+    forged = _tilted(p, 2, 0.75 * pl.CHECK_TOL, frobenius=True)
+    spectral, frobenius = _residuals(p, forged, 2)
+    assert pl.CHECK_TOL / 2 < frobenius <= pl.CHECK_TOL and spectral < frobenius
+    svds = []
+    svd = pl.graphs._singular_values
+    monkeypatch.setattr(pl.graphs, "_singular_values", lambda a: svds.append(a.shape) or svd(a))
+    assert pl.distance(pl.recover_operator(fr, forged, 12), x) < 1e-10
+    assert svds == [(1, 6, 6)]  # the tilted block, and it alone
+    # an exact graph projection passes on the Frobenius bound everywhere
+    svds.clear()
+    pl.recover_operator(fr, p, 12)
+    assert svds == []
 
 
 def test_graph_projection_rejects_wrong_corner():

@@ -99,6 +99,25 @@ def test_tile_is_the_map_summand_by_summand(blocks, rng):
                 assert np.array_equal(u, v), (name, c)
 
 
+def test_tile_does_not_recheck_the_invertible_t(monkeypatch, rng):
+    shape = AlgebraShape([3, 6, 3])
+    checked = []
+    real = pl.maps._require_invertible
+    monkeypatch.setattr(pl.maps, "_require_invertible", lambda x, tol: checked.append(x) or real(x, tol))
+    iso = pl.ConjugationRingIso(pl.random_invertible(shape, rng, cond_max=20.0), "id", block_map=(2, 1, 0))
+    assert len(checked) == 1
+    tiled = iso.lattice_map().tile(9)
+    assert len(checked) == 1
+    ps = [pl.random_projection(shape, rng) for _ in range(9)]
+    got = tiled(_direct_sum(ps))
+    for u, v in zip(got.basis, _direct_sum([iso.lattice_map()(p) for p in ps]).basis):
+        assert np.array_equal(u, v)
+    # T itself is still checked where it is built
+    singular = Element(shape, [np.eye(3), np.zeros((6, 6)), np.eye(3)])
+    with pytest.raises(pl.NotInvertible):
+        pl.ConjugationRingIso(singular)
+
+
 def test_invert_map_semilinear(rng):
     shape = AlgebraShape([3])
     t = pl.random_invertible(shape, rng, cond_max=10.0)
