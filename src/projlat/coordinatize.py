@@ -308,11 +308,14 @@ class _CornerMap:
     operator.  grid() does this for a grid of corners in one pass: its
     c nonzero corners are one element of the direct sum of c copies of
     the corner algebra, which goes through one graph projection in the
-    c-fold slot coordinates, one application of phi'.tile(c) (phi's
-    tile, then one tiled conjugation) and one recovery.  full() re-derives
-    Psi on full elements, the corners of several points in each pass.
-    Every layer on the way works per block, so each corner's image is
-    bit for bit what it is alone.
+    c-fold slot coordinates (one QR), one application of phi'.tile(c)
+    (phi's tile, then one tiled conjugation) and one recovery.  The
+    target's coordinates are the identity, so the recovery rotates
+    nothing: it takes one eigh per block for the operator and certifies
+    it on the image's range basis, with no QR and no graph projection
+    rebuilt.  full() re-derives Psi on full elements, the corners of
+    several points in each pass.  Every layer on the way works per
+    block, so each corner's image is bit for bit what it is alone.
     """
 
     def __init__(
@@ -479,9 +482,9 @@ def _verify(
 
     agree = 0.0
 
-    def lattice_psi() -> Iterator[tuple[Element, Projection | None, Element]]:
-        """Each point, its projection and Psi re-derived at it from the
-        lattice, measured against the compiled Psi."""
+    def lattice_psi() -> Iterator[tuple[Element, Projection | None, Element, Element]]:
+        """Each point, its projection, Psi re-derived at it from the
+        lattice and the compiled Psi at it, measured against each other."""
         nonlocal agree
         # psi.full reads a pass of points ahead of the checks; they
         # wait here, so the points are never all held at once
@@ -494,29 +497,28 @@ def _verify(
 
         for y in psi.full(feed(), s, s_inv):
             x, p = ahead.popleft()
-            agree = max(agree, distance(Psi(x), y))
-            yield x, p, y
+            compiled = Psi(x)
+            agree = max(agree, distance(compiled, y))
+            yield x, p, y, compiled
 
     images = lattice_psi()
     unit_res = distance(next(images)[2], Element.identity(tgt))
 
     add_res = mul_res = 0.0
     for _ in range(samples):
-        fx, fy, f_sum, f_prod = (y for _, _, y in itertools.islice(images, 4))
+        fx, fy, f_sum, f_prod = (y for _, _, y, _ in itertools.islice(images, 4))
         add_res = max(add_res, distance(f_sum, fx + fy))
         mul_res = max(mul_res, distance(f_prod, fx * fy))
 
     sup_res = proj_res = compiled_res = 0.0
     for _ in range(samples):
-        (x, _, fx), (_, p, fp) = itertools.islice(images, 2)
+        (x, _, fx, gx), (_, p, fp, gp) = itertools.islice(images, 2)
         img = phi(left_support(x, tol))
         sup_res = max(sup_res, distance(left_support(fx, tol), img))
-        compiled_res = max(compiled_res, distance(left_support(Psi(x), tol), img))
+        compiled_res = max(compiled_res, distance(left_support(gx, tol), img))
         img = phi(p)
         proj_res = max(proj_res, distance(left_support(fp, tol), img))
-        compiled_res = max(
-            compiled_res, distance(left_support(Psi(p.element), tol), img)
-        )
+        compiled_res = max(compiled_res, distance(left_support(gp, tol), img))
 
     # Reduction identity for non-graph projections: the meet expression
     # P_{x2,x3} = (P_12[x2] v e3) ^ (P_13[x3] v e2) must transport slotwise.

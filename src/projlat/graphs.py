@@ -5,7 +5,8 @@ w_ij (w_ij maps the j-th slot onto the i-th).  Internally the frame
 carries one unitary V per block whose column groups are coordinates for
 the slots (its SlotCoordinates), so that every slot operation reduces
 to the standard picture of 3x3 operator matrices over the corner
-algebra.
+algebra.  On the standard frame V is exactly the identity, and the
+coordinates skip every product with it.
 
 The graph projection in slot (d, i) of a corner operator x is the
 projection onto { xi in slot d, x xi in slot i }; concretely, in
@@ -16,9 +17,13 @@ standard coordinates for slot 12,
 
 A projection Q is such a graph exactly when Q v e_i = e_d v e_i and Q
 is LS-orthogonal to e_i; the operator is then recovered from the corner
-ratio Q_{id} Q_{dd}^{-1}.  Products and sums of corner operators are
-realized by pure meet/join expressions on graph projections, which is
-what makes the lattice remember the ring.
+ratio Q_{id} Q_{dd}^{-1} and certified on Q's range basis W in slot
+coordinates, with no graph projection rebuilt: [W_d; x W_d; 0] lies in
+the graph and the third slot is orthogonal to it, so the distance of Q
+from the graph of x is at most the norm of [W_i - x W_d; W_o].
+Products and sums of corner operators are realized by pure meet/join
+expressions on graph projections, which is what makes the lattice
+remember the ring.
 """
 
 from __future__ import annotations
@@ -71,15 +76,21 @@ class SlotCoordinates:
     coordinates are all that graph projections and their recovery read
     off a frame, so tile(c) serves the direct sum of c copies of the
     algebra without building c-fold frame projections and units.
+
+    _standard records that V is exactly the identity, as on the standard
+    frame and its tiles: rotations and graph projections then skip the
+    products with V, which is exact.  Coordinates built from matrices
+    take the general path, which gives the same bits.
     """
 
-    __slots__ = ("shape", "corner_shape", "_v")
+    __slots__ = ("shape", "corner_shape", "_v", "_standard")
 
     def __init__(self, shape: AlgebraShape, vmats):
         """vmats: one unitary per block, or an element holding them."""
         self.shape = shape
         self.corner_shape = AlgebraShape(n // 3 for n in shape.blocks)
         self._v = vmats if isinstance(vmats, Element) else Element(shape, vmats)
+        self._standard = False
 
     @property
     def _vmats(self) -> tuple[np.ndarray, ...]:
@@ -90,11 +101,15 @@ class SlotCoordinates:
         if c == 1:
             return self
         v = _direct_sum([self._v] * c)
-        return SlotCoordinates(v.shape, v)
+        tiled = SlotCoordinates(v.shape, v)
+        tiled._standard = self._standard
+        return tiled
 
     def _rotate(self, x: Element, back: bool = False) -> Element:
         """x, of this algebra, in slot coordinates: V* x V per block; back
         rotates the other way, V x V*."""
+        if self._standard:
+            return x
         vs = self._v._stacks
         return x._like([v @ a @ _ct(v) if back else _ct(v) @ a @ v for v, a in zip(vs, x._stacks)])
 
@@ -131,7 +146,8 @@ class ThreeFrame(SlotCoordinates):
     @classmethod
     def standard(cls, shape: AlgebraShape) -> "ThreeFrame":
         """Frame from contiguous index thirds of every block; exact, so no
-        tolerance enters."""
+        tolerance enters.  Its slot coordinates V are the identity and
+        are recorded as such, so nothing is rotated by them."""
         if any(n % 3 for n in shape.blocks):
             raise NotAFrame(f"every block size must be divisible by 3, got {shape}")
         eye = Element.identity(shape)
@@ -148,7 +164,9 @@ class ThreeFrame(SlotCoordinates):
             return eye._like(stacks)
 
         units = tuple(tuple(unit(i, j) for j in range(3)) for i in range(3))
-        return cls(shape, projections, units, eye)
+        frame = cls(shape, projections, units, eye)
+        frame._standard = True
+        return frame
 
     @classmethod
     def from_projections(
@@ -225,7 +243,7 @@ def graph_projection(frame: SlotCoordinates, x: Element, slot: int = 12) -> Proj
         std = np.zeros((len(idx), 3 * k, k), dtype=np.complex128)
         std[:, d * k : (d + 1) * k] = np.eye(k)
         std[:, im * k : (im + 1) * k] = a
-        pieces.append((idx, np.linalg.qr(v @ std)[0]))
+        pieces.append((idx, np.linalg.qr(std if frame._standard else v @ std)[0]))
     return Projection._of(frame.shape, pieces)
 
 
@@ -256,11 +274,15 @@ def recover_operator(
 ) -> Element:
     """Read the corner operator off a slot graph projection.
 
-    In slot coordinates the operator is the ratio Q_{id} Q_{dd}^{-1};
-    the result is certified by rebuilding the graph projection and
-    comparing it with Q, block by block: the spectral norm of the
-    difference must be within CHECK_TOL.  A block whose Frobenius norm
-    is within CHECK_TOL / 2 passes on that bound, with no SVD.
+    In slot coordinates the operator is the ratio x = Q_{id} Q_{dd}^{-1}.
+    It is certified on Q's range basis in slot coordinates, W = V* U,
+    block by block, with no graph projection rebuilt: [W_d; x W_d; 0]
+    lies in the graph of x and the slot o outside (d, i) is orthogonal
+    to it, so the spectral norm of the 2k x k certificate
+    [W_i - x W_d; W_o], which must be within CHECK_TOL, bounds the
+    distance of Q from the graph projection of x (the ranks being
+    equal).  A block whose certificate has Frobenius norm within
+    CHECK_TOL / 2 passes on that bound, with no SVD.
 
     Raises:
         ShapeMismatch: q does not live in the frame's algebra.
@@ -273,27 +295,30 @@ def recover_operator(
     if q.shape != frame.shape:
         raise ShapeMismatch("projection does not live in the frame's algebra")
     d, im = SLOTS[slot]
+    out = 3 - d - im
     for b, (r, k) in enumerate(zip(q.ranks, frame.corner_shape.blocks)):
         if r != k:
             raise NotAGraphProjection(f"rank {r} does not match the slot rank {k}", b)
+    # every rank is the slot rank, so q's bases are stacked as V is
+    ws = q._stacks if frame._standard else [_ct(v) @ u for v, u in zip(frame._v._stacks, q._stacks)]
     corners, singular = [], []
-    for idx, m in frame._rotate(q.element)._pieces():
+    for (idx, m), w in zip(frame._rotate(q.element)._pieces(), ws):
         qdd = _slot(m, d, d)
         lam, vec = np.linalg.eigh((qdd + _ct(qdd)) / 2)
         bad = (lam[:, -1] <= 0) | (lam[:, 0] <= tol.rank_rel * lam[:, -1])
         singular.extend(idx[j] for j in np.flatnonzero(bad))
-        corners.append((idx, _slot(m, im, d), lam, vec))
+        corners.append((idx, _slot(m, im, d), lam, vec, w))
     if singular:
         raise NotAGraphProjection("domain corner singular", min(singular))
-    x = Element._of(
-        frame.corner_shape,
-        [(idx, qid @ (vec / lam[..., None, :]) @ _ct(vec)) for idx, qid, lam, vec in corners],
-    )
     # ||R||_2 <= ||R||_F: a block whose Frobenius residual is at most
     # CHECK_TOL / 2 passes without an SVD; the margin keeps the decision
     # the one its spectral norm gives
-    failed = []
-    for idx, r in (graph_projection(frame, x, slot).element - q.element)._pieces():
+    pieces, failed = [], []
+    for idx, qid, lam, vec, w in corners:
+        x = qid @ (vec / lam[..., None, :]) @ _ct(vec)
+        pieces.append((idx, x))
+        # _slot(w, j, 0) is the j-th slot's rows of the (g, 3k, k) bases
+        r = np.concatenate([_slot(w, im, 0) - x @ _slot(w, d, 0), _slot(w, out, 0)], axis=1)
         rest = np.flatnonzero(np.linalg.norm(r, axis=(1, 2)) > CHECK_TOL / 2)
         if rest.size:
             norms = _singular_values(r[rest])[:, 0]
@@ -303,7 +328,7 @@ def recover_operator(
         raise NotAGraphProjection(
             f"not a slot-{slot} graph projection (residual {residual:.3e})", b
         )
-    return x
+    return Element._of(frame.corner_shape, pieces)
 
 
 def lattice_product(

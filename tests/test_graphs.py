@@ -4,10 +4,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projlat as pl
 from projlat import AlgebraShape, Element, Projection, ThreeFrame
 from projlat.coordinatize import _CornerMap
+from projlat.core import _ct
+from projlat.graphs import SLOTS, SlotCoordinates
 
 
 S3 = AlgebraShape([3])
@@ -124,11 +128,22 @@ def _residuals(p, q, b):
     return np.linalg.norm(r, 2), np.linalg.norm(r)
 
 
-def _tilted(p, b, target, frobenius):
+def _certificate_residuals(p, q, b):
+    """Spectral and Frobenius norm of the certificate recovery measures
+    on block b of q over the standard frame, [W_2 - x W_1; W_3] for q's
+    range basis W and the slot-12 operator x of p."""
+    u, w = p.basis[b], q.basis[b]
+    k = w.shape[1]
+    x = u[k : 2 * k] @ np.linalg.inv(u[:k])
+    r = np.concatenate([w[k : 2 * k] - x @ w[:k], w[2 * k :]])
+    return np.linalg.norm(r, 2), np.linalg.norm(r)
+
+
+def _tilted(p, b, target, frobenius, residuals=_residuals):
     """p, a slot-12 graph projection over the standard frame, with the
     range of block b tilted into the third slot until the spectral (or
-    Frobenius) residual against p is target.  Its slot-12 ratio is still
-    the operator of p, so recovery rebuilds p."""
+    Frobenius) residual against p is target, measured by residuals.  Its
+    slot-12 ratio is still the operator of p, so recovery rebuilds p."""
     u = p.basis[b]
     k = u.shape[1]
     tilt = np.zeros_like(u)
@@ -141,7 +156,7 @@ def _tilted(p, b, target, frobenius):
 
     eps = 1e-6
     for _ in range(4):
-        eps *= target / _residuals(p, forged(eps), b)[frobenius]
+        eps *= target / residuals(p, forged(eps), b)[frobenius]
     return forged(eps)
 
 
@@ -174,18 +189,126 @@ def test_frobenius_residual_above_half_check_tol_falls_back_to_the_spectral_norm
     fr = ThreeFrame.standard(AlgebraShape([3, 6, 6]))
     x = pl.random_element(fr.corner_shape, rng)
     p = pl.graph_projection(fr, x, 12)
-    forged = _tilted(p, 2, 0.75 * pl.CHECK_TOL, frobenius=True)
-    spectral, frobenius = _residuals(p, forged, 2)
+    forged = _tilted(p, 2, 0.75 * pl.CHECK_TOL, frobenius=True, residuals=_certificate_residuals)
+    spectral, frobenius = _certificate_residuals(p, forged, 2)
     assert pl.CHECK_TOL / 2 < frobenius <= pl.CHECK_TOL and spectral < frobenius
     svds = []
     svd = pl.graphs._singular_values
     monkeypatch.setattr(pl.graphs, "_singular_values", lambda a: svds.append(a.shape) or svd(a))
     assert pl.distance(pl.recover_operator(fr, forged, 12), x) < 1e-10
-    assert svds == [(1, 6, 6)]  # the tilted block, and it alone
+    assert svds == [(1, 4, 2)]  # the tilted block's certificate, and it alone
     # an exact graph projection passes on the Frobenius bound everywhere
     svds.clear()
     pl.recover_operator(fr, p, 12)
     assert svds == []
+
+
+RECOVERY_SHAPES = [AlgebraShape(b) for b in ([3], [6], [9], [3, 6])]
+FRAME_KINDS = ["standard", "standard tile", "seeded", "seeded tile", "read back"]
+
+
+def _frame(kind, shape, seed):
+    if kind == "read back":
+        return pl.frame_from_obj(pl.frame_to_obj(ThreeFrame.standard(shape)))
+    if kind.startswith("standard"):
+        fr = ThreeFrame.standard(shape)
+    else:
+        fr = conjugated_frame(shape, seed)
+    return fr.tile(2) if kind.endswith("tile") else fr
+
+
+def _graph_tilted(frame, x, slot, eps, rng):
+    """The slot graph projection of x, every block's range tilted by eps
+    into the slot outside (d, i) and orthonormalized again."""
+    q = pl.graph_projection(frame, x, slot)
+    if eps == 0:
+        return q
+    d, i = SLOTS[slot]
+    o = 3 - d - i
+    bases = []
+    for v, u in zip(frame._vmats, q.basis):
+        k = u.shape[1]
+        tilt = v[:, o * k : (o + 1) * k] @ rng.standard_normal((k, k))
+        bases.append(np.linalg.qr(u + eps * tilt)[0])
+    return Projection.from_basis(frame.shape, bases)
+
+
+def _dense_ratio(frame, q, slot):
+    """The slot ratio by the dense formula: Q rotated into slot
+    coordinates, V* Q V, then Q_id Q_dd^{-1} through eigh of the
+    Hermitian part of Q_dd; one stack per block size."""
+    d, i = SLOTS[slot]
+    out = []
+    for v, m in zip(frame._v._stacks, q.element._stacks):
+        m = _ct(v) @ m @ v
+        k = m.shape[1] // 3
+        qdd = m[:, d * k : (d + 1) * k, d * k : (d + 1) * k]
+        qid = m[:, i * k : (i + 1) * k, d * k : (d + 1) * k]
+        lam, vec = np.linalg.eigh((qdd + _ct(qdd)) / 2)
+        out.append(qid @ (vec / lam[..., None, :]) @ _ct(vec))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    shape=st.sampled_from(RECOVERY_SHAPES),
+    slot=st.sampled_from(sorted(SLOTS)),
+    kind=st.sampled_from(FRAME_KINDS),
+    eps=st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1e-8)),
+)
+def test_recovered_operator_is_bit_identical_to_the_dense_ratio(seed, shape, slot, kind, eps):
+    rng = np.random.default_rng(seed)
+    fr = _frame(kind, shape, seed)
+    x = pl.random_element(fr.corner_shape, rng, norm_bound=2.0)
+    q = _graph_tilted(fr, x, slot, eps, rng)
+    got = pl.recover_operator(fr, q, slot)
+    want = _dense_ratio(fr, q, slot)
+    assert all(np.array_equal(a, b) for a, b in zip(got._stacks, want, strict=True))
+    if kind.startswith("standard"):
+        # the general path, on the identity V, gives the same bits
+        general = SlotCoordinates(fr.shape, fr._v)
+        assert all(
+            np.array_equal(a, b)
+            for a, b in zip(got._stacks, pl.recover_operator(general, q, slot)._stacks)
+        )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    shape=st.sampled_from(RECOVERY_SHAPES),
+    slot=st.sampled_from(sorted(SLOTS)),
+    kind=st.sampled_from(FRAME_KINDS),
+    log_eps=st.floats(min_value=-8.5, max_value=-5.0),
+)
+def test_certificate_is_never_looser_than_the_rebuilt_graph(seed, shape, slot, kind, log_eps):
+    rng = np.random.default_rng(seed)
+    fr = _frame(kind, shape, seed)
+    x = pl.random_element(fr.corner_shape, rng, norm_bound=2.0)
+    q = _graph_tilted(fr, x, slot, 10.0**log_eps, rng)
+    groups = fr.corner_shape._groups
+    ratio = Element._of(fr.corner_shape, list(zip(groups, _dense_ratio(fr, q, slot))))
+    rebuilt = pl.graph_projection(fr, ratio, slot)
+    d, i = SLOTS[slot]
+    o = 3 - d - i
+    dense, certified = [], []
+    for v, u, xb, p, g in zip(
+        fr._vmats, q.basis, ratio.data, q.element.data, rebuilt.element.data
+    ):
+        k = xb.shape[0]
+        w = _ct(v) @ u
+        rows = [w[j * k : (j + 1) * k] for j in range(3)]
+        dense.append(np.linalg.norm(g - p, 2))
+        certified.append(np.linalg.norm(np.concatenate([rows[i] - xb @ rows[d], rows[o]]), 2))
+    assert all(c >= e - 1e-14 for c, e in zip(certified, dense))
+    try:
+        pl.recover_operator(fr, q, slot)
+        accepted = True
+    except pl.NotAGraphProjection:
+        accepted = False
+    if all(abs(e - pl.CHECK_TOL) > 0.01 * pl.CHECK_TOL for e in dense):
+        assert accepted == all(e <= pl.CHECK_TOL for e in dense)
 
 
 def test_graph_projection_rejects_wrong_corner():
