@@ -309,13 +309,12 @@ class _CornerMap:
     c nonzero corners are one element of the direct sum of c copies of
     the corner algebra, which goes through one graph projection in the
     c-fold slot coordinates (one QR), one application of phi'.tile(c)
-    (phi's tile, then one tiled conjugation) and one recovery.  The
-    target's coordinates are the identity, so the recovery rotates
-    nothing: it takes one eigh per block for the operator and certifies
-    it on the image's range basis, with no QR and no graph projection
-    rebuilt.  full() re-derives Psi on full elements, the corners of
-    several points in each pass.  Every layer on the way works per
-    block, so each corner's image is bit for bit what it is alone.
+    (phi's tile, then one tiled conjugation) and one recovery, which
+    takes one eigh per block for the operator and certifies it on the
+    image's range basis, with no QR and no graph projection rebuilt.
+    full() re-derives Psi on full elements, the corners of several
+    points in each pass.  Every layer on the way works per block, so
+    each corner's image is bit for bit what it is alone.
     """
 
     def __init__(

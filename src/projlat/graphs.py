@@ -5,8 +5,7 @@ w_ij (w_ij maps the j-th slot onto the i-th).  Internally the frame
 carries one unitary V per block whose column groups are coordinates for
 the slots (its SlotCoordinates), so that every slot operation reduces
 to the standard picture of 3x3 operator matrices over the corner
-algebra.  On the standard frame V is exactly the identity, and the
-coordinates skip every product with it.
+algebra.
 
 The graph projection in slot (d, i) of a corner operator x is the
 projection onto { xi in slot d, x xi in slot i }; concretely, in
@@ -76,21 +75,15 @@ class SlotCoordinates:
     coordinates are all that graph projections and their recovery read
     off a frame, so tile(c) serves the direct sum of c copies of the
     algebra without building c-fold frame projections and units.
-
-    _standard records that V is exactly the identity, as on the standard
-    frame and its tiles: rotations and graph projections then skip the
-    products with V, which is exact.  Coordinates built from matrices
-    take the general path, which gives the same bits.
     """
 
-    __slots__ = ("shape", "corner_shape", "_v", "_standard")
+    __slots__ = ("shape", "corner_shape", "_v")
 
     def __init__(self, shape: AlgebraShape, vmats):
         """vmats: one unitary per block, or an element holding them."""
         self.shape = shape
         self.corner_shape = AlgebraShape(n // 3 for n in shape.blocks)
         self._v = vmats if isinstance(vmats, Element) else Element(shape, vmats)
-        self._standard = False
 
     @property
     def _vmats(self) -> tuple[np.ndarray, ...]:
@@ -101,15 +94,11 @@ class SlotCoordinates:
         if c == 1:
             return self
         v = _direct_sum([self._v] * c)
-        tiled = SlotCoordinates(v.shape, v)
-        tiled._standard = self._standard
-        return tiled
+        return SlotCoordinates(v.shape, v)
 
     def _rotate(self, x: Element, back: bool = False) -> Element:
         """x, of this algebra, in slot coordinates: V* x V per block; back
         rotates the other way, V x V*."""
-        if self._standard:
-            return x
         vs = self._v._stacks
         return x._like([v @ a @ _ct(v) if back else _ct(v) @ a @ v for v, a in zip(vs, x._stacks)])
 
@@ -146,8 +135,7 @@ class ThreeFrame(SlotCoordinates):
     @classmethod
     def standard(cls, shape: AlgebraShape) -> "ThreeFrame":
         """Frame from contiguous index thirds of every block; exact, so no
-        tolerance enters.  Its slot coordinates V are the identity and
-        are recorded as such, so nothing is rotated by them."""
+        tolerance enters."""
         if any(n % 3 for n in shape.blocks):
             raise NotAFrame(f"every block size must be divisible by 3, got {shape}")
         eye = Element.identity(shape)
@@ -164,9 +152,7 @@ class ThreeFrame(SlotCoordinates):
             return eye._like(stacks)
 
         units = tuple(tuple(unit(i, j) for j in range(3)) for i in range(3))
-        frame = cls(shape, projections, units, eye)
-        frame._standard = True
-        return frame
+        return cls(shape, projections, units, eye)
 
     @classmethod
     def from_projections(
@@ -243,7 +229,7 @@ def graph_projection(frame: SlotCoordinates, x: Element, slot: int = 12) -> Proj
         std = np.zeros((len(idx), 3 * k, k), dtype=np.complex128)
         std[:, d * k : (d + 1) * k] = np.eye(k)
         std[:, im * k : (im + 1) * k] = a
-        pieces.append((idx, np.linalg.qr(std if frame._standard else v @ std)[0]))
+        pieces.append((idx, np.linalg.qr(v @ std)[0]))
     return Projection._of(frame.shape, pieces)
 
 
@@ -300,7 +286,7 @@ def recover_operator(
         if r != k:
             raise NotAGraphProjection(f"rank {r} does not match the slot rank {k}", b)
     # every rank is the slot rank, so q's bases are stacked as V is
-    ws = q._stacks if frame._standard else [_ct(v) @ u for v, u in zip(frame._v._stacks, q._stacks)]
+    ws = [_ct(v) @ u for v, u in zip(frame._v._stacks, q._stacks)]
     corners, singular = [], []
     for (idx, m), w in zip(frame._rotate(q.element)._pieces(), ws):
         qdd = _slot(m, d, d)
