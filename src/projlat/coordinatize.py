@@ -1,12 +1,13 @@
 """Reconstruction of a ring isomorphism from a lattice isomorphism.
 
-The engine runs on an order-3 frame: a lattice isomorphism phi between
-projection lattices is first normalized by one invertible conjugation
-on the target side, Ad(S3 S0), where S0 is the inverse of the frame
-images' concatenated range bases and S3 a diagonal slot rescaling.  The
-normalized map carries the source frame onto the standard frame of the
-target and fixes the unit graph projections; the coordinate map psi is
-then read off slot-12 graph projections.  The ring isomorphism Psi with
+The engine runs on a frame of order k (ORDER, 3, when the pipeline
+seeds it): a lattice isomorphism phi between projection lattices is
+first normalized by one invertible conjugation on the target side,
+Ad(S_k S0), where S0 is the inverse of the frame images' concatenated
+range bases and S_k a diagonal slot rescaling.  The normalized map
+carries the source frame onto the standard frame of the target and
+fixes the unit graph projections; the coordinate map psi is then read
+off slot-12 graph projections.  The ring isomorphism Psi with
 phi(l(x)) = l(Psi(x)) is psi reassembled entrywise; it is compiled
 once, by Skolem-Noether on the corner algebra, to a ConjugationRingIso.
 Everything is verified by seeded sampling; the diagnostics travel with
@@ -44,8 +45,8 @@ from .errors import (
     ShapeMismatch,
     SlotMismatch,
 )
-from .graphs import ThreeFrame, _slot, graph_projection, recover_operator
-from .lattice import join, meet, mv_equivalent
+from .graphs import Frame, _slot, graph_projection, recover_operator
+from .lattice import join, meet
 from .maps import (
     ConjugationRingIso,
     LatticeMap,
@@ -58,16 +59,18 @@ from .sampling import random_element, random_projection, rng_from
 __all__ = [
     "CoordinatizationResult",
     "UniquenessReport",
-    "order_frame",
     "normalize_map",
     "coordinatize",
     "uniqueness_residual",
 ]
 
-# complex entries a pass of _CornerMap.full may hold: the nine corners
-# of a point become nine graph projections of the whole algebra, 9 sum
-# n_b^2 entries, so a pass takes max(1, PASS_BUDGET // (9 sum n_b^2))
-# points; chosen by measurement, see ROADMAP
+# the order of the frame coordinatize seeds when it is given none
+ORDER = 3
+
+# complex entries a pass of _CornerMap.full may hold: the k^2 corners
+# of a point become k^2 graph projections of the whole algebra, k^2 sum
+# n_b^2 entries, so a pass takes max(1, PASS_BUDGET // (k^2 sum n_b^2))
+# points; chosen by measurement at k = 3, see ROADMAP
 PASS_BUDGET = 2592
 
 
@@ -77,13 +80,13 @@ class CoordinatizationResult:
 
     psi acts on corner elements (the coordinate algebra) and is read
     off the lattice on every call; Psi, on full elements, is compiled
-    to a ConjugationRingIso; normalizers are (S0, S3), the invertible
+    to a ConjugationRingIso; normalizers are (S0, S_k), the invertible
     operators applied to the target in that order; target_frame is the
     standard frame of the target.  diagnostics holds the sampled
     residuals of the ring axioms and the support intertwining of Psi
     re-derived from the lattice (through psi.full: a pass takes several
     points, up to PASS_BUDGET, and goes once through the graph layer,
-    the normalized map phi' = Ad(S3 S0) o phi tiled over the nonzero
+    the normalized map phi' = Ad(S_k S0) o phi tiled over the nonzero
     corners of all of them, which applies phi and one conjugation, and
     the recovery layer), plus compiled_agreement (the worst distance of
     the compiled Psi from it) and compiled_intertwining (the support
@@ -92,8 +95,8 @@ class CoordinatizationResult:
 
     psi: Callable[[Element], Element]
     Psi: ConjugationRingIso
-    source_frame: ThreeFrame
-    target_frame: ThreeFrame
+    source_frame: Frame
+    target_frame: Frame
     normalizers: tuple[Element, Element]
     diagnostics: dict
 
@@ -107,79 +110,50 @@ class UniquenessReport:
     samples: int
 
 
-def order_frame(
-    shape: AlgebraShape,
-    p1: Projection,
-    p2: Projection,
-    p3: Projection,
-    tol: Tolerances = DEFAULT_TOL,
-) -> ThreeFrame:
-    """Frame from three orthogonal equivalent projections summing to 1.
-
-    Equivalence witnesses are built from the range bases; the remaining
-    matrix units are products of the two witnesses.
-
-    Raises:
-        NotAFrame: shapes differ, ranks differ, or the frame relations
-            fail (orthogonality, sum, witness identities).
-    """
-    for p in (p1, p2, p3):
-        if p.shape != shape:
-            raise NotAFrame("frame projections must live in the given shape")
-    if not (p1.ranks == p2.ranks == p3.ranks):
-        raise NotAFrame(
-            f"projections are not equivalent: ranks {p1.ranks}, {p2.ranks}, {p3.ranks}"
-        )
-    w12, w13 = mv_equivalent(p1, p2), mv_equivalent(p1, p3)
-    if w12 is None or w13 is None:
-        raise NotAFrame("no Murray-von Neumann witness between frame projections")
-    return ThreeFrame.from_projections(p1, p2, p3, w12, w13, tol)
-
-
 def normalize_map(
     phi: LatticeMap,
-    source_frame: ThreeFrame,
+    source_frame: Frame,
     tol: Tolerances = DEFAULT_TOL,
-) -> tuple[LatticeMap, ThreeFrame, list[Element]]:
+) -> tuple[LatticeMap, Frame, list[Element]]:
     """Normalize a lattice isomorphism onto the standard frame of its target.
 
     Two invertible conjugations are composed onto the target side.  S0
-    is B^{-1}, B = [B1 B2 B3] per block, where B_i is the range basis of
-    phi(e_i): Ad(S0) o phi carries e_i exactly onto the i-th index
-    third.  The diagonal S3 = diag(1, c12^{-1}, c13^{-1}) then rescales
-    the slots, where c12, c13 are the slot units read through
-    Ad(S0) o phi, so the unit graph projections are fixed.  The
-    normalizers compose as elements: the returned map is
-    phi' = Ad(S) o phi with S = S3 S0, one conjugation after phi (a
-    two-part Composite, whose outer provenance is the
-    ConjugationRingIso of S).  phi' satisfies phi'(e_i) = f_i for the
-    standard target frame (f_1, f_2, f_3) and phi'(P_12[1]) = P_12[1],
-    phi'(P_13[1]) = P_13[1] in the two frames' coordinates.
+    is B^{-1}, B = [B1 ... Bk] per block, where B_i is the range basis
+    of phi(e_i) and k the frame's order: Ad(S0) o phi carries e_i
+    exactly onto the i-th index group.  The diagonal
+    S_k = diag(1, c12^{-1}, ..., c1k^{-1}) then rescales the slots,
+    where c1j is the slot unit read through Ad(S0) o phi, so the unit
+    graph projections are fixed.  The normalizers compose as elements:
+    the returned map is phi' = Ad(S) o phi with S = S_k S0, one
+    conjugation after phi (a two-part Composite, whose outer provenance
+    is the ConjugationRingIso of S).  phi' satisfies phi'(e_i) = f_i
+    for the standard target frame (f_1, ..., f_k) and
+    phi'(P_1j[1]) = P_1j[1] in the two frames' coordinates.
 
-    Returns (phi', target_frame, [S0, S3]).
+    Returns (phi', target_frame, [S0, S_k]).
 
     Raises:
         ShapeMismatch: the map's source is not the frame's algebra, or
             a frame image lives outside the map's target.
-        NotOrderThree: some phi(e_i) is not a third of a target block,
+        NotOrderThree: some phi(e_i) is not a k-th of a target block,
             or B is singular at the rank cutoff, so the target has no
-            order-3 structure to carry over.
+            order-k structure to carry over.
         FrameAssemblyFailed: a slot unit does not recover or invert, or
-            S3 S0 fails the rank cutoff (the message names the block).
+            S_k S0 fails the rank cutoff (the message names the block).
     """
     if phi.source != source_frame.shape:
         raise ShapeMismatch("map source does not match the frame's algebra")
-    fr, shape = source_frame, phi.target
+    fr, shape, k = source_frame, phi.target, source_frame.order
     images = [phi(e) for e in fr.projections]
     for i, g in enumerate(images, 1):
         if g.shape != shape:
             raise ShapeMismatch("frame images do not live in the map's target")
         for b, (r, n) in enumerate(zip(g.ranks, shape.blocks)):
-            if 3 * r != n:
+            if k * r != n:
                 raise NotOrderThree(
                     f"image of frame projection {i} has rank {r} on block {b} of size {n}"
                 )
-    # all ranks are n/3, so the three images share the layout of shape
+    # all ranks are n/k, so the k images share the layout of shape
     stacks = zip(*(g._stacks for g in images))
     b_mat = Element._of(
         shape, [(idx, np.concatenate(ps, axis=2)) for idx, ps in zip(shape._groups, stacks)]
@@ -190,60 +164,61 @@ def normalize_map(
     except NotInvertible as exc:
         raise NotOrderThree(f"frame images are not independent: {exc}") from exc
 
-    target = ThreeFrame.standard(shape)
+    target = Frame.standard(shape, k)
     one_hat = Element.identity(fr.corner_shape)
     slot_units = _CornerMap(phi0, fr, target, tol)
     try:
-        c12, c13 = slot_units(one_hat, 12), slot_units(one_hat, 13)
-        c12_inv, c13_inv = invert(c12, tol), invert(c13, tol)
+        units = [slot_units(one_hat, (0, j)) for j in range(1, k)]
+        inverses = [invert(c, tol) for c in units]
     except (NotAGraphProjection, NotInvertible) as exc:
         raise FrameAssemblyFailed(f"slot unit not invertible: {exc}") from exc
     eye = Element.identity(shape)
     mats = [e.copy() for e in eye._stacks]
-    for d, a, b in zip(mats, c12_inv._stacks, c13_inv._stacks):
-        _slot(d, 1, 1)[...] = a
-        _slot(d, 2, 2)[...] = b
-    s3 = eye._like(mats)
-    # S = S3 S0 is the product coordinatize inverts
+    for j, c in enumerate(inverses, 1):
+        for d, a in zip(mats, c._stacks):
+            _slot(d, j, j, k)[...] = a
+    sk = eye._like(mats)
+    # S = S_k S0 is the product coordinatize inverts
     try:
-        phi_norm = compose(from_conjugation(s3 * s0, tol), phi)
+        phi_norm = compose(from_conjugation(sk * s0, tol), phi)
     except NotInvertible as exc:
-        raise FrameAssemblyFailed(f"normalizer S3 S0 rejected: {exc}") from exc
-    return phi_norm, target, [s0, s3]
+        raise FrameAssemblyFailed(f"normalizer S{k} S0 rejected: {exc}") from exc
+    return phi_norm, target, [s0, sk]
 
 
 def coordinatize(
     phi: LatticeMap,
-    source_frame: ThreeFrame | None = None,
+    source_frame: Frame | None = None,
     samples: int = 8,
     seed: int = 2024,
     tol: Tolerances = DEFAULT_TOL,
 ) -> CoordinatizationResult:
     """Rebuild the ring isomorphism Psi with phi(l(x)) = l(Psi(x)).
 
-    When no source frame is given, a standard frame conjugated by a
-    seeded Haar unitary is used, so runs with different seeds take
+    When no source frame is given, a standard frame of order ORDER
+    conjugated by a seeded Haar unitary is used, so runs with different seeds take
     genuinely different routes through the lattice; the resulting Psi
     must nevertheless coincide, which is what uniqueness_residual
     measures.
 
-    Psi is compiled to a ConjugationRingIso at a cost of n/3 + 2
-    corner-map calls per block; _verify certifies it against Psi
-    re-derived from the lattice at every point it samples.  It draws
-    the points in a fixed order and re-derives Psi at them in passes
-    of max(1, PASS_BUDGET // (9 sum n_b^2)) points.  A pass goes once
-    over the c nonzero corners of its points: one graph projection, one
-    application of the normalized map phi' = Ad(S3 S0) o phi tiled over
+    Psi is compiled to a ConjugationRingIso at a cost of n/k + 2
+    corner-map calls per block, k the frame's order; _verify certifies
+    it against Psi re-derived from the lattice at every point it
+    samples.  It draws the points in a fixed order and re-derives Psi at
+    them in passes of max(1, PASS_BUDGET // (k^2 sum n_b^2)) points.  A
+    pass goes once over the c nonzero corners of its points: one graph
+    projection, one application of the normalized map
+    phi' = Ad(S_k S0) o phi tiled over
     them (phi'.tile(c), built once per c: two lattice maps, phi's tile
     and one tiled conjugation) and one recovery.  Each image is bit for
     bit what a pass of its own point gives.
 
     Raises:
-        NotOrderThree: some block size is not divisible by 3, or the
-            frame images are not three independent thirds of the
-            target blocks.
+        NotOrderThree: with no frame given, some block size is not
+            divisible by ORDER; or the frame images are not k
+            independent k-ths of the target blocks.
         FrameAssemblyFailed: a slot unit does not recover or invert, or
-            the normalizer S3 S0 fails the rank cutoff.
+            the normalizer S_k S0 fails the rank cutoff.
         SlotMismatch: slot-13/23 recoveries disagree with slot 12;
             phi is not induced by any ring isomorphism.
         NotRingIso, DegenerateWitness: the corner map does not compile
@@ -260,18 +235,18 @@ def coordinatize(
     fr = source_frame
 
     phi_norm, target, normalizers = normalize_map(phi, fr, tol)
-    s0, s3 = normalizers
-    s_total = s3 * s0
+    s0, sk = normalizers
+    s_total = sk * s0
     s_inv = invert(s_total, tol)
     psi = _CornerMap(phi_norm, fr, target, tol)
 
-    # The three slots must tell one story; disagreement means no ring
-    # isomorphism induces phi.
+    # Slots 12, 13 and 23 must tell one story; disagreement means no
+    # ring isomorphism induces phi.
     slot_res = 0.0
     for _ in range(max(2, samples // 4)):
         xh = random_element(fr.corner_shape, rng, norm_bound=2.0)
         y12 = psi(xh)
-        for slot in (13, 23):
+        for slot in ((0, 2), (1, 2)):
             slot_res = max(slot_res, distance(y12, psi(xh, slot)))
     if slot_res > 1e-5:
         raise SlotMismatch(
@@ -293,7 +268,7 @@ def coordinatize(
         Psi=Psi,
         source_frame=fr,
         target_frame=target,
-        normalizers=(s0, s3),
+        normalizers=(s0, sk),
         diagnostics=diagnostics,
     )
 
@@ -302,7 +277,7 @@ class _CornerMap:
     """The corner map psi, read off the lattice on every call.
 
     psi(x^) maps the slot-12 graph projection of x^ through the
-    normalized map phi' = Ad(S3 S0) o phi and recovers the operator
+    normalized map phi' = Ad(S_k S0) o phi and recovers the operator
     from the image; psi(x^, slot) takes the same road through another
     slot, which for a map induced by a ring isomorphism gives the same
     operator.  grid() does this for a grid of corners in one pass: its
@@ -320,8 +295,8 @@ class _CornerMap:
     def __init__(
         self,
         phi: LatticeMap,
-        source: ThreeFrame,
-        target: ThreeFrame,
+        source: Frame,
+        target: Frame,
         tol: Tolerances = DEFAULT_TOL,
     ):
         self.phi = phi
@@ -329,13 +304,13 @@ class _CornerMap:
         self.target = target
         self.tol = tol
         self._zero = Element.zeros(target.corner_shape)
-        # c -> (c-fold source and target slot coordinates, phi.tile(c))
+        # c -> (c-fold source and target frames, phi.tile(c))
         self._tiled: dict = {}
 
-    def __call__(self, xhat: Element, slot: int = 12) -> Element:
+    def __call__(self, xhat: Element, slot=(0, 1)) -> Element:
         return self.grid([[xhat]], slot)[0][0]
 
-    def grid(self, rows: list[list[Element]], slot: int = 12) -> list[list[Element]]:
+    def grid(self, rows: list[list[Element]], slot=(0, 1)) -> list[list[Element]]:
         """psi at every corner of a grid, through the given slot, in one
         pass; an exactly zero corner costs nothing and maps to zero.
 
@@ -357,11 +332,11 @@ class _CornerMap:
     def full(self, xs: Iterable[Element], s: Element, s_inv: Element) -> Iterator[Element]:
         """Psi re-derived from the lattice at each element of xs, in order.
 
-        The nine slot-12 corners of a point go through psi and are
-        reassembled in the target's slot coordinates, which for the
-        standard target frame are the identity; S^{-1} Y S undoes the
-        normalizer S.  The points go in passes of
-        max(1, PASS_BUDGET // (9 sum n_b^2)), the nonzero corners of a
+        The k^2 corners of a point, k the frames' order, go through psi
+        in slot 12 and are reassembled in the target's slot coordinates,
+        which for the standard target frame are the identity; S^{-1} Y S
+        undoes the normalizer S.  The points go in passes of
+        max(1, PASS_BUDGET // (k^2 sum n_b^2)), the nonzero corners of a
         pass being one direct sum, and only one pass's images are held
         at a time.  Every layer works per block, so each image is bit
         for bit what a pass of its own gives.
@@ -371,17 +346,17 @@ class _CornerMap:
                 projection; the message names the corner (i, j) of its
                 point and the block.
         """
-        fr, target = self.source, self.target
+        fr, target, k = self.source, self.target, self.source.order
         blocks = fr.corner_shape.blocks
-        per_pass = max(1, PASS_BUDGET // (9 * sum(n * n for n in fr.shape.blocks)))
+        per_pass = max(1, PASS_BUDGET // (k * k * sum(n * n for n in fr.shape.blocks)))
         xs = iter(xs)
         while points := list(itertools.islice(xs, per_pass)):
             # the nonzero corners, as the pieces of their direct sum
             at, pieces = [], []
             for m, x in enumerate(points):
                 coords = fr._rotate(x)._pieces()
-                for i, j in itertools.product(range(3), repeat=2):
-                    corner = [(g, _slot(a, i, j)) for g, a in coords]
+                for i, j in itertools.product(range(k), repeat=2):
+                    corner = [(g, _slot(a, i, j, k)) for g, a in coords]
                     if any(a.any() for _, a in corner):
                         shift = len(at) * len(blocks)
                         pieces += [(tuple(b + shift for b in g), a) for g, a in corner]
@@ -390,16 +365,16 @@ class _CornerMap:
             if at:
                 c = len(at)
                 x = Element._of(AlgebraShape(blocks * c), pieces)
-                ys = self._pass([(i, j) for _, i, j in at], x, 12)
+                ys = self._pass([(i, j) for _, i, j in at], x, (0, 1))
                 # each size group's stack holds the corners one after another
                 stacks = [a.reshape(c, -1, *a.shape[1:]) for a in ys._stacks]
                 for q, (m, i, j) in enumerate(at):
                     for o, a in zip(outs[m], stacks):
-                        _slot(o, i, j)[...] = a[q]
+                        _slot(o, i, j, k)[...] = a[q]
             for out in outs:
                 yield s_inv * target._v._like(out) * s
 
-    def _pass(self, names: list, x: Element, slot: int) -> Element:
+    def _pass(self, names: list, x: Element, slot: tuple[int, int]) -> Element:
         """psi at the c corners whose direct sum is x, in one pass: one
         element of the direct sum of c copies of the corner algebra,
         mapped to one of the target's; an error names the corner by
@@ -423,15 +398,16 @@ def _compile(psi: _CornerMap, s_inv: Element, tol: Tolerances) -> ConjugationRin
     the corner algebra), and Psi assembles psi entrywise in the source
     frame coordinates V and the standard target coordinates before
     undoing the normalizer S, so block t = block_map[b] of Psi is
-    conjugation by T_t = S_t^{-1} (1_3 (x) R_t) sigma_b(V_b)*.
+    conjugation by T_t = S_t^{-1} (1_k (x) R_t) sigma_b(V_b)*, k the
+    frames' order.
     """
     fr, target = psi.source, psi.target
     corner = _skolem_noether(psi, fr.corner_shape, target.corner_shape, tol)
     blocks = [None] * len(corner.block_map)
     for b, (s, t) in enumerate(zip(corner.sigma, corner.block_map)):
-        v = fr._vmats[b]
+        v = fr._v.data[b]
         v = v.conj() if s == "conj" else v
-        r = np.kron(np.eye(3), corner.T.data[t])
+        r = np.kron(np.eye(fr.order), corner.T.data[t])
         blocks[t] = s_inv.data[t] @ r @ v.conj().T
     T = Element(target.shape, blocks)
     return ConjugationRingIso(T, corner.sigma, tol, corner.block_map)
@@ -439,18 +415,16 @@ def _compile(psi: _CornerMap, s_inv: Element, tol: Tolerances) -> ConjugationRin
 
 def _seeded_frame(
     shape: AlgebraShape, rng: np.random.Generator, tol: Tolerances
-) -> ThreeFrame:
+) -> Frame:
     from .sampling import random_unitary
 
-    base = ThreeFrame.standard(shape)
+    base = Frame.standard(shape, ORDER)
     u = random_unitary(shape, rng)
     ps = [
         Projection.from_basis(shape, [ub @ eb for ub, eb in zip(u.data, p.basis)])
         for p in base.projections
     ]
-    w12 = u * base.units[0][1] * u.adjoint()
-    w13 = u * base.units[0][2] * u.adjoint()
-    return ThreeFrame.from_projections(ps[0], ps[1], ps[2], w12, w13, tol)
+    return Frame.from_projections(ps, [u * w * u.adjoint() for w in base.units], tol)
 
 
 def _verify(
@@ -522,19 +496,20 @@ def _verify(
     # Reduction identity for non-graph projections: the meet expression
     # P_{x2,x3} = (P_12[x2] v e3) ^ (P_13[x3] v e2) must transport slotwise.
     two_slot = 0.0
+    e, f = fr.projections, target.projections
     for _ in range(2):
         x2 = random_element(fr.corner_shape, rng, norm_bound=2.0)
         x3 = random_element(fr.corner_shape, rng, norm_bound=2.0)
         lhs = phi_norm(
             meet(
-                join(graph_projection(fr, x2, 12), fr.e3, tol),
-                join(graph_projection(fr, x3, 13), fr.e2, tol),
+                join(graph_projection(fr, x2, (0, 1)), e[2], tol),
+                join(graph_projection(fr, x3, (0, 2)), e[1], tol),
                 tol,
             )
         )
         rhs = meet(
-            join(graph_projection(target, psi(x2), 12), target.e3, tol),
-            join(graph_projection(target, psi(x3), 13), target.e2, tol),
+            join(graph_projection(target, psi(x2), (0, 1)), f[2], tol),
+            join(graph_projection(target, psi(x3), (0, 2)), f[1], tol),
             tol,
         )
         two_slot = max(two_slot, distance(lhs, rhs))

@@ -52,7 +52,7 @@ class NotLSOrthogonal(ProjlatError):
 
 class NotAFrame(ProjlatError):
     """The given projections/witnesses do not assemble into a frame of
-    three equivalent orthogonal projections summing to 1."""
+    k equivalent orthogonal projections summing to 1."""
 
 
 class NotAGraphProjection(ProjlatError):
@@ -71,16 +71,17 @@ class NotAGraphProjection(ProjlatError):
 
 
 class NotOrderThree(ProjlatError):
-    """Coordinatization needs every block size divisible by 3 and frame
-    images that are three independent thirds of every target block: each
-    image has rank n/3 on a block of size n, and the concatenation of
+    """Coordinatization needs a frame of some order k (the pipeline
+    seeds k = 3, so every block size must be divisible by 3) and frame
+    images that are k independent k-ths of every target block: each
+    image has rank n/k on a block of size n, and the concatenation of
     their range bases passes the rank cutoff."""
 
 
 class FrameAssemblyFailed(ProjlatError):
     """Normalization onto the standard target frame failed: a slot unit
     read through the first normalizer does not recover or invert, or
-    the normalizer S3 S0 fails the rank cutoff on the block the message
+    the normalizer S_k S0 fails the rank cutoff on the block the message
     names."""
 
 

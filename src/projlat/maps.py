@@ -525,7 +525,8 @@ def preserves_orthogonality(
 
     Returns (ok, witness); the witness records the first pair on which
     the biconditional failed (as storable objects, so it can go into a
-    report verbatim) with the offending residual.  Standard
+    report verbatim) with the offending residual; an orthogonal pair's
+    witness also carries the pair's own product, probe_product.  Standard
     coordinate projections are always included among the samples since
     they expose non-unitary conjugations immediately.
     """
@@ -556,13 +557,13 @@ def preserves_orthogonality(
         probes.append((p, Projection._of(shape, orth(pushed, tol.rank_rel))))
 
     for p, q in probes:
-        if (p.element * q.element).norm() > tol.proj_tol:
-            continue  # sampler failed to make them orthogonal; skip
         res = images_product(p, q)
         if res > CHECK_TOL:
+            # the pair's own product, so that a sampler fault shows as one
             return False, {
                 "kind": "orthogonal-pair-mapped-to-overlapping",
                 "residual": float(res),
+                "probe_product": float((p.element * q.element).norm()),
                 "ranks_p": list(p.ranks),
                 "ranks_q": list(q.ranks),
                 "p": projection_to_obj(p),

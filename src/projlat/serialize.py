@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import AlgebraShape, DEFAULT_TOL, Element, Projection, Tolerances
 from .errors import NotAProjection
-from .graphs import ThreeFrame
+from .graphs import Frame
 from .halmos import HalmosDecomposition
 from .maps import ConjugationRingIso, LatticeMap
 
@@ -185,27 +185,27 @@ def halmos_to_obj(dec: HalmosDecomposition) -> dict:
     }
 
 
-def frame_to_obj(frame: ThreeFrame) -> dict:
+def frame_to_obj(frame: Frame) -> dict:
+    """A frame of any order k: its k projections and units w_12 ... w_1k."""
     return {
-        "kind": "three-frame",
-        "p1": projection_to_obj(frame.e1),
-        "p2": projection_to_obj(frame.e2),
-        "p3": projection_to_obj(frame.e3),
-        "w12": element_to_obj(frame.units[0][1]),
-        "w13": element_to_obj(frame.units[0][2]),
+        "kind": "frame",
+        "projections": [projection_to_obj(p) for p in frame.projections],
+        "units": [element_to_obj(w) for w in frame.units],
     }
 
 
-def frame_from_obj(d: dict, tol: Tolerances = DEFAULT_TOL) -> ThreeFrame:
-    if d.get("kind") != "three-frame":
-        raise ValueError(f'expected kind "three-frame", got {d.get("kind")!r}')
-    return ThreeFrame.from_projections(
-        projection_from_obj(d["p1"], tol),
-        projection_from_obj(d["p2"], tol),
-        projection_from_obj(d["p3"], tol),
-        element_from_obj(d["w12"]),
-        element_from_obj(d["w13"]),
-        tol,
+def frame_from_obj(d: dict, tol: Tolerances = DEFAULT_TOL) -> Frame:
+    """Load a frame; an order-3 "three-frame" object (p1, p2, p3, w12,
+    w13), the format before frames of any order, loads as well."""
+    kind = d.get("kind")
+    if kind == "three-frame":
+        ps, ws = [d["p1"], d["p2"], d["p3"]], [d["w12"], d["w13"]]
+    elif kind == "frame":
+        ps, ws = d["projections"], d["units"]
+    else:
+        raise ValueError(f'expected kind "frame", got {kind!r}')
+    return Frame.from_projections(
+        [projection_from_obj(p, tol) for p in ps], [element_from_obj(w) for w in ws], tol
     )
 
 

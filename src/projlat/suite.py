@@ -1,9 +1,10 @@
 """Verification suite: every lemma-level property family, one report.
 
 Each check family draws fresh seeded instances, measures a worst-case
-residual, and grades it against its gate.  Families that need order-3
-structure are marked SKIPPED(NotOrderThree) on shapes with a block size
-not divisible by 3 rather than silently dropped.
+residual, and grades it against its gate.  Families that need a frame of
+the pipeline's order (coordinatize.ORDER) are marked
+SKIPPED(NotOrderThree) on shapes with a block size not divisible by it
+rather than silently dropped.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from .core import (
     left_support,
     polar_decompose,
 )
-from .coordinatize import coordinatize, uniqueness_residual
+from .coordinatize import ORDER, coordinatize, uniqueness_residual
 from .errors import NotAFrame, NotOrderThree, OrthogonalityNotPreserved
 from .graphs import (
-    ThreeFrame,
+    Frame,
     graph_projection,
     inverse_coincidence,
     lattice_product,
@@ -75,9 +76,9 @@ from .sampling import (
 __all__ = ["verify_suite"]
 
 
-def _skip_not_order3(shape: AlgebraShape) -> ThreeFrame:
+def _skip_not_order3(shape: AlgebraShape) -> Frame:
     try:
-        return ThreeFrame.standard(shape)
+        return Frame.standard(shape, ORDER)
     except NotAFrame as exc:
         # only this instance skips; NotOrderThree from elsewhere is a FAIL
         err = NotOrderThree(str(exc))
@@ -239,20 +240,20 @@ def _check_graph_identities(shape, seed, samples, tol):
             worst,
             distance(
                 lattice_product(frame, x, y, tol),
-                graph_projection(frame, x * y, 13),
+                graph_projection(frame, x * y, (0, 2)),
             ),
         )
         worst = max(
             worst,
             distance(
                 lattice_sum(frame, x, y, tol),
-                graph_projection(frame, x + y, 12),
+                graph_projection(frame, x + y, (0, 1)),
             ),
         )
         worst = max(
             worst,
             distance(
-                recover_operator(frame, graph_projection(frame, x, 12), 12, tol),
+                recover_operator(frame, graph_projection(frame, x), tol=tol),
                 x,
             )
             / max(1.0, x.norm()),

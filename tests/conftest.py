@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from projlat import AlgebraShape
+
+# selected with --hypothesis-profile=ci: a counterexample found only
+# there is reported with the @reproduce_failure blob that replays it
+settings.register_profile("ci", print_blob=True)
 
 
 SHAPES = [AlgebraShape([3]), AlgebraShape([2, 3]), AlgebraShape([4])]

@@ -150,7 +150,7 @@ def test_04_graph_identities_and_inverse_coincidence(announce):
     rng = np.random.default_rng(400)
     worst = 0.0
     for blocks in ([3], [6]):
-        fr = pl.ThreeFrame.standard(AlgebraShape(blocks))
+        fr = pl.Frame.standard(AlgebraShape(blocks), 3)
         ch = fr.corner_shape
         for _ in range(100):
             x = pl.random_element(ch, rng, norm_bound=10.0)
@@ -159,16 +159,16 @@ def test_04_graph_identities_and_inverse_coincidence(announce):
                 worst,
                 pl.distance(
                     pl.lattice_product(fr, x, y),
-                    pl.graph_projection(fr, x * y, 13),
+                    pl.graph_projection(fr, x * y, (0, 2)),
                 ),
                 pl.distance(
                     pl.lattice_sum(fr, x, y),
-                    pl.graph_projection(fr, x + y, 12),
+                    pl.graph_projection(fr, x + y, (0, 1)),
                 ),
             )
     false_calls, checked = 0, 0
     for blocks in ([3], [6]):
-        fr = pl.ThreeFrame.standard(AlgebraShape(blocks))
+        fr = pl.Frame.standard(AlgebraShape(blocks), 3)
         ch = fr.corner_shape
         n = ch.blocks[0]
         for k in range(50):

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from projlat import AlgebraShape, ConjugationRingIso, Element, Projection, ThreeFrame
+from projlat import AlgebraShape, ConjugationRingIso, Element, Frame, Projection
 from projlat.core import _direct_sum, _summands
-from projlat.graphs import SLOTS, graph_projection, recover_operator
+from projlat.graphs import graph_projection, recover_operator
 
 MIXED = [AlgebraShape([3, 2, 3, 3]), AlgebraShape([1, 3, 3])]
 MIXED_IDS = ["3+2+3+3", "1+3+3"]
@@ -32,9 +32,8 @@ def block_projection(p, b):
 
 
 def block_frame(fr, b):
-    ps = tuple(block_projection(p, b) for p in fr.projections)
-    units = tuple(tuple(block_element(w, b) for w in row) for row in fr.units)
-    return ThreeFrame(_one(fr.shape, b), ps, units, (fr._vmats[b],))
+    ps = [block_projection(p, b) for p in fr.projections]
+    return Frame(ps, [block_element(w, b) for w in fr.units], (fr._v.data[b],))
 
 
 def assert_blockwise(whole, parts):
@@ -131,18 +130,16 @@ def test_conjugation_iso_equals_blockwise(shape, block_map, sigma):
 def test_graph_ops_equal_blockwise():
     rng = np.random.default_rng(14)
     u = pl.random_unitary(FRAMED, rng)
-    base = ThreeFrame.standard(FRAMED)
+    base = Frame.standard(FRAMED, 3)
     ps = [
         Projection.from_basis(FRAMED, [ub @ eb for ub, eb in zip(u.data, p.basis)])
         for p in base.projections
     ]
-    w12 = u * base.units[0][1] * u.adjoint()
-    w13 = u * base.units[0][2] * u.adjoint()
-    fr = ThreeFrame.from_projections(ps[0], ps[1], ps[2], w12, w13)
+    fr = Frame.from_projections(ps, [u * w * u.adjoint() for w in base.units])
     k = len(FRAMED.blocks)
     frames = [block_frame(fr, b) for b in range(k)]
     x = pl.random_element(fr.corner_shape, rng, norm_bound=2.0)
-    for slot in SLOTS:
+    for slot in [(0, 1), (0, 2), (1, 2), (1, 0)]:
         q = graph_projection(fr, x, slot)
         assert_blockwise(
             q.basis,
@@ -153,11 +150,13 @@ def test_graph_ops_equal_blockwise():
             [recover_operator(frames[b], block_projection(q, b), slot).data[0] for b in range(k)],
         )
     y = pl.random_element(FRAMED, rng)
-    coords = fr.to_coords(y)
-    assert_blockwise(coords, [frames[b].to_coords(block_element(y, b))[0] for b in range(k)])
+    coords = fr._rotate(y)
     assert_blockwise(
-        fr.from_coords(coords).data,
-        [frames[b].from_coords([coords[b]]).data[0] for b in range(k)],
+        coords.data, [frames[b]._rotate(block_element(y, b)).data[0] for b in range(k)]
+    )
+    assert_blockwise(
+        fr._rotate(coords, back=True).data,
+        [frames[b]._rotate(block_element(coords, b), back=True).data[0] for b in range(k)],
     )
 
 

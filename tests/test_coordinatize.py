@@ -4,44 +4,28 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from projlat import AlgebraShape, Element, ThreeFrame
-from projlat.coordinatize import PASS_BUDGET, _CornerMap, normalize_map, order_frame
+from projlat import AlgebraShape, Element, Frame
+from projlat.coordinatize import PASS_BUDGET, _CornerMap, normalize_map
 from projlat.graphs import _slot
 from projlat.maps import Composite
 
 
 S3 = AlgebraShape([3])
 S6 = AlgebraShape([6])
-
-
-def test_order_frame_from_projections(rng):
-    base = ThreeFrame.standard(S6)
-    fr = order_frame(S6, base.e1, base.e2, base.e3)
-    assert fr.e1.ranks == (2,)
-    one = Element.identity(fr.corner_shape)
-    q = pl.graph_projection(fr, one, 12)
-    assert pl.distance(pl.recover_operator(fr, q, 12), one) < 1e-10
-
-
-def test_order_frame_rejects_uneven_ranks(rng):
-    p1 = pl.random_projection(S6, rng, ranks=[3])
-    p2 = pl.random_projection(S6, rng, ranks=[2])
-    p3 = pl.random_projection(S6, rng, ranks=[1])
-    with pytest.raises(pl.NotAFrame):
-        order_frame(S6, p1, p2, p3)
+S8 = AlgebraShape([8])
 
 
 def test_normalize_map_lands_on_target_frame(rng):
     t = pl.random_invertible(S6, rng, cond_max=50.0)
     phi = pl.from_conjugation(t)
-    fr = ThreeFrame.standard(S6)
+    fr = Frame.standard(S6, 3)
     phi3, target, normalizers = normalize_map(phi, fr)
     assert len(normalizers) == 2
     for e_src, e_tgt in zip(fr.projections, target.projections):
         assert pl.distance(phi3(e_src), e_tgt) < 1e-8
     # all three units transport to the target units
     one = Element.identity(fr.corner_shape)
-    for slot in (12, 13):
+    for slot in ((0, 1), (0, 2)):
         img = phi3(pl.graph_projection(fr, one, slot))
         assert pl.distance(img, pl.graph_projection(target, one, slot)) < 1e-7
 
@@ -155,18 +139,19 @@ def test_multi_point_pass_equals_one_point_per_pass(blocks, kind, rng):
 
 
 def _psi_by_grid(psi, x, s, s_inv):
-    """Psi re-derived at x through one 3x3 grid of its slot corners."""
-    fr, target = psi.source, psi.target
+    """Psi re-derived at x through one k x k grid of its slot corners."""
+    fr, target, k = psi.source, psi.target, psi.source.order
     coords = fr._rotate(x)._pieces()
-    rows = [
-        [Element._of(fr.corner_shape, [(g, _slot(a, i, j)) for g, a in coords]) for j in range(3)]
-        for i in range(3)
-    ]
+
+    def corner(i, j):
+        return Element._of(fr.corner_shape, [(g, _slot(a, i, j, k)) for g, a in coords])
+
+    rows = [[corner(i, j) for j in range(k)] for i in range(k)]
     out = [np.zeros_like(v) for v in target._v._stacks]
     for i, row in enumerate(psi.grid(rows)):
         for j, y in enumerate(row):
             for o, a in zip(out, y._stacks):
-                _slot(o, i, j)[...] = a
+                _slot(o, i, j, k)[...] = a
     return s_inv * target._v._like(out) * s
 
 
@@ -180,11 +165,49 @@ def test_coordinatize_transpose(rng):
 
 def test_coordinatize_with_explicit_frame(rng):
     t = pl.random_invertible(S6, rng, cond_max=30.0)
-    fr = ThreeFrame.standard(S6)
+    fr = Frame.standard(S6, 3)
     result = pl.coordinatize(pl.from_conjugation(t), source_frame=fr, samples=4, seed=0)
     t_inv = pl.invert(t)
     x = pl.random_element(S6, rng)
     assert pl.distance(result.Psi(x), t * x * t_inv) < 1e-6
+
+
+def _order_four_frame(seed):
+    """The standard order-4 frame of [8] conjugated by a seeded Haar
+    unitary."""
+    base = Frame.standard(S8, 4)
+    u = pl.random_unitary(S8, np.random.default_rng(seed))
+    ps = [
+        pl.Projection.from_basis(S8, [ub @ eb for ub, eb in zip(u.data, p.basis)])
+        for p in base.projections
+    ]
+    return Frame.from_projections(ps, [u * w * u.adjoint() for w in base.units])
+
+
+@pytest.mark.parametrize("kind", ["conj", "transpose"])
+def test_coordinatize_with_an_order_four_frame(kind, rng):
+    # the criterion-05 gates: 1e-6 cond(T) for a conjugation, 1e-8 for the transpose map
+    if kind == "conj":
+        t = pl.random_invertible(S8, rng, cond_max=100.0)
+        t_inv = pl.invert(t)
+        phi, gate, truth = pl.from_conjugation(t), 1e-6 * pl.cond(t), lambda x: t * x * t_inv
+    else:
+        phi, gate, truth = pl.from_semilinear(Element.identity(S8), "conj"), 1e-8, Element.conj
+    result = pl.coordinatize(phi, source_frame=_order_four_frame(11), samples=4, seed=5)
+    assert result.target_frame.order == 4
+    assert result.Psi.sigma == ("id" if kind == "conj" else "conj",)
+    assert result.diagnostics["compiled_agreement"] <= gate
+    for _ in range(25):
+        x = pl.random_element(S8, rng)
+        assert pl.distance(result.Psi(x), truth(x)) <= gate
+    # Psi re-derived from the 4 x 4 corners of each point, in passes of
+    # two points, is bit for bit what a grid of one point gives
+    s0, sk = result.normalizers
+    s = sk * s0
+    xs = [pl.random_element(S8, rng) for _ in range(3)]
+    for x, y in zip(xs, result.psi.full(xs, s, pl.invert(s))):
+        by_grid = _psi_by_grid(result.psi, x, s, pl.invert(s))
+        assert all(np.array_equal(u, v) for u, v in zip(y.data, by_grid.data))
 
 
 def test_coordinatize_rejects_non_order3_shapes(rng):

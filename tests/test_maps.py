@@ -174,6 +174,21 @@ def test_shear_breaks_orthogonality():
     assert (before < 1e-8) != (after < 1e-8)
 
 
+@pytest.mark.parametrize("blocks", [[2], [6], [2, 3], [3, 3, 4]])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_shear_witness_carries_the_probe_product(blocks, seed):
+    # no orthogonal probe is skipped, so the witness carries the pair's
+    # own product: within proj_tol for a sound sampler
+    shape = AlgebraShape(blocks)
+    shear = [np.eye(n, dtype=complex) for n in blocks]
+    shear[int(np.argmax(blocks))][0, 1] = 1.0
+    ok, witness = pl.preserves_orthogonality(pl.from_conjugation(Element(shape, shear)), 8, seed)
+    assert not ok and witness["kind"] == "orthogonal-pair-mapped-to-overlapping"
+    assert witness["probe_product"] <= pl.DEFAULT_TOL.proj_tol
+    p, q = pl.projection_from_obj(witness["p"]), pl.projection_from_obj(witness["q"])
+    assert abs((p.element * q.element).norm() - witness["probe_product"]) <= 1e-15
+
+
 def test_rank_one_permutation_passes_sampling_but_is_out_of_scope(rng):
     """On a single 2x2 block every bijection of the rank-one projections
     extends to a lattice automorphism, induced by nothing.  Sampled
