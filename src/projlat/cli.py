@@ -21,10 +21,8 @@ import sys
 import time
 
 from .core import (
-    DEFAULT_TOL,
     AlgebraShape,
     Element,
-    Tolerances,
     cond,
     distance,
 )
@@ -70,14 +68,6 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _resolve_tol(args) -> Tolerances:
-    return Tolerances(
-        rank_rel=args.tol_rank if args.tol_rank is not None else DEFAULT_TOL.rank_rel,
-        proj_tol=args.tol_proj if args.tol_proj is not None else DEFAULT_TOL.proj_tol,
-        eq_tol=args.tol_eq if args.tol_eq is not None else DEFAULT_TOL.eq_tol,
-    )
-
-
 def _family(name: str) -> tuple[str, float]:
     """Anchor and gate of the verify-suite family called name, so that a
     command and the suite grade one property alike."""
@@ -91,9 +81,9 @@ def _parse_shape(text: str) -> AlgebraShape:
         raise _InputError(str(exc)) from None
 
 
-def _load(path: str, loader, tol: Tolerances):
+def _load(path: str, loader):
     try:
-        return loader(load_json(path), tol)
+        return loader(load_json(path))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
     except ProjlatError as exc:
@@ -122,13 +112,12 @@ def _emit(report: Report, args) -> int:
 def _cmd_gen(args) -> int:
     shape = _parse_shape(args.shape)
     seed = _resolve_seed(args)
-    tol = _resolve_tol(args)
     rng = rng_from(seed)
     if args.kind == "projection-pair":
         obj = pair_to_obj(random_projection(shape, rng), random_projection(shape, rng))
     elif args.kind == "lattice-map":
         t = random_invertible(shape, rng, cond_max=100.0)
-        obj = map_to_obj(from_conjugation(t, tol))
+        obj = map_to_obj(from_conjugation(t))
     elif args.kind == "ring-iso":
         t = random_invertible(shape, rng, cond_max=100.0)
         obj = ring_iso_to_obj(t, "id" if seed % 2 == 0 else "conj")
@@ -142,21 +131,19 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_halmos(args) -> int:
-    tol = _resolve_tol(args)
-    p, q = _load(args.input, pair_from_obj, tol)
+    p, q = _load(args.input, pair_from_obj)
     report = Report(
         command="halmos",
         shape=list(p.shape.blocks),
         seed=_resolve_seed(args),
         samples=1,
-        tolerances=tol,
     )
     dec_holder = {}
 
     def body():
-        dec = halmos_decompose(p, q, tol)
+        dec = halmos_decompose(p, q)
         dec_holder["dec"] = dec
-        p2, q2 = reconstruct(dec, tol)
+        p2, q2 = reconstruct(dec)
         return max(distance(p, p2), distance(q, q2)), None
 
     anchor, gate = _family("halmos-roundtrip")
@@ -167,8 +154,7 @@ def _cmd_halmos(args) -> int:
 
 
 def _cmd_coordinatize(args) -> int:
-    tol = _resolve_tol(args)
-    phi = _load(args.input, map_from_obj, tol)
+    phi = _load(args.input, map_from_obj)
     seed = _resolve_seed(args)
     samples = args.samples if args.samples is not None else 8
     report = Report(
@@ -176,7 +162,6 @@ def _cmd_coordinatize(args) -> int:
         shape=list(phi.source.blocks),
         seed=seed,
         samples=samples,
-        tolerances=tol,
     )
     scale = 1.0
     prov = phi.provenance
@@ -185,7 +170,7 @@ def _cmd_coordinatize(args) -> int:
     holder = {}
 
     def body():
-        result = coordinatize(phi, samples=samples, seed=seed, tol=tol)
+        result = coordinatize(phi, samples=samples, seed=seed)
         holder["result"] = result
         residuals = (
             float(v)
@@ -215,21 +200,14 @@ def _cmd_coordinatize(args) -> int:
 
 
 def _cmd_dye(args) -> int:
-    tol = _resolve_tol(args)
-    phi = _load(args.input, map_from_obj, tol)
+    phi = _load(args.input, map_from_obj)
     seed = _resolve_seed(args)
     samples = args.samples if args.samples is not None else 12
-    report = Report(
-        command="dye",
-        shape=list(phi.source.blocks),
-        seed=seed,
-        samples=samples,
-        tolerances=tol,
-    )
+    report = Report(command="dye", shape=list(phi.source.blocks), seed=seed, samples=samples)
     anchor, gate = _family("dye")
     t0 = time.perf_counter()
     try:
-        _, cert = dye_extension(phi, samples=samples, seed=seed, tol=tol)
+        _, cert = dye_extension(phi, samples=samples, seed=seed)
     except OrthogonalityNotPreserved as exc:
         report.checks.append(
             CheckResult(
@@ -260,22 +238,15 @@ def _cmd_dye(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    tol = _resolve_tol(args)
-    psi = _load(args.input, ring_iso_from_obj, tol)
+    psi = _load(args.input, ring_iso_from_obj)
     seed = _resolve_seed(args)
     samples = args.samples if args.samples is not None else 16
     shape = psi.source
-    report = Report(
-        command="factor",
-        shape=list(shape.blocks),
-        seed=seed,
-        samples=samples,
-        tolerances=tol,
-    )
+    report = Report(command="factor", shape=list(shape.blocks), seed=seed, samples=samples)
     holder = {}
 
     def body():
-        fac = inner_factor(psi, shape, samples=samples, seed=seed, tol=tol)
+        fac = inner_factor(psi, shape, samples=samples, seed=seed)
         holder["fac"] = fac
         return fac.residual / max(1.0, cond(fac.y)), None
 
@@ -294,20 +265,16 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_verify_suite(args) -> int:
-    tol = _resolve_tol(args)
     shape = _parse_shape(args.shape)
     seed = _resolve_seed(args)
     samples = args.samples if args.samples is not None else 25
-    report = verify_suite(shape, seed=seed, samples=samples, tol=tol)
+    report = verify_suite(shape, seed=seed, samples=samples)
     return _emit(report, args)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--samples", type=int, default=None)
-    sub.add_argument("--tol-rank", type=float, default=None, dest="tol_rank")
-    sub.add_argument("--tol-proj", type=float, default=None, dest="tol_proj")
-    sub.add_argument("--tol-eq", type=float, default=None, dest="tol_eq")
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--json", action="store_true")
 

@@ -24,11 +24,10 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
+    PROJ_TOL,
     AlgebraShape,
     Element,
     Projection,
-    Tolerances,
     _direct_sum,
     _summands,
     distance,
@@ -110,11 +109,7 @@ class UniquenessReport:
     samples: int
 
 
-def normalize_map(
-    phi: LatticeMap,
-    source_frame: Frame,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[LatticeMap, Frame, list[Element]]:
+def normalize_map(phi: LatticeMap, source_frame: Frame) -> tuple[LatticeMap, Frame, list[Element]]:
     """Normalize a lattice isomorphism onto the standard frame of its target.
 
     Two invertible conjugations are composed onto the target side.  S0
@@ -159,17 +154,17 @@ def normalize_map(
         shape, [(idx, np.concatenate(ps, axis=2)) for idx, ps in zip(shape._groups, stacks)]
     )
     try:
-        s0 = invert(b_mat, tol)
-        phi0 = compose(from_conjugation(s0, tol), phi)
+        s0 = invert(b_mat)
+        phi0 = compose(from_conjugation(s0), phi)
     except NotInvertible as exc:
         raise NotOrderThree(f"frame images are not independent: {exc}") from exc
 
     target = Frame.standard(shape, k)
     one_hat = Element.identity(fr.corner_shape)
-    slot_units = _CornerMap(phi0, fr, target, tol)
+    slot_units = _CornerMap(phi0, fr, target)
     try:
         units = [slot_units(one_hat, (0, j)) for j in range(1, k)]
-        inverses = [invert(c, tol) for c in units]
+        inverses = [invert(c) for c in units]
     except (NotAGraphProjection, NotInvertible) as exc:
         raise FrameAssemblyFailed(f"slot unit not invertible: {exc}") from exc
     eye = Element.identity(shape)
@@ -180,7 +175,7 @@ def normalize_map(
     sk = eye._like(mats)
     # S = S_k S0 is the product coordinatize inverts
     try:
-        phi_norm = compose(from_conjugation(sk * s0, tol), phi)
+        phi_norm = compose(from_conjugation(sk * s0), phi)
     except NotInvertible as exc:
         raise FrameAssemblyFailed(f"normalizer S{k} S0 rejected: {exc}") from exc
     return phi_norm, target, [s0, sk]
@@ -191,7 +186,6 @@ def coordinatize(
     source_frame: Frame | None = None,
     samples: int = 8,
     seed: int = 2024,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> CoordinatizationResult:
     """Rebuild the ring isomorphism Psi with phi(l(x)) = l(Psi(x)).
 
@@ -229,16 +223,16 @@ def coordinatize(
     rng = rng_from(seed)
     if source_frame is None:
         try:
-            source_frame = _seeded_frame(phi.source, rng, tol)
+            source_frame = _seeded_frame(phi.source, rng)
         except NotAFrame as exc:
             raise NotOrderThree(str(exc)) from exc
     fr = source_frame
 
-    phi_norm, target, normalizers = normalize_map(phi, fr, tol)
+    phi_norm, target, normalizers = normalize_map(phi, fr)
     s0, sk = normalizers
     s_total = sk * s0
-    s_inv = invert(s_total, tol)
-    psi = _CornerMap(phi_norm, fr, target, tol)
+    s_inv = invert(s_total)
+    psi = _CornerMap(phi_norm, fr, target)
 
     # Slots 12, 13 and 23 must tell one story; disagreement means no
     # ring isomorphism induces phi.
@@ -254,8 +248,8 @@ def coordinatize(
             "the map is not induced by a ring isomorphism"
         )
 
-    Psi = _compile(psi, s_inv, tol)
-    diagnostics = _verify(phi, psi, s_total, s_inv, Psi, samples, rng, tol)
+    Psi = _compile(psi, s_inv)
+    diagnostics = _verify(phi, psi, s_total, s_inv, Psi, samples, rng)
     diagnostics["slot_agreement"] = float(slot_res)
     diagnostics["seed"] = seed
     diagnostics["samples"] = samples
@@ -292,17 +286,10 @@ class _CornerMap:
     each corner's image is bit for bit what it is alone.
     """
 
-    def __init__(
-        self,
-        phi: LatticeMap,
-        source: Frame,
-        target: Frame,
-        tol: Tolerances = DEFAULT_TOL,
-    ):
+    def __init__(self, phi: LatticeMap, source: Frame, target: Frame):
         self.phi = phi
         self.source = source
         self.target = target
-        self.tol = tol
         self._zero = Element.zeros(target.corner_shape)
         # c -> (c-fold source and target frames, phi.tile(c))
         self._tiled: dict = {}
@@ -385,13 +372,13 @@ class _CornerMap:
         src, tgt, phi = self._tiled[c]
         graphs = graph_projection(src, x, slot)
         try:
-            return recover_operator(tgt, phi(graphs), slot, self.tol)
+            return recover_operator(tgt, phi(graphs), slot)
         except NotAGraphProjection as exc:
             m, b = divmod(exc.block, len(self.target.shape.blocks))
             raise NotAGraphProjection(f"corner {names[m]}: {exc.reason}", b) from exc
 
 
-def _compile(psi: _CornerMap, s_inv: Element, tol: Tolerances) -> ConjugationRingIso:
+def _compile(psi: _CornerMap, s_inv: Element) -> ConjugationRingIso:
     """Psi as one ConjugationRingIso, read off the corner map.
 
     psi is x -> R sigma(x) R^{-1} with blocks routed (Skolem-Noether on
@@ -402,7 +389,7 @@ def _compile(psi: _CornerMap, s_inv: Element, tol: Tolerances) -> ConjugationRin
     frames' order.
     """
     fr, target = psi.source, psi.target
-    corner = _skolem_noether(psi, fr.corner_shape, target.corner_shape, tol)
+    corner = _skolem_noether(psi, fr.corner_shape, target.corner_shape)
     blocks = [None] * len(corner.block_map)
     for b, (s, t) in enumerate(zip(corner.sigma, corner.block_map)):
         v = fr._v.data[b]
@@ -410,12 +397,10 @@ def _compile(psi: _CornerMap, s_inv: Element, tol: Tolerances) -> ConjugationRin
         r = np.kron(np.eye(fr.order), corner.T.data[t])
         blocks[t] = s_inv.data[t] @ r @ v.conj().T
     T = Element(target.shape, blocks)
-    return ConjugationRingIso(T, corner.sigma, tol, corner.block_map)
+    return ConjugationRingIso(T, corner.sigma, corner.block_map)
 
 
-def _seeded_frame(
-    shape: AlgebraShape, rng: np.random.Generator, tol: Tolerances
-) -> Frame:
+def _seeded_frame(shape: AlgebraShape, rng: np.random.Generator) -> Frame:
     from .sampling import random_unitary
 
     base = Frame.standard(shape, ORDER)
@@ -424,7 +409,7 @@ def _seeded_frame(
         Projection.from_basis(shape, [ub @ eb for ub, eb in zip(u.data, p.basis)])
         for p in base.projections
     ]
-    return Frame.from_projections(ps, [u * w * u.adjoint() for w in base.units], tol)
+    return Frame.from_projections(ps, [u * w * u.adjoint() for w in base.units])
 
 
 def _verify(
@@ -435,7 +420,6 @@ def _verify(
     Psi: ConjugationRingIso,
     samples: int,
     rng: np.random.Generator,
-    tol: Tolerances,
 ) -> dict:
     fr, target, phi_norm = psi.source, psi.target, psi.phi
     src, tgt = fr.shape, target.shape
@@ -486,12 +470,12 @@ def _verify(
     sup_res = proj_res = compiled_res = 0.0
     for _ in range(samples):
         (x, _, fx, gx), (_, p, fp, gp) = itertools.islice(images, 2)
-        img = phi(left_support(x, tol))
-        sup_res = max(sup_res, distance(left_support(fx, tol), img))
-        compiled_res = max(compiled_res, distance(left_support(gx, tol), img))
+        img = phi(left_support(x))
+        sup_res = max(sup_res, distance(left_support(fx), img))
+        compiled_res = max(compiled_res, distance(left_support(gx), img))
         img = phi(p)
-        proj_res = max(proj_res, distance(left_support(fp, tol), img))
-        compiled_res = max(compiled_res, distance(left_support(gp, tol), img))
+        proj_res = max(proj_res, distance(left_support(fp), img))
+        compiled_res = max(compiled_res, distance(left_support(gp), img))
 
     # Reduction identity for non-graph projections: the meet expression
     # P_{x2,x3} = (P_12[x2] v e3) ^ (P_13[x3] v e2) must transport slotwise.
@@ -502,15 +486,13 @@ def _verify(
         x3 = random_element(fr.corner_shape, rng, norm_bound=2.0)
         lhs = phi_norm(
             meet(
-                join(graph_projection(fr, x2, (0, 1)), e[2], tol),
-                join(graph_projection(fr, x3, (0, 2)), e[1], tol),
-                tol,
+                join(graph_projection(fr, x2, (0, 1)), e[2]),
+                join(graph_projection(fr, x3, (0, 2)), e[1]),
             )
         )
         rhs = meet(
-            join(graph_projection(target, psi(x2), (0, 1)), f[2], tol),
-            join(graph_projection(target, psi(x3), (0, 2)), f[1], tol),
-            tol,
+            join(graph_projection(target, psi(x2), (0, 1)), f[2]),
+            join(graph_projection(target, psi(x3), (0, 2)), f[1]),
         )
         two_slot = max(two_slot, distance(lhs, rhs))
 
@@ -535,7 +517,6 @@ def uniqueness_residual(
     shape: AlgebraShape,
     samples: int = 64,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> UniquenessReport:
     """Quantitative form of the identity lemma.
 
@@ -556,9 +537,9 @@ def uniqueness_residual(
         probes.append(random_projection(shape, rng).element)
     for k, x in enumerate(probes):
         y = psi_full(x)
-        d = distance(left_support(y, tol), left_support(x, tol))
+        d = distance(left_support(y), left_support(x))
         support_res = max(support_res, d)
-        if d > tol.proj_tol and support_ok:
+        if d > PROJ_TOL and support_ok:
             support_ok = False
             witness = {"sample": k, "support_distance": float(d)}
         residual = max(residual, distance(y, x))

@@ -13,7 +13,7 @@ are fresh values whose arrays are read-only and checked finite.
 
 Supports, polar parts and the center-valued norm are computed per block
 with a relative singular-value cutoff: singular values at or below
-``rank_rel * sigma_max`` count as zero.  The cutoff is what makes ranks
+``RANK_REL * sigma_max`` count as zero.  The cutoff is what makes ranks
 (and hence the whole projection lattice) discrete and stable.
 """
 
@@ -29,8 +29,9 @@ import numpy as np
 from .errors import NotInvertible, ShapeMismatch
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
+    "RANK_REL",
+    "PROJ_TOL",
+    "EQ_TOL",
     "CHECK_TOL",
     "AlgebraShape",
     "Element",
@@ -47,29 +48,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical cutoffs shared by every operation.
-
-    rank_rel: relative singular-value cutoff for ranks and supports.
-    proj_tol: allowed operator-norm deviation from an exact projection.
-    eq_tol: operator-norm tolerance for equality of elements.
-    """
-
-    rank_rel: float = 1e-9
-    proj_tol: float = 1e-8
-    eq_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        for name in ("rank_rel", "proj_tol", "eq_tol"):
-            value = getattr(self, name)
-            if not (value > 0):
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        if self.rank_rel >= 1:
-            raise ValueError("rank_rel must be below 1")
-
-
-DEFAULT_TOL = Tolerances()
+# The numerical cutoffs shared by every operation.  Singular values at
+# or below RANK_REL times the largest count as zero (ranks, supports,
+# invertibility); PROJ_TOL is the operator-norm deviation an input may
+# have from an exact projection; EQ_TOL the operator-norm distance at
+# which two elements are equal.
+RANK_REL = 1e-9
+PROJ_TOL = 1e-8
+EQ_TOL = 1e-8
 
 # Absolute bound on the residuals of the sampled certification checks:
 # lattice-iso and orthogonality sampling, Skolem-Noether probes, slot
@@ -501,7 +487,7 @@ def _summands(x, c: int) -> list:
     return [type(x)._of(shape, pieces) for pieces in parts]
 
 
-def left_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
+def left_support(x: Element) -> Projection:
     """Smallest projection p with p x = x (column-space projection).
 
     The rank cutoff is relative to the norm of the whole element, not
@@ -509,7 +495,7 @@ def left_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
     on the other blocks must contribute rank zero.
     """
     x = _coerce(x)
-    cutoff = tol.rank_rel * x.norm()
+    cutoff = RANK_REL * x.norm()
     pieces = []
     for idx, a in x._pieces():
         u, s, _ = _thin_svd(a)
@@ -518,32 +504,30 @@ def left_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
     return Projection._of(x.shape, pieces)
 
 
-def right_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
+def right_support(x: Element) -> Projection:
     """Smallest projection q with x q = x; equals left_support(x*)."""
-    return left_support(_coerce(x).adjoint(), tol)
+    return left_support(_coerce(x).adjoint())
 
 
-def _require_invertible(x: Element, tol: Tolerances) -> None:
+def _require_invertible(x: Element) -> None:
     """Raises NotInvertible on the first singular block of x."""
     singular = []
     for idx, a in x._pieces():
         s = _singular_values(a)
-        bad = (s[:, -1] <= tol.rank_rel * s[:, 0]) | (s[:, 0] == 0)
+        bad = (s[:, -1] <= RANK_REL * s[:, 0]) | (s[:, 0] == 0)
         singular.extend((idx[j], float(s[j, -1])) for j in np.flatnonzero(bad))
     if singular:
         raise NotInvertible(*min(singular))
 
 
-def invert(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
+def invert(x: Element) -> Element:
     """Blockwise inverse; raises NotInvertible on the first singular block."""
     x = _coerce(x)
-    _require_invertible(x, tol)
+    _require_invertible(x)
     return x._like([np.linalg.inv(a) for a in x._stacks])
 
 
-def polar_decompose(
-    x: Element, tol: Tolerances = DEFAULT_TOL
-) -> tuple[Element, Element]:
+def polar_decompose(x: Element) -> tuple[Element, Element]:
     """Polar form x = v |x|.
 
     Returns (v, abs_x) where abs_x = (x* x)^(1/2) is positive
@@ -551,7 +535,7 @@ def polar_decompose(
     v* v = right_support(x) and v v* = left_support(x).
     """
     x = _coerce(x)
-    cutoff = tol.rank_rel * x.norm()
+    cutoff = RANK_REL * x.norm()
     vs, abss = [], []
     for idx, a in x._pieces():
         u, s, vh = np.linalg.svd(a)
@@ -571,13 +555,13 @@ def center_valued_norm(x: Element) -> Element:
     return Element.from_scalars(x.shape, x.block_norms())
 
 
-def is_central(x: Element, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when every block is within eq_tol of a scalar matrix."""
+def is_central(x: Element) -> bool:
+    """True when every block is within EQ_TOL of a scalar matrix."""
     x = _coerce(x)
     for a in x._stacks:
         n = a.shape[1]
         lam = np.trace(a, axis1=1, axis2=2) / n
-        if (_singular_values(a - lam[:, None, None] * np.eye(n))[:, 0] > tol.eq_tol).any():
+        if (_singular_values(a - lam[:, None, None] * np.eye(n))[:, 0] > EQ_TOL).any():
             return False
     return True
 

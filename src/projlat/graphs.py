@@ -36,11 +36,11 @@ import numpy as np
 
 from .core import (
     CHECK_TOL,
-    DEFAULT_TOL,
+    PROJ_TOL,
+    RANK_REL,
     AlgebraShape,
     Element,
     Projection,
-    Tolerances,
     _ct,
     _direct_sum,
     _singular_values,
@@ -147,9 +147,7 @@ class Frame:
         return cls(projections, [unit(j) for j in range(1, k)], eye)
 
     @classmethod
-    def from_projections(
-        cls, ps: Sequence[Projection], ws: Sequence[Element], tol: Tolerances = DEFAULT_TOL
-    ) -> "Frame":
+    def from_projections(cls, ps: Sequence[Projection], ws: Sequence[Element]) -> "Frame":
         """Assemble a frame from k projections and the k - 1 isometry
         witnesses w_12, ..., w_1k.
 
@@ -169,15 +167,15 @@ class Frame:
             raise NotAFrame(f"every block size must be divisible by {k}, got {shape}")
         for i in range(k):
             for j in range(i + 1, k):
-                if (ps[i].element * ps[j].element).norm() > tol.proj_tol:
+                if (ps[i].element * ps[j].element).norm() > PROJ_TOL:
                     raise NotAFrame(f"projections {i + 1} and {j + 1} not orthogonal")
         total = sum((p.element for p in ps[1:]), ps[0].element)
-        if distance(total, Element.identity(shape)) > tol.proj_tol:
+        if distance(total, Element.identity(shape)) > PROJ_TOL:
             raise NotAFrame("frame projections do not sum to 1")
         for j, (w, target) in enumerate(zip(ws, ps[1:]), 2):
-            if distance(w * w.adjoint(), ps[0]) > tol.proj_tol:
+            if distance(w * w.adjoint(), ps[0]) > PROJ_TOL:
                 raise NotAFrame(f"w1{j} w* is not p1")
-            if distance(w.adjoint() * w, target) > tol.proj_tol:
+            if distance(w.adjoint() * w, target) > PROJ_TOL:
                 raise NotAFrame(f"w1{j}* w1{j} is not the slot projection")
 
         vmats = []
@@ -188,7 +186,7 @@ class Frame:
             if v.shape != (n, n):
                 raise NotAFrame(f"slot ranks do not fill block {b}")
             defect = np.linalg.norm(v.conj().T @ v - np.eye(n), 2)
-            if defect > 1e3 * tol.proj_tol:
+            if defect > 1e3 * PROJ_TOL:
                 raise NotAFrame(
                     f"frame coordinates not unitary on block {b} (defect {defect:.3e})"
                 )
@@ -212,9 +210,7 @@ def graph_projection(frame: Frame, x: Element, slot=(0, 1)) -> Projection:
     return Projection._of(frame.shape, pieces)
 
 
-def is_slot_graph_projection(
-    frame: Frame, q: Projection, slot=(0, 1), tol: Tolerances = DEFAULT_TOL
-) -> bool:
+def is_slot_graph_projection(frame: Frame, q: Projection, slot=(0, 1)) -> bool:
     """Lattice-side recognition of slot graph projections.
 
     Q is the graph of some corner operator in slot (d, i) exactly when
@@ -222,19 +218,14 @@ def is_slot_graph_projection(
     """
     d, im = _check_slot(frame, slot)
     ps = frame.projections
-    lhs = join(q, ps[im], tol)
-    rhs = join(ps[d], ps[im], tol)
-    if lhs.ranks != rhs.ranks or distance(lhs, rhs) > tol.proj_tol:
+    lhs = join(q, ps[im])
+    rhs = join(ps[d], ps[im])
+    if lhs.ranks != rhs.ranks or distance(lhs, rhs) > PROJ_TOL:
         return False
-    return ls_orthogonal(q, ps[im], tol)
+    return ls_orthogonal(q, ps[im])
 
 
-def recover_operator(
-    frame: Frame,
-    q: Projection,
-    slot=(0, 1),
-    tol: Tolerances = DEFAULT_TOL,
-) -> Element:
+def recover_operator(frame: Frame, q: Projection, slot=(0, 1)) -> Element:
     """Read the corner operator off a slot graph projection.
 
     In slot coordinates the operator is the ratio x = Q_{id} Q_{dd}^{-1}.
@@ -267,7 +258,7 @@ def recover_operator(
     for (idx, m), w in zip(frame._rotate(q.element)._pieces(), ws):
         qdd = _slot(m, d, d, k)
         lam, vec = np.linalg.eigh((qdd + _ct(qdd)) / 2)
-        bad = (lam[:, -1] <= 0) | (lam[:, 0] <= tol.rank_rel * lam[:, -1])
+        bad = (lam[:, -1] <= 0) | (lam[:, 0] <= RANK_REL * lam[:, -1])
         singular.extend(idx[j] for j in np.flatnonzero(bad))
         corners.append((idx, _slot(m, im, d, k), lam, vec, w))
     if singular:
@@ -294,21 +285,17 @@ def recover_operator(
     return Element._of(frame.corner_shape, pieces)
 
 
-def lattice_product(
-    frame: Frame, x: Element, y: Element, tol: Tolerances = DEFAULT_TOL
-) -> Projection:
+def lattice_product(frame: Frame, x: Element, y: Element) -> Projection:
     """Graph projection of the product x y, computed only with meet/join:
 
     (P_23[-x] v P_12[y]) ^ (e1 v e3) = P_13[x y].
     """
     e = frame.projections
-    left = join(graph_projection(frame, -x, (1, 2)), graph_projection(frame, y, (0, 1)), tol)
-    return meet(left, join(e[0], e[2], tol), tol)
+    left = join(graph_projection(frame, -x, (1, 2)), graph_projection(frame, y, (0, 1)))
+    return meet(left, join(e[0], e[2]))
 
 
-def lattice_sum(
-    frame: Frame, x: Element, y: Element, tol: Tolerances = DEFAULT_TOL
-) -> Projection:
+def lattice_sum(frame: Frame, x: Element, y: Element) -> Projection:
     """Graph projection of the sum x + y, computed only with meet/join.
 
     With f = (P_12[x] v e3) ^ (P_13[1] v e2) and
@@ -318,23 +305,19 @@ def lattice_sum(
     e = frame.projections
     one = Element.identity(frame.corner_shape)
     f = meet(
-        join(graph_projection(frame, x, (0, 1)), e[2], tol),
-        join(graph_projection(frame, one, (0, 2)), e[1], tol),
-        tol,
+        join(graph_projection(frame, x, (0, 1)), e[2]),
+        join(graph_projection(frame, one, (0, 2)), e[1]),
     )
     g = meet(
-        join(graph_projection(frame, y, (0, 1)), graph_projection(frame, one, (0, 2)), tol),
-        join(e[1], e[2], tol),
-        tol,
+        join(graph_projection(frame, y, (0, 1)), graph_projection(frame, one, (0, 2))),
+        join(e[1], e[2]),
     )
-    return meet(join(f, g, tol), join(e[0], e[1], tol), tol)
+    return meet(join(f, g), join(e[0], e[1]))
 
 
-def inverse_coincidence(
-    frame: Frame, x: Element, tol: Tolerances = DEFAULT_TOL
-) -> bool:
+def inverse_coincidence(frame: Frame, x: Element) -> bool:
     """Invertibility of x read off the lattice: P_12[x] is also a
     slot-21 graph projection exactly when x is invertible (and the
     slot-21 recovery then returns the inverse)."""
     q = graph_projection(frame, x, (0, 1))
-    return is_slot_graph_projection(frame, q, (1, 0), tol)
+    return is_slot_graph_projection(frame, q, (1, 0))

@@ -28,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
+    EQ_TOL,
+    PROJ_TOL,
+    RANK_REL,
     Element,
     Projection,
-    Tolerances,
     distance,
 )
 from .errors import NotLSOrthogonal, PreconditionViolated, ShapeMismatch
@@ -72,9 +73,7 @@ class HalmosDecomposition:
     angles: tuple[np.ndarray, ...]
 
 
-def halmos_decompose(
-    p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL
-) -> HalmosDecomposition:
+def halmos_decompose(p: Projection, q: Projection) -> HalmosDecomposition:
     """Split a projection pair into corners and generic part.
 
     Raises:
@@ -86,12 +85,12 @@ def halmos_decompose(
         raise ShapeMismatch("pair must live in one algebra")
     shape = p.shape
     pc, qc = p.complement(), q.complement()
-    pq = meet(p, q, tol)
-    pqc = meet(p, qc, tol)
-    pcq = meet(pc, q, tol)
-    pcqc = meet(pc, qc, tol)
-    e1 = canonicalize(p - pq - pqc, tol)
-    e2 = canonicalize(pc - pcq - pcqc, tol)
+    pq = meet(p, q)
+    pqc = meet(p, qc)
+    pcq = meet(pc, q)
+    pcqc = meet(pc, qc)
+    e1 = canonicalize(p - pq - pqc)
+    e2 = canonicalize(pc - pcq - pcqc)
 
     # Generic part of q, with both corners under q removed.
     m = q - pq - pcq
@@ -140,21 +139,17 @@ def halmos_decompose(
     )
 
 
-def reconstruct(
-    d: HalmosDecomposition, tol: Tolerances = DEFAULT_TOL
-) -> tuple[Projection, Projection]:
+def reconstruct(d: HalmosDecomposition) -> tuple[Projection, Projection]:
     """Rebuild (p, q) from a decomposition."""
-    p = canonicalize(d.p_and_q + d.p_and_qc + d.e1, tol)
+    p = canonicalize(d.p_and_q + d.p_and_qc + d.e1)
     ab = d.a * d.b
     vstar = d.v.adjoint()
     q_generic = d.a * d.a + ab * d.v + vstar * ab + vstar * (d.b * d.b) * d.v
-    q = canonicalize(d.p_and_q + d.pc_and_q + q_generic, tol)
+    q = canonicalize(d.p_and_q + d.pc_and_q + q_generic)
     return p, q
 
 
-def ls_orthogonal(
-    p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL
-) -> bool:
+def ls_orthogonal(p: Projection, q: Projection) -> bool:
     """Strong disjointness of a pair: trivial meet and invertible b.
 
     In finite dimension the second condition is automatic once the meet
@@ -162,16 +157,10 @@ def ls_orthogonal(
     meet(p, q) = 0; it agrees with rank additivity of the join (see
     ls_char_minimal_cover).
     """
-    return meet(p, q, tol).rank() == 0
+    return meet(p, q).rank() == 0
 
 
-def ls_char_minimal_cover(
-    p: Projection,
-    q: Projection,
-    trials: int = 16,
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = 0,
-) -> bool:
+def ls_char_minimal_cover(p: Projection, q: Projection, trials: int = 16, seed: int = 0) -> bool:
     """Rank-additivity characterization of LS-orthogonality.
 
     For a pair with trivial meet, LS-orthogonality is equivalent to the
@@ -183,9 +172,9 @@ def ls_char_minimal_cover(
     Raises:
         PreconditionViolated: meet(p, q) != 0.
     """
-    if meet(p, q, tol).rank() != 0:
+    if meet(p, q).rank() != 0:
         raise PreconditionViolated("minimal-cover test needs meet(p, q) = 0")
-    top = join(p, q, tol)
+    top = join(p, q)
     result = all(
         rj == rp + rq for rj, rp, rq in zip(top.ranks, p.ranks, q.ranks)
     )
@@ -207,15 +196,13 @@ def ls_char_minimal_cover(
             qq, _ = np.linalg.qr(g)
             bases.append(u @ qq)
         p0 = Projection.from_basis(p.shape, bases)
-        smaller = join(p0, q, tol)
-        if smaller.ranks == top.ranks and distance(smaller, top) <= tol.proj_tol:
+        smaller = join(p0, q)
+        if smaller.ranks == top.ranks and distance(smaller, top) <= PROJ_TOL:
             return False
     return result
 
 
-def orthogonalizer(
-    p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL
-) -> Element:
+def orthogonalizer(p: Projection, q: Projection) -> Element:
     """Invertible S moving q onto the complement of p inside p v q.
 
     S acts as the identity on the four corners and as
@@ -227,10 +214,10 @@ def orthogonalizer(
         NotLSOrthogonal: the pair is not LS-orthogonal, or a principal
             angle sits at the rank cutoff (see halmos_decompose).
     """
-    if meet(p, q, tol).rank() != 0:
+    if meet(p, q).rank() != 0:
         raise NotLSOrthogonal("pair has a nonzero meet")
     try:
-        d = halmos_decompose(p, q, tol)
+        d = halmos_decompose(p, q)
     except PreconditionViolated as exc:
         raise NotLSOrthogonal(str(exc)) from exc
     shape = p.shape
@@ -242,7 +229,7 @@ def orthogonalizer(
         if r:
             bb = u1.conj().T @ d.b.data[i] @ u1
             lam, vec = np.linalg.eigh((bb + bb.conj().T) / 2)
-            if lam[0] <= tol.rank_rel * lam[-1] or lam[-1] <= 0:
+            if lam[0] <= RANK_REL * lam[-1] or lam[-1] <= 0:
                 raise NotLSOrthogonal(f"b is singular on block {i}")
             binv_small = (vec / lam) @ vec.conj().T
             binv = u1 @ binv_small @ u1.conj().T
@@ -253,9 +240,7 @@ def orthogonalizer(
     return Element(shape, blocks)
 
 
-def corner_witness_projection(
-    x: Element, p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL
-) -> Projection:
+def corner_witness_projection(x: Element, p: Projection, q: Projection) -> Projection:
     """The projection e <= p + q with p e q = x.
 
     For orthogonal equivalent p, q and a contraction x = p x q with
@@ -274,13 +259,13 @@ def corner_witness_projection(
     """
     if x.shape != p.shape or p.shape != q.shape:
         raise ShapeMismatch("witness needs one common algebra")
-    if distance(p.element * q.element, Element.zeros(p.shape)) > tol.proj_tol:
+    if distance(p.element * q.element, Element.zeros(p.shape)) > PROJ_TOL:
         raise PreconditionViolated("p and q must be orthogonal")
     if p.ranks != q.ranks:
         raise PreconditionViolated("p and q must be equivalent (equal ranks)")
-    if distance(p.element * x * q.element, x) > tol.eq_tol:
+    if distance(p.element * x * q.element, x) > EQ_TOL:
         raise PreconditionViolated("x must equal p x q")
-    if x.norm() > 0.5 + tol.eq_tol:
+    if x.norm() > 0.5 + EQ_TOL:
         raise PreconditionViolated(f"||x|| = {x.norm():.4f} exceeds 1/2")
 
     shape = p.shape
@@ -306,4 +291,4 @@ def corner_witness_projection(
             + uq @ v_small.conj().T @ sin2 @ v_small @ uq.conj().T
         )
         blocks.append(blk)
-    return canonicalize(Element(shape, blocks), tol)
+    return canonicalize(Element(shape, blocks))

@@ -5,7 +5,7 @@ the concatenated bases with the relative singular-value cutoff.  The
 meet runs in two stages: a coarse preselection by principal-angle
 cosines, then an SVD of (1 - q) restricted to the candidate block, so
 that membership is decided on the *sine* of the angle.  Only directions
-whose sine is at or below rank_rel are counted as common; deliberate
+whose sine is at or below RANK_REL are counted as common; deliberate
 small angles (say 1e-6) therefore survive into the generic part of a
 two-projection pair instead of being folded into the intersection.
 """
@@ -17,10 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
+    EQ_TOL,
+    PROJ_TOL,
+    RANK_REL,
     Element,
     Projection,
-    Tolerances,
     _cogroups,
     _ct,
     _singular_values,
@@ -50,10 +51,10 @@ _ZERO_BAND = (-0.1, 0.1)
 _ONE_BAND = (0.9, 1.1)
 
 
-def canonicalize(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
+def canonicalize(x: Element) -> Projection:
     """Snap a numerically perturbed projection onto an exact one.
 
-    The input must be Hermitian within proj_tol and its eigenvalues must
+    The input must be Hermitian within PROJ_TOL and its eigenvalues must
     lie in [-0.1, 0.1] or [0.9, 1.1]; eigenvalues are snapped to 0/1 and
     the projection is rebuilt from the eigenvectors of the 1-cluster.
 
@@ -68,9 +69,9 @@ def canonicalize(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
         lam, vec = np.linalg.eigh((a + _ct(a)) / 2)
         in_one = (lam >= _ONE_BAND[0]) & (lam <= _ONE_BAND[1])
         banned = ~(in_one | ((lam >= _ZERO_BAND[0]) & (lam <= _ZERO_BAND[1])))
-        for j in np.flatnonzero((herm_defect > tol.proj_tol) | banned.any(axis=1)):
+        for j in np.flatnonzero((herm_defect > PROJ_TOL) | banned.any(axis=1)):
             i = idx[j]
-            if herm_defect[j] > tol.proj_tol:
+            if herm_defect[j] > PROJ_TOL:
                 bad.append((i, f"block {i} is not Hermitian (defect {herm_defect[j]:.3e})"))
             else:
                 band = lam[j][banned[j]][0]
@@ -83,17 +84,17 @@ def canonicalize(x: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
     return Projection._of(x.shape, pieces)
 
 
-def leq(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Order test p <= q, i.e. ||p - q p|| <= eq_tol."""
-    return distance(p.element, q.element * p.element) <= tol.eq_tol
+def leq(p: Projection, q: Projection) -> bool:
+    """Order test p <= q, i.e. ||p - q p|| <= EQ_TOL."""
+    return distance(p.element, q.element * p.element) <= EQ_TOL
 
 
-def orth(pieces: Sequence[tuple], rank_rel: float) -> list[tuple]:
+def orth(pieces: Sequence[tuple]) -> list[tuple]:
     """Orthonormal bases of the column spaces of stacked matrices.
 
     pieces are (block indices, (k, n, m) stack); the result is pieces
     of (k, n, r) bases, split where the ranks of one stack differ.
-    Singular values at or below rank_rel times the largest count as
+    Singular values at or below RANK_REL times the largest count as
     zero (left_support instead cuts at an absolute level).
     """
     out = []
@@ -102,12 +103,12 @@ def orth(pieces: Sequence[tuple], rank_rel: float) -> list[tuple]:
             out.append((idx, a))
             continue
         u, s, _ = _thin_svd(a)
-        for r, pos, sub in _split(idx, s > rank_rel * s[:, :1]):
+        for r, pos, sub in _split(idx, s > RANK_REL * s[:, :1]):
             out.append((sub, u[pos, :, :r]))
     return out
 
 
-def meet(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
+def meet(p: Projection, q: Projection) -> Projection:
     """Largest projection under both p and q (range intersection)."""
     if p.shape != q.shape:
         raise ShapeMismatch("meet needs projections of one shape")
@@ -129,20 +130,20 @@ def meet(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Project
             # The SVD of (1-q)B separates a true intersection (sine ~ eps)
             # from a deliberately tiny angle (sine ~ theta) with gap theta,
             # which the cosines cannot do at double precision.  The common
-            # directions are the trailing ones, with sine <= rank_rel.
+            # directions are the trailing ones, with sine <= RANK_REL.
             b = uq[pos]
             _, s, zh = _thin_svd(c - b @ (_ct(b) @ c))
-            for r, pos2, sub2 in _split(sub, s > tol.rank_rel):
+            for r, pos2, sub2 in _split(sub, s > RANK_REL):
                 pieces.append((sub2, c[pos2] @ _ct(zh[pos2])[:, :, r:]))
     return Projection._of(p.shape, pieces)
 
 
-def join(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
+def join(p: Projection, q: Projection) -> Projection:
     """Smallest projection above both p and q (span of the ranges)."""
     if p.shape != q.shape:
         raise ShapeMismatch("join needs projections of one shape")
     spans = [(idx, np.concatenate([up, uq], axis=2)) for idx, up, uq in _cogroups(p, q)]
-    return Projection._of(p.shape, orth(spans, tol.rank_rel))
+    return Projection._of(p.shape, orth(spans))
 
 
 def mv_equivalent(p: Projection, q: Projection) -> Element | None:
@@ -161,19 +162,17 @@ def mv_equivalent(p: Projection, q: Projection) -> Element | None:
     return Element(p.shape, blocks)
 
 
-def perspectivity_witness(
-    p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL
-) -> Element:
+def perspectivity_witness(p: Projection, q: Projection) -> Element:
     """Partial isometry v with v v* = 1 - p and v* v = q, given that
     p and q are complementary (join 1, meet 0).
 
     Raises:
         NotComplementary: join(p, q) != 1 or meet(p, q) != 0.
     """
-    top = join(p, q, tol)
-    if not top.is_identity() or distance(top, Projection.identity(p.shape)) > tol.proj_tol:
+    top = join(p, q)
+    if not top.is_identity() or distance(top, Projection.identity(p.shape)) > PROJ_TOL:
         raise NotComplementary("join(p, q) is not the identity")
-    if meet(p, q, tol).rank() != 0:
+    if meet(p, q).rank() != 0:
         raise NotComplementary("meet(p, q) is not zero")
     witness = mv_equivalent(p.complement(), q)
     if witness is None:
@@ -196,12 +195,10 @@ def is_central_projection(p: Projection) -> bool:
     return all(r in (0, n) for r, n in zip(p.ranks, p.shape.blocks))
 
 
-def principal_ideal_leq(
-    x: Element, a: Element, tol: Tolerances = DEFAULT_TOL
-) -> bool:
+def principal_ideal_leq(x: Element, a: Element) -> bool:
     """Membership of x in the principal right ideal generated by a.
 
     x = a z is solvable exactly when left_support(x) <= left_support(a),
     which is what gets tested.
     """
-    return leq(left_support(x, tol), left_support(a, tol), tol)
+    return leq(left_support(x), left_support(a))

@@ -17,11 +17,11 @@ import numpy as np
 
 from .core import (
     CHECK_TOL,
-    DEFAULT_TOL,
+    EQ_TOL,
+    RANK_REL,
     AlgebraShape,
     Element,
     Projection,
-    Tolerances,
     _cogroups,
     _ct,
     _direct_sum,
@@ -60,12 +60,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FromRingIso:
-    """psi, its inverse if known, and the tol its lattice map cuts
-    ranks with (which the inverse map keeps)."""
+    """psi and its inverse, if known."""
 
     psi: Callable[[Element], Element]
     psi_inverse: Callable[[Element], Element] | None = None
-    tol: Tolerances = DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -126,16 +124,15 @@ def from_ring_iso(
     source: AlgebraShape,
     target: AlgebraShape | None = None,
     psi_inverse: Callable[[Element], Element] | None = None,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> LatticeMap:
     """Lattice map induced by a ring isomorphism: p -> left support of
-    psi(p), cut with tol."""
+    psi(p)."""
     target = target or source
 
     def apply(p: Projection) -> Projection:
-        return left_support(psi(p.element), tol)
+        return left_support(psi(p.element))
 
-    return LatticeMap(source, target, apply, FromRingIso(psi, psi_inverse, tol))
+    return LatticeMap(source, target, apply, FromRingIso(psi, psi_inverse))
 
 
 def _sigma(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -160,17 +157,11 @@ class ConjugationRingIso:
         NotInvertible: T has a singular block.
     """
 
-    def __init__(
-        self,
-        T: Element,
-        sigma="id",
-        tol: Tolerances = DEFAULT_TOL,
-        block_map=None,
-    ):
-        self._build(T, sigma, tol, block_map)
-        _require_invertible(T, tol)
+    def __init__(self, T: Element, sigma="id", block_map=None):
+        self._build(T, sigma, block_map)
+        _require_invertible(T)
 
-    def _build(self, T: Element, sigma, tol: Tolerances, block_map) -> None:
+    def _build(self, T: Element, sigma, block_map) -> None:
         """Everything __init__ does but check that T is invertible."""
         k = len(T.shape.blocks)
         if isinstance(sigma, str):
@@ -188,7 +179,6 @@ class ConjugationRingIso:
         self.T = T
         self.sigma = sigma
         self.block_map = block_map
-        self.tol = tol
         self.source = AlgebraShape(T.shape.blocks[t] for t in block_map)
         self._conj = np.array([s == "conj" for s in sigma])
         # per size group of T: the source blocks routed onto its blocks, the
@@ -209,7 +199,7 @@ class ConjugationRingIso:
         k = len(self.block_map)
         routing = [m * k + t for m in range(c) for t in self.block_map]
         iso = ConjugationRingIso.__new__(ConjugationRingIso)
-        iso._build(_direct_sum([self.T] * c), self.sigma * c, self.tol, routing)
+        iso._build(_direct_sum([self.T] * c), self.sigma * c, routing)
         return iso
 
     def _mask(self, idx) -> np.ndarray:
@@ -237,8 +227,7 @@ class ConjugationRingIso:
 
     def inverse(self) -> "ConjugationRingIso":
         """y -> sigma(T^{-1} y T) per block, routed back: again of this
-        form, with T^{-1} (conjugated on "conj" blocks) in the source,
-        under this iso's tol."""
+        form, with T^{-1} (conjugated on "conj" blocks) in the source."""
         k = len(self.block_map)
         sigma, back = [None] * k, [0] * k
         for b, (s, t) in enumerate(zip(self.sigma, self.block_map)):
@@ -246,12 +235,11 @@ class ConjugationRingIso:
             back[t] = b
         feeds = zip(self._feeds, self._tinvs)
         tinvs = [(src, _sigma(ti.copy(), m)) for (src, _, _, m), ti in feeds]
-        return ConjugationRingIso(Element._of(self.source, tinvs), sigma, self.tol, back)
+        return ConjugationRingIso(Element._of(self.source, tinvs), sigma, back)
 
     def lattice_map(self) -> LatticeMap:
-        """The induced map p -> projection onto T sigma(range p); ranks
-        are cut with the iso's tol, which its tiles keep (LatticeMap.tile)."""
-        target, tol = self.T.shape, self.tol
+        """The induced map p -> projection onto T sigma(range p)."""
+        target = self.T.shape
 
         def route(idx: tuple) -> tuple:
             return tuple(self.block_map[b] for b in idx)
@@ -261,7 +249,7 @@ class ConjugationRingIso:
             images = [
                 (idx, t @ _sigma(u.copy(), self._mask(idx))) for (idx, u), t in zip(p._pieces(), ts)
             ]
-            bases = orth(images, tol.rank_rel)
+            bases = orth(images)
             return Projection._of(target, [(route(idx), u) for idx, u in bases])
 
         return LatticeMap(self.source, target, apply, self)
@@ -271,7 +259,6 @@ def _skolem_noether(
     psi: Callable[[Element], Element],
     shape: AlgebraShape,
     target: AlgebraShape,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> ConjugationRingIso:
     """Read a ring isomorphism off the images of matrix units.
 
@@ -339,14 +326,14 @@ def _skolem_noether(
         for j in range(1, n):
             tb[:, j] = _unit_image(psi, shape, b, j).data[t][:, k]
         sv = np.linalg.svd(tb, compute_uv=False)
-        if sv[-1] <= tol.rank_rel * sv[0]:
+        if sv[-1] <= RANK_REL * sv[0]:
             raise DegenerateWitness(f"conjugating element singular on block {b}")
         t_blocks[t] = tb
     T = Element(target, t_blocks)
     flat = np.concatenate([blk.ravel() for blk in T.data])
     top = flat[np.argmax(np.abs(flat))]
     T = (top.conjugate() / abs(top)) * T
-    return ConjugationRingIso(T, sigma, tol, block_map)
+    return ConjugationRingIso(T, sigma, block_map)
 
 
 def _unit_image(
@@ -357,18 +344,16 @@ def _unit_image(
     return psi(Element(shape, blocks))
 
 
-def from_conjugation(T: Element, tol: Tolerances = DEFAULT_TOL) -> LatticeMap:
+def from_conjugation(T: Element) -> LatticeMap:
     """Lattice map p -> projection onto T(range p), for invertible T.
 
     Raises:
         NotInvertible: T has a singular block.
     """
-    return ConjugationRingIso(T, "id", tol).lattice_map()
+    return ConjugationRingIso(T, "id").lattice_map()
 
 
-def from_semilinear(
-    T: Element, sigma="id", tol: Tolerances = DEFAULT_TOL
-) -> LatticeMap:
+def from_semilinear(T: Element, sigma="id") -> LatticeMap:
     """Lattice map of an invertible semilinear operator T compose sigma,
     where sigma is the identity or entrywise complex conjugation (per
     block, or one string for all blocks).
@@ -376,7 +361,7 @@ def from_semilinear(
     With sigma = "id" this is the same map as from_conjugation(T); with
     T = 1 and sigma = "conj" it is p -> transpose(p).
     """
-    return ConjugationRingIso(T, sigma, tol).lattice_map()
+    return ConjugationRingIso(T, sigma).lattice_map()
 
 
 def compose(outer: LatticeMap, inner: LatticeMap) -> LatticeMap:
@@ -394,8 +379,7 @@ def compose(outer: LatticeMap, inner: LatticeMap) -> LatticeMap:
 def invert_map(phi: LatticeMap) -> LatticeMap:
     """Inverse lattice map, available when provenance carries one.
 
-    A composite inverts part by part, in reverse order.  The inverse
-    cuts ranks with the tol its provenance was built with.
+    A composite inverts part by part, in reverse order.
 
     Raises:
         NotInvertibleProvenance: opaque provenance (also as a part of a
@@ -408,7 +392,7 @@ def invert_map(phi: LatticeMap) -> LatticeMap:
     if isinstance(prov, FromRingIso):
         if prov.psi_inverse is None:
             raise NotInvertibleProvenance("ring-iso provenance has no inverse")
-        return from_ring_iso(prov.psi_inverse, phi.target, phi.source, prov.psi, prov.tol)
+        return from_ring_iso(prov.psi_inverse, phi.target, phi.source, prov.psi)
     if isinstance(prov, Composite):
         return compose(invert_map(prov.inner), invert_map(prov.outer))
     raise NotInvertibleProvenance(f"cannot invert provenance {type(prov).__name__}")
@@ -432,12 +416,7 @@ class MapVerification:
     samples: int
 
 
-def verify_lattice_iso(
-    phi: LatticeMap,
-    samples: int = 32,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
-) -> MapVerification:
+def verify_lattice_iso(phi: LatticeMap, samples: int = 32, seed: int = 0) -> MapVerification:
     """Sampled verification that phi is a lattice isomorphism.
 
     Checks endpoints (0 and 1), order preservation in both directions,
@@ -470,9 +449,9 @@ def verify_lattice_iso(
         fp, fq = phi(p), phi(q)
 
         for a, b, fa, fb in ((p, q, fp, fq), (q, p, fq, fp)):
-            # back is leq(fa, fb, tol), kept as its residual
+            # back is leq(fa, fb), kept as its residual
             res = distance(fa.element, fb.element * fa.element)
-            fwd, back = leq(a, b, tol), res <= tol.eq_tol
+            fwd, back = leq(a, b), res <= EQ_TOL
             if fwd:
                 worst_order = max(worst_order, res)
             if fwd != back:
@@ -484,8 +463,8 @@ def verify_lattice_iso(
                     "leq_target": back,
                 }
 
-        fm = distance(phi(meet(p, q, tol)), meet(fp, fq, tol))
-        fj = distance(phi(join(p, q, tol)), join(fp, fq, tol))
+        fm = distance(phi(meet(p, q)), meet(fp, fq))
+        fj = distance(phi(join(p, q)), join(fp, fq))
         worst_mj = max(worst_mj, fm, fj)
         if fm > CHECK_TOL or fj > CHECK_TOL:
             mj_ok = False
@@ -518,7 +497,6 @@ def preserves_orthogonality(
     phi: LatticeMap,
     samples: int = 32,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[bool, dict | None]:
     """Sampled biconditional test: p q = 0 iff phi(p) phi(q) = 0, where
     an image product counts as zero at or below CHECK_TOL.
@@ -554,7 +532,7 @@ def preserves_orthogonality(
         pushed = [
             (idx, uc @ (_ct(uc) @ ub)) for idx, ub, uc in _cogroups(sub, p.complement())
         ]
-        probes.append((p, Projection._of(shape, orth(pushed, tol.rank_rel))))
+        probes.append((p, Projection._of(shape, orth(pushed))))
 
     for p, q in probes:
         res = images_product(p, q)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .core import Tolerances
+from .core import EQ_TOL, PROJ_TOL, RANK_REL
 
 __all__ = ["CheckResult", "Report", "run_check"]
 
@@ -51,7 +51,6 @@ class Report:
     shape: list[int]
     seed: int
     samples: int
-    tolerances: Tolerances
     checks: list[CheckResult] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
 
@@ -72,11 +71,7 @@ class Report:
                 "shape": list(self.shape),
                 "seed": self.seed,
                 "samples": self.samples,
-                "tolerances": {
-                    "rank_rel": self.tolerances.rank_rel,
-                    "proj_tol": self.tolerances.proj_tol,
-                    "eq_tol": self.tolerances.eq_tol,
-                },
+                "tolerances": {"rank_rel": RANK_REL, "proj_tol": PROJ_TOL, "eq_tol": EQ_TOL},
             },
             "status": "PASS" if self.passed else "FAIL",
             "checks": [c.to_obj() for c in self.checks],

@@ -23,11 +23,9 @@ import numpy as np
 
 from .core import (
     CHECK_TOL,
-    DEFAULT_TOL,
     AlgebraShape,
     Element,
     Projection,
-    Tolerances,
     distance,
     is_central,
 )
@@ -73,11 +71,7 @@ class RingIsoFactorization:
     block_map: tuple[int, ...]
 
 
-def classify_linearity(
-    psi_full: Callable[[Element], Element],
-    shape: AlgebraShape,
-    tol: Tolerances = DEFAULT_TOL,
-) -> Projection:
+def classify_linearity(psi_full: Callable[[Element], Element], shape: AlgebraShape) -> Projection:
     """Central projection q with psi_full(i 1) = q i - q^perp i, each
     identity holding within CHECK_TOL.
 
@@ -87,7 +81,7 @@ def classify_linearity(
     """
     j = psi_full(1j * Element.identity(shape))
     target = j.shape
-    if not is_central(j, tol):
+    if not is_central(j):
         raise NotRingIso("image of i is not central")
     if distance(j * j, -1.0 * Element.identity(target)) > CHECK_TOL:
         raise NotRingIso("image of i does not square to -1")
@@ -136,7 +130,6 @@ def inner_factor(
     shape: AlgebraShape,
     samples: int = 16,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> RingIsoFactorization:
     """Skolem-Noether factorization psi_full = Ad_y composed with psi0.
 
@@ -164,7 +157,7 @@ def inner_factor(
             raise NotRingIso(f"multiplicativity fails (residual {res:.3e})")
 
     target = psi_full(Element.identity(shape)).shape
-    factored = _skolem_noether(psi_full, shape, target, tol)
+    factored = _skolem_noether(psi_full, shape, target)
     worst = 0.0
     for _ in range(samples):
         x = random_element(shape, rng, norm_bound=10.0)
@@ -182,7 +175,7 @@ def inner_factor(
         y=factored.T,
         psi0_kind=tuple("linear" if s == "id" else "conjugate" for s in sigma),
         residual=float(worst),
-        psi0=ConjugationRingIso(Element.identity(target), sigma, tol, bmap),
+        psi0=ConjugationRingIso(Element.identity(target), sigma, bmap),
         block_map=bmap,
     )
 
@@ -191,7 +184,6 @@ def dye_extension(
     phi: LatticeMap,
     samples: int = 12,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[Callable[[Element], Element], dict]:
     """Upgrade an orthogonality-preserving lattice iso to a real *-iso.
 
@@ -210,11 +202,11 @@ def dye_extension(
     """
     # clock[k + 1] - clock[k] is the wall time of the k-th stage, then check
     clock = [perf_counter()]
-    ok, witness = preserves_orthogonality(phi, max(8, samples), seed, tol)
+    ok, witness = preserves_orthogonality(phi, max(8, samples), seed)
     if not ok:
         raise OrthogonalityNotPreserved(witness)
     clock.append(perf_counter())
-    result = coordinatize(phi, samples=samples, seed=seed, tol=tol)
+    result = coordinatize(phi, samples=samples, seed=seed)
     clock.append(perf_counter())
     psi_full = result.Psi
     rng = rng_from(seed)

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .core import AlgebraShape, DEFAULT_TOL, Element, Projection, Tolerances
+from .core import PROJ_TOL, AlgebraShape, Element, Projection
 from .errors import NotAProjection
 from .graphs import Frame
 from .halmos import HalmosDecomposition
@@ -79,12 +79,12 @@ def projection_to_obj(p: Projection) -> dict:
     return d
 
 
-def projection_from_obj(d: dict, tol: Tolerances = DEFAULT_TOL) -> Projection:
+def projection_from_obj(d: dict) -> Projection:
     """Load a projection, validating the laws but keeping the bits.
 
     Raises:
         NotAProjection: the payload fails Hermiticity/idempotence within
-            proj_tol or its spectrum disagrees with the stored ranks.
+            PROJ_TOL or its spectrum disagrees with the stored ranks.
     """
     x = element_from_obj(d)
     if "ranks" not in d:
@@ -96,7 +96,7 @@ def projection_from_obj(d: dict, tol: Tolerances = DEFAULT_TOL) -> Projection:
         np.linalg.norm(b - b.conj().T, 2) for b in x.data
     )
     idem = max(np.linalg.norm(b @ b - b, 2) for b in x.data)
-    if herm > tol.proj_tol or idem > tol.proj_tol:
+    if herm > PROJ_TOL or idem > PROJ_TOL:
         raise NotAProjection(
             f"stored element violates the projection laws "
             f"(hermiticity {herm:.3e}, idempotence {idem:.3e})"
@@ -120,10 +120,10 @@ def pair_to_obj(p: Projection, q: Projection) -> dict:
     }
 
 
-def pair_from_obj(d: dict, tol: Tolerances = DEFAULT_TOL) -> tuple[Projection, Projection]:
+def pair_from_obj(d: dict) -> tuple[Projection, Projection]:
     if d.get("kind") != "projection-pair":
         raise ValueError(f'expected kind "projection-pair", got {d.get("kind")!r}')
-    return projection_from_obj(d["p"], tol), projection_from_obj(d["q"], tol)
+    return projection_from_obj(d["p"]), projection_from_obj(d["q"])
 
 
 def _iso_to_obj(kind: str, T: Element, sigma, block_map=None) -> dict:
@@ -139,11 +139,11 @@ def _iso_to_obj(kind: str, T: Element, sigma, block_map=None) -> dict:
     return obj
 
 
-def _iso_from_obj(kind: str, d: dict, tol: Tolerances) -> ConjugationRingIso:
+def _iso_from_obj(kind: str, d: dict) -> ConjugationRingIso:
     if d.get("kind") != kind:
         raise ValueError(f'expected kind "{kind}", got {d.get("kind")!r}')
     return ConjugationRingIso(
-        element_from_obj(d["T"]), d.get("sigma", "id"), tol, d.get("block_map")
+        element_from_obj(d["T"]), d.get("sigma", "id"), d.get("block_map")
     )
 
 
@@ -157,16 +157,16 @@ def map_to_obj(phi: LatticeMap) -> dict:
     return _iso_to_obj("conjugation", prov.T, prov.sigma, prov.block_map)
 
 
-def map_from_obj(d: dict, tol: Tolerances = DEFAULT_TOL) -> LatticeMap:
-    return _iso_from_obj("conjugation", d, tol).lattice_map()
+def map_from_obj(d: dict) -> LatticeMap:
+    return _iso_from_obj("conjugation", d).lattice_map()
 
 
 def ring_iso_to_obj(T: Element, sigma, block_map=None) -> dict:
     return _iso_to_obj("ring-iso", T, sigma, block_map)
 
 
-def ring_iso_from_obj(d: dict, tol: Tolerances = DEFAULT_TOL) -> ConjugationRingIso:
-    return _iso_from_obj("ring-iso", d, tol)
+def ring_iso_from_obj(d: dict) -> ConjugationRingIso:
+    return _iso_from_obj("ring-iso", d)
 
 
 def halmos_to_obj(dec: HalmosDecomposition) -> dict:
@@ -194,7 +194,7 @@ def frame_to_obj(frame: Frame) -> dict:
     }
 
 
-def frame_from_obj(d: dict, tol: Tolerances = DEFAULT_TOL) -> Frame:
+def frame_from_obj(d: dict) -> Frame:
     """Load a frame; an order-3 "three-frame" object (p1, p2, p3, w12,
     w13), the format before frames of any order, loads as well."""
     kind = d.get("kind")
@@ -205,7 +205,7 @@ def frame_from_obj(d: dict, tol: Tolerances = DEFAULT_TOL) -> Frame:
     else:
         raise ValueError(f'expected kind "frame", got {kind!r}')
     return Frame.from_projections(
-        [projection_from_obj(p, tol) for p in ps], [element_from_obj(w) for w in ws], tol
+        [projection_from_obj(p) for p in ps], [element_from_obj(w) for w in ws]
     )
 
 

@@ -13,11 +13,9 @@ import numpy as np
 
 from .core import (
     CHECK_TOL,
-    DEFAULT_TOL,
     AlgebraShape,
     Element,
     Projection,
-    Tolerances,
     center_valued_norm,
     cond,
     distance,
@@ -86,34 +84,34 @@ def _skip_not_order3(shape: AlgebraShape) -> Frame:
         raise err from exc
 
 
-def _check_lattice_axioms(shape, seed, samples, tol):
+def _check_lattice_axioms(shape, seed, samples):
     rng = rng_from(seed)
     worst, ce = 0.0, None
     for k in range(samples):
         p, q = random_overlapping_pair(shape, rng)
         r = random_projection(shape, rng)
-        worst = max(worst, distance(meet(p, q, tol), meet(q, p, tol)))
-        worst = max(worst, distance(join(p, q, tol), join(q, p, tol)))
+        worst = max(worst, distance(meet(p, q), meet(q, p)))
+        worst = max(worst, distance(join(p, q), join(q, p)))
         worst = max(
             worst,
-            distance(meet(meet(p, q, tol), r, tol), meet(p, meet(q, r, tol), tol)),
+            distance(meet(meet(p, q), r), meet(p, meet(q, r))),
         )
         worst = max(
             worst,
-            distance(join(join(p, q, tol), r, tol), join(p, join(q, r, tol), tol)),
+            distance(join(join(p, q), r), join(p, join(q, r))),
         )
-        worst = max(worst, distance(meet(p, join(p, q, tol), tol), p))
-        worst = max(worst, distance(join(p, meet(p, q, tol), tol), p))
+        worst = max(worst, distance(meet(p, join(p, q)), p))
+        worst = max(worst, distance(join(p, meet(p, q)), p))
         pc = p.complement()
-        worst = max(worst, distance(join(p, pc, tol), Projection.identity(shape)))
-        worst = max(worst, float(meet(p, pc, tol).rank()))
+        worst = max(worst, distance(join(p, pc), Projection.identity(shape)))
+        worst = max(worst, float(meet(p, pc).rank()))
         worst = max(
             worst,
-            distance(join(p, q, tol).complement(), meet(pc, q.complement(), tol)),
+            distance(join(p, q).complement(), meet(pc, q.complement())),
         )
-        if not (leq(meet(p, q, tol), p, tol) and leq(p, join(p, q, tol), tol)):
+        if not (leq(meet(p, q), p) and leq(p, join(p, q))):
             ce = {"sample": k, "check": "order-consistency"}
-        mr, jr = meet(p, q, tol).ranks, join(p, q, tol).ranks
+        mr, jr = meet(p, q).ranks, join(p, q).ranks
         if any(
             mj + mm != rp + rq for mj, mm, rp, rq in zip(jr, mr, p.ranks, q.ranks)
         ):
@@ -121,7 +119,7 @@ def _check_lattice_axioms(shape, seed, samples, tol):
     return worst, ce
 
 
-def _check_principal_ideal(shape, seed, samples, tol):
+def _check_principal_ideal(shape, seed, samples):
     rng = rng_from(seed)
     ce = None
     for k in range(samples):
@@ -133,7 +131,7 @@ def _check_principal_ideal(shape, seed, samples, tol):
             x = a * random_element(shape, rng) + p.complement().element * random_element(
                 shape, rng
             )
-        claimed = principal_ideal_leq(x, a, tol)
+        claimed = principal_ideal_leq(x, a)
         oracle = True
         for ab, xb in zip(a.data, x.data):
             sol, *_ = np.linalg.lstsq(ab, xb, rcond=None)
@@ -145,7 +143,7 @@ def _check_principal_ideal(shape, seed, samples, tol):
     return 0.0, ce
 
 
-def _check_halmos(shape, seed, samples, tol):
+def _check_halmos(shape, seed, samples):
     rng = rng_from(seed)
     worst = 0.0
     for k in range(samples):
@@ -160,22 +158,22 @@ def _check_halmos(shape, seed, samples, tol):
                 p, q = random_overlapping_pair(shape, rng)
         else:
             p, q = random_overlapping_pair(shape, rng)
-        dec = halmos_decompose(p, q, tol)
-        p2, q2 = reconstruct(dec, tol)
+        dec = halmos_decompose(p, q)
+        p2, q2 = reconstruct(dec)
         worst = max(worst, distance(p, p2), distance(q, q2))
     return worst, None
 
 
-def _check_ls_equivalence(shape, seed, samples, tol):
+def _check_ls_equivalence(shape, seed, samples):
     rng = rng_from(seed)
     ce = None
     for k in range(samples):
         p, q = random_pair_with_trivial_meet(shape, rng)
-        direct = ls_orthogonal(p, q, tol)
-        additive = join(p, q, tol).ranks == tuple(
+        direct = ls_orthogonal(p, q)
+        additive = join(p, q).ranks == tuple(
             rp + rq for rp, rq in zip(p.ranks, q.ranks)
         )
-        cover = ls_char_minimal_cover(p, q, trials=6, tol=tol, seed=int(rng.integers(2**31)))
+        cover = ls_char_minimal_cover(p, q, trials=6, seed=int(rng.integers(2**31)))
         if not (direct == additive == cover):
             ce = {
                 "sample": k,
@@ -186,30 +184,30 @@ def _check_ls_equivalence(shape, seed, samples, tol):
     return 0.0, ce
 
 
-def _check_orthogonalizer(shape, seed, samples, tol):
+def _check_orthogonalizer(shape, seed, samples):
     rng = rng_from(seed)
     worst = 0.0
     for _ in range(samples):
         p, q = random_pair_with_trivial_meet(shape, rng)
-        s = orthogonalizer(p, q, tol)
-        s_inv = invert(s, tol)
+        s = orthogonalizer(p, q)
+        s_inv = invert(s)
         scale = max(1.0, cond(s))
-        top = join(p, q, tol)
+        top = join(p, q)
         topc = top.complement()
         res = max(
             distance(s * p.element, p.element),
             distance(s * topc.element, topc.element),
             distance(topc.element * s, topc.element),
             distance(
-                left_support(s * q.element * s_inv, tol),
-                canonicalize(top.element - p.element, tol),
+                left_support(s * q.element * s_inv),
+                canonicalize(top.element - p.element),
             ),
         )
         worst = max(worst, res / scale)
     return worst, None
 
 
-def _check_corner_witness(shape, seed, samples, tol):
+def _check_corner_witness(shape, seed, samples):
     rng = rng_from(seed)
     worst = 0.0
     for _ in range(samples):
@@ -223,13 +221,13 @@ def _check_corner_witness(shape, seed, samples, tol):
         nx = x.norm()
         if nx > 0:
             x = (0.5 * float(rng.uniform(0.1, 1.0)) / nx) * x
-        e = corner_witness_projection(x, p, q, tol)
+        e = corner_witness_projection(x, p, q)
         worst = max(worst, distance(p.element * e.element * q.element, x))
-        worst = max(worst, distance(meet(e, join(p, q, tol), tol), e))
+        worst = max(worst, distance(meet(e, join(p, q)), e))
     return worst, None
 
 
-def _check_graph_identities(shape, seed, samples, tol):
+def _check_graph_identities(shape, seed, samples):
     frame = _skip_not_order3(shape)
     rng = rng_from(seed)
     worst, ce = 0.0, None
@@ -239,21 +237,21 @@ def _check_graph_identities(shape, seed, samples, tol):
         worst = max(
             worst,
             distance(
-                lattice_product(frame, x, y, tol),
+                lattice_product(frame, x, y),
                 graph_projection(frame, x * y, (0, 2)),
             ),
         )
         worst = max(
             worst,
             distance(
-                lattice_sum(frame, x, y, tol),
+                lattice_sum(frame, x, y),
                 graph_projection(frame, x + y, (0, 1)),
             ),
         )
         worst = max(
             worst,
             distance(
-                recover_operator(frame, graph_projection(frame, x), tol=tol),
+                recover_operator(frame, graph_projection(frame, x)),
                 x,
             )
             / max(1.0, x.norm()),
@@ -273,14 +271,14 @@ def _check_graph_identities(shape, seed, samples, tol):
         well = u + Element.from_scalars(
             frame.corner_shape, [2.0] * len(frame.corner_shape.blocks)
         )
-        if inverse_coincidence(frame, singular, tol):
+        if inverse_coincidence(frame, singular):
             ce = {"sample": k, "check": "singular-claimed-invertible"}
-        if not inverse_coincidence(frame, well, tol):
+        if not inverse_coincidence(frame, well):
             ce = {"sample": k, "check": "invertible-claimed-singular"}
     return worst, ce
 
 
-def _check_center_valued_norm(shape, seed, samples, tol):
+def _check_center_valued_norm(shape, seed, samples):
     rng = rng_from(seed)
     worst = 0.0
     eye = Element.identity(shape)
@@ -300,7 +298,7 @@ def _check_center_valued_norm(shape, seed, samples, tol):
         )
         a = Element.from_scalars(shape, scalars)
         cx, cy = center_valued_norm(x), center_valued_norm(y)
-        _, absx = polar_decompose(x, tol)
+        _, absx = polar_decompose(x)
         # (i) faithfulness and domination |x| <= |||x|||, with minimality
         if cx.is_zero() and not x.is_zero():
             worst = max(worst, 1.0)
@@ -320,11 +318,11 @@ def _check_center_valued_norm(shape, seed, samples, tol):
     return worst, None
 
 
-def _check_map_family(shape, seed, samples, tol):
+def _check_map_family(shape, seed, samples):
     rng = rng_from(seed)
     t = random_invertible(shape, rng)
-    phi = from_conjugation(t, tol)
-    ver = verify_lattice_iso(phi, samples=max(8, samples // 2), seed=seed, tol=tol)
+    phi = from_conjugation(t)
+    ver = verify_lattice_iso(phi, samples=max(8, samples // 2), seed=seed)
     if not ver.passed:
         bad = [c.name for c in ver.checks if not c.passed]
         return 1.0, {"failed_checks": bad}
@@ -334,7 +332,7 @@ def _check_map_family(shape, seed, samples, tol):
         if is_central_projection(z) and not is_central_projection(phi(z)):
             return 1.0, {"check": "central-projection-transport"}
     u = random_unitary(shape, rng)
-    ok, _ = preserves_orthogonality(from_conjugation(u, tol), 8, seed, tol)
+    ok, _ = preserves_orthogonality(from_conjugation(u), 8, seed)
     if not ok:
         return 1.0, {"check": "unitary-map-should-preserve-orthogonality"}
     if max(shape.blocks) >= 2:
@@ -342,7 +340,7 @@ def _check_map_family(shape, seed, samples, tol):
         big = int(np.argmax(shape.blocks))
         shear[big][0, 1] = 1.0
         ok, witness = preserves_orthogonality(
-            from_conjugation(Element(shape, shear), tol), 8, seed, tol
+            from_conjugation(Element(shape, shear)), 8, seed
         )
         if ok:
             return 1.0, {"check": "shear-map-should-break-orthogonality"}
@@ -352,12 +350,12 @@ def _check_map_family(shape, seed, samples, tol):
     return worst, None
 
 
-def _check_coordinatize(shape, seed, samples, tol):
+def _check_coordinatize(shape, seed, samples):
     _skip_not_order3(shape)
     rng = rng_from(seed)
     t = random_invertible(shape, rng, cond_max=100.0)
-    t_inv = invert(t, tol)
-    result = coordinatize(from_conjugation(t, tol), samples=6, seed=seed, tol=tol)
+    t_inv = invert(t)
+    result = coordinatize(from_conjugation(t), samples=6, seed=seed)
     worst = 0.0
     for _ in range(samples):
         x = random_element(shape, rng)
@@ -365,11 +363,11 @@ def _check_coordinatize(shape, seed, samples, tol):
     return worst, None
 
 
-def _check_coordinatize_transpose(shape, seed, samples, tol):
+def _check_coordinatize_transpose(shape, seed, samples):
     _skip_not_order3(shape)
     rng = rng_from(seed)
-    phi = from_semilinear(Element.identity(shape), "conj", tol)
-    result = coordinatize(phi, samples=6, seed=seed, tol=tol)
+    phi = from_semilinear(Element.identity(shape), "conj")
+    result = coordinatize(phi, samples=6, seed=seed)
     worst = 0.0
     for _ in range(samples):
         x = random_element(shape, rng)
@@ -377,55 +375,55 @@ def _check_coordinatize_transpose(shape, seed, samples, tol):
     return worst, None
 
 
-def _check_uniqueness(shape, seed, samples, tol):
+def _check_uniqueness(shape, seed, samples):
     _skip_not_order3(shape)
     rng = rng_from(seed)
     t = random_invertible(shape, rng, cond_max=50.0)
-    phi = from_conjugation(t, tol)
-    r2 = coordinatize(phi, samples=4, seed=seed + 1, tol=tol)
-    r1_inv = coordinatize(invert_map(phi), samples=4, seed=seed, tol=tol)
+    phi = from_conjugation(t)
+    r2 = coordinatize(phi, samples=4, seed=seed + 1)
+    r1_inv = coordinatize(invert_map(phi), samples=4, seed=seed)
     rep = uniqueness_residual(
-        lambda x: r1_inv.Psi(r2.Psi(x)), shape, samples=samples, seed=seed, tol=tol
+        lambda x: r1_inv.Psi(r2.Psi(x)), shape, samples=samples, seed=seed
     )
     if not rep.support_ok:
         return rep.residual, {"support_witness": rep.witness}
     return rep.residual, None
 
 
-def _check_round_trips(shape, seed, samples, tol):
+def _check_round_trips(shape, seed, samples):
     _skip_not_order3(shape)
     rng = rng_from(seed)
     t = random_invertible(shape, rng, cond_max=50.0)
     worst = 0.0
     # ring iso -> lattice map -> ring iso
     for sigma in ("id", "conj"):
-        psi = ConjugationRingIso(t, sigma, tol)
-        phi = from_ring_iso(psi, shape, shape, tol=tol)
-        result = coordinatize(phi, samples=4, seed=seed, tol=tol)
+        psi = ConjugationRingIso(t, sigma)
+        phi = from_ring_iso(psi, shape, shape)
+        result = coordinatize(phi, samples=4, seed=seed)
         for _ in range(samples // 2):
             x = random_element(shape, rng)
             worst = max(
                 worst, distance(result.Psi(x), psi(x)) / max(1.0, cond(t))
             )
         # lattice map -> ring iso -> lattice map
-        phi2 = from_ring_iso(result.Psi, shape, shape, tol=tol)
+        phi2 = from_ring_iso(result.Psi, shape, shape)
         for _ in range(samples // 2):
             p = random_projection(shape, rng)
             worst = max(worst, distance(phi2(p), phi(p)))
     return worst, None
 
 
-def _check_dye(shape, seed, samples, tol):
+def _check_dye(shape, seed, samples):
     _skip_not_order3(shape)
     rng = rng_from(seed)
     u = random_unitary(shape, rng)
-    _, cert = dye_extension(from_conjugation(u, tol), samples=6, seed=seed, tol=tol)
+    _, cert = dye_extension(from_conjugation(u), samples=6, seed=seed)
     worst = max(c["max_residual"] for c in cert["checks"])
     t = random_invertible(shape, rng, cond_max=30.0)
-    v, _ = polar_decompose(t, tol)
+    v, _ = polar_decompose(t)
     if distance(t, v) > 1e-3:  # honestly non-unitary
         try:
-            dye_extension(from_conjugation(t, tol), samples=6, seed=seed, tol=tol)
+            dye_extension(from_conjugation(t), samples=6, seed=seed)
             return 1.0, {"check": "non-unitary-map-not-rejected"}
         except OrthogonalityNotPreserved as exc:
             if exc.witness is None or exc.witness.get("residual", 0.0) <= CHECK_TOL:
@@ -433,7 +431,7 @@ def _check_dye(shape, seed, samples, tol):
     return worst, None
 
 
-def _check_inner_factor(shape, seed, samples, tol):
+def _check_inner_factor(shape, seed, samples):
     rng = rng_from(seed)
     worst = 0.0
     sigmas = ["id"] * len(shape.blocks)
@@ -441,8 +439,8 @@ def _check_inner_factor(shape, seed, samples, tol):
         sigmas[-1] = "conj"
     for sigma in ("id", "conj", tuple(sigmas)):
         t = random_invertible(shape, rng, cond_max=50.0)
-        psi = ConjugationRingIso(t, sigma, tol)
-        fac = inner_factor(psi, shape, samples=max(6, samples // 2), seed=seed, tol=tol)
+        psi = ConjugationRingIso(t, sigma)
+        fac = inner_factor(psi, shape, samples=max(6, samples // 2), seed=seed)
         worst = max(worst, fac.residual / max(1.0, cond(fac.y)))
         for yb, tb in zip(fac.y.data, t.data):
             inner = abs(np.vdot(yb, tb))
@@ -505,27 +503,16 @@ _FAMILIES = [
 ]
 
 
-def verify_suite(
-    shape: AlgebraShape,
-    seed: int = 0,
-    samples: int = 25,
-    tol: Tolerances = DEFAULT_TOL,
-) -> Report:
+def verify_suite(shape: AlgebraShape, seed: int = 0, samples: int = 25) -> Report:
     """Run every property family against fresh seeded instances."""
-    report = Report(
-        command="verify-suite",
-        shape=list(shape.blocks),
-        seed=seed,
-        samples=samples,
-        tolerances=tol,
-    )
+    report = Report(command="verify-suite", shape=list(shape.blocks), seed=seed, samples=samples)
     for i, (name, anchor, fn, gate) in enumerate(_FAMILIES):
         family_seed = seed + 1000 * i
         report.checks.append(
             run_check(
                 name,
                 anchor,
-                lambda fn=fn, s=family_seed: fn(shape, s, samples, tol),
+                lambda fn=fn, s=family_seed: fn(shape, s, samples),
                 gate,
             )
         )

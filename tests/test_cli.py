@@ -4,6 +4,7 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 import projlat as pl
 from projlat import AlgebraShape, cli
@@ -119,14 +120,21 @@ def test_verify_suite_reports_are_stable_modulo_timing(capsys):
     assert _strip_seconds(first) == _strip_seconds(second)
 
 
-def test_tolerance_flags_land_in_config(capsys):
-    rc = main([
-        "verify-suite", "--shape", "3", "--samples", "2", "--json",
-        "--tol-rank", "1e-9",
-    ])
-    assert rc == 0
+def test_config_records_the_tolerance_constants(capsys):
+    assert main(["verify-suite", "--shape", "3", "--samples", "2", "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["config"]["tolerances"]["rank_rel"] == 1e-9
+    assert rep["config"]["tolerances"] == {
+        "rank_rel": pl.RANK_REL,
+        "proj_tol": pl.PROJ_TOL,
+        "eq_tol": pl.EQ_TOL,
+    }
+
+
+def test_tolerance_flags_are_usage_errors(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-suite", "--shape", "3", "--samples", "2", "--tol-rank", "1e-9"])
+    assert exc.value.code == 2
+    assert "--tol-rank" in capsys.readouterr().err
 
 
 def test_out_flag_writes_report(tmp_path, capsys):

@@ -72,7 +72,7 @@ def _tile_cases(blocks, rng):
     t = pl.random_invertible(shape, rng, cond_max=20.0)
     sigma = ["conj" if b % 2 else "id" for b in range(len(blocks))]
     reverse = tuple(reversed(range(len(blocks))))
-    routed = pl.ConjugationRingIso(t, sigma, pl.DEFAULT_TOL, reverse)
+    routed = pl.ConjugationRingIso(t, sigma, reverse)
     conj = pl.from_semilinear(pl.random_invertible(shape, rng, cond_max=20.0), "conj")
     ring = pl.from_ring_iso(routed, routed.source, shape)
     return {
@@ -103,7 +103,7 @@ def test_tile_does_not_recheck_the_invertible_t(monkeypatch, rng):
     shape = AlgebraShape([3, 6, 3])
     checked = []
     real = pl.maps._require_invertible
-    monkeypatch.setattr(pl.maps, "_require_invertible", lambda x, tol: checked.append(x) or real(x, tol))
+    monkeypatch.setattr(pl.maps, "_require_invertible", lambda x: checked.append(x) or real(x))
     iso = pl.ConjugationRingIso(pl.random_invertible(shape, rng, cond_max=20.0), "id", block_map=(2, 1, 0))
     assert len(checked) == 1
     tiled = iso.lattice_map().tile(9)
@@ -178,13 +178,13 @@ def test_shear_breaks_orthogonality():
 @pytest.mark.parametrize("seed", [0, 7])
 def test_shear_witness_carries_the_probe_product(blocks, seed):
     # no orthogonal probe is skipped, so the witness carries the pair's
-    # own product: within proj_tol for a sound sampler
+    # own product: within PROJ_TOL for a sound sampler
     shape = AlgebraShape(blocks)
     shear = [np.eye(n, dtype=complex) for n in blocks]
     shear[int(np.argmax(blocks))][0, 1] = 1.0
     ok, witness = pl.preserves_orthogonality(pl.from_conjugation(Element(shape, shear)), 8, seed)
     assert not ok and witness["kind"] == "orthogonal-pair-mapped-to-overlapping"
-    assert witness["probe_product"] <= pl.DEFAULT_TOL.proj_tol
+    assert witness["probe_product"] <= pl.PROJ_TOL
     p, q = pl.projection_from_obj(witness["p"]), pl.projection_from_obj(witness["q"])
     assert abs((p.element * q.element).norm() - witness["probe_product"]) <= 1e-15
 
@@ -218,26 +218,6 @@ def test_serialization_of_maps_roundtrips(rng):
         pl.map_to_obj(rogue)
 
 
-def test_inverse_maps_cut_ranks_with_the_tol_they_were_built_with():
-    """A map's tol is fixed when it is built, and its inverse keeps it:
-    a conjugation's inverse iso and the inverse of a from_ring_iso map
-    cut ranks with a non-default tol, not with DEFAULT_TOL."""
-    shape = AlgebraShape([3])
-    loose = pl.Tolerances(rank_rel=1e-3)
-    iso = pl.ConjugationRingIso(Element(shape, [np.diag([10.0, 1.0, 0.1])]), "id", loose)
-    assert iso.inverse().tol is loose
-    assert pl.invert_map(iso.lattice_map()).provenance.tol is loose
-
-    # p -> left support of T^-1 p T, built from isos under DEFAULT_TOL
-    t = Element(shape, [np.diag([1e2, 1.0, 1e-2])])
-    fwd = pl.ConjugationRingIso(t)
-    back = pl.invert_map(pl.from_ring_iso(fwd, shape, psi_inverse=fwd.inverse(), tol=loose))
-    # range e2 + (e1 + e3): T^-1 p T has singular values 5e3 and 1
-    p = pl.Projection.from_basis(shape, [np.array([[1, 0], [0, np.sqrt(2)], [1, 0]]) / np.sqrt(2)])
-    assert pl.left_support(fwd.inverse()(p.element)).ranks == (2,)
-    assert back(p).ranks == (1,)
-
-
 def test_order_residual_measures_the_complement_map(rng):
     """p -> 1 - p reverses the order, so pairs a <= b leave a residual
     ||f(a) - f(b) f(a)|| of order one in the order check."""
@@ -252,7 +232,7 @@ def test_order_residual_measures_the_complement_map(rng):
 def test_conjugation_ring_iso_routes_blocks(rng):
     shape = AlgebraShape([3, 3])
     t = pl.random_invertible(shape, rng, cond_max=20.0)
-    iso = pl.ConjugationRingIso(t, ["id", "conj"], pl.DEFAULT_TOL, (1, 0))
+    iso = pl.ConjugationRingIso(t, ["id", "conj"], (1, 0))
     assert iso.source == shape and iso.block_map == (1, 0)
     x = pl.random_element(shape, rng)
     t_inv = pl.invert(t)
@@ -274,7 +254,7 @@ def test_conjugation_ring_iso_rejects_bad_routing():
     t = Element.identity(AlgebraShape([3, 3]))
     for bad in ((0, 0), (0, 1, 2), (1, 2)):
         with pytest.raises(ValueError):
-            pl.ConjugationRingIso(t, "id", pl.DEFAULT_TOL, bad)
+            pl.ConjugationRingIso(t, "id", bad)
     with pytest.raises(pl.ShapeMismatch):
         pl.ConjugationRingIso(t)(Element.identity(AlgebraShape([2, 3])))
 

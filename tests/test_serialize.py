@@ -186,7 +186,7 @@ def test_block_map_is_written_only_when_routing(rng):
     t = pl.random_invertible(shape, rng, cond_max=10.0)
     plain = pl.map_to_obj(pl.from_semilinear(t, "conj"))
     assert "block_map" not in plain and plain["sigma"] == "conj"
-    iso = pl.ConjugationRingIso(t, ["conj", "id"], pl.DEFAULT_TOL, [1, 0])
+    iso = pl.ConjugationRingIso(t, ["conj", "id"], [1, 0])
     obj = json.loads(json.dumps(pl.map_to_obj(iso.lattice_map())))
     assert obj["block_map"] == [1, 0] and obj["sigma"] == ["conj", "id"]
     phi = pl.map_from_obj(obj)

@@ -34,7 +34,7 @@ def test_only_the_precondition_skips():
 
 
 def test_lattice_map_family_reports_a_measured_residual():
-    residual, ce = suite._check_map_family(AlgebraShape([3]), 0, 8, pl.DEFAULT_TOL)
+    residual, ce = suite._check_map_family(AlgebraShape([3]), 0, 8)
     assert ce is None
     assert 0.0 < residual <= 1e-8
 
