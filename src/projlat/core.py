@@ -37,7 +37,6 @@ __all__ = [
     "Element",
     "Projection",
     "distance",
-    "close",
     "left_support",
     "right_support",
     "invert",
@@ -340,10 +339,6 @@ def distance(x, y) -> float:
     """Operator-norm distance, accepting elements or projections."""
     a, b = _coerce(x), _coerce(y)
     return (a - b).norm()
-
-
-def close(x, y, tol: float) -> bool:
-    return distance(x, y) <= tol
 
 
 def _fits_basis(s: tuple, n: int) -> bool:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(argv), no subprocesses."""
 
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -135,6 +136,18 @@ def test_tolerance_flags_are_usage_errors(capsys):
         main(["verify-suite", "--shape", "3", "--samples", "2", "--tol-rank", "1e-9"])
     assert exc.value.code == 2
     assert "--tol-rank" in capsys.readouterr().err
+
+
+def test_no_exported_callable_takes_a_tolerance():
+    for name in pl.__all__:
+        obj = getattr(pl, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        assert "tol" not in params, name
 
 
 def test_out_flag_writes_report(tmp_path, capsys):
