@@ -84,12 +84,13 @@ class Report:
 
 
 def run_check(
-    name: str, anchor: str, fn: Callable[[], tuple[float, dict | None]], gate: float
+    name: str, anchor: str, fn: Callable[[], tuple[float | None, dict | None]], gate: float
 ) -> CheckResult:
     """Time fn and grade its residual against the gate.
 
-    fn returns (max_residual, counterexample_or_None); raising a
-    projlat error with a .skip_reason attribute marks the check
+    fn returns (max_residual, counterexample_or_None); a yes/no check
+    has no residual (None) and passes without a counterexample.  Raising
+    a projlat error with a .skip_reason attribute marks the check
     SKIPPED, any other exception is a FAIL with the message and the
     innermost raising frame ("package/module.py:function") attached;
     the frame names the function, not the line, so a report's bytes do
@@ -114,7 +115,6 @@ def run_check(
             {"error": f"{type(exc).__name__}: {exc}", "frame": frame},
         )
     dt = time.perf_counter() - t0
-    if ce is not None:
-        return CheckResult(name, anchor, "FAIL", float(residual), dt, ce)
-    status = "PASS" if residual <= gate else "FAIL"
-    return CheckResult(name, anchor, status, float(residual), dt)
+    residual = None if residual is None else float(residual)
+    passed = ce is None and (residual is None or residual <= gate)
+    return CheckResult(name, anchor, "PASS" if passed else "FAIL", residual, dt, ce)

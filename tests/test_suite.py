@@ -39,6 +39,35 @@ def test_lattice_map_family_reports_a_measured_residual():
     assert 0.0 < residual <= 1e-8
 
 
+YES_NO = {"principal-ideal": "principal_ideal_leq", "ls-equivalence": "ls_orthogonal"}
+
+
+def _family(name):
+    return next(row for row in suite._FAMILIES if row[0] == name)
+
+
+def test_yes_no_families_report_no_residual():
+    for name in YES_NO:
+        assert _family(name)[2](AlgebraShape([3]), 0, 4) == (None, None)
+    report = suite.verify_suite(AlgebraShape([2, 3]), seed=1, samples=2).to_obj()
+    checks = {c["name"]: c for c in report["checks"]}
+    for name in YES_NO:
+        assert checks[name]["status"] == "PASS"
+        assert checks[name]["max_residual"] is None
+
+
+def test_a_yes_no_counterexample_still_fails(monkeypatch):
+    for name, verdict in YES_NO.items():
+        real = getattr(suite, verdict)
+        monkeypatch.setattr(suite, verdict, lambda *a, _real=real: not _real(*a))
+        _, anchor, fn, gate = _family(name)
+        result = run_check(name, anchor, lambda fn=fn: fn(AlgebraShape([3]), 0, 4), gate)
+        assert result.status == "FAIL" and result.max_residual is None, name
+        assert result.counterexample["sample"] >= 0, name
+    failed = run_check("f", "a", lambda: (None, {"sample": 0}), 1.0)
+    assert failed.status == "FAIL" and failed.max_residual is None
+
+
 def test_every_exported_name_resolves():
     for info in pkgutil.iter_modules(pl.__path__):
         mod = importlib.import_module(f"projlat.{info.name}")
