@@ -142,9 +142,7 @@ def _iso_to_obj(kind: str, T: Element, sigma, block_map=None) -> dict:
 def _iso_from_obj(kind: str, d: dict) -> ConjugationRingIso:
     if d.get("kind") != kind:
         raise ValueError(f'expected kind "{kind}", got {d.get("kind")!r}')
-    return ConjugationRingIso(
-        element_from_obj(d["T"]), d.get("sigma", "id"), d.get("block_map")
-    )
+    return ConjugationRingIso(element_from_obj(d["T"]), d.get("sigma", "id"), d.get("block_map"))
 
 
 def map_to_obj(phi: LatticeMap) -> dict:

@@ -339,9 +339,7 @@ def _check_map_family(shape, seed, samples):
         shear = [np.eye(n, dtype=np.complex128) for n in shape.blocks]
         big = int(np.argmax(shape.blocks))
         shear[big][0, 1] = 1.0
-        ok, witness = preserves_orthogonality(
-            from_conjugation(Element(shape, shear)), 8, seed
-        )
+        ok, witness = preserves_orthogonality(from_conjugation(Element(shape, shear)), 8, seed)
         if ok:
             return 1.0, {"check": "shear-map-should-break-orthogonality"}
         res = witness["residual"]
