@@ -68,9 +68,10 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _family(name: str) -> tuple[str, float]:
+def _family(name: str) -> tuple[str, float | None]:
     """Anchor and gate of the verify-suite family called name, so that a
-    command and the suite grade one property alike."""
+    command and the suite grade one property alike (a yes/no family has
+    no gate)."""
     return next((anchor, gate) for fam, anchor, _, gate in _FAMILIES if fam == name)
 
 

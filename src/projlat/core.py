@@ -487,13 +487,14 @@ def left_support(x: Element) -> Projection:
 
     The rank cutoff is relative to the norm of the whole element, not
     of each block: a block that only carries roundoff from operations
-    on the other blocks must contribute rank zero.
+    on the other blocks must contribute rank zero.  The norm is read off
+    the same thin SVDs that give the bases, so each stack costs one SVD.
     """
     x = _coerce(x)
-    cutoff = RANK_REL * x.norm()
+    svds = [(idx, _thin_svd(a)) for idx, a in x._pieces()]
+    cutoff = RANK_REL * max(s[:, 0].max() for _, (_, s, _) in svds)
     pieces = []
-    for idx, a in x._pieces():
-        u, s, _ = _thin_svd(a)
+    for idx, (u, s, _) in svds:
         for r, pos, sub in _split(idx, s > cutoff):
             pieces.append((sub, u[pos, :, :r]))
     return Projection._of(x.shape, pieces)
@@ -527,13 +528,14 @@ def polar_decompose(x: Element) -> tuple[Element, Element]:
 
     Returns (v, abs_x) where abs_x = (x* x)^(1/2) is positive
     semidefinite and v is the partial isometry with
-    v* v = right_support(x) and v v* = left_support(x).
+    v* v = right_support(x) and v v* = left_support(x).  The cutoff's
+    norm is read off the same SVDs, as in left_support.
     """
     x = _coerce(x)
-    cutoff = RANK_REL * x.norm()
+    svds = [(idx, np.linalg.svd(a)) for idx, a in x._pieces()]
+    cutoff = RANK_REL * max(s[:, 0].max() for _, (_, s, _) in svds)
     vs, abss = [], []
-    for idx, a in x._pieces():
-        u, s, vh = np.linalg.svd(a)
+    for idx, (u, s, vh) in svds:
         for r, pos, sub in _split(idx, s > cutoff):
             vs.append((sub, u[pos, :, :r] @ vh[pos, :r, :]))
         abss.append((_ct(vh) * s[:, None, :]) @ vh)

@@ -1,13 +1,18 @@
 """Lattice operations on projections: order, meet, join, equivalence.
 
-Meet and join are computed from range bases.  The join orthonormalizes
-the concatenated bases with the relative singular-value cutoff.  The
-meet runs in two stages: a coarse preselection by principal-angle
-cosines, then an SVD of (1 - q) restricted to the candidate block, so
-that membership is decided on the *sine* of the angle.  Only directions
-whose sine is at or below RANK_REL are counted as common; deliberate
-small angles (say 1e-6) therefore survive into the generic part of a
-two-projection pair instead of being folded into the intersection.
+Meet and join are computed from range bases.  RANK_REL decides ranks
+in orth (so in the join), in meet, in core.left_support and in the
+invertibility check of a conjugation's T, but not in the images of a
+conjugation lattice map: T's check has already fixed their ranks.
+
+The join orthonormalizes the concatenated bases with the relative
+singular-value cutoff.  The meet runs in two stages: a coarse
+preselection by principal-angle cosines, then an SVD of (1 - q)
+restricted to the candidate block, so that membership is decided on
+the *sine* of the angle.  Only directions whose sine is at or below
+RANK_REL are counted as common; deliberate small angles (say 1e-6)
+therefore survive into the generic part of a two-projection pair
+instead of being folded into the intersection.
 """
 
 from __future__ import annotations
@@ -95,7 +100,10 @@ def orth(pieces: Sequence[tuple]) -> list[tuple]:
     pieces are (block indices, (k, n, m) stack); the result is pieces
     of (k, n, r) bases, split where the ranks of one stack differ.
     Singular values at or below RANK_REL times the largest count as
-    zero (left_support instead cuts at an absolute level).
+    zero (left_support instead cuts at an absolute level).  This is for
+    spans whose rank is unknown (join, pushed sample pairs); a
+    conjugation's images keep their rank and are orthonormalized by QR
+    in ConjugationRingIso.lattice_map.
     """
     out = []
     for idx, a in pieces:

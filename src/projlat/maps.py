@@ -238,7 +238,12 @@ class ConjugationRingIso:
         return ConjugationRingIso(Element._of(self.source, tinvs), sigma, back)
 
     def lattice_map(self) -> LatticeMap:
-        """The induced map p -> projection onto T sigma(range p)."""
+        """The induced map p -> projection onto T sigma(range p).
+
+        The image basis is the Q factor of one QR of T sigma(U) per
+        stack, U the range basis of p, with no rank cutoff: T passed the
+        invertibility check, so the map keeps every rank exactly, as a
+        lattice isomorphism must."""
         target = self.T.shape
 
         def route(idx: tuple) -> tuple:
@@ -246,11 +251,18 @@ class ConjugationRingIso:
 
         def apply(p: Projection) -> Projection:
             ts = _regroup(self.T._pieces(), [route(idx) for idx in p._groups])
-            images = [
-                (idx, t @ _sigma(u.copy(), self._mask(idx))) for (idx, u), t in zip(p._pieces(), ts)
-            ]
-            bases = orth(images)
-            return Projection._of(target, [(route(idx), u) for idx, u in bases])
+            bases = []
+            for (idx, u), t in zip(p._pieces(), ts):
+                # No rank to decide: each T_b passed _require_invertible
+                # (a tile's T is copies of a checked one, and inverse()
+                # checks its own), so s_min(T_b) > RANK_REL s_max(T_b).
+                # For orthonormal U the singular values of T_b sigma(U)
+                # lie in [s_min(T_b), s_max(T_b)], so orth's relative
+                # cut would keep all r columns anyway.
+                if u.shape[2]:
+                    u = np.linalg.qr(t @ _sigma(u.copy(), self._mask(idx)))[0]
+                bases.append((route(idx), u))
+            return Projection._of(target, bases)
 
         return LatticeMap(self.source, target, apply, self)
 
@@ -347,6 +359,9 @@ def _unit_image(
 def from_conjugation(T: Element) -> LatticeMap:
     """Lattice map p -> projection onto T(range p), for invertible T.
 
+    Images keep p's ranks; their bases are QR factors of T U, U the
+    range basis of p (see ConjugationRingIso.lattice_map).
+
     Raises:
         NotInvertible: T has a singular block.
     """
@@ -359,7 +374,12 @@ def from_semilinear(T: Element, sigma="id") -> LatticeMap:
     block, or one string for all blocks).
 
     With sigma = "id" this is the same map as from_conjugation(T); with
-    T = 1 and sigma = "conj" it is p -> transpose(p).
+    T = 1 and sigma = "conj" it is p -> transpose(p).  Images keep p's
+    ranks, as in from_conjugation.
+
+    Raises:
+        ValueError: sigma is malformed.
+        NotInvertible: T has a singular block.
     """
     return ConjugationRingIso(T, sigma).lattice_map()
 

@@ -84,17 +84,21 @@ class Report:
 
 
 def run_check(
-    name: str, anchor: str, fn: Callable[[], tuple[float | None, dict | None]], gate: float
+    name: str,
+    anchor: str,
+    fn: Callable[[], tuple[float | None, dict | None]],
+    gate: float | None,
 ) -> CheckResult:
     """Time fn and grade its residual against the gate.
 
     fn returns (max_residual, counterexample_or_None); a yes/no check
-    has no residual (None) and passes without a counterexample.  Raising
-    a projlat error with a .skip_reason attribute marks the check
-    SKIPPED, any other exception is a FAIL with the message and the
-    innermost raising frame ("package/module.py:function") attached;
-    the frame names the function, not the line, so a report's bytes do
-    not change when lines of the source move.
+    has no residual (None) and no gate (None), and passes without a
+    counterexample.  Raising a projlat error with a .skip_reason
+    attribute marks the check SKIPPED, any other exception is a FAIL
+    with the message and the innermost raising frame
+    ("package/module.py:function") attached; the frame names the
+    function, not the line, so a report's bytes do not change when
+    lines of the source move.
     """
     t0 = time.perf_counter()
     try:

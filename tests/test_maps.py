@@ -5,7 +5,8 @@ import pytest
 
 import projlat as pl
 from projlat import AlgebraShape, Element, LatticeMap
-from projlat.core import _direct_sum
+from projlat.core import _ct, _direct_sum
+from projlat.lattice import orth
 from projlat.maps import Opaque
 
 
@@ -97,6 +98,37 @@ def test_tile_is_the_map_summand_by_summand(blocks, rng):
             assert got.shape == want.shape and got.ranks == want.ranks, name
             for u, v in zip(got.basis, want.basis):
                 assert np.array_equal(u, v), (name, c)
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e6, 5e8])
+@pytest.mark.parametrize("sigma", ["id", "conj"])
+def test_conjugation_images_keep_rank_and_match_the_svd_basis(cond, sigma):
+    """The image basis is a QR of T sigma(U) with no rank cut: up to
+    cond(T) = 5e8, just inside the invertibility cutoff, it keeps every
+    rank, is orthonormal, and spans what the SVD with the RANK_REL cut
+    spans."""
+    rng = np.random.default_rng(int(cond))
+    target = AlgebraShape([3, 6, 3])
+    s = {n: np.geomspace(cond**-0.5, cond**0.5, n) for n in target.blocks}
+    u, v = pl.random_unitary(target, rng), pl.random_unitary(target, rng)
+    t = Element(target, [(ub * s[n]) @ vb for ub, vb, n in zip(u.data, v.data, target.blocks)])
+    iso = pl.ConjugationRingIso(t, sigma, block_map=(2, 0, 1))
+    phi = iso.lattice_map()
+    assert iso.source == AlgebraShape([3, 3, 6])
+    for ranks in ([0, 0, 0], [1, 2, 4], [0, 3, 2], [3, 3, 6]):
+        p = pl.random_projection(iso.source, rng, ranks)
+        img = phi(p)
+        assert img.ranks == tuple(ranks[iso.block_map.index(i)] for i in range(3))
+        for b, ub in enumerate(p.basis):
+            got = img.basis[iso.block_map[b]]
+            assert np.linalg.norm(_ct(got) @ got - np.eye(ranks[b]), 2) <= 1e-12
+            if not ranks[b]:
+                continue
+            image = t.data[iso.block_map[b]] @ (ub.conj() if sigma == "conj" else ub)
+            ((_, want),) = orth([((0,), image[None])])
+            assert want.shape[2] == ranks[b]
+            gap = got @ _ct(got) - want[0] @ _ct(want[0])
+            assert np.linalg.norm(gap, 2) <= 1e-12 * cond
 
 
 def test_tile_does_not_recheck_the_invertible_t(monkeypatch, rng):

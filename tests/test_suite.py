@@ -56,6 +56,15 @@ def test_yes_no_families_report_no_residual():
         assert checks[name]["max_residual"] is None
 
 
+def test_a_family_has_no_gate_exactly_when_it_reports_no_residual():
+    gates = {name: gate for name, _, _, gate in suite._FAMILIES}
+    assert {name for name, gate in gates.items() if gate is None} == set(YES_NO)
+    report = suite.verify_suite(AlgebraShape([3]), seed=1, samples=2)
+    for check in report.checks:
+        assert check.status == "PASS", check.name
+        assert (gates[check.name] is None) == (check.max_residual is None), check.name
+
+
 def test_a_yes_no_counterexample_still_fails(monkeypatch):
     for name, verdict in YES_NO.items():
         real = getattr(suite, verdict)
