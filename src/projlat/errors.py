@@ -37,11 +37,6 @@ class NotAProjection(ProjlatError):
     forbidden middle band, or not Hermitian)."""
 
 
-class NotComplementary(ProjlatError):
-    """A perspectivity witness was requested for a pair that is not
-    complementary (join != 1 or meet != 0)."""
-
-
 class PreconditionViolated(ProjlatError):
     """A documented operation precondition failed on the given input."""
 

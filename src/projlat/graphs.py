@@ -17,14 +17,15 @@ standard coordinates for slot 12 of an order-3 frame,
 
 A projection Q is such a graph exactly when Q v e_i = e_d v e_i and Q
 is LS-orthogonal to e_i; the operator is then recovered from the corner
-ratio Q_{id} Q_{dd}^{-1} and certified on Q's range basis W in slot
-coordinates, with no graph projection rebuilt: [W_d; x W_d; 0] lies in
-the graph and the other slots are orthogonal to it, so the distance of
-Q from the graph of x is at most the norm of [W_i - x W_d; W_o], W_o
-the rows of every slot o outside (d, i).  Products and sums of corner
-operators are realized by pure meet/join expressions on graph
-projections of slots 1-3, which is what makes the lattice remember the
-ring.
+ratio Q_{id} Q_{dd}^{-1}, both corners read off Q's range basis in slot
+coordinates, W = V* U: Q_dd = W_d W_d* and Q_id = W_i W_d*, W_j the
+rows of slot j, so no dense Q is formed.  x is certified on W, with no
+graph projection rebuilt: [W_d; x W_d; 0] lies in the graph and the
+other slots are orthogonal to it, so the distance of Q from the graph
+of x is at most the norm of [W_i - x W_d; W_o], W_o the rows of every
+slot o outside (d, i).  Products and sums of corner operators are
+realized by pure meet/join expressions on graph projections of slots
+1-3, which is what makes the lattice remember the ring.
 """
 
 from __future__ import annotations
@@ -228,9 +229,12 @@ def is_slot_graph_projection(frame: Frame, q: Projection, slot=(0, 1)) -> bool:
 def recover_operator(frame: Frame, q: Projection, slot=(0, 1)) -> Element:
     """Read the corner operator off a slot graph projection.
 
-    In slot coordinates the operator is the ratio x = Q_{id} Q_{dd}^{-1}.
-    It is certified on Q's range basis in slot coordinates, W = V* U,
-    block by block, with no graph projection rebuilt: [W_d; x W_d; 0]
+    In slot coordinates the operator is the ratio x = Q_{id} Q_{dd}^{-1},
+    with both corners read off Q's range basis there, W = V* U, block by
+    block: Q_dd = W_d W_d* and Q_id = W_i W_d*, so neither the dense Q
+    nor its rotation V* Q V is formed.  The domain corner is singular
+    when its eigenvalues, sigma(W_d)^2, have lam_min <= RANK_REL lam_max.
+    x is certified on W, with no graph projection rebuilt: [W_d; x W_d; 0]
     lies in the graph of x and every slot o outside (d, i) is orthogonal
     to it, so the spectral norm of the (k - 1)m x m certificate
     [W_i - x W_d; W_o ...], which must be within CHECK_TOL, bounds the
@@ -252,15 +256,16 @@ def recover_operator(frame: Frame, q: Projection, slot=(0, 1)) -> Element:
     for b, (r, n) in enumerate(zip(q.ranks, frame.corner_shape.blocks)):
         if r != n:
             raise NotAGraphProjection(f"rank {r} does not match the slot rank {n}", b)
-    # every rank is the slot rank, so q's bases are stacked as V is
-    ws = [_ct(v) @ u for v, u in zip(frame._v._stacks, q._stacks)]
+    # every rank is the slot rank, so q's bases are stacked as V is;
+    # _slot(w, j, 0, k) is the j-th slot's rows of the (g, km, m) bases
     corners, singular = [], []
-    for (idx, m), w in zip(frame._rotate(q.element)._pieces(), ws):
-        qdd = _slot(m, d, d, k)
-        lam, vec = np.linalg.eigh((qdd + _ct(qdd)) / 2)
+    for (idx, v), u in zip(frame._v._pieces(), q._stacks):
+        w = _ct(v) @ u
+        wd_star = _ct(_slot(w, d, 0, k))
+        lam, vec = np.linalg.eigh(_slot(w, d, 0, k) @ wd_star)  # Q_dd
         bad = (lam[:, -1] <= 0) | (lam[:, 0] <= RANK_REL * lam[:, -1])
         singular.extend(idx[j] for j in np.flatnonzero(bad))
-        corners.append((idx, _slot(m, im, d, k), lam, vec, w))
+        corners.append((idx, _slot(w, im, 0, k) @ wd_star, lam, vec, w))  # Q_id
     if singular:
         raise NotAGraphProjection("domain corner singular", min(singular))
     # ||R||_2 <= ||R||_F: a block whose Frobenius residual is at most
@@ -270,7 +275,6 @@ def recover_operator(frame: Frame, q: Projection, slot=(0, 1)) -> Element:
     for idx, qid, lam, vec, w in corners:
         x = qid @ (vec / lam[..., None, :]) @ _ct(vec)
         pieces.append((idx, x))
-        # _slot(w, j, 0, k) is the j-th slot's rows of the (g, km, m) bases
         rows = [_slot(w, im, 0, k) - x @ _slot(w, d, 0, k)] + [_slot(w, o, 0, k) for o in others]
         r = np.concatenate(rows, axis=1)
         rest = np.flatnonzero(np.linalg.norm(r, axis=(1, 2)) > CHECK_TOL / 2)

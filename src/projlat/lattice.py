@@ -35,7 +35,7 @@ from .core import (
     distance,
     left_support,
 )
-from .errors import NotAProjection, NotComplementary, ShapeMismatch
+from .errors import NotAProjection, ShapeMismatch
 
 __all__ = [
     "canonicalize",
@@ -43,7 +43,6 @@ __all__ = [
     "meet",
     "join",
     "mv_equivalent",
-    "perspectivity_witness",
     "central_support",
     "is_central_projection",
     "principal_ideal_leq",
@@ -168,24 +167,6 @@ def mv_equivalent(p: Projection, q: Projection) -> Element | None:
         return None
     blocks = [up @ uq.conj().T for up, uq in zip(p.basis, q.basis)]
     return Element(p.shape, blocks)
-
-
-def perspectivity_witness(p: Projection, q: Projection) -> Element:
-    """Partial isometry v with v v* = 1 - p and v* v = q, given that
-    p and q are complementary (join 1, meet 0).
-
-    Raises:
-        NotComplementary: join(p, q) != 1 or meet(p, q) != 0.
-    """
-    top = join(p, q)
-    if not top.is_identity() or distance(top, Projection.identity(p.shape)) > PROJ_TOL:
-        raise NotComplementary("join(p, q) is not the identity")
-    if meet(p, q).rank() != 0:
-        raise NotComplementary("meet(p, q) is not zero")
-    witness = mv_equivalent(p.complement(), q)
-    if witness is None:
-        raise NotComplementary("rank bookkeeping failed for the complement")
-    return witness
 
 
 def central_support(p: Projection) -> Projection:

@@ -326,26 +326,26 @@ def _check_map_family(shape, seed, samples):
     ver = verify_lattice_iso(phi, samples=max(8, samples // 2), seed=seed)
     if not ver.passed:
         bad = [c.name for c in ver.checks if not c.passed]
-        return 1.0, {"failed_checks": bad}
+        return None, {"failed_checks": bad}
     worst = max(c.max_residual for c in ver.checks if c.max_residual is not None)
     for _ in range(max(4, samples // 4)):
         z = random_projection(shape, rng)
         if is_central_projection(z) and not is_central_projection(phi(z)):
-            return 1.0, {"check": "central-projection-transport"}
+            return None, {"check": "central-projection-transport"}
     u = random_unitary(shape, rng)
     ok, _ = preserves_orthogonality(from_conjugation(u), 8, seed)
     if not ok:
-        return 1.0, {"check": "unitary-map-should-preserve-orthogonality"}
+        return None, {"check": "unitary-map-should-preserve-orthogonality"}
     if max(shape.blocks) >= 2:
         shear = [np.eye(n, dtype=np.complex128) for n in shape.blocks]
         big = int(np.argmax(shape.blocks))
         shear[big][0, 1] = 1.0
         ok, witness = preserves_orthogonality(from_conjugation(Element(shape, shear)), 8, seed)
         if ok:
-            return 1.0, {"check": "shear-map-should-break-orthogonality"}
+            return None, {"check": "shear-map-should-break-orthogonality"}
         res = witness["residual"]
         if res <= CHECK_TOL:
-            return 1.0, {"check": "witness-not-verified", "residual": res}
+            return None, {"check": "witness-not-verified", "residual": res}
     return worst, None
 
 
@@ -477,7 +477,7 @@ _FAMILIES = [
         _check_center_valued_norm,
         1e-9,
     ),
-    ("lattice-maps", "lattice isomorphism sampling checks", _check_map_family, 0.5),
+    ("lattice-maps", "lattice isomorphism sampling checks", _check_map_family, CHECK_TOL),
     (
         "coordinatize-conjugation",
         "lattice-to-ring reconstruction",

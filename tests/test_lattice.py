@@ -104,18 +104,6 @@ def test_mv_equivalent(rng):
     assert pl.mv_equivalent(p, r) is None
 
 
-def test_perspectivity_witness(rng):
-    # random equal-rank pair in general position is complementary
-    shape = AlgebraShape([4])
-    p = pl.random_projection(shape, rng, ranks=[2])
-    q = pl.random_projection(shape, rng, ranks=[2])
-    u = pl.perspectivity_witness(p, q)
-    assert pl.distance(u * u.adjoint(), p.complement().element) < 1e-10
-    assert pl.distance(u.adjoint() * u, q.element) < 1e-10
-    with pytest.raises(pl.NotComplementary):
-        pl.perspectivity_witness(p, pl.random_projection(shape, rng, ranks=[3]))
-
-
 def test_central_support(rng):
     shape = AlgebraShape([2, 3])
     p = pl.random_projection(shape, rng, ranks=[1, 0])

@@ -77,6 +77,16 @@ def test_a_yes_no_counterexample_still_fails(monkeypatch):
     assert failed.status == "FAIL" and failed.max_residual is None
 
 
+def test_a_failing_map_family_reports_no_residual(monkeypatch):
+    # a shear that keeps orthogonality fails the family by its witness
+    monkeypatch.setattr(suite, "preserves_orthogonality", lambda *a: (True, None))
+    _, anchor, fn, gate = _family("lattice-maps")
+    assert gate == pl.CHECK_TOL
+    result = run_check("lattice-maps", anchor, lambda: fn(AlgebraShape([3]), 0, 8), gate)
+    assert result.status == "FAIL" and result.max_residual is None
+    assert result.counterexample == {"check": "shear-map-should-break-orthogonality"}
+
+
 def test_every_exported_name_resolves():
     for info in pkgutil.iter_modules(pl.__path__):
         mod = importlib.import_module(f"projlat.{info.name}")
