@@ -258,8 +258,8 @@ def _cmd_factor(args) -> int:
         report.extra["factorization"] = {
             "q": projection_to_obj(fac.q),
             "y": element_to_obj(fac.y),
-            "psi0_kind": list(fac.psi0_kind),
-            "block_map": list(fac.block_map),
+            "psi0_kind": ["linear" if s == "id" else "conjugate" for s in fac.iso.sigma],
+            "block_map": list(fac.iso.block_map),
             "residual": float(fac.residual),
         }
     return _emit(report, args)

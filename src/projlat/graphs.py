@@ -120,11 +120,9 @@ class Frame:
         frame, c = self._copies
         return tuple(_direct_sum([w] * c) for w in frame.units)
 
-    def _rotate(self, x: Element, back: bool = False) -> Element:
-        """x, of this algebra, in slot coordinates: V* x V per block; back
-        rotates the other way, V x V*."""
-        vs = self._v._stacks
-        return x._like([v @ a @ _ct(v) if back else _ct(v) @ a @ v for v, a in zip(vs, x._stacks)])
+    def _rotate(self, x: Element) -> Element:
+        """x, of this algebra, in slot coordinates: V* x V per block."""
+        return x._like([_ct(v) @ a @ v for v, a in zip(self._v._stacks, x._stacks)])
 
     @classmethod
     def standard(cls, shape: AlgebraShape, k: int) -> "Frame":

@@ -1,12 +1,15 @@
 """Analysis of ring isomorphisms between block matrix algebras.
 
-A ring isomorphism of these algebras need not be complex-linear, but
-once real-linearity is confirmed by sampling, its failure of
-C-linearity is measured by the image of i: a central square root of -1
-that splits the target into a linear and a conjugate-linear part.  On
-each block the map is then inner over the reference map (identity or
-entrywise conjugation), and the conjugating element is built from the
-images of the first column of matrix units.
+A ring isomorphism of these algebras need not be complex-linear.  Once
+real-linearity and multiplicativity are confirmed by sampling, the
+Skolem-Noether reading in `maps._skolem_noether` factors it as
+Ad(y) composed with psi0: psi0 sends each source block to the target
+block that receives its central projection and is there either the
+identity or entrywise conjugation.  Which one (sigma) is read per
+block: for the block's central projection z, psi(i z) is +i or -i
+times psi(z).  The conjugating element y is built from the images of
+the first column of matrix units.  The result is one
+ConjugationRingIso with T = y.
 
 The Dye pipeline sits on top: a lattice isomorphism that also preserves
 orthogonality coordinatizes to a ring isomorphism that is a real
@@ -27,7 +30,6 @@ from .core import (
     Element,
     Projection,
     distance,
-    is_central,
 )
 from .errors import (
     NotRealLinear,
@@ -45,7 +47,6 @@ from .sampling import random_element, random_hermitian, random_projection, rng_f
 
 __all__ = [
     "RingIsoFactorization",
-    "classify_linearity",
     "inner_factor",
     "dye_extension",
 ]
@@ -55,48 +56,28 @@ __all__ = [
 class RingIsoFactorization:
     """Inner factorization Psi(x) = y psi0(x) y^{-1}.
 
-    q is the central projection carrying the complex-linear part of the
-    target; psi0 is the ConjugationRingIso with T = 1: it applies
-    identity or entrywise conjugation per source block and routes it to
-    the matching target block (block_map); residual is the worst
-    sampled deviation of the factorized form, the ConjugationRingIso
-    with T = y.
+    iso is the ConjugationRingIso with T = y: its sigma says, per source
+    block, whether psi0 is the identity or entrywise conjugation there,
+    and its block_map routes source blocks to target blocks.  residual
+    is the worst sampled deviation of Psi from iso.  y and q are read
+    off iso.
     """
 
-    q: Projection
-    y: Element
-    psi0_kind: tuple[str, ...]
+    iso: ConjugationRingIso
     residual: float
-    psi0: ConjugationRingIso
-    block_map: tuple[int, ...]
+    y = property(lambda self: self.iso.T)
 
-
-def classify_linearity(psi_full: Callable[[Element], Element], shape: AlgebraShape) -> Projection:
-    """Central projection q with psi_full(i 1) = q i - q^perp i, each
-    identity holding within CHECK_TOL.
-
-    Raises:
-        NotRingIso: the image of i is not central or squares away
-            from -1.
-    """
-    j = psi_full(1j * Element.identity(shape))
-    target = j.shape
-    if not is_central(j):
-        raise NotRingIso("image of i is not central")
-    if distance(j * j, -1.0 * Element.identity(target)) > CHECK_TOL:
-        raise NotRingIso("image of i does not square to -1")
-    bases = []
-    for jb, m in zip(j.data, target.blocks):
-        lam = np.trace(jb) / m
-        if abs(abs(lam) - 1.0) > CHECK_TOL:
-            raise NotRingIso("image of i is not a central unimodular scalar")
-        eye = np.eye(m, dtype=np.complex128)
-        bases.append(eye if lam.imag > 0 else eye[:, :0])
-    q = Projection.from_basis(target, bases)
-    model = 1j * q.element - 1j * q.complement().element
-    if distance(j, model) > CHECK_TOL:
-        raise NotRingIso("image of i is not i on a central projection and -i off it")
-    return q
+    @property
+    def q(self) -> Projection:
+        """Central projection onto the target blocks on which Psi is
+        complex-linear."""
+        target = self.iso.T.shape
+        sigma, bmap = self.iso.sigma, self.iso.block_map
+        bases = []
+        for t, m in enumerate(target.blocks):
+            eye = np.eye(m, dtype=np.complex128)
+            bases.append(eye if sigma[bmap.index(t)] == "id" else eye[:, :0])
+        return Projection.from_basis(target, bases)
 
 
 def _check_real_linear(
@@ -143,7 +124,7 @@ def inner_factor(
     Raises:
         NotRealLinear: sampled real-linearity fails.
         NotRingIso: multiplicativity fails, central routing is not a
-            bijection, or the image of i is malformed.
+            bijection, or the image of i on a block is neither i nor -i.
         DegenerateWitness: the image of a minimal idempotent kills
             every probe vector (bad input, not a ring isomorphism).
     """
@@ -163,21 +144,7 @@ def inner_factor(
         x = random_element(shape, rng, norm_bound=10.0)
         worst = max(worst, distance(psi_full(x), factored(x)))
 
-    sigma, bmap = factored.sigma, factored.block_map
-    q_bases = []
-    for t, m in enumerate(target.blocks):
-        eye = np.eye(m, dtype=np.complex128)
-        q_bases.append(eye if sigma[bmap.index(t)] == "id" else eye[:, :0])
-    q = Projection.from_basis(target, q_bases)
-
-    return RingIsoFactorization(
-        q=q,
-        y=factored.T,
-        psi0_kind=tuple("linear" if s == "id" else "conjugate" for s in sigma),
-        residual=float(worst),
-        psi0=ConjugationRingIso(Element.identity(target), sigma, bmap),
-        block_map=bmap,
-    )
+    return RingIsoFactorization(iso=factored, residual=float(worst))
 
 
 def dye_extension(

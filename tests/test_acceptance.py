@@ -246,7 +246,7 @@ def test_06_reconstruction_is_unique(announce):
     r2 = pl.coordinatize(phi, samples=6, seed=62)
     fac1 = pl.inner_factor(r1.Psi, shape, seed=63)
     y_inv = pl.invert(fac1.y)
-    kinds_ok = fac1.psi0_kind == ("linear",)
+    kinds_ok = fac1.iso.sigma == ("id",)
 
     def psi1_inverse_after_psi2(x):
         return y_inv * r2.Psi(x) * fac1.y

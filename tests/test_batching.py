@@ -154,9 +154,10 @@ def test_graph_ops_equal_blockwise():
     assert_blockwise(
         coords.data, [frames[b]._rotate(block_element(y, b)).data[0] for b in range(k)]
     )
+    # and back, V x V*
     assert_blockwise(
-        fr._rotate(coords, back=True).data,
-        [frames[b]._rotate(block_element(coords, b), back=True).data[0] for b in range(k)],
+        (fr._v * coords * fr._v.adjoint()).data,
+        [(f._v * block_element(coords, b) * f._v.adjoint()).data[0] for b, f in enumerate(frames)],
     )
 
 

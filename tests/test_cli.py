@@ -216,6 +216,19 @@ def test_factor_reads_routed_ring_isos(tmp_path, capsys):
         assert main(["factor", path]) == 2
 
 
+def test_factor_reports_routed_mixed_kinds(tmp_path, capsys):
+    # blocks swapped and the second source block conjugated
+    shape = AlgebraShape([3, 3])
+    t = pl.random_invertible(shape, np.random.default_rng(2), cond_max=30.0)
+    path = tmp_path / "iso.json"
+    pl.save_json(pl.ring_iso_to_obj(t, ("id", "conj"), (1, 0)), str(path))
+    assert main(["factor", str(path), "--json"]) == 0
+    fac = json.loads(capsys.readouterr().out)["factorization"]
+    assert fac["psi0_kind"] == ["linear", "conjugate"]
+    assert fac["block_map"] == [1, 0]
+    assert pl.projection_from_obj(fac["q"]).ranks == (0, 3)
+
+
 def _unitary_map(tmp_path, name, blocks):
     shape = AlgebraShape(blocks)
     u = pl.random_unitary(shape, np.random.default_rng(4))

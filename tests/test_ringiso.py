@@ -10,6 +10,7 @@ from projlat import AlgebraShape, Element
 S3 = AlgebraShape([3])
 S23 = AlgebraShape([2, 3])
 S22 = AlgebraShape([2, 2])
+S33 = AlgebraShape([3, 3])
 
 
 def _ad(t):
@@ -17,44 +18,10 @@ def _ad(t):
     return lambda x: t * x * t_inv
 
 
-def _factored(fac):
-    y_inv = pl.invert(fac.y)
-    return lambda x: fac.y * fac.psi0(x) * y_inv
-
-
-def test_classify_linearity_identity_kind(rng):
-    t = pl.random_invertible(S3, rng, cond_max=20.0)
-    q = pl.classify_linearity(_ad(t), S3)
-    assert q.ranks == (3,)
-
-
-def test_classify_linearity_conjugation_kind(rng):
-    q = pl.classify_linearity(lambda x: x.conj(), S3)
-    assert q.ranks == (0,)
-
-
-def test_classify_linearity_mixed_blocks(rng):
-    psi = lambda x: Element(S23, [x.data[0].conj(), x.data[1]])
-    q = pl.classify_linearity(psi, S23)
-    assert q.ranks == (0, 3)
-
-
-def test_classify_linearity_rejects_noncentral_image_of_i(rng):
-    # x -> x* sends i1 to -i1, which classifies, but a map scaling one
-    # column of i1 produces a non-central image
-    t = Element(S3, [np.diag([1.0, 1.0, 2.0]).astype(complex)])
-
-    def bad(x):
-        return Element(S3, [t.data[0] * x.data[0]])
-
-    with pytest.raises(pl.NotRingIso):
-        pl.classify_linearity(bad, S3)
-
-
 def test_inner_factor_conjugation(rng):
     t = pl.random_invertible(S3, rng, cond_max=50.0)
     fac = pl.inner_factor(_ad(t), S3)
-    assert fac.psi0_kind == ("linear",)
+    assert fac.iso.sigma == ("id",)
     assert fac.residual <= 1e-7 * pl.cond(fac.y)
     # y is collinear with t: |<y, t>| close to ||y|| ||t||
     yb, tb = fac.y.data[0].ravel(), t.data[0].ravel()
@@ -80,7 +47,7 @@ def test_inner_factor_keeps_digits_when_a_probe_column_is_small(rng):
 
 def test_inner_factor_entrywise_conjugation(rng):
     fac = pl.inner_factor(lambda x: x.conj(), S3)
-    assert fac.psi0_kind == ("conjugate",)
+    assert fac.iso.sigma == ("conj",)
     assert pl.distance(fac.y, Element.identity(S3)) < 1e-8
 
 
@@ -93,12 +60,11 @@ def test_inner_factor_mixed_sum(rng):
         return t * twisted * t_inv
 
     fac = pl.inner_factor(psi, S23)
-    assert fac.psi0_kind == ("linear", "conjugate")
+    assert fac.iso.sigma == ("id", "conj")
     assert fac.residual <= 1e-7 * pl.cond(fac.y)
-    rebuilt = _factored(fac)
     for _ in range(20):
         x = pl.random_element(S23, rng)
-        assert pl.distance(psi(x), rebuilt(x)) <= 1e-6 * pl.cond(fac.y)
+        assert pl.distance(psi(x), fac.iso(x)) <= 1e-6 * pl.cond(fac.y)
 
 
 def test_inner_factor_q_matches_kinds(rng):
@@ -108,6 +74,17 @@ def test_inner_factor_q_matches_kinds(rng):
     fac = pl.inner_factor(psi, S23)
     # q carries exactly the complex-linear blocks
     assert fac.q.ranks == (2, 0)
+
+
+def test_inner_factor_q_follows_block_routing(rng):
+    # source block 0 lands linearly on target block 1, source block 1
+    # conjugated on target block 0, so q sits on target block 1 only
+    t = pl.random_invertible(S33, rng, cond_max=30.0)
+    psi = pl.ConjugationRingIso(t, ("id", "conj"), block_map=(1, 0))
+    fac = pl.inner_factor(psi, S33)
+    assert fac.iso.sigma == ("id", "conj") and fac.iso.block_map == (1, 0)
+    assert fac.q.ranks == (0, 3)
+    assert fac.residual <= 1e-7 * pl.cond(fac.y)
 
 
 def test_inner_factor_phase_normalization(rng):
@@ -123,17 +100,21 @@ def test_inner_factor_block_swap(rng):
     # factorization must route the blocks, not force identity routing
     psi = lambda x: Element(S22, [x.data[1], x.data[0]])
     fac = pl.inner_factor(psi, S22)
-    assert fac.block_map == (1, 0)
-    rebuilt = _factored(fac)
+    assert fac.iso.block_map == (1, 0)
     for _ in range(10):
         x = pl.random_element(S22, rng)
-        assert pl.distance(psi(x), rebuilt(x)) < 1e-8
+        assert pl.distance(psi(x), fac.iso(x)) < 1e-8
 
 
 def test_inner_factor_rejects_adjoint(rng):
     # x -> x* is real-linear but anti-multiplicative
     with pytest.raises(pl.NotRingIso):
         pl.inner_factor(lambda x: x.adjoint(), S3)
+    # x -> diag(1, 1, 2) x is complex-linear but not multiplicative,
+    # and it sends i1 to a non-central element
+    t = Element(S3, [np.diag([1.0, 1.0, 2.0]).astype(complex)])
+    with pytest.raises(pl.NotRingIso):
+        pl.inner_factor(lambda x: t * x, S3)
 
 
 def test_inner_factor_rejects_nonadditive(rng):
@@ -144,8 +125,7 @@ def test_inner_factor_rejects_nonadditive(rng):
 def test_factorization_survives_serialization(rng):
     t = pl.random_invertible(S3, rng, cond_max=10.0)
     fac = pl.inner_factor(_ad(t), S3)
-    sigma = ["id" if k == "linear" else "conj" for k in fac.psi0_kind]
-    obj = pl.ring_iso_to_obj(fac.y, sigma)
+    obj = pl.ring_iso_to_obj(fac.y, fac.iso.sigma)
     rebuilt = pl.ring_iso_from_obj(obj)
     assert rebuilt.sigma == ("id",)
     x = pl.random_element(S3, rng)

@@ -129,10 +129,9 @@ def test_frame_roundtrip(rng):
     assert pl.distance(pl.graph_projection(fr, one), pl.graph_projection(fr2, one)) < 1e-12
 
 
-def _bytes(frame, v=True):
-    """The projections, units and (with v) coordinates of a frame, as
-    bytes."""
-    values = [p.element for p in frame.projections] + list(frame.units) + [frame._v] * v
+def _bytes(frame):
+    """The projections, units and coordinates of a frame, as bytes."""
+    values = [p.element for p in frame.projections] + list(frame.units) + [frame._v]
     return [a.tobytes() for x in values for a in x._stacks]
 
 
@@ -148,13 +147,36 @@ def test_order_four_frame_round_trips_bit_for_bit():
     obj = json.loads(json.dumps(pl.frame_to_obj(fr)))
     assert obj["kind"] == "frame" and len(obj["projections"]) == 4 and len(obj["units"]) == 3
     back = pl.frame_from_obj(obj)
-    # loading re-derives the range bases, so V may differ by a rotation
-    # within each slot, which the unit's graphs do not see
-    assert back.order == 4 and _bytes(back, v=False) == _bytes(fr, v=False)
+    # the stored range bases fix V
+    assert back.order == 4 and _bytes(back) == _bytes(fr)
     one = Element.identity(fr.corner_shape)
     for slot in [(0, 1), (0, 3), (2, 1), (3, 2)]:
         graphs = [pl.graph_projection(f, one, slot) for f in (fr, back)]
         assert pl.distance(*graphs) < 1e-12
+
+
+def test_reloaded_seeded_frame_coordinatizes_bit_for_bit():
+    shape = AlgebraShape([6])
+    t = pl.random_invertible(shape, np.random.default_rng(5), cond_max=20.0)
+    phi = pl.from_conjugation(t)
+    first = pl.coordinatize(phi, samples=2, seed=7)
+    obj = json.loads(json.dumps(pl.frame_to_obj(first.source_frame)))
+    again = pl.coordinatize(phi, pl.frame_from_obj(obj), samples=2, seed=7)
+    assert [a.tobytes() for a in again.Psi.T.data] == [a.tobytes() for a in first.Psi.T.data]
+
+
+def test_stored_basis_must_span_the_projection():
+    obj = json.loads(json.dumps(pl.frame_to_obj(pl.Frame.standard(AlgebraShape([6]), 3))))
+    p1 = obj["projections"][0]
+    assert pl.projection_from_obj(p1).basis[0].tobytes() == np.eye(6)[:, :2].astype(complex).tobytes()
+    # columns 2 and 3 of the identity: orthonormal, but the range of p2
+    p1["basis"][0] = [[[float(i == j + 2), 0.0] for j in range(2)] for i in range(6)]
+    with pytest.raises(pl.NotAProjection):
+        pl.frame_from_obj(obj)
+    # twice columns 0 and 1: the range of p1, but not orthonormal
+    p1["basis"][0] = [[[2.0 * (i == j), 0.0] for j in range(2)] for i in range(6)]
+    with pytest.raises(pl.NotAProjection):
+        pl.frame_from_obj(obj)
 
 
 def test_three_frame_file_loads_bit_equal_to_its_pieces():
