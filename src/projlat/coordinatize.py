@@ -16,7 +16,6 @@ the result.
 
 from __future__ import annotations
 
-import collections
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -28,8 +27,6 @@ from .core import (
     AlgebraShape,
     Element,
     Projection,
-    _direct_sum,
-    _summands,
     distance,
     invert,
     left_support,
@@ -253,9 +250,6 @@ def coordinatize(
     diagnostics["slot_agreement"] = float(slot_res)
     diagnostics["seed"] = seed
     diagnostics["samples"] = samples
-    # the c-fold tiles served _verify's corner passes; a kept result
-    # holds on to the one-fold ones only
-    psi._tiled = {c: tiles for c, tiles in psi._tiled.items() if c == 1}
 
     return CoordinatizationResult(
         psi=psi,
@@ -274,47 +268,26 @@ class _CornerMap:
     normalized map phi' = Ad(S_k S0) o phi and recovers the operator
     from the image; psi(x^, slot) takes the same road through another
     slot, which for a map induced by a ring isomorphism gives the same
-    operator.  grid() does this for a grid of corners in one pass: its
-    c nonzero corners are one element of the direct sum of c copies of
-    the corner algebra, which goes through one graph projection in the
-    c-fold slot coordinates (one QR), one application of phi'.tile(c)
-    (phi's tile, then one tiled conjugation) and one recovery, which
-    takes one eigh per block for the operator and certifies it on the
-    image's range basis, with no QR and no graph projection rebuilt.
-    full() re-derives Psi on full elements, the corners of several
-    points in each pass.  Every layer on the way works per block, so
-    each corner's image is bit for bit what it is alone.
+    operator.  full() re-derives Psi on full elements, the corners of
+    several points in each pass: its c nonzero corners are one element
+    of the direct sum of c copies of the corner algebra, which goes
+    through one graph projection in the c-fold slot coordinates (one
+    QR), one application of phi'.tile(c) (phi's tile, then one tiled
+    conjugation) and one recovery, which takes one eigh per block for
+    the operator and certifies it on the image's range basis, with no
+    QR and no graph projection rebuilt.  Every layer on the way works
+    per block, so each corner's image is bit for bit what it is alone.
     """
 
     def __init__(self, phi: LatticeMap, source: Frame, target: Frame):
         self.phi = phi
         self.source = source
         self.target = target
-        self._zero = Element.zeros(target.corner_shape)
-        # c -> (c-fold source and target frames, phi.tile(c))
-        self._tiled: dict = {}
 
     def __call__(self, xhat: Element, slot=(0, 1)) -> Element:
-        return self.grid([[xhat]], slot)[0][0]
-
-    def grid(self, rows: list[list[Element]], slot=(0, 1)) -> list[list[Element]]:
-        """psi at every corner of a grid, through the given slot, in one
-        pass; an exactly zero corner costs nothing and maps to zero.
-
-        Raises:
-            NotAGraphProjection: a corner's image is not a graph
-                projection in the slot; the message names the corner
-                (i, j) and its block.
-        """
-        live = [
-            ((i, j), x) for i, row in enumerate(rows) for j, x in enumerate(row) if not x.is_zero()
-        ]
-        out = [[self._zero] * len(row) for row in rows]
-        if live:
-            ys = self._pass([name for name, _ in live], _direct_sum([x for _, x in live]), slot)
-            for ((i, j), _), y in zip(live, _summands(ys, len(live))):
-                out[i][j] = y
-        return out
+        """psi at one corner through the given slot; an error names it
+        corner (0, 0)."""
+        return self._pass([(0, 0)], xhat, slot, (self.source, self.target, self.phi))
 
     def full(self, xs: Iterable[Element], s: Element, s_inv: Element) -> Iterator[Element]:
         """Psi re-derived from the lattice at each element of xs, in order.
@@ -336,6 +309,8 @@ class _CornerMap:
         fr, target, k = self.source, self.target, self.source.order
         blocks = fr.corner_shape.blocks
         per_pass = max(1, PASS_BUDGET // (k * k * sum(n * n for n in fr.shape.blocks)))
+        # c -> the c-fold source and target frames and phi.tile(c), for this run
+        tiles: dict = {}
         xs = iter(xs)
         while points := list(itertools.islice(xs, per_pass)):
             # the nonzero corners, as the pieces of their direct sum
@@ -351,8 +326,10 @@ class _CornerMap:
             outs = [[np.zeros_like(v) for v in target._v._stacks] for _ in points]
             if at:
                 c = len(at)
+                if c not in tiles:
+                    tiles[c] = (fr.tile(c), target.tile(c), self.phi.tile(c))
                 x = Element._of(AlgebraShape(blocks * c), pieces)
-                ys = self._pass([(i, j) for _, i, j in at], x, (0, 1))
+                ys = self._pass([(i, j) for _, i, j in at], x, (0, 1), tiles[c])
                 # each size group's stack holds the corners one after another
                 stacks = [a.reshape(c, -1, *a.shape[1:]) for a in ys._stacks]
                 for q, (m, i, j) in enumerate(at):
@@ -361,15 +338,13 @@ class _CornerMap:
             for out in outs:
                 yield s_inv * target._v._like(out) * s
 
-    def _pass(self, names: list, x: Element, slot: tuple[int, int]) -> Element:
-        """psi at the c corners whose direct sum is x, in one pass: one
-        element of the direct sum of c copies of the corner algebra,
-        mapped to one of the target's; an error names the corner by
-        names[m]."""
-        c = len(names)
-        if c not in self._tiled:
-            self._tiled[c] = (self.source.tile(c), self.target.tile(c), self.phi.tile(c))
-        src, tgt, phi = self._tiled[c]
+    def _pass(self, names: list, x: Element, slot: tuple[int, int], tiled: tuple) -> Element:
+        """psi at the c corners whose direct sum is x, in one pass
+        through tiled, the c-fold source and target frames and phi's
+        c-fold tile: one element of the direct sum of c copies of the
+        corner algebra, mapped to one of the target's; an error names
+        the corner by names[m]."""
+        src, tgt, phi = tiled
         graphs = graph_projection(src, x, slot)
         try:
             return recover_operator(tgt, phi(graphs), slot)
@@ -424,58 +399,47 @@ def _verify(
     fr, target, phi_norm = psi.source, psi.target, psi.phi
     src, tgt = fr.shape, target.shape
 
-    def draws() -> Iterator[tuple[Element, Projection | None]]:
-        """The points, each with the projection it is (or None), drawn
-        in the order the checks read them."""
-        yield Element.identity(src), None
-        for _ in range(samples):
-            x = random_element(src, rng, norm_bound=2.0)
-            y = random_element(src, rng, norm_bound=2.0)
-            yield from ((x, None), (y, None), (x + y, None), (x * y, None))
-        for _ in range(samples):
-            yield random_element(src, rng), None
-            p = random_projection(src, rng)
-            yield p.element, p
-
-    agree = 0.0
-
-    def lattice_psi() -> Iterator[tuple[Element, Projection | None, Element, Element]]:
-        """Each point, its projection, Psi re-derived at it from the
-        lattice and the compiled Psi at it, measured against each other."""
-        nonlocal agree
-        # psi.full reads a pass of points ahead of the checks; they
-        # wait here, so the points are never all held at once
-        ahead: collections.deque = collections.deque()
-
-        def feed() -> Iterator[Element]:
-            for x, p in draws():
-                ahead.append((x, p))
-                yield x
-
-        for y in psi.full(feed(), s, s_inv):
-            x, p = ahead.popleft()
-            compiled = Psi(x)
-            agree = max(agree, distance(compiled, y))
-            yield x, p, y, compiled
-
-    images = lattice_psi()
-    unit_res = distance(next(images)[2], Element.identity(tgt))
-
-    add_res = mul_res = 0.0
+    # the points in the order the checks read them: the unit, x, y,
+    # x + y and x y per ring sample, then an element and a projection
+    # per support sample, the projections kept by their position
+    points = [Element.identity(src)]
     for _ in range(samples):
-        fx, fy, f_sum, f_prod = (y for _, _, y, _ in itertools.islice(images, 4))
-        add_res = max(add_res, distance(f_sum, fx + fy))
-        mul_res = max(mul_res, distance(f_prod, fx * fy))
+        x = random_element(src, rng, norm_bound=2.0)
+        y = random_element(src, rng, norm_bound=2.0)
+        points += [x, y, x + y, x * y]
+    ring = len(points)
+    projections = {}
+    for _ in range(samples):
+        points.append(random_element(src, rng))
+        p = random_projection(src, rng)
+        projections[len(points)] = p
+        points.append(p.element)
 
+    # Psi re-derived from the lattice at each point, a pass at a time,
+    # against the compiled Psi
+    unit_res = add_res = mul_res = agree = 0.0
     sup_res = proj_res = compiled_res = 0.0
-    for _ in range(samples):
-        (x, _, fx, gx), (_, p, fp, gp) = itertools.islice(images, 2)
-        img = phi(left_support(x))
-        sup_res = max(sup_res, distance(left_support(fx), img))
-        compiled_res = max(compiled_res, distance(left_support(gx), img))
-        img = phi(p)
-        proj_res = max(proj_res, distance(left_support(fp), img))
-        compiled_res = max(compiled_res, distance(left_support(gp), img))
+    ring_images = []
+    for m, (x, fx) in enumerate(zip(points, psi.full(points, s, s_inv))):
+        gx = Psi(x)
+        agree = max(agree, distance(gx, fx))
+        if m == 0:
+            unit_res = distance(fx, Element.identity(tgt))
+        elif m < ring:
+            ring_images.append(fx)
+            if len(ring_images) == 4:
+                f_x, f_y, f_sum, f_prod = ring_images
+                add_res = max(add_res, distance(f_sum, f_x + f_y))
+                mul_res = max(mul_res, distance(f_prod, f_x * f_y))
+                ring_images = []
+        elif m in projections:
+            img = phi(projections[m])
+            proj_res = max(proj_res, distance(left_support(fx), img))
+            compiled_res = max(compiled_res, distance(left_support(gx), img))
+        else:
+            img = phi(left_support(x))
+            sup_res = max(sup_res, distance(left_support(fx), img))
+            compiled_res = max(compiled_res, distance(left_support(gx), img))
 
     # Reduction identity for non-graph projections: the meet expression
     # P_{x2,x3} = (P_12[x2] v e3) ^ (P_13[x3] v e2) must transport slotwise.

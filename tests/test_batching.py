@@ -12,7 +12,7 @@ import pytest
 import projlat as pl
 from projlat import AlgebraShape, ConjugationRingIso, Element, Frame, Projection
 from projlat.core import _direct_sum, _summands
-from projlat.graphs import graph_projection, recover_operator
+from projlat.graphs import _slot, graph_projection, recover_operator
 
 MIXED = [AlgebraShape([3, 2, 3, 3]), AlgebraShape([1, 3, 3])]
 MIXED_IDS = ["3+2+3+3", "1+3+3"]
@@ -180,17 +180,25 @@ def test_corner_grid_equals_one_corner_at_a_time(shape, kind):
         phi = pl.from_semilinear(t, "conj")
     else:
         phi = pl.from_conjugation(t)
-    psi = pl.coordinatize(phi, samples=2, seed=3).psi
-    ch, zero = psi.source.corner_shape, Element.zeros(psi.source.corner_shape)
+    # the standard frame's slot coordinates are the identity, so a
+    # point's corners are exactly the grid it is assembled from
+    fr = Frame.standard(shape, 3)
+    psi = pl.coordinatize(phi, source_frame=fr, samples=2, seed=3).psi
+    ch, zero = fr.corner_shape, Element.zeros(fr.corner_shape)
     xs = [pl.random_element(ch, rng, norm_bound=2.0) for _ in range(6)]
     # a corner that is zero on one block only still goes through recovery
     xs[2] = Element(ch, [np.zeros_like(a) if b == 0 else a for b, a in enumerate(xs[2].data)])
     rows = [[xs[0], zero, xs[1]], [xs[2], xs[3], zero], [zero, xs[4], xs[5]]]
-    for grid in (rows, [[zero, zero]]):
-        for row, images in zip(grid, psi.grid(grid)):
-            for x, y in zip(row, images):
-                assert_blockwise(y.data, psi(x).data)
-    assert all(y.is_zero() for y in psi.grid([[zero, zero]])[0])
+    blocks = range(len(shape.blocks))
+    point = Element(shape, [np.block([[x.data[b] for x in r] for r in rows]) for b in blocks])
+    one = Element.identity(shape)
+    y, y_zero = psi.full([point, Element.zeros(shape)], one, one)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            image = Element._of(ch, [(g, _slot(a, i, j, 3)) for g, a in y._pieces()])
+            # a zero corner costs nothing and maps to zero
+            assert_blockwise(image.data, (zero if x.is_zero() else psi(x)).data)
+    assert y_zero.is_zero()
 
 
 def _blocks(v):

@@ -62,13 +62,29 @@ def test_corner_grid_names_the_corner_whose_recovery_fails(rng):
         return img
 
     bad = _CornerMap(pl.LatticeMap(shape, shape, apply), result.source_frame, result.target_frame)
-    ch = result.source_frame.corner_shape
-    rows = [[pl.random_element(ch, rng) for _ in range(3)] for _ in range(3)]
+    one = Element.identity(shape)
+    # all nine corners of a random point are nonzero: one pass of nine
     with pytest.raises(pl.NotAGraphProjection) as info:
-        bad.grid(rows)
+        next(bad.full([pl.random_element(shape, rng)], one, one))
     assert len(calls) == 9
     assert info.value.block == 1
     assert str(info.value) == "corner (1, 2): rank 6 does not match the slot rank 2 on block 1"
+
+
+def test_one_corner_call_names_corner_zero_zero(rng):
+    shape = AlgebraShape([3, 6])
+    phi = pl.from_conjugation(pl.random_invertible(shape, rng, cond_max=50.0))
+    result = pl.coordinatize(phi, samples=2, seed=5)
+    phi_norm = result.psi.phi
+
+    def apply(p):
+        img = phi_norm(p)
+        return pl.Projection.from_basis(shape, [img.basis[0], np.eye(6)])
+
+    bad = _CornerMap(pl.LatticeMap(shape, shape, apply), result.source_frame, result.target_frame)
+    with pytest.raises(pl.NotAGraphProjection) as info:
+        bad(pl.random_element(result.source_frame.corner_shape, rng), (0, 2))
+    assert str(info.value) == "corner (0, 0): rank 6 does not match the slot rank 2 on block 1"
 
 
 @pytest.mark.parametrize("other", [[6, 3], [3]], ids=["swapped", "one-block"])
@@ -86,23 +102,25 @@ def test_corner_grid_refuses_an_image_of_another_shape(other, rng):
         return phi_norm(p)
 
     bad = _CornerMap(pl.LatticeMap(shape, shape, apply), result.source_frame, result.target_frame)
-    ch = result.source_frame.corner_shape
-    rows = [[pl.random_element(ch, rng) for _ in range(3)]]
+    one = Element.identity(shape)
+    # the tile maps all nine corners before it sums their images
     with pytest.raises(pl.ShapeMismatch):
-        bad.grid(rows)
-    assert len(calls) == 3
+        next(bad.full([pl.random_element(shape, rng)], one, one))
+    assert len(calls) == 9
 
 
 def test_coordinatize_result_keeps_no_c_fold_tiles(rng):
     shape = AlgebraShape([3, 3])
     phi = pl.from_conjugation(pl.random_invertible(shape, rng, cond_max=50.0))
     result = pl.coordinatize(phi, samples=2, seed=5)
-    assert set(result.psi._tiled) <= {1}
-    # the corner map still evaluates a grid, and c-fold tiles are rebuilt
-    ch = result.source_frame.corner_shape
-    rows = [[pl.random_element(ch, rng) for _ in range(2)]]
-    for x, y in zip(rows[0], result.psi.grid(rows)[0]):
-        assert np.array_equal(np.concatenate(y.data), np.concatenate(result.psi(x).data))
+    assert set(vars(result.psi)) == {"phi", "source", "target"}
+    # the corner map still re-derives Psi, its c-fold tiles built per run
+    s0, s3 = result.normalizers
+    s = s3 * s0
+    x = pl.random_element(shape, rng)
+    (y,) = result.psi.full([x], s, pl.invert(s))
+    by_corner = _psi_by_corner(result.psi, x, s, pl.invert(s))
+    assert all(np.array_equal(u, v) for u, v in zip(y.data, by_corner.data))
 
 
 @pytest.mark.parametrize("blocks,kind", [([3], "conj"), ([12], "semilinear"), ([3, 6, 3], "reversal")])
@@ -116,7 +134,6 @@ def test_multi_point_pass_equals_one_point_per_pass(blocks, kind, rng):
     else:
         phi = pl.from_conjugation(t)
     result = pl.coordinatize(phi, samples=2, seed=5)
-    assert set(result.psi._tiled) == {1}
     s0, s3 = result.normalizers
     s = s3 * s0
     s_inv = pl.invert(s)
@@ -132,25 +149,24 @@ def test_multi_point_pass_equals_one_point_per_pass(blocks, kind, rng):
     for x, y in zip(xs, images):
         (alone,) = result.psi.full([x], s, s_inv)
         assert all(np.array_equal(u, v) for u, v in zip(y.data, alone.data))
-        by_grid = _psi_by_grid(result.psi, x, s, s_inv)
-        assert all(np.array_equal(u, v) for u, v in zip(y.data, by_grid.data))
+        by_corner = _psi_by_corner(result.psi, x, s, s_inv)
+        assert all(np.array_equal(u, v) for u, v in zip(y.data, by_corner.data))
         assert pl.distance(y, result.Psi(x)) < 1e-6
     assert images[1].is_zero()
 
 
-def _psi_by_grid(psi, x, s, s_inv):
-    """Psi re-derived at x through one k x k grid of its slot corners."""
+def _psi_by_corner(psi, x, s, s_inv):
+    """Psi re-derived at x one slot corner at a time: psi at each
+    nonzero corner alone, the zero ones left zero as a pass leaves them."""
     fr, target, k = psi.source, psi.target, psi.source.order
     coords = fr._rotate(x)._pieces()
-
-    def corner(i, j):
-        return Element._of(fr.corner_shape, [(g, _slot(a, i, j, k)) for g, a in coords])
-
-    rows = [[corner(i, j) for j in range(k)] for i in range(k)]
     out = [np.zeros_like(v) for v in target._v._stacks]
-    for i, row in enumerate(psi.grid(rows)):
-        for j, y in enumerate(row):
-            for o, a in zip(out, y._stacks):
+    for i in range(k):
+        for j in range(k):
+            corner = Element._of(fr.corner_shape, [(g, _slot(a, i, j, k)) for g, a in coords])
+            if corner.is_zero():
+                continue
+            for o, a in zip(out, psi(corner)._stacks):
                 _slot(o, i, j, k)[...] = a
     return s_inv * target._v._like(out) * s
 
@@ -201,13 +217,13 @@ def test_coordinatize_with_an_order_four_frame(kind, rng):
         x = pl.random_element(S8, rng)
         assert pl.distance(result.Psi(x), truth(x)) <= gate
     # Psi re-derived from the 4 x 4 corners of each point, in passes of
-    # two points, is bit for bit what a grid of one point gives
+    # two points, is bit for bit what its corners give one at a time
     s0, sk = result.normalizers
     s = sk * s0
     xs = [pl.random_element(S8, rng) for _ in range(3)]
     for x, y in zip(xs, result.psi.full(xs, s, pl.invert(s))):
-        by_grid = _psi_by_grid(result.psi, x, s, pl.invert(s))
-        assert all(np.array_equal(u, v) for u, v in zip(y.data, by_grid.data))
+        by_corner = _psi_by_corner(result.psi, x, s, pl.invert(s))
+        assert all(np.array_equal(u, v) for u, v in zip(y.data, by_corner.data))
 
 
 def test_coordinatize_rejects_non_order3_shapes(rng):

@@ -212,8 +212,12 @@ def test_forged_corner_just_above_check_tol_is_refused_by_name(rng):
         return forged if len(calls) == 6 else q  # the sixth corner, (1, 2)
 
     corner_map = _CornerMap(pl.LatticeMap(shape, shape, apply), fr, fr)
+    # the standard frame's slot coordinates are the identity: the
+    # point's corners are rows
+    point = Element(shape, [np.block([[x.data[b] for x in r] for r in rows]) for b in range(3)])
+    one = Element.identity(shape)
     with pytest.raises(pl.NotAGraphProjection) as info:
-        corner_map.grid(rows)
+        next(corner_map.full([point], one, one))
     assert info.value.block == 2
     message = re.fullmatch(
         r"corner \(1, 2\): not a slot-12 graph projection \(residual (\S+)\) on block 2",
