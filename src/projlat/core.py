@@ -409,9 +409,6 @@ class Projection(_Blocks):
     def is_zero(self) -> bool:
         return self.rank() == 0
 
-    def is_identity(self) -> bool:
-        return self.ranks == tuple(self.shape.blocks)
-
     # Arithmetic on projections drops down to elements; the results are
     # generally not projections, so they come back as plain elements.
     def __add__(self, other):
