@@ -26,7 +26,6 @@ from .core import (
     PROJ_TOL,
     AlgebraShape,
     Element,
-    Projection,
     distance,
     invert,
     left_support,
@@ -50,7 +49,7 @@ from .maps import (
     compose,
     from_conjugation,
 )
-from .sampling import random_element, random_projection, rng_from
+from .sampling import random_element, random_projection, random_unitary, rng_from
 
 __all__ = [
     "CoordinatizationResult",
@@ -323,7 +322,7 @@ class _CornerMap:
                         shift = len(at) * len(blocks)
                         pieces += [(tuple(b + shift for b in g), a) for g, a in corner]
                         at.append((m, i, j))
-            outs = [[np.zeros_like(v) for v in target._v._stacks] for _ in points]
+            outs = [[np.zeros_like(v) for v in target.v._stacks] for _ in points]
             if at:
                 c = len(at)
                 if c not in tiles:
@@ -336,7 +335,7 @@ class _CornerMap:
                     for o, a in zip(outs[m], stacks):
                         _slot(o, i, j, k)[...] = a[q]
             for out in outs:
-                yield s_inv * target._v._like(out) * s
+                yield s_inv * target.v._like(out) * s
 
     def _pass(self, names: list, x: Element, slot: tuple[int, int], tiled: tuple) -> Element:
         """psi at the c corners whose direct sum is x, in one pass
@@ -367,7 +366,7 @@ def _compile(psi: _CornerMap, s_inv: Element) -> ConjugationRingIso:
     corner = _skolem_noether(psi, fr.corner_shape, target.corner_shape)
     blocks = [None] * len(corner.block_map)
     for b, (s, t) in enumerate(zip(corner.sigma, corner.block_map)):
-        v = fr._v.data[b]
+        v = fr.v.data[b]
         v = v.conj() if s == "conj" else v
         r = np.kron(np.eye(fr.order), corner.T.data[t])
         blocks[t] = s_inv.data[t] @ r @ v.conj().T
@@ -376,15 +375,9 @@ def _compile(psi: _CornerMap, s_inv: Element) -> ConjugationRingIso:
 
 
 def _seeded_frame(shape: AlgebraShape, rng: np.random.Generator) -> Frame:
-    from .sampling import random_unitary
-
-    base = Frame.standard(shape, ORDER)
-    u = random_unitary(shape, rng)
-    ps = [
-        Projection.from_basis(shape, [ub @ eb for ub, eb in zip(u.data, p.basis)])
-        for p in base.projections
-    ]
-    return Frame.from_projections(ps, [u * w * u.adjoint() for w in base.units])
+    """The standard frame of order ORDER conjugated by a seeded Haar
+    unitary U: its slot coordinates are U itself."""
+    return Frame(random_unitary(shape, rng), ORDER)
 
 
 def _verify(

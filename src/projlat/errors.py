@@ -46,8 +46,10 @@ class NotLSOrthogonal(ProjlatError):
 
 
 class NotAFrame(ProjlatError):
-    """The given projections/witnesses do not assemble into a frame of
-    k equivalent orthogonal projections summing to 1."""
+    """No frame of order k: a block size is not divisible by k, the
+    slot coordinates V are not unitary, or the given projections and
+    witnesses do not assemble into k equivalent orthogonal projections
+    summing to 1."""
 
 
 class NotAGraphProjection(ProjlatError):

@@ -1,10 +1,12 @@
 """Frames of k equivalent orthogonal projections and graph projections.
 
-A Frame of order k splits every block into k equal slots via matrix
-units w_1j (w_1j maps the j-th slot onto the first).  Internally the
-frame carries one unitary V per block whose k column groups are
-coordinates for the slots, so that every slot operation reduces to the
-standard picture of k x k operator matrices over the corner algebra.
+A Frame of order k splits every block into k equal slots, and it is
+its slot coordinates: one unitary V per block whose k column groups
+V_1, ..., V_k are orthonormal bases of the slots.  Its projections
+e_i = V_i V_i* and matrix units w_1j = V_1 V_j* (w_1j maps the j-th
+slot onto the first) are read off V, and every slot operation reduces
+to the standard picture of k x k operator matrices over the corner
+algebra.
 A slot is a pair (d, i) of distinct zero-based indices below k, named
 1-based: slot (0, 1) is slot 12.
 
@@ -78,72 +80,71 @@ def _check_slot(frame: "Frame", slot) -> tuple[int, int]:
 
 
 class Frame:
-    """k equivalent orthogonal projections e_1, ..., e_k summing to 1,
-    the units w_12, ..., w_1k, and one unitary V per block whose k
-    column groups span the slots.
+    """A frame of order k, held as its slot coordinates: one unitary V
+    per block whose k column groups V_1, ..., V_k are orthonormal bases
+    of the slots.
 
-    The order k is read off the projections.  V is kept as an element:
-    one stack per block size, which the corner algebra (block sizes
-    divided by k) groups the same way.  V is all that graph projections
-    and their recovery read off a frame, so a tile builds its direct
-    sums of projections and units only when they are first read.
+    The k equivalent orthogonal projections summing to 1 are
+    e_i = V_i V_i*, and the units w_1j = V_1 V_j* map the j-th slot
+    onto the first; both are read off V when first asked for.  V is an
+    element: one stack per block size, which the corner algebra (block
+    sizes divided by k) groups the same way.
     """
 
-    def __init__(self, projections: Sequence[Projection], units: Sequence[Element], vmats):
-        """vmats: one unitary per block, or an element holding them."""
-        # instance attributes, which shadow the properties tiles build
-        self.projections, self.units = tuple(projections), tuple(units)
-        self.order = len(self.projections)
-        self.shape = self.projections[0].shape
-        self.corner_shape = AlgebraShape(n // self.order for n in self.shape.blocks)
-        self._v = vmats if isinstance(vmats, Element) else Element(self.shape, vmats)
+    def __init__(self, v: Element, order: int):
+        """The frame of the given order whose slot coordinates are v.
+
+        Raises:
+            NotAFrame: some block size is not divisible by the order, or
+                V is not unitary on some block, within 1e3 PROJ_TOL.
+        """
+        if order < 1 or any(n % order for n in v.shape.blocks):
+            raise NotAFrame(f"every block size must be divisible by {order}, got {v.shape}")
+        defects = []
+        for idx, a in v._pieces():
+            defect = _singular_values(_ct(a) @ a - np.eye(a.shape[1]))[:, 0]
+            defects += [(idx[j], defect[j]) for j in np.flatnonzero(defect > 1e3 * PROJ_TOL)]
+        if defects:
+            b, defect = min(defects)
+            raise NotAFrame(f"frame coordinates not unitary on block {b} (defect {defect:.3e})")
+        self.v, self.order, self.shape = v, order, v.shape
+        self.corner_shape = AlgebraShape(n // order for n in self.shape.blocks)
 
     def tile(self, c: int) -> "Frame":
         """The frame of the direct sum of c copies of the algebra."""
-        if c == 1:
-            return self
-        tile = Frame.__new__(Frame)
-        tile._v = _direct_sum([self._v] * c)
-        tile.order, tile.shape, tile._copies = self.order, tile._v.shape, (self, c)
-        tile.corner_shape = AlgebraShape(n // self.order for n in tile.shape.blocks)
-        return tile
+        return Frame(_direct_sum([self.v] * c), self.order)
+
+    def _columns(self) -> list[tuple[tuple, list[np.ndarray]]]:
+        """(block indices, the k column groups of V's stack) per stack."""
+        return [(idx, np.split(a, self.order, axis=2)) for idx, a in self.v._pieces()]
 
     @functools.cached_property
     def projections(self) -> tuple[Projection, ...]:
-        """A tile's e_1, ..., e_k: c copies of its frame's, summed."""
-        frame, c = self._copies
-        return tuple(_direct_sum([p] * c) for p in frame.projections)
+        """e_1, ..., e_k: e_i projects onto the span of V_i."""
+        cols = self._columns()
+        return tuple(
+            Projection._of(self.shape, [(idx, vs[i]) for idx, vs in cols])
+            for i in range(self.order)
+        )
 
     @functools.cached_property
     def units(self) -> tuple[Element, ...]:
-        """A tile's w_12, ..., w_1k: c copies of its frame's, summed."""
-        frame, c = self._copies
-        return tuple(_direct_sum([w] * c) for w in frame.units)
+        """w_12, ..., w_1k: w_1j = V_1 V_j*."""
+        cols = self._columns()
+        return tuple(
+            Element._of(self.shape, [(idx, vs[0] @ _ct(vs[j])) for idx, vs in cols])
+            for j in range(1, self.order)
+        )
 
     def _rotate(self, x: Element) -> Element:
         """x, of this algebra, in slot coordinates: V* x V per block."""
-        return x._like([_ct(v) @ a @ v for v, a in zip(self._v._stacks, x._stacks)])
+        return x._like([_ct(v) @ a @ v for v, a in zip(self.v._stacks, x._stacks)])
 
     @classmethod
     def standard(cls, shape: AlgebraShape, k: int) -> "Frame":
-        """Frame of order k from contiguous index groups of every block;
-        exact, so no tolerance enters."""
-        if any(n % k for n in shape.blocks):
-            raise NotAFrame(f"every block size must be divisible by {k}, got {shape}")
-        eye = Element.identity(shape)
-        groups = [np.split(e, k, axis=2) for e in eye._stacks]  # column groups
-        projections = [
-            Projection._of(shape, [(idx, cols[i]) for idx, cols in zip(eye._groups, groups)])
-            for i in range(k)
-        ]
-
-        def unit(j: int) -> Element:
-            stacks = [np.zeros_like(e) for e in eye._stacks]
-            for w, e in zip(stacks, eye._stacks):
-                _slot(w, 0, j, k)[...] = _slot(e, 0, 0, k)
-            return eye._like(stacks)
-
-        return cls(projections, [unit(j) for j in range(1, k)], eye)
+        """Frame of order k from contiguous index groups of every block:
+        V = 1, so no tolerance enters."""
+        return cls(Element.identity(shape), k)
 
     @classmethod
     def from_projections(cls, ps: Sequence[Projection], ws: Sequence[Element]) -> "Frame":
@@ -151,10 +152,12 @@ class Frame:
         witnesses w_12, ..., w_1k.
 
         w_1j must be a partial isometry from the j-th slot onto the
-        first: w w* = p_1 and w* w = p_j.
+        first: w w* = p_1 and w* w = p_j.  V is [U, w_12* U, ..., w_1k* U]
+        per block, U the range basis of p_1.
 
         Raises:
-            NotAFrame: the pieces do not satisfy the frame relations.
+            NotAFrame: the pieces do not satisfy the frame relations, or
+                V is not unitary.
         """
         ps, ws = tuple(ps), tuple(ws)
         k, shape = len(ps), ps[0].shape
@@ -180,17 +183,11 @@ class Frame:
         vmats = []
         for b, n in enumerate(shape.blocks):
             u1 = ps[0].basis[b]
-            cols = [u1] + [w.data[b].conj().T @ u1 for w in ws]
-            v = np.concatenate(cols, axis=1)
+            v = np.concatenate([u1] + [w.data[b].conj().T @ u1 for w in ws], axis=1)
             if v.shape != (n, n):
                 raise NotAFrame(f"slot ranks do not fill block {b}")
-            defect = np.linalg.norm(v.conj().T @ v - np.eye(n), 2)
-            if defect > 1e3 * PROJ_TOL:
-                raise NotAFrame(
-                    f"frame coordinates not unitary on block {b} (defect {defect:.3e})"
-                )
             vmats.append(v)
-        return cls(ps, ws, vmats)
+        return cls(Element(shape, vmats), k)
 
 
 def graph_projection(frame: Frame, x: Element, slot=(0, 1)) -> Projection:
@@ -200,7 +197,7 @@ def graph_projection(frame: Frame, x: Element, slot=(0, 1)) -> Projection:
     if x.shape != frame.corner_shape:
         raise ShapeMismatch("graph operand must be a corner element of the frame")
     pieces = []
-    for (idx, v), a in zip(frame._v._pieces(), x._stacks):
+    for (idx, v), a in zip(frame.v._pieces(), x._stacks):
         m = a.shape[1]
         std = np.zeros((len(idx), frame.order * m, m), dtype=np.complex128)
         std[:, d * m : (d + 1) * m] = np.eye(m)
@@ -257,7 +254,7 @@ def recover_operator(frame: Frame, q: Projection, slot=(0, 1)) -> Element:
     # every rank is the slot rank, so q's bases are stacked as V is;
     # _slot(w, j, 0, k) is the j-th slot's rows of the (g, km, m) bases
     corners, singular = [], []
-    for (idx, v), u in zip(frame._v._pieces(), q._stacks):
+    for (idx, v), u in zip(frame.v._pieces(), q._stacks):
         w = _ct(v) @ u
         wd_star = _ct(_slot(w, d, 0, k))
         lam, vec = np.linalg.eigh(_slot(w, d, 0, k) @ wd_star)  # Q_dd

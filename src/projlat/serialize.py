@@ -42,12 +42,10 @@ def _matrix_to_lists(a: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
 
-def _matrix_from_lists(rows, n: int, where: str, m: int | None = None) -> np.ndarray:
-    """An n x m matrix (m defaults to n) from [re, im] entries."""
-    m = n if m is None else m
+def _matrix_from_lists(rows, n: int, where: str) -> np.ndarray:
     a = np.asarray(rows, dtype=np.float64)
-    if a.shape != (n, m, 2):
-        raise ValueError(f"{where}: expected {n}x{m} [re, im] entries, got {a.shape}")
+    if a.shape != (n, n, 2):
+        raise ValueError(f"{where}: expected {n}x{n} [re, im] entries, got {a.shape}")
     return a[..., 0] + 1j * a[..., 1]
 
 
@@ -82,16 +80,12 @@ def projection_to_obj(p: Projection) -> dict:
 
 
 def projection_from_obj(d: dict) -> Projection:
-    """Load a projection, validating the laws but keeping the bits.
-
-    A stored "basis" is kept once it is orthonormal and spans the
-    element, within PROJ_TOL; without one the range basis is re-derived
-    from the spectrum.
+    """Load a projection, validating the laws but keeping the bits;
+    the range basis is re-derived from the spectrum.
 
     Raises:
         NotAProjection: the payload fails Hermiticity/idempotence within
-            PROJ_TOL, its spectrum disagrees with the stored ranks, or
-            the stored basis is not an orthonormal basis of its range.
+            PROJ_TOL, or its spectrum disagrees with the stored ranks.
     """
     x = element_from_obj(d)
     if "ranks" not in d:
@@ -108,21 +102,6 @@ def projection_from_obj(d: dict) -> Projection:
             f"stored element violates the projection laws "
             f"(hermiticity {herm:.3e}, idempotence {idem:.3e})"
         )
-    if "basis" in d:
-        if len(d["basis"]) != len(ranks):
-            raise ValueError("basis field does not match the shape")
-        bases = [
-            _matrix_from_lists(u, n, f"basis block {b}", r)
-            for b, (u, n, r) in enumerate(zip(d["basis"], x.shape.blocks, ranks))
-        ]
-        ortho = max(np.linalg.norm(u.conj().T @ u - np.eye(r), 2) for u, r in zip(bases, ranks))
-        span = max(np.linalg.norm(u @ u.conj().T - e, 2) for u, e in zip(bases, x.data))
-        if ortho > PROJ_TOL or span > PROJ_TOL:
-            raise NotAProjection(
-                f"stored basis is not an orthonormal basis of the range "
-                f"(orthonormality {ortho:.3e}, span {span:.3e})"
-            )
-        return Projection(x, bases)
     bases = []
     for b, r in zip(x.data, ranks):
         lam, vec = np.linalg.eigh((b + b.conj().T) / 2)
@@ -206,24 +185,22 @@ def halmos_to_obj(dec: HalmosDecomposition) -> dict:
 
 
 def frame_to_obj(frame: Frame) -> dict:
-    """A frame of any order k: its k projections, each with its range
-    basis, and units w_12 ... w_1k."""
-    return {
-        "kind": "frame",
-        "projections": [
-            {**projection_to_obj(p), "basis": [_matrix_to_lists(u) for u in p.basis]}
-            for p in frame.projections
-        ],
-        "units": [element_to_obj(w) for w in frame.units],
-    }
+    """A frame of any order k: k and its slot coordinates V."""
+    return {"kind": "frame", "order": frame.order, "v": element_to_obj(frame.v)}
 
 
 def frame_from_obj(d: dict) -> Frame:
-    """Load a frame; an order-3 "three-frame" object (p1, p2, p3, w12,
-    w13), the format before frames of any order, loads as well.  Stored
-    range bases are kept, so the frame gets the saved coordinates V;
-    files without them re-derive the bases."""
+    """Load a frame from its order and V, keeping V's bits.  The older
+    formats load through Frame.from_projections, with range bases
+    re-derived: a "frame" of k projections and units w_12 ... w_1k,
+    and an order-3 "three-frame" (p1, p2, p3, w12, w13)."""
     kind = d.get("kind")
+    if kind == "frame" and "v" in d:
+        try:
+            order = int(d["order"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed frame order: {exc}") from exc
+        return Frame(element_from_obj(d["v"]), order)
     if kind == "three-frame":
         ps, ws = [d["p1"], d["p2"], d["p3"]], [d["w12"], d["w13"]]
     elif kind == "frame":

@@ -32,8 +32,7 @@ def block_projection(p, b):
 
 
 def block_frame(fr, b):
-    ps = [block_projection(p, b) for p in fr.projections]
-    return Frame(ps, [block_element(w, b) for w in fr.units], (fr._v.data[b],))
+    return Frame(block_element(fr.v, b), fr.order)
 
 
 def assert_blockwise(whole, parts):
@@ -156,8 +155,8 @@ def test_graph_ops_equal_blockwise():
     )
     # and back, V x V*
     assert_blockwise(
-        (fr._v * coords * fr._v.adjoint()).data,
-        [(f._v * block_element(coords, b) * f._v.adjoint()).data[0] for b, f in enumerate(frames)],
+        (fr.v * coords * fr.v.adjoint()).data,
+        [(f.v * block_element(coords, b) * f.v.adjoint()).data[0] for b, f in enumerate(frames)],
     )
 
 

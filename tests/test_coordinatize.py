@@ -160,7 +160,7 @@ def _psi_by_corner(psi, x, s, s_inv):
     nonzero corner alone, the zero ones left zero as a pass leaves them."""
     fr, target, k = psi.source, psi.target, psi.source.order
     coords = fr._rotate(x)._pieces()
-    out = [np.zeros_like(v) for v in target._v._stacks]
+    out = [np.zeros_like(v) for v in target.v._stacks]
     for i in range(k):
         for j in range(k):
             corner = Element._of(fr.corner_shape, [(g, _slot(a, i, j, k)) for g, a in coords])
@@ -168,7 +168,7 @@ def _psi_by_corner(psi, x, s, s_inv):
                 continue
             for o, a in zip(out, psi(corner)._stacks):
                 _slot(o, i, j, k)[...] = a
-    return s_inv * target._v._like(out) * s
+    return s_inv * target.v._like(out) * s
 
 
 def test_coordinatize_transpose(rng):

@@ -54,6 +54,23 @@ def test_standard_frame_rejects_bad_sizes():
         Frame.standard(AlgebraShape([4, 6]), 4)
 
 
+def test_frame_is_its_coordinates(rng):
+    shape = AlgebraShape([6, 3])
+    u = pl.random_unitary(shape, rng)
+    fr = Frame(u, 3)
+    assert fr.v is u and fr.corner_shape.blocks == (2, 1)
+    # e_i is spanned by the i-th column group of V, bit for bit
+    for i, e in enumerate(fr.projections):
+        for v, basis in zip(u.data, e.basis):
+            assert np.array_equal(basis, v[:, i * len(v) // 3 : (i + 1) * len(v) // 3])
+    with pytest.raises(pl.NotAFrame, match="divisible by 2"):
+        Frame(u, 2)
+    # 2e-4 from unitary on block 1 is refused by name; 2e-6 passes
+    with pytest.raises(pl.NotAFrame, match=r"not unitary on block 1 \(defect 2\.0"):
+        Frame(Element(shape, [u.data[0], u.data[1] * (1 + 1e-4)]), 3)
+    Frame(Element(shape, [u.data[0], u.data[1] * (1 + 1e-6)]), 3)
+
+
 ORDER_K_FRAMES = [([8], 4), ([4, 8], 4), ([5, 10], 5)]
 
 
@@ -63,7 +80,7 @@ def test_frame_relations_hold_at_order_k(blocks, k, kind):
     base = Frame.standard(AlgebraShape(blocks), k)
     if kind == "seeded":
         base = conjugated_frame(base.shape, 4, k)
-    # a tile builds its projections and units when they are first read
+    # every frame reads its projections and units off V, a tile too
     for fr in (base, base.tile(2)):
         assert fr.order == k and len(fr.units) == k - 1
         assert fr.corner_shape.blocks == tuple(n // k for n in fr.shape.blocks)
@@ -273,7 +290,7 @@ def _graph_tilted(frame, x, slot, eps, rng):
         return q
     others = [o for o in range(frame.order) if o not in slot]
     bases = []
-    for v, u in zip(frame._v.data, q.basis):
+    for v, u in zip(frame.v.data, q.basis):
         m = u.shape[1]
         tilt = sum(v[:, o * m : (o + 1) * m] @ rng.standard_normal((m, m)) for o in others)
         bases.append(np.linalg.qr(u + eps * tilt)[0])
@@ -286,7 +303,7 @@ def _dense_ratio(frame, q, slot):
     Hermitian part of Q_dd; one stack per block size."""
     d, i = slot
     out = []
-    for v, m in zip(frame._v._stacks, q.element._stacks):
+    for v, m in zip(frame.v._stacks, q.element._stacks):
         m = _ct(v) @ m @ v
         k = m.shape[1] // frame.order
         qdd = m[:, d * k : (d + 1) * k, d * k : (d + 1) * k]
@@ -378,7 +395,7 @@ def test_certificate_is_never_looser_than_the_rebuilt_graph(seed, case, kind, lo
     d, i = slot
     dense, certified = [], []
     for v, u, xb, p, g in zip(
-        fr._v.data, q.basis, ratio.data, q.element.data, rebuilt.element.data
+        fr.v.data, q.basis, ratio.data, q.element.data, rebuilt.element.data
     ):
         m = xb.shape[0]
         w = _ct(v) @ u
@@ -439,4 +456,4 @@ def test_frame_from_projections_validates(rng):
 def test_to_from_coords_roundtrip(rng):
     fr = conjugated_frame(AlgebraShape([3, 6]), seed=9)
     x = pl.random_element(fr.shape, rng)
-    assert pl.distance(fr._v * fr._rotate(x) * fr._v.adjoint(), x) < 1e-12
+    assert pl.distance(fr.v * fr._rotate(x) * fr.v.adjoint(), x) < 1e-12
