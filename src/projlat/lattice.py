@@ -6,13 +6,12 @@ invertibility check of a conjugation's T, but not in the images of a
 conjugation lattice map: T's check has already fixed their ranks.
 
 The join orthonormalizes the concatenated bases with the relative
-singular-value cutoff.  The meet runs in two stages: a coarse
-preselection by principal-angle cosines, then an SVD of (1 - q)
-restricted to the candidate block, so that membership is decided on
-the *sine* of the angle.  Only directions whose sine is at or below
-RANK_REL are counted as common; deliberate small angles (say 1e-6)
-therefore survive into the generic part of a two-projection pair
-instead of being folded into the intersection.
+singular-value cutoff.  The meet takes one SVD of (1 - q)U_p, whose
+singular values are the *sines* of the principal angles of range(p)
+against range(q).  Only directions whose sine is at or below RANK_REL
+are counted as common; deliberate small angles (say 1e-6) therefore
+survive into the generic part of a two-projection pair instead of
+being folded into the intersection.
 """
 
 from __future__ import annotations
@@ -116,7 +115,8 @@ def orth(pieces: Sequence[tuple]) -> list[tuple]:
 
 
 def meet(p: Projection, q: Projection) -> Projection:
-    """Largest projection under both p and q (range intersection)."""
+    """Largest projection under both p and q (range intersection): U_p
+    times the right singular vectors of (1 - q)U_p with sine <= RANK_REL."""
     if p.shape != q.shape:
         raise ShapeMismatch("meet needs projections of one shape")
     pieces = []
@@ -124,24 +124,11 @@ def meet(p: Projection, q: Projection) -> Projection:
         if not (up.shape[2] and uq.shape[2]):
             pieces.append((idx, up[:, :, :0]))
             continue
-        # Stage 1: candidate directions with principal-angle cosine >= 1/2
-        # (a prefix, as the cosines descend).  Anything below is far from
-        # the intersection; this only trims work.
-        w, sigma, _ = _thin_svd(_ct(up) @ uq)
-        for m, pos, sub in _split(idx, sigma >= 0.5):
-            c = up[pos] @ w[pos, :, :m]
-            if not m:
-                pieces.append((sub, c))
-                continue
-            # Stage 2: sines of the candidate directions against range(q).
-            # The SVD of (1-q)B separates a true intersection (sine ~ eps)
-            # from a deliberately tiny angle (sine ~ theta) with gap theta,
-            # which the cosines cannot do at double precision.  The common
-            # directions are the trailing ones, with sine <= RANK_REL.
-            b = uq[pos]
-            _, s, zh = _thin_svd(c - b @ (_ct(b) @ c))
-            for r, pos2, sub2 in _split(sub, s > RANK_REL):
-                pieces.append((sub2, c[pos2] @ _ct(zh[pos2])[:, :, r:]))
+        # Sines decide: a true intersection has sine ~ eps, an angle theta
+        # has sine theta, and their cosines both round to 1 in doubles.
+        _, s, zh = _thin_svd(up - uq @ (_ct(uq) @ up))
+        for r, pos, sub in _split(idx, s > RANK_REL):
+            pieces.append((sub, up[pos] @ _ct(zh[pos])[:, :, r:]))
     return Projection._of(p.shape, pieces)
 
 
