@@ -38,6 +38,14 @@ __all__ = [
 ]
 
 
+def _int(v, field: str) -> int:
+    """v, a JSON integer; a bool, a float or a string is a ValueError
+    naming field."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"{field}: expected an integer, got {v!r}")
+    return v
+
+
 def _matrix_to_lists(a: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
@@ -58,7 +66,7 @@ def element_to_obj(x: Element) -> dict:
 
 def element_from_obj(d: dict) -> Element:
     try:
-        shape = AlgebraShape(int(n) for n in d["shape"])
+        shape = AlgebraShape(_int(n, "shape") for n in d["shape"])
         raw = d["blocks"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed element object: {exc}") from exc
@@ -90,7 +98,7 @@ def projection_from_obj(d: dict) -> Projection:
     x = element_from_obj(d)
     if "ranks" not in d:
         raise ValueError("projection object lacks a ranks field")
-    ranks = [int(r) for r in d["ranks"]]
+    ranks = [_int(r, "ranks") for r in d["ranks"]]
     if len(ranks) != len(x.shape.blocks):
         raise ValueError("ranks field does not match the shape")
     herm = max(
@@ -143,7 +151,10 @@ def _iso_to_obj(kind: str, T: Element, sigma, block_map=None) -> dict:
 def _iso_from_obj(kind: str, d: dict) -> ConjugationRingIso:
     if d.get("kind") != kind:
         raise ValueError(f'expected kind "{kind}", got {d.get("kind")!r}')
-    return ConjugationRingIso(element_from_obj(d["T"]), d.get("sigma", "id"), d.get("block_map"))
+    block_map = d.get("block_map")
+    if block_map is not None:
+        block_map = [_int(t, "block_map") for t in block_map]
+    return ConjugationRingIso(element_from_obj(d["T"]), d.get("sigma", "id"), block_map)
 
 
 def map_to_obj(phi: LatticeMap) -> dict:
@@ -196,11 +207,7 @@ def frame_from_obj(d: dict) -> Frame:
     and an order-3 "three-frame" (p1, p2, p3, w12, w13)."""
     kind = d.get("kind")
     if kind == "frame" and "v" in d:
-        try:
-            order = int(d["order"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed frame order: {exc}") from exc
-        return Frame(element_from_obj(d["v"]), order)
+        return Frame(element_from_obj(d["v"]), _int(d.get("order"), "frame order"))
     if kind == "three-frame":
         ps, ws = [d["p1"], d["p2"], d["p3"]], [d["w12"], d["w13"]]
     elif kind == "frame":

@@ -8,6 +8,7 @@ import pytest
 
 import projlat as pl
 from projlat import AlgebraShape, Element
+from projlat.cli import main
 
 
 S23 = AlgebraShape([2, 3])
@@ -184,7 +185,7 @@ def test_frame_with_projections_and_units_still_loads():
 
 def test_malformed_frame_objects_are_refused():
     obj = pl.frame_to_obj(pl.Frame.standard(AlgebraShape([6]), 3))
-    for order in (None, "three"):
+    for order in (None, "three", 3.7, True, "3"):
         with pytest.raises(ValueError):
             pl.frame_from_obj({**obj, "order": order})
     with pytest.raises(ValueError):
@@ -192,6 +193,33 @@ def test_malformed_frame_objects_are_refused():
     for order in (0, 4):
         with pytest.raises(pl.NotAFrame):
             pl.frame_from_obj({**obj, "order": order})
+
+
+def test_malformed_integer_fields_are_refused(tmp_path, rng, capsys):
+    # shapes, ranks and block maps are JSON integers: a float, a bool or
+    # a string is refused, not truncated, and the CLI calls it a usage error
+    p = pl.random_projection(AlgebraShape([3]), rng, ranks=[1])
+    pair = pl.pair_to_obj(p, p)
+    iso = pl.ring_iso_to_obj(pl.random_invertible(AlgebraShape([3, 3]), rng), "id", [1, 0])
+    bad = [
+        ("halmos", pl.pair_from_obj, {**pair, "p": {**pair["p"], "shape": [n]}})
+        for n in (3.9, 3.0, "3")
+    ]
+    bad += [
+        ("halmos", pl.pair_from_obj, {**pair, "q": {**pair["q"], "ranks": [r]}})
+        for r in (1.8, True, "1")
+    ]
+    for bm in ([True, False], [1.0, 0.0]):
+        bad.append(("factor", pl.ring_iso_from_obj, {**iso, "block_map": bm}))
+        conj = {**iso, "kind": "conjugation", "block_map": bm}
+        bad.append(("coordinatize", pl.map_from_obj, conj))
+    path = tmp_path / "bad.json"
+    for command, loader, obj in bad:
+        with pytest.raises(ValueError):
+            loader(obj)
+        path.write_text(json.dumps(obj))
+        assert main([command, str(path)]) == 2
+        assert "expected an integer" in capsys.readouterr().err
 
 
 def test_three_frame_file_loads_bit_equal_to_its_pieces():
