@@ -94,12 +94,6 @@ class AlgebraShape:
     def total_dim(self) -> int:
         return sum(self.blocks)
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
     def __str__(self) -> str:
         return ",".join(str(n) for n in self.blocks)
 

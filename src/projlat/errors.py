@@ -95,11 +95,9 @@ class IntertwiningFailure(ProjlatError):
         residual: worst support-intertwining distance seen.
     """
 
-    def __init__(self, residual: float, message: str = ""):
+    def __init__(self, residual: float):
         self.residual = residual
-        super().__init__(
-            message or f"support intertwining failed (residual={residual:.3e})"
-        )
+        super().__init__(f"support intertwining failed (residual={residual:.3e})")
 
 
 class NotRingIso(ProjlatError):
