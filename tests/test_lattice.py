@@ -50,7 +50,7 @@ def test_meet_join_commute(shape, rng):
 
 
 def test_meet_rank_asymmetry(rng):
-    # regression: rank(p) > rank(q) used to crash the cosine preselect
+    # regression: rank(p) > rank(q) once crashed meet
     shape = AlgebraShape([3])
     p = Projection.identity(shape)
     q = pl.random_projection(shape, rng, ranks=[1])
@@ -80,16 +80,38 @@ def test_dimension_formula(shape, rng):
 
 
 def test_meet_resolves_tiny_angles():
-    # a pair at principal angle 1e-6 has trivial meet; the two-stage
-    # rank test must not confuse the angle with an intersection
+    # a pair at principal angle 1e-6 has trivial meet; the sine test
+    # must not confuse the angle with an intersection.  RANK_REL = 1e-9
+    # is the cut: 1e-8 is still an angle, 1e-10 a shared direction
     shape = AlgebraShape([4])
     rng = np.random.default_rng(0)
     p, q = pl.random_pair_with_angles(shape, rng, [[1e-6, 0.4]])
     assert pl.meet(p, q).rank() == 0
+    for angle, rank in ((1e-8, 0), (1e-10, 1)):
+        p, q = pl.random_pair_with_angles(shape, rng, [[angle, 0.4]])
+        assert pl.meet(p, q).rank() == rank
     # and an honest shared direction still shows up
     shared = Projection.from_basis(shape, [p.basis[0][:, :1]])
     q2 = pl.join(q, shared)
     assert pl.meet(pl.join(p, shared), q2).rank() >= 1
+
+
+@pytest.mark.parametrize("blocks", [[3], [2, 3], [3, 6, 3]])
+def test_meet_matches_the_null_space_reference(blocks):
+    # per block, range(p) ∩ range(q) is U_p a over the null space (a, b)
+    # of [U_p, -U_q]; pairs of unequal rank included
+    shape = AlgebraShape(blocks)
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        p, q = pl.random_overlapping_pair(shape, rng)
+        m = pl.meet(p, q)
+        for up, uq, mb, r in zip(p.basis, q.basis, m.element.data, m.ranks):
+            _, s, vh = np.linalg.svd(np.hstack([up, -uq]))
+            null = vh[np.count_nonzero(s > 1e-9) :].conj().T
+            assert r == null.shape[1]
+            w, _ = np.linalg.qr(up @ null[: up.shape[1]])
+            assert np.linalg.norm(mb - w @ w.conj().T, 2) <= 1e-10
+        assert pl.leq(m, p) and pl.leq(m, q)
 
 
 def test_mv_equivalent(rng):
