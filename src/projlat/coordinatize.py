@@ -10,15 +10,16 @@ fixes the unit graph projections; the coordinate map psi is then read
 off slot-12 graph projections.  The ring isomorphism Psi with
 phi(l(x)) = l(Psi(x)) is psi reassembled entrywise; it is compiled
 once, by Skolem-Noether on the corner algebra, to a ConjugationRingIso.
-Everything is verified by seeded sampling; the diagnostics travel with
-the result.
+The certificate is the theorem's own identity, phi(p) = range Psi(p),
+measured by seeded sampling against the compiled Psi's lattice map on
+rank-deficient projections; the ring axioms are sampled on psi, one
+corner at a time.  The diagnostics travel with the result.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -62,12 +63,6 @@ __all__ = [
 # the order of the frame coordinatize seeds when it is given none
 ORDER = 3
 
-# complex entries a pass of _CornerMap.full may hold: the k^2 corners
-# of a point become k^2 graph projections of the whole algebra, k^2 sum
-# n_b^2 entries, so a pass takes max(1, PASS_BUDGET // (k^2 sum n_b^2))
-# points; chosen by measurement at k = 3, see ROADMAP
-PASS_BUDGET = 2592
-
 
 @dataclass(frozen=True)
 class CoordinatizationResult:
@@ -78,14 +73,12 @@ class CoordinatizationResult:
     to a ConjugationRingIso; normalizers are (S0, S_k), the invertible
     operators applied to the target in that order; target_frame is the
     standard frame of the target.  diagnostics holds the sampled
-    residuals of the ring axioms and the support intertwining of Psi
-    re-derived from the lattice (through psi.full: a pass takes several
-    points, up to PASS_BUDGET, and goes once through the graph layer,
-    the normalized map phi' = Ad(S_k S0) o phi tiled over the nonzero
-    corners of all of them, which applies phi and one conjugation, and
-    the recovery layer), plus compiled_agreement (the worst distance of
-    the compiled Psi from it) and compiled_intertwining (the support
-    intertwining of the compiled Psi) on the same samples.
+    residuals: additivity and multiplicativity of psi, unit
+    (||Psi(1) - 1||), slot_agreement and two_slot_meet, and the
+    certificate of the theorem's identity phi(p) = range Psi(p), the
+    worst ||phi(p) - Psi.lattice_map()(p)|| over random projections
+    (projection_intertwining) and over supports l(x p') of random
+    elements times random projections (support_intertwining).
     """
 
     psi: Callable[[Element], Element]
@@ -192,16 +185,16 @@ def coordinatize(
     measures.
 
     Psi is compiled to a ConjugationRingIso at a cost of n/k + 2
-    corner-map calls per block, k the frame's order; _verify certifies
-    it against Psi re-derived from the lattice at every point it
-    samples.  It draws the points in a fixed order and re-derives Psi at
-    them in passes of max(1, PASS_BUDGET // (k^2 sum n_b^2)) points.  A
-    pass goes once over the c nonzero corners of its points: one graph
-    projection, one application of the normalized map
-    phi' = Ad(S_k S0) o phi tiled over
-    them (phi'.tile(c), built once per c: two lattice maps, phi's tile
-    and one tiled conjugation) and one recovery.  Each image is bit for
-    bit what a pass of its own point gives.
+    corner-map calls per block, k the frame's order, before anything is
+    sampled.  _verify then certifies it by the theorem's identity: at
+    `samples` random projections p, and at the supports l(x p') of
+    `samples` random elements x times random projections p', phi(p)
+    must be within 1e-3 of Psi.lattice_map()(p), the projection onto
+    range Psi(p).  The draws are rank-deficient, so the identity is not
+    vacuous, and Psi is never re-derived from the lattice at a full
+    point.  The ring axioms are sampled on psi, one corner at a time,
+    and the unit on Psi, which also builds the T^-1 that Psi's calls
+    read.
 
     Raises:
         NotOrderThree: with no frame given, some block size is not
@@ -213,8 +206,8 @@ def coordinatize(
             phi is not induced by any ring isomorphism.
         NotRingIso, DegenerateWitness: the corner map does not compile
             to a conjugation.
-        IntertwiningFailure: Psi, re-derived or compiled, fails the
-            support identity.
+        IntertwiningFailure: phi(p) and range Psi(p) are more than 1e-3
+            apart at some sampled projection p.
     """
     rng = rng_from(seed)
     if source_frame is None:
@@ -226,8 +219,7 @@ def coordinatize(
 
     phi_norm, target, normalizers = normalize_map(phi, fr)
     s0, sk = normalizers
-    s_total = sk * s0
-    s_inv = invert(s_total)
+    s_inv = invert(sk * s0)
     psi = _CornerMap(phi_norm, fr, target)
 
     # Slots 12, 13 and 23 must tell one story; disagreement means no
@@ -245,7 +237,7 @@ def coordinatize(
         )
 
     Psi = _compile(psi, s_inv)
-    diagnostics = _verify(phi, psi, s_total, s_inv, Psi, samples, rng)
+    diagnostics = _verify(phi, psi, Psi, samples, rng)
     diagnostics["slot_agreement"] = float(slot_res)
     diagnostics["seed"] = seed
     diagnostics["samples"] = samples
@@ -267,15 +259,11 @@ class _CornerMap:
     normalized map phi' = Ad(S_k S0) o phi and recovers the operator
     from the image; psi(x^, slot) takes the same road through another
     slot, which for a map induced by a ring isomorphism gives the same
-    operator.  full() re-derives Psi on full elements, the corners of
-    several points in each pass: its c nonzero corners are one element
-    of the direct sum of c copies of the corner algebra, which goes
-    through one graph projection in the c-fold slot coordinates (one
-    QR), one application of phi'.tile(c) (phi's tile, then one tiled
-    conjugation) and one recovery, which takes one eigh per block for
-    the operator and certifies it on the image's range basis, with no
-    QR and no graph projection rebuilt.  Every layer on the way works
-    per block, so each corner's image is bit for bit what it is alone.
+    operator.  A call is one graph projection (one QR per stack), one
+    application of phi' (phi, then one conjugation) and one recovery
+    (one eigh per stack for the operator, certified on the image's
+    range basis).  It holds phi', the source frame and the standard
+    target frame, and nothing else.
     """
 
     def __init__(self, phi: LatticeMap, source: Frame, target: Frame):
@@ -286,70 +274,11 @@ class _CornerMap:
     def __call__(self, xhat: Element, slot=(0, 1)) -> Element:
         """psi at one corner through the given slot; an error names it
         corner (0, 0)."""
-        return self._pass([(0, 0)], xhat, slot, (self.source, self.target, self.phi))
-
-    def full(self, xs: Iterable[Element], s: Element, s_inv: Element) -> Iterator[Element]:
-        """Psi re-derived from the lattice at each element of xs, in order.
-
-        The k^2 corners of a point, k the frames' order, go through psi
-        in slot 12 and are reassembled in the target's slot coordinates,
-        which for the standard target frame are the identity; S^{-1} Y S
-        undoes the normalizer S.  The points go in passes of
-        max(1, PASS_BUDGET // (k^2 sum n_b^2)), the nonzero corners of a
-        pass being one direct sum, and only one pass's images are held
-        at a time.  Every layer works per block, so each image is bit
-        for bit what a pass of its own gives.
-
-        Raises:
-            NotAGraphProjection: a corner's image is not a graph
-                projection; the message names the corner (i, j) of its
-                point and the block.
-        """
-        fr, target, k = self.source, self.target, self.source.order
-        blocks = fr.corner_shape.blocks
-        per_pass = max(1, PASS_BUDGET // (k * k * sum(n * n for n in fr.shape.blocks)))
-        # c -> the c-fold source and target frames and phi.tile(c), for this run
-        tiles: dict = {}
-        xs = iter(xs)
-        while points := list(itertools.islice(xs, per_pass)):
-            # the nonzero corners, as the pieces of their direct sum
-            at, pieces = [], []
-            for m, x in enumerate(points):
-                coords = fr._rotate(x)._pieces()
-                for i, j in itertools.product(range(k), repeat=2):
-                    corner = [(g, _slot(a, i, j, k)) for g, a in coords]
-                    if any(a.any() for _, a in corner):
-                        shift = len(at) * len(blocks)
-                        pieces += [(tuple(b + shift for b in g), a) for g, a in corner]
-                        at.append((m, i, j))
-            outs = [[np.zeros_like(v) for v in target.v._stacks] for _ in points]
-            if at:
-                c = len(at)
-                if c not in tiles:
-                    tiles[c] = (fr.tile(c), target.tile(c), self.phi.tile(c))
-                x = Element._of(AlgebraShape(blocks * c), pieces)
-                ys = self._pass([(i, j) for _, i, j in at], x, (0, 1), tiles[c])
-                # each size group's stack holds the corners one after another
-                stacks = [a.reshape(c, -1, *a.shape[1:]) for a in ys._stacks]
-                for q, (m, i, j) in enumerate(at):
-                    for o, a in zip(outs[m], stacks):
-                        _slot(o, i, j, k)[...] = a[q]
-            for out in outs:
-                yield s_inv * target.v._like(out) * s
-
-    def _pass(self, names: list, x: Element, slot: tuple[int, int], tiled: tuple) -> Element:
-        """psi at the c corners whose direct sum is x, in one pass
-        through tiled, the c-fold source and target frames and phi's
-        c-fold tile: one element of the direct sum of c copies of the
-        corner algebra, mapped to one of the target's; an error names
-        the corner by names[m]."""
-        src, tgt, phi = tiled
-        graphs = graph_projection(src, x, slot)
+        graph = graph_projection(self.source, xhat, slot)
         try:
-            return recover_operator(tgt, phi(graphs), slot)
+            return recover_operator(self.target, self.phi(graph), slot)
         except NotAGraphProjection as exc:
-            m, b = divmod(exc.block, len(self.target.shape.blocks))
-            raise NotAGraphProjection(f"corner {names[m]}: {exc.reason}", b) from exc
+            raise NotAGraphProjection(f"corner (0, 0): {exc.reason}", exc.block) from exc
 
 
 def _compile(psi: _CornerMap, s_inv: Element) -> ConjugationRingIso:
@@ -383,56 +312,45 @@ def _seeded_frame(shape: AlgebraShape, rng: np.random.Generator) -> Frame:
 def _verify(
     phi: LatticeMap,
     psi: _CornerMap,
-    s: Element,
-    s_inv: Element,
     Psi: ConjugationRingIso,
     samples: int,
     rng: np.random.Generator,
 ) -> dict:
+    """The sampled certificate of a compiled Psi, in the order it draws:
+    the ring axioms on psi over max(2, samples // 4) pairs of corner
+    elements, then per sample a random projection p and the support
+    q = l(x p') of a random element x times a random projection p',
+    each giving ||phi(.) - Psi.lattice_map()(.)||, then the two-slot
+    meet identity on two pairs of corner elements.  Psi's unit is read
+    on Psi itself.
+
+    Raises:
+        IntertwiningFailure: the worst intertwining distance exceeds
+            1e-3.
+    """
     fr, target, phi_norm = psi.source, psi.target, psi.phi
     src, tgt = fr.shape, target.shape
 
-    # the points in the order the checks read them: the unit, x, y,
-    # x + y and x y per ring sample, then an element and a projection
-    # per support sample, the projections kept by their position
-    points = [Element.identity(src)]
-    for _ in range(samples):
-        x = random_element(src, rng, norm_bound=2.0)
-        y = random_element(src, rng, norm_bound=2.0)
-        points += [x, y, x + y, x * y]
-    ring = len(points)
-    projections = {}
-    for _ in range(samples):
-        points.append(random_element(src, rng))
-        p = random_projection(src, rng)
-        projections[len(points)] = p
-        points.append(p.element)
+    # psi is a ring homomorphism of the corner algebra
+    add_res = mul_res = 0.0
+    for _ in range(max(2, samples // 4)):
+        x = random_element(fr.corner_shape, rng, norm_bound=2.0)
+        y = random_element(fr.corner_shape, rng, norm_bound=2.0)
+        fx, fy = psi(x), psi(y)
+        add_res = max(add_res, distance(psi(x + y), fx + fy))
+        mul_res = max(mul_res, distance(psi(x * y), fx * fy))
+    unit_res = distance(Psi(Element.identity(src)), Element.identity(tgt))
 
-    # Psi re-derived from the lattice at each point, a pass at a time,
-    # against the compiled Psi
-    unit_res = add_res = mul_res = agree = 0.0
-    sup_res = proj_res = compiled_res = 0.0
-    ring_images = []
-    for m, (x, fx) in enumerate(zip(points, psi.full(points, s, s_inv))):
-        gx = Psi(x)
-        agree = max(agree, distance(gx, fx))
-        if m == 0:
-            unit_res = distance(fx, Element.identity(tgt))
-        elif m < ring:
-            ring_images.append(fx)
-            if len(ring_images) == 4:
-                f_x, f_y, f_sum, f_prod = ring_images
-                add_res = max(add_res, distance(f_sum, f_x + f_y))
-                mul_res = max(mul_res, distance(f_prod, f_x * f_y))
-                ring_images = []
-        elif m in projections:
-            img = phi(projections[m])
-            proj_res = max(proj_res, distance(left_support(fx), img))
-            compiled_res = max(compiled_res, distance(left_support(gx), img))
-        else:
-            img = phi(left_support(x))
-            sup_res = max(sup_res, distance(left_support(fx), img))
-            compiled_res = max(compiled_res, distance(left_support(gx), img))
+    # The theorem's identity phi(p) = range Psi(p), at rank-deficient
+    # projections: random ones, and supports l(x p'), for which
+    # l(Psi(x p')) = range Psi(l(x p')) holds exactly.
+    psi_map = Psi.lattice_map()
+    proj_res = sup_res = 0.0
+    for _ in range(samples):
+        p = random_projection(src, rng)
+        proj_res = max(proj_res, distance(phi(p), psi_map(p)))
+        q = left_support(random_element(src, rng) * random_projection(src, rng))
+        sup_res = max(sup_res, distance(phi(q), psi_map(q)))
 
     # Reduction identity for non-graph projections: the meet expression
     # P_{x2,x3} = (P_12[x2] v e3) ^ (P_13[x3] v e2) must transport slotwise.
@@ -453,7 +371,7 @@ def _verify(
         )
         two_slot = max(two_slot, distance(lhs, rhs))
 
-    worst = max(sup_res, proj_res, compiled_res)
+    worst = max(sup_res, proj_res)
     if worst > 1e-3:
         raise IntertwiningFailure(worst)
 
@@ -464,8 +382,6 @@ def _verify(
         "support_intertwining": float(sup_res),
         "projection_intertwining": float(proj_res),
         "two_slot_meet": float(two_slot),
-        "compiled_agreement": float(agree),
-        "compiled_intertwining": float(compiled_res),
     }
 
 

@@ -20,7 +20,6 @@ with a relative singular-value cutoff: singular values at or below
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -437,40 +436,6 @@ def _cogroups(p: Projection, q: Projection) -> list[tuple]:
     size whose ranks agree in p and in q."""
     layout = _layout(p.shape, tuple(zip(p.ranks, q.ranks)))
     return list(zip(layout, _regroup(p._pieces(), layout), _regroup(q._pieces(), layout)))
-
-
-def _direct_sum(parts: Sequence):
-    """The parts, elements or projections of one algebra, as one value
-    of the direct sum of len(parts) copies of it, blocks in order: its
-    stacks are the parts' stacks concatenated.  One part is returned
-    as is."""
-    if len(parts) == 1:
-        return parts[0]
-    one = parts[0].shape
-    if any(x.shape != one for x in parts):
-        raise ShapeMismatch(f"direct sum parts differ in shape: {[str(x.shape) for x in parts]}")
-    k = len(one.blocks)
-    pieces = [
-        (tuple(i + m * k for i in idx), s) for m, x in enumerate(parts) for idx, s in x._pieces()
-    ]
-    return type(parts[0])._of(AlgebraShape(one.blocks * len(parts)), pieces)
-
-
-def _summands(x, c: int) -> list:
-    """x, an element or projection of a c-fold direct sum, split into its
-    c summands (the inverse of :func:`_direct_sum`): slices of its
-    stacks."""
-    if c == 1:
-        return [x]
-    k = len(x.shape.blocks) // c
-    parts: list[list] = [[] for _ in range(c)]
-    for idx, s in x._pieces():
-        for m in range(idx[0] // k, idx[-1] // k + 1):
-            lo, hi = bisect_left(idx, m * k), bisect_left(idx, (m + 1) * k)
-            if lo < hi:
-                parts[m].append((tuple(i - m * k for i in idx[lo:hi]), s[lo:hi]))
-    shape = AlgebraShape(x.shape.blocks[:k])
-    return [type(x)._of(shape, pieces) for pieces in parts]
 
 
 def left_support(x: Element) -> Projection:

@@ -45,7 +45,6 @@ from .core import (
     Element,
     Projection,
     _ct,
-    _direct_sum,
     _singular_values,
     distance,
 )
@@ -109,10 +108,6 @@ class Frame:
             raise NotAFrame(f"frame coordinates not unitary on block {b} (defect {defect:.3e})")
         self.v, self.order, self.shape = v, order, v.shape
         self.corner_shape = AlgebraShape(n // order for n in self.shape.blocks)
-
-    def tile(self, c: int) -> "Frame":
-        """The frame of the direct sum of c copies of the algebra."""
-        return Frame(_direct_sum([self.v] * c), self.order)
 
     def _columns(self) -> list[tuple[tuple, list[np.ndarray]]]:
         """(block indices, the k column groups of V's stack) per stack."""

@@ -24,10 +24,8 @@ from .core import (
     Projection,
     _cogroups,
     _ct,
-    _direct_sum,
     _regroup,
     _require_invertible,
-    _summands,
     distance,
     left_support,
 )
@@ -97,27 +95,6 @@ class LatticeMap:
             )
         return self.apply(p)
 
-    def tile(self, c: int) -> "LatticeMap":
-        """The map on the direct sum of c copies of its source, summand
-        by summand: built from a ConjugationRingIso or Composite
-        provenance, else applied to each summand (ShapeMismatch if the
-        images differ in shape).  Every layer works per block, so each
-        summand's image is bit for bit its image alone."""
-        if c == 1:
-            return self
-        prov = self.provenance
-        if isinstance(prov, ConjugationRingIso):
-            return prov._tile(c).lattice_map()
-        if isinstance(prov, Composite):
-            return compose(prov.outer.tile(c), prov.inner.tile(c))
-        source, target = (AlgebraShape(s.blocks * c) for s in (self.source, self.target))
-        return LatticeMap(
-            source,
-            target,
-            lambda p: _direct_sum([self.apply(q) for q in _summands(p, c)]),
-            Opaque(f"{c}-fold tile"),
-        )
-
 
 def from_ring_iso(
     psi: Callable[[Element], Element],
@@ -158,11 +135,6 @@ class ConjugationRingIso:
     """
 
     def __init__(self, T: Element, sigma="id", block_map=None):
-        self._build(T, sigma, block_map)
-        _require_invertible(T)
-
-    def _build(self, T: Element, sigma, block_map) -> None:
-        """Everything __init__ does but check that T is invertible."""
         k = len(T.shape.blocks)
         if isinstance(sigma, str):
             sigma = (sigma,) * k
@@ -190,17 +162,7 @@ class ConjugationRingIso:
             src = [back[t] for t in idx]
             pos = np.array([at[b][1] for b in src])
             self._feeds.append((tuple(src), at[src[0]][0], pos, self._mask(src)))
-
-    def _tile(self, c: int) -> "ConjugationRingIso":
-        """The iso on the direct sum of c copies of its source: T and
-        sigma repeated, copy m routed within copy m.  T passed the
-        invertibility check when this iso was built, so its copies are
-        not checked again."""
-        k = len(self.block_map)
-        routing = [m * k + t for m in range(c) for t in self.block_map]
-        iso = ConjugationRingIso.__new__(ConjugationRingIso)
-        iso._build(_direct_sum([self.T] * c), self.sigma * c, routing)
-        return iso
+        _require_invertible(T)
 
     def _mask(self, idx) -> np.ndarray:
         """Which of the source blocks idx sigma conjugates, shaped to
@@ -210,8 +172,7 @@ class ConjugationRingIso:
     @functools.cached_property
     def _tinvs(self) -> list[np.ndarray]:
         """T^-1's stacks, built on first use (a lattice map never reads
-        them); the constructor has checked that T is invertible (a
-        tile's T is copies of a checked one)."""
+        them); the constructor has checked that T is invertible."""
         return [np.linalg.inv(a) for a in self.T._stacks]
 
     def __call__(self, x: Element) -> Element:
@@ -254,8 +215,7 @@ class ConjugationRingIso:
             bases = []
             for (idx, u), t in zip(p._pieces(), ts):
                 # No rank to decide: each T_b passed _require_invertible
-                # (a tile's T is copies of a checked one, and inverse()
-                # checks its own), so s_min(T_b) > RANK_REL s_max(T_b).
+                # (inverse() checks its own), so s_min(T_b) > RANK_REL s_max(T_b).
                 # For orthonormal U the singular values of T_b sigma(U)
                 # lie in [s_min(T_b), s_max(T_b)], so orth's relative
                 # cut would keep all r columns anyway.

@@ -11,7 +11,6 @@ import pytest
 
 import projlat as pl
 from projlat import AlgebraShape, ConjugationRingIso, Element, Frame, Projection
-from projlat.core import _direct_sum, _summands
 from projlat.graphs import _slot, graph_projection, recover_operator
 
 MIXED = [AlgebraShape([3, 2, 3, 3]), AlgebraShape([1, 3, 3])]
@@ -179,57 +178,25 @@ def test_corner_grid_equals_one_corner_at_a_time(shape, kind):
         phi = pl.from_semilinear(t, "conj")
     else:
         phi = pl.from_conjugation(t)
-    # the standard frame's slot coordinates are the identity, so a
+    # the standard frames' slot coordinates are the identity, so a
     # point's corners are exactly the grid it is assembled from
     fr = Frame.standard(shape, 3)
-    psi = pl.coordinatize(phi, source_frame=fr, samples=2, seed=3).psi
+    result = pl.coordinatize(phi, source_frame=fr, samples=2, seed=3)
     ch, zero = fr.corner_shape, Element.zeros(fr.corner_shape)
     xs = [pl.random_element(ch, rng, norm_bound=2.0) for _ in range(6)]
-    # a corner that is zero on one block only still goes through recovery
+    # a corner that is zero on one block only
     xs[2] = Element(ch, [np.zeros_like(a) if b == 0 else a for b, a in enumerate(xs[2].data)])
     rows = [[xs[0], zero, xs[1]], [xs[2], xs[3], zero], [zero, xs[4], xs[5]]]
     blocks = range(len(shape.blocks))
     point = Element(shape, [np.block([[x.data[b] for x in r] for r in rows]) for b in blocks])
-    one = Element.identity(shape)
-    y, y_zero = psi.full([point, Element.zeros(shape)], one, one)
+    # the compiled Psi, with the normalizer S put back, is psi corner by corner
+    s0, s3 = result.normalizers
+    s = s3 * s0
+    y = s * result.Psi(point) * pl.invert(s)
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
             image = Element._of(ch, [(g, _slot(a, i, j, 3)) for g, a in y._pieces()])
-            # a zero corner costs nothing and maps to zero
-            assert_blockwise(image.data, (zero if x.is_zero() else psi(x)).data)
-    assert y_zero.is_zero()
-
-
-def _blocks(v):
-    return v.basis if isinstance(v, Projection) else v.data
-
-
-def test_direct_sum_and_summands_round_trip():
-    rng = np.random.default_rng(17)
-    shape = AlgebraShape([3, 2, 3, 3])
-    xs = [pl.random_element(shape, rng) for _ in range(3)]
-    # ranks differ across the blocks of one size and across the summands
-    ps = [
-        pl.random_projection(shape, rng, ranks)
-        for ranks in ([1, 2, 0, 3], [2, 1, 2, 1], [3, 0, 1, 1])
-    ]
-    for parts in (xs, ps):
-        whole = _direct_sum(parts)
-        assert whole.shape == AlgebraShape(shape.blocks * 3)
-        assert_blockwise(_blocks(whole), [a for part in parts for a in _blocks(part)])
-        backs = _summands(whole, 3)
-        assert len(backs) == 3
-        for part, back in zip(parts, backs):
-            assert back.shape == shape
-            assert_blockwise(_blocks(back), _blocks(part))
-    for part, back in zip(ps, _summands(_direct_sum(ps), 3)):
-        assert back.ranks == part.ranks
-        assert_blockwise(back.element.data, part.element.data)
-    # parts of different algebras, even of one block count, are refused
-    for other in (AlgebraShape([2, 3, 3, 3]), AlgebraShape([3])):
-        for parts in ([xs[0], pl.random_element(other, rng)], [ps[0], Projection.zero(other)]):
-            with pytest.raises(pl.ShapeMismatch):
-                _direct_sum(parts)
+            assert pl.distance(image, result.psi(x)) < 1e-9
 
 
 def test_element_blocks_are_read_only_copies():

@@ -80,8 +80,8 @@ def test_frame_relations_hold_at_order_k(blocks, k, kind):
     base = Frame.standard(AlgebraShape(blocks), k)
     if kind == "seeded":
         base = conjugated_frame(base.shape, 4, k)
-    # every frame reads its projections and units off V, a tile too
-    for fr in (base, base.tile(2)):
+    # every frame reads its projections and units off V, a direct sum too
+    for fr in (base, _doubled(base)):
         assert fr.order == k and len(fr.units) == k - 1
         assert fr.corner_shape.blocks == tuple(n // k for n in fr.shape.blocks)
         total = sum((e.element for e in fr.projections[1:]), fr.projections[0].element)
@@ -219,25 +219,22 @@ def _tilted(p, b, target, frobenius, residuals=_residuals):
 def test_forged_corner_just_above_check_tol_is_refused_by_name(rng):
     shape = AlgebraShape([3, 6, 6])
     fr = Frame.standard(shape, 3)
-    rows = [[pl.random_element(fr.corner_shape, rng) for _ in range(3)] for _ in range(3)]
-    p = pl.graph_projection(fr, rows[1][2])
+    xs = [pl.random_element(fr.corner_shape, rng) for _ in range(2)]
+    p = pl.graph_projection(fr, xs[1])
     forged = _tilted(p, 2, 1.05 * pl.CHECK_TOL, frobenius=False)
     calls = []
 
     def apply(q):
         calls.append(q)
-        return forged if len(calls) == 6 else q  # the sixth corner, (1, 2)
+        return forged if len(calls) == 2 else q  # the second corner's graph
 
     corner_map = _CornerMap(pl.LatticeMap(shape, shape, apply), fr, fr)
-    # the standard frame's slot coordinates are the identity: the
-    # point's corners are rows
-    point = Element(shape, [np.block([[x.data[b] for x in r] for r in rows]) for b in range(3)])
-    one = Element.identity(shape)
+    assert pl.distance(corner_map(xs[0]), xs[0]) < 1e-12
     with pytest.raises(pl.NotAGraphProjection) as info:
-        next(corner_map.full([point], one, one))
+        corner_map(xs[1])
     assert info.value.block == 2
     message = re.fullmatch(
-        r"corner \(1, 2\): not a slot-12 graph projection \(residual (\S+)\) on block 2",
+        r"corner \(0, 0\): not a slot-12 graph projection \(residual (\S+)\) on block 2",
         str(info.value),
     )
     assert message and abs(float(message.group(1)) - 1.05 * pl.CHECK_TOL) < 1e-9
@@ -279,7 +276,13 @@ def _frame(kind, shape, seed, k=3):
         fr = Frame.standard(shape, k)
     else:
         fr = conjugated_frame(shape, seed, k)
-    return fr.tile(2) if kind.endswith("tile") else fr
+    return _doubled(fr) if kind.endswith("tile") else fr
+
+
+def _doubled(fr):
+    """The frame of the direct sum of two copies of fr's algebra, built
+    blockwise: V repeated."""
+    return Frame(Element(AlgebraShape(fr.shape.blocks * 2), list(fr.v.data) * 2), fr.order)
 
 
 def _graph_tilted(frame, x, slot, eps, rng):

@@ -5,7 +5,7 @@ import pytest
 
 import projlat as pl
 from projlat import AlgebraShape, Element, LatticeMap
-from projlat.core import _ct, _direct_sum
+from projlat.core import _ct
 from projlat.lattice import orth
 from projlat.maps import Opaque
 
@@ -66,40 +66,6 @@ def test_invert_map_of_a_composite_inverts_part_by_part(rng):
             pl.invert_map(phi)
 
 
-def _tile_cases(blocks, rng):
-    """Lattice maps on AlgebraShape(blocks): conjugations (id, conj, block
-    reversal), a ring-iso map, and composites of them."""
-    shape = AlgebraShape(blocks)
-    t = pl.random_invertible(shape, rng, cond_max=20.0)
-    sigma = ["conj" if b % 2 else "id" for b in range(len(blocks))]
-    reverse = tuple(reversed(range(len(blocks))))
-    routed = pl.ConjugationRingIso(t, sigma, reverse)
-    conj = pl.from_semilinear(pl.random_invertible(shape, rng, cond_max=20.0), "conj")
-    ring = pl.from_ring_iso(routed, routed.source, shape)
-    return {
-        "id": pl.from_conjugation(t),
-        "conj": conj,
-        "routed": routed.lattice_map(),
-        "ring-iso": ring,
-        "composite": pl.compose(conj, pl.from_conjugation(t)),
-        "composite-ring-iso": pl.compose(pl.from_conjugation(t), ring),
-    }
-
-
-@pytest.mark.parametrize("blocks", [[3], [2, 3], [3, 6, 3]])
-def test_tile_is_the_map_summand_by_summand(blocks, rng):
-    for name, phi in _tile_cases(blocks, rng).items():
-        for c in (1, 2, 3):
-            ps = [pl.random_projection(phi.source, rng) for _ in range(c)]
-            tiled = phi.tile(c)
-            assert tiled.source == _direct_sum(ps).shape
-            got = tiled(_direct_sum(ps))
-            want = _direct_sum([phi(p) for p in ps])
-            assert got.shape == want.shape and got.ranks == want.ranks, name
-            for u, v in zip(got.basis, want.basis):
-                assert np.array_equal(u, v), (name, c)
-
-
 @pytest.mark.parametrize("cond", [1e2, 1e6, 5e8])
 @pytest.mark.parametrize("sigma", ["id", "conj"])
 def test_conjugation_images_keep_rank_and_match_the_svd_basis(cond, sigma):
@@ -129,25 +95,6 @@ def test_conjugation_images_keep_rank_and_match_the_svd_basis(cond, sigma):
             assert want.shape[2] == ranks[b]
             gap = got @ _ct(got) - want[0] @ _ct(want[0])
             assert np.linalg.norm(gap, 2) <= 1e-12 * cond
-
-
-def test_tile_does_not_recheck_the_invertible_t(monkeypatch, rng):
-    shape = AlgebraShape([3, 6, 3])
-    checked = []
-    real = pl.maps._require_invertible
-    monkeypatch.setattr(pl.maps, "_require_invertible", lambda x: checked.append(x) or real(x))
-    iso = pl.ConjugationRingIso(pl.random_invertible(shape, rng, cond_max=20.0), "id", block_map=(2, 1, 0))
-    assert len(checked) == 1
-    tiled = iso.lattice_map().tile(9)
-    assert len(checked) == 1
-    ps = [pl.random_projection(shape, rng) for _ in range(9)]
-    got = tiled(_direct_sum(ps))
-    for u, v in zip(got.basis, _direct_sum([iso.lattice_map()(p) for p in ps]).basis):
-        assert np.array_equal(u, v)
-    # T itself is still checked where it is built
-    singular = Element(shape, [np.eye(3), np.zeros((6, 6)), np.eye(3)])
-    with pytest.raises(pl.NotInvertible):
-        pl.ConjugationRingIso(singular)
 
 
 def test_invert_map_semilinear(rng):
