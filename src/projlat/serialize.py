@@ -46,6 +46,13 @@ def _int(v, field: str) -> int:
     return v
 
 
+def _list(v, field: str) -> list:
+    """v, a JSON list; anything else is a ValueError naming field."""
+    if not isinstance(v, list):
+        raise ValueError(f"{field}: expected a list, got {v!r}")
+    return v
+
+
 def _matrix_to_lists(a: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
@@ -98,7 +105,7 @@ def projection_from_obj(d: dict) -> Projection:
     x = element_from_obj(d)
     if "ranks" not in d:
         raise ValueError("projection object lacks a ranks field")
-    ranks = [_int(r, "ranks") for r in d["ranks"]]
+    ranks = [_int(r, "ranks") for r in _list(d["ranks"], "ranks")]
     if len(ranks) != len(x.shape.blocks):
         raise ValueError("ranks field does not match the shape")
     herm = max(
@@ -153,8 +160,11 @@ def _iso_from_obj(kind: str, d: dict) -> ConjugationRingIso:
         raise ValueError(f'expected kind "{kind}", got {d.get("kind")!r}')
     block_map = d.get("block_map")
     if block_map is not None:
-        block_map = [_int(t, "block_map") for t in block_map]
-    return ConjugationRingIso(element_from_obj(d["T"]), d.get("sigma", "id"), block_map)
+        block_map = [_int(t, "block_map") for t in _list(block_map, "block_map")]
+    sigma = d.get("sigma", "id")
+    if not isinstance(sigma, (str, list)):
+        raise ValueError(f"sigma: expected a string or a list, got {sigma!r}")
+    return ConjugationRingIso(element_from_obj(d["T"]), sigma, block_map)
 
 
 def map_to_obj(phi: LatticeMap) -> dict:
@@ -211,7 +221,7 @@ def frame_from_obj(d: dict) -> Frame:
     if kind == "three-frame":
         ps, ws = [d["p1"], d["p2"], d["p3"]], [d["w12"], d["w13"]]
     elif kind == "frame":
-        ps, ws = d["projections"], d["units"]
+        ps, ws = _list(d["projections"], "projections"), _list(d["units"], "units")
     else:
         raise ValueError(f'expected kind "frame", got {kind!r}')
     return Frame.from_projections(

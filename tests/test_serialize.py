@@ -222,6 +222,36 @@ def test_malformed_integer_fields_are_refused(tmp_path, rng, capsys):
         assert "expected an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["ranks", "block_map", "sigma", "projections"])
+def test_list_fields_that_are_not_lists_are_refused(field, tmp_path, rng, capsys):
+    # iterating a scalar would raise TypeError inside the library; the
+    # loaders' contract is ValueError, which the CLI calls a usage error
+    shape = AlgebraShape([3, 3])
+    iso = pl.ring_iso_to_obj(pl.random_invertible(shape, rng), ["id", "conj"], [1, 0])
+    if field == "ranks":
+        p = pl.random_projection(shape, rng, ranks=[1, 1])
+        pair = pl.pair_to_obj(p, p)
+        cases = [("halmos", pl.pair_from_obj, pair | {"p": pair["p"] | {"ranks": 1}})]
+    elif field == "projections":
+        # the older frame format, and its units field
+        obj = {"kind": "frame", "projections": 1, "units": []}
+        cases = [(None, pl.frame_from_obj, obj), (None, pl.frame_from_obj, obj | {"projections": [], "units": 1})]
+    else:
+        value = 1 if field == "block_map" else 5
+        cases = [
+            ("factor", pl.ring_iso_from_obj, iso | {field: value}),
+            ("coordinatize", pl.map_from_obj, iso | {"kind": "conjugation", field: value}),
+        ]
+    path = tmp_path / "bad.json"
+    for command, loader, obj in cases:
+        with pytest.raises(ValueError, match="expected a"):
+            loader(obj)
+        if command:
+            path.write_text(json.dumps(obj))
+            assert main([command, str(path)]) == 2
+            assert "expected a" in capsys.readouterr().err
+
+
 def test_three_frame_file_loads_bit_equal_to_its_pieces():
     # a "three-frame" object, the frame format before frames of any
     # order, written for a seeded frame on [6]
