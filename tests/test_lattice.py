@@ -7,21 +7,6 @@ import projlat as pl
 from projlat import AlgebraShape, Element, Projection
 
 
-def overlapping_pair(shape, rng):
-    """Pair sharing a seeded number of basis directions, so meets are
-    nontrivial (independent random ranges almost surely meet in 0)."""
-    bp, bq = [], []
-    for n in shape.blocks:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        u, _ = np.linalg.qr(g)
-        shared = int(rng.integers(0, n + 1))
-        rp = shared + int(rng.integers(0, n - shared + 1))
-        extra = int(rng.integers(0, n - rp + 1))
-        bp.append(u[:, :rp])
-        bq.append(u[:, list(range(shared)) + list(range(rp, rp + extra))])
-    return Projection.from_basis(shape, bp), Projection.from_basis(shape, bq)
-
-
 def test_canonicalize_exact():
     shape = AlgebraShape([2])
     p = pl.canonicalize(Element(shape, [np.diag([1.0, 0.0])]))
@@ -44,7 +29,7 @@ def test_leq_basics(shape, rng):
 
 
 def test_meet_join_commute(shape, rng):
-    p, q = overlapping_pair(shape, rng)
+    p, q = pl.random_overlapping_pair(shape, rng)
     assert pl.distance(pl.meet(p, q), pl.meet(q, p)) < 1e-10
     assert pl.distance(pl.join(p, q), pl.join(q, p)) < 1e-10
 
@@ -60,20 +45,20 @@ def test_meet_rank_asymmetry(rng):
 
 
 def test_absorption(shape, rng):
-    p, q = overlapping_pair(shape, rng)
+    p, q = pl.random_overlapping_pair(shape, rng)
     assert pl.distance(pl.meet(p, pl.join(p, q)), p) < 1e-10
     assert pl.distance(pl.join(p, pl.meet(p, q)), p) < 1e-10
 
 
 def test_de_morgan(shape, rng):
-    p, q = overlapping_pair(shape, rng)
+    p, q = pl.random_overlapping_pair(shape, rng)
     lhs = pl.join(p, q).complement()
     rhs = pl.meet(p.complement(), q.complement())
     assert pl.distance(lhs, rhs) < 1e-10
 
 
 def test_dimension_formula(shape, rng):
-    p, q = overlapping_pair(shape, rng)
+    p, q = pl.random_overlapping_pair(shape, rng)
     m, j = pl.meet(p, q), pl.join(p, q)
     for rm, rj, rp, rq in zip(m.ranks, j.ranks, p.ranks, q.ranks):
         assert rm + rj == rp + rq
@@ -159,7 +144,7 @@ def test_principal_ideal_vs_lstsq(blocks, rng):
 def test_order_consistency(seed):
     rng = np.random.default_rng(seed)
     shape = AlgebraShape([2, 3])
-    p, q = overlapping_pair(shape, rng)
+    p, q = pl.random_overlapping_pair(shape, rng)
     assert pl.leq(pl.meet(p, q), p)
     assert pl.leq(p, pl.join(p, q))
     if pl.leq(p, q):
