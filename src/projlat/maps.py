@@ -214,8 +214,8 @@ class ConjugationRingIso:
             ts = _regroup(self.T._pieces(), [route(idx) for idx in p._groups])
             bases = []
             for (idx, u), t in zip(p._pieces(), ts):
-                # No rank to decide: each T_b passed _require_invertible
-                # (inverse() checks its own), so s_min(T_b) > RANK_REL s_max(T_b).
+                # No rank to decide: each T_b passed _require_invertible,
+                # so s_min(T_b) > RANK_REL s_max(T_b).
                 # For orthonormal U the singular values of T_b sigma(U)
                 # lie in [s_min(T_b), s_max(T_b)], so orth's relative
                 # cut would keep all r columns anyway.

@@ -261,7 +261,7 @@ def test_frobenius_residual_above_half_check_tol_falls_back_to_the_spectral_norm
 
 
 RECOVERY_SHAPES = [AlgebraShape(b) for b in ([3], [6], [9], [3, 6])]
-FRAME_KINDS = ["standard", "standard tile", "seeded", "seeded tile", "read back"]
+FRAME_KINDS = ["standard", "standard doubled", "seeded", "seeded doubled", "read back"]
 # (shape, order) and a slot of that order: order 3 on RECOVERY_SHAPES,
 # order 4 on [8] and [4, 8]
 RECOVERY_CASES = st.sampled_from(
@@ -276,7 +276,7 @@ def _frame(kind, shape, seed, k=3):
         fr = Frame.standard(shape, k)
     else:
         fr = conjugated_frame(shape, seed, k)
-    return _doubled(fr) if kind.endswith("tile") else fr
+    return _doubled(fr) if kind.endswith("doubled") else fr
 
 
 def _doubled(fr):
