@@ -272,13 +272,10 @@ class _CornerMap:
         self.target = target
 
     def __call__(self, xhat: Element, slot=(0, 1)) -> Element:
-        """psi at one corner through the given slot; an error names it
-        corner (0, 0)."""
+        """psi at one corner through the given slot; a recovery error
+        names the slot."""
         graph = graph_projection(self.source, xhat, slot)
-        try:
-            return recover_operator(self.target, self.phi(graph), slot)
-        except NotAGraphProjection as exc:
-            raise NotAGraphProjection(f"corner (0, 0): {exc.reason}", exc.block) from exc
+        return recover_operator(self.target, self.phi(graph), slot)
 
 
 def _compile(psi: _CornerMap, s_inv: Element) -> ConjugationRingIso:

@@ -131,10 +131,6 @@ class Frame:
             for j in range(1, self.order)
         )
 
-    def _rotate(self, x: Element) -> Element:
-        """x, of this algebra, in slot coordinates: V* x V per block."""
-        return x._like([_ct(v) @ a @ v for v, a in zip(self.v._stacks, x._stacks)])
-
     @classmethod
     def standard(cls, shape: AlgebraShape, k: int) -> "Frame":
         """Frame of order k from contiguous index groups of every block:
@@ -235,17 +231,18 @@ def recover_operator(frame: Frame, q: Projection, slot=(0, 1)) -> Element:
     Raises:
         ShapeMismatch: q does not live in the frame's algebra.
         NotAGraphProjection: wrong rank, singular domain corner, or
-            certification residual above CHECK_TOL, on the block the
-            exception names.
+            certification residual above CHECK_TOL; its reason starts
+            with the slot (for example "slot 23: "), and it names the
+            block.
     """
     d, im = _check_slot(frame, slot)
     if q.shape != frame.shape:
         raise ShapeMismatch("projection does not live in the frame's algebra")
-    k = frame.order
+    k, name = frame.order, f"slot {d + 1}{im + 1}"
     others = [o for o in range(k) if o not in (d, im)]
     for b, (r, n) in enumerate(zip(q.ranks, frame.corner_shape.blocks)):
         if r != n:
-            raise NotAGraphProjection(f"rank {r} does not match the slot rank {n}", b)
+            raise NotAGraphProjection(f"{name}: rank {r} does not match the slot rank {n}", b)
     # every rank is the slot rank, so q's bases are stacked as V is;
     # _slot(w, j, 0, k) is the j-th slot's rows of the (g, km, m) bases
     corners, singular = [], []
@@ -257,7 +254,7 @@ def recover_operator(frame: Frame, q: Projection, slot=(0, 1)) -> Element:
         singular.extend(idx[j] for j in np.flatnonzero(bad))
         corners.append((idx, _slot(w, im, 0, k) @ wd_star, lam, vec, w))  # Q_id
     if singular:
-        raise NotAGraphProjection("domain corner singular", min(singular))
+        raise NotAGraphProjection(f"{name}: domain corner singular", min(singular))
     # ||R||_2 <= ||R||_F: a block whose Frobenius residual is at most
     # CHECK_TOL / 2 passes without an SVD; the margin keeps the decision
     # the one its spectral norm gives
@@ -274,7 +271,7 @@ def recover_operator(frame: Frame, q: Projection, slot=(0, 1)) -> Element:
     if failed:
         b, residual = min(failed)
         raise NotAGraphProjection(
-            f"not a slot-{d + 1}{im + 1} graph projection (residual {residual:.3e})", b
+            f"{name}: not a graph projection (residual {residual:.3e})", b
         )
     return Element._of(frame.corner_shape, pieces)
 

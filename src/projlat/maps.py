@@ -26,6 +26,7 @@ from .core import (
     _ct,
     _regroup,
     _require_invertible,
+    _singular_values,
     distance,
     left_support,
 )
@@ -473,13 +474,20 @@ def verify_lattice_iso(phi: LatticeMap, samples: int = 32, seed: int = 0) -> Map
     )
 
 
+def _product_norm(p: Projection, q: Projection) -> float:
+    """||p q||, read off the range bases as max_b ||U_p* U_q||."""
+    pairs = [(up, uq) for _, up, uq in _cogroups(p, q) if up.shape[2] and uq.shape[2]]
+    return max((float(_singular_values(_ct(up) @ uq).max()) for up, uq in pairs), default=0.0)
+
+
 def preserves_orthogonality(
     phi: LatticeMap,
     samples: int = 32,
     seed: int = 0,
 ) -> tuple[bool, dict | None]:
     """Sampled biconditional test: p q = 0 iff phi(p) phi(q) = 0, where
-    an image product counts as zero at or below CHECK_TOL.
+    an image product counts as zero at or below CHECK_TOL.  Products
+    are read off range bases, ||P Q|| = ||U_p* U_q||, except probe_product.
 
     Returns (ok, witness); the witness records the first pair on which
     the biconditional failed (as storable objects, so it can go into a
@@ -492,9 +500,6 @@ def preserves_orthogonality(
 
     rng = rng_from(seed)
     shape = phi.source
-
-    def images_product(p: Projection, q: Projection) -> float:
-        return (phi(p).element * phi(q).element).norm()
 
     # Deterministic probes: disjoint halves of the standard basis.
     probes: list[tuple[Projection, Projection]] = []
@@ -515,7 +520,7 @@ def preserves_orthogonality(
         probes.append((p, Projection._of(shape, orth(pushed))))
 
     for p, q in probes:
-        res = images_product(p, q)
+        res = _product_norm(phi(p), phi(q))
         if res > CHECK_TOL:
             # the pair's own product, so that a sampler fault shows as one
             return False, {
@@ -532,10 +537,10 @@ def preserves_orthogonality(
     for _ in range(samples):
         p = random_projection(shape, rng)
         q = random_projection(shape, rng)
-        overlap = (p.element * q.element).norm()
+        overlap = _product_norm(p, q)
         if overlap <= 1e-2:  # want a clear overlap to start from
             continue
-        res = images_product(p, q)
+        res = _product_norm(phi(p), phi(q))
         if res <= CHECK_TOL:
             return False, {
                 "kind": "overlapping-pair-mapped-to-orthogonal",

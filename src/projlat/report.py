@@ -38,7 +38,7 @@ class CheckResult:
             "anchor": self.anchor,
             "status": self.status,
             "max_residual": self.max_residual,
-            "seconds": round(self.seconds, 6),
+            "seconds": round(self.seconds, 9),
         }
         if self.counterexample is not None:
             obj["counterexample"] = self.counterexample
@@ -75,7 +75,7 @@ class Report:
             },
             "status": "PASS" if self.passed else "FAIL",
             "checks": [c.to_obj() for c in self.checks],
-            "seconds": round(sum(c.seconds for c in self.checks), 6),
+            "seconds": round(sum(c.seconds for c in self.checks), 9),
             **self.extra,
         }
 

@@ -13,7 +13,8 @@ ConjugationRingIso with T = y.
 
 The Dye pipeline sits on top: a lattice isomorphism that also preserves
 orthogonality coordinatizes to a ring isomorphism that is a real
-*-isomorphism, and the certificate checks exactly that.
+*-isomorphism; Psi = Ad(T) sigma is one exactly when every T_b* T_b is
+a scalar, so the certificate reads that off T.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .core import (
     AlgebraShape,
     Element,
     Projection,
+    cond,
     distance,
 )
 from .errors import (
@@ -43,7 +45,7 @@ from .maps import (
     _skolem_noether,
     preserves_orthogonality,
 )
-from .sampling import random_element, random_hermitian, random_projection, rng_from
+from .sampling import random_element, rng_from
 
 __all__ = [
     "RingIsoFactorization",
@@ -154,14 +156,19 @@ def dye_extension(
 ) -> tuple[Callable[[Element], Element], dict]:
     """Upgrade an orthogonality-preserving lattice iso to a real *-iso.
 
-    Runs the coordinatization engine, then certifies on seeded samples
-    that the result extends phi on projections, preserves adjoints and
-    the unit, and preserves order on Hermitian elements.  Returns the
-    ring isomorphism (the compiled ConjugationRingIso) and the
-    certificate.  Its "stages" (orthogonality-preservation and
-    coordinatization, which run before the checks) and each of its
-    checks carry their wall time in "seconds", the only entries that
-    differ between identical runs.
+    Runs the coordinatization engine and returns the ring isomorphism
+    (the compiled ConjugationRingIso Psi = Ad(T) sigma) and a
+    certificate read off Psi and the coordinatization, with no second
+    sampling: "projection-extension" is the coordinatization's
+    projection_intertwining (||phi(p) - range Psi(p)|| over its random
+    projections); "star-preservation" is the T-defect 1 - cond(T)^-2 =
+    max_b ||T_b* T_b / ||T_b||^2 - 1||, zero exactly when every T_b* T_b
+    is a scalar, that is when Psi(x*) = Psi(x)*; "unit" is
+    ||Psi(1) - 1||; "hermitian-order" is the same T-defect, since
+    Ad(T) sigma is positive exactly when it preserves adjoints.  Its
+    "stages" (orthogonality-preservation and coordinatization, which
+    run before the checks) and each of its checks carry their wall time
+    in "seconds", the only entries that differ between identical runs.
 
     Raises:
         OrthogonalityNotPreserved: with the witness pair.
@@ -176,41 +183,16 @@ def dye_extension(
     result = coordinatize(phi, samples=samples, seed=seed)
     clock.append(perf_counter())
     psi_full = result.Psi
-    rng = rng_from(seed)
-    src, tgt = phi.source, phi.target
-
-    proj_res = 0.0
-    for _ in range(samples):
-        p = random_projection(src, rng)
-        proj_res = max(proj_res, distance(psi_full(p.element), phi(p).element))
+    residuals = {"projection-extension": result.diagnostics["projection_intertwining"]}
     clock.append(perf_counter())
-
-    star_res = 0.0
-    for _ in range(samples):
-        x = random_element(src, rng, norm_bound=2.0)
-        star_res = max(star_res, distance(psi_full(x.adjoint()), psi_full(x).adjoint()))
+    residuals["star-preservation"] = 1.0 - cond(psi_full.T) ** -2
     clock.append(perf_counter())
-
-    unit_res = distance(psi_full(Element.identity(src)), Element.identity(tgt))
+    one = Element.identity(phi.source)
+    residuals["unit"] = distance(psi_full(one), Element.identity(phi.target))
     clock.append(perf_counter())
-
-    order_res = 0.0
-    for _ in range(samples):
-        a = random_hermitian(src, rng)
-        c = random_element(src, rng)
-        gap = psi_full(a + c.adjoint() * c) - psi_full(a)
-        for blk in gap.data:
-            lam = np.linalg.eigvalsh((blk + blk.conj().T) / 2)
-            if lam.size:
-                order_res = max(order_res, max(0.0, -float(lam[0])))
+    # Ad(T) sigma is positive exactly when it preserves adjoints
+    residuals["hermitian-order"] = residuals["star-preservation"]
     clock.append(perf_counter())
-
-    residuals = {
-        "projection-extension": proj_res,
-        "star-preservation": star_res,
-        "unit": unit_res,
-        "hermitian-order": order_res,
-    }
     seconds = [t1 - t0 for t0, t1 in zip(clock, clock[1:])]
     certificate = {
         "preserves_orthogonality": True,

@@ -11,6 +11,7 @@ import pytest
 
 import projlat as pl
 from projlat import AlgebraShape, ConjugationRingIso, Element, Frame, Projection
+from projlat.core import _ct
 from projlat.graphs import _slot, graph_projection, recover_operator
 
 MIXED = [AlgebraShape([3, 2, 3, 3]), AlgebraShape([1, 3, 3])]
@@ -32,6 +33,11 @@ def block_projection(p, b):
 
 def block_frame(fr, b):
     return Frame(block_element(fr.v, b), fr.order)
+
+
+def _rotate(fr, x):
+    """x in the slot coordinates of frame fr: V* x V per block."""
+    return x._like([_ct(v) @ a @ v for v, a in zip(fr.v._stacks, x._stacks)])
 
 
 def assert_blockwise(whole, parts):
@@ -148,9 +154,9 @@ def test_graph_ops_equal_blockwise():
             [recover_operator(frames[b], block_projection(q, b), slot).data[0] for b in range(k)],
         )
     y = pl.random_element(FRAMED, rng)
-    coords = fr._rotate(y)
+    coords = _rotate(fr, y)
     assert_blockwise(
-        coords.data, [frames[b]._rotate(block_element(y, b)).data[0] for b in range(k)]
+        coords.data, [_rotate(frames[b], block_element(y, b)).data[0] for b in range(k)]
     )
     # and back, V x V*
     assert_blockwise(

@@ -6,6 +6,7 @@ import pytest
 import projlat as pl
 from projlat import AlgebraShape, Element, Frame
 from projlat.coordinatize import _CornerMap, normalize_map
+from projlat.core import _ct
 from projlat.graphs import _slot
 from projlat.maps import Composite
 
@@ -70,10 +71,10 @@ def test_corner_grid_names_the_corner_whose_recovery_fails(rng):
         bad(x, (1, 2))
     assert len(calls) == 3
     assert info.value.block == 1
-    assert str(info.value) == "corner (0, 0): rank 6 does not match the slot rank 2 on block 1"
+    assert str(info.value) == "slot 23: rank 6 does not match the slot rank 2 on block 1"
 
 
-def test_one_corner_call_names_corner_zero_zero(rng):
+def test_one_corner_call_names_its_slot(rng):
     shape = AlgebraShape([3, 6])
     phi = pl.from_conjugation(pl.random_invertible(shape, rng, cond_max=50.0))
     result = pl.coordinatize(phi, samples=2, seed=5)
@@ -86,7 +87,7 @@ def test_one_corner_call_names_corner_zero_zero(rng):
     bad = _CornerMap(pl.LatticeMap(shape, shape, apply), result.source_frame, result.target_frame)
     with pytest.raises(pl.NotAGraphProjection) as info:
         bad(pl.random_element(result.source_frame.corner_shape, rng), (0, 2))
-    assert str(info.value) == "corner (0, 0): rank 6 does not match the slot rank 2 on block 1"
+    assert str(info.value) == "slot 13: rank 6 does not match the slot rank 2 on block 1"
 
 
 @pytest.mark.parametrize("other", [[6, 3], [3]], ids=["swapped", "one-block"])
@@ -124,11 +125,16 @@ def test_coordinatize_result_keeps_no_c_fold_tiles(rng):
     assert pl.distance(result.Psi(x), by_corner) < 1e-10
 
 
+def _rotate(fr, x):
+    """x in the slot coordinates of frame fr: V* x V per block."""
+    return x._like([_ct(v) @ a @ v for v, a in zip(fr.v._stacks, x._stacks)])
+
+
 def _psi_by_corner(psi, x, s, s_inv):
     """Psi re-derived at x one slot corner at a time: psi at each
     nonzero corner alone, the zero ones left zero."""
     fr, target, k = psi.source, psi.target, psi.source.order
-    coords = fr._rotate(x)._pieces()
+    coords = _rotate(fr, x)._pieces()
     out = [np.zeros_like(v) for v in target.v._stacks]
     for i in range(k):
         for j in range(k):

@@ -168,6 +168,20 @@ def test_shear_witness_carries_the_probe_product(blocks, seed):
     assert abs((p.element * q.element).norm() - witness["probe_product"]) <= 1e-15
 
 
+@pytest.mark.parametrize("blocks", [[2], [6], [2, 3], [3, 3, 4]])
+def test_shear_witness_residual_replays_densely(blocks):
+    # the basis reading ||U_p* U_q|| agrees with the dense ||phi(p) phi(q)||
+    shape = AlgebraShape(blocks)
+    shear = [np.eye(n, dtype=complex) for n in blocks]
+    shear[int(np.argmax(blocks))][0, 1] = 1.0
+    phi = pl.from_conjugation(Element(shape, shear))
+    ok, witness = pl.preserves_orthogonality(phi, 8, 0)
+    assert not ok
+    p, q = pl.projection_from_obj(witness["p"]), pl.projection_from_obj(witness["q"])
+    dense = (phi(p).element * phi(q).element).norm()
+    assert abs(witness["residual"] - dense) <= 1e-14
+
+
 def test_rank_one_permutation_passes_sampling_but_is_out_of_scope(rng):
     """On a single 2x2 block every bijection of the rank-one projections
     extends to a lattice automorphism, induced by nothing.  Sampled

@@ -145,6 +145,16 @@ class TestDyeExtension:
         x = pl.random_element(S3, rng)
         assert pl.distance(psi(x), u * x * u.adjoint()) < 1e-8
 
+    @pytest.mark.parametrize("sigma", ["id", "conj"])
+    def test_certificate_is_read_off_t_and_the_coordinatization(self, sigma, rng):
+        u = pl.random_unitary(S33, rng)
+        psi, cert = pl.dye_extension(pl.from_semilinear(u, sigma), samples=6, seed=3)
+        res = {c["name"]: c["max_residual"] for c in cert["checks"]}
+        defect = 1.0 - pl.cond(psi.T) ** -2
+        assert res["star-preservation"] == res["hermitian-order"] == defect
+        assert res["projection-extension"] == cert["coordinatization"]["projection_intertwining"]
+        assert res["unit"] == pl.distance(psi(Element.identity(S33)), Element.identity(S33))
+
     def test_transpose_map_certifies(self, rng):
         phi = pl.from_semilinear(Element.identity(S3), "conj")
         psi, cert = pl.dye_extension(phi, samples=6, seed=3)
