@@ -161,25 +161,14 @@ def test_shear_witness_carries_the_probe_product(blocks, seed):
     shape = AlgebraShape(blocks)
     shear = [np.eye(n, dtype=complex) for n in blocks]
     shear[int(np.argmax(blocks))][0, 1] = 1.0
-    ok, witness = pl.preserves_orthogonality(pl.from_conjugation(Element(shape, shear)), 8, seed)
+    phi = pl.from_conjugation(Element(shape, shear))
+    ok, witness = pl.preserves_orthogonality(phi, 8, seed)
     assert not ok and witness["kind"] == "orthogonal-pair-mapped-to-overlapping"
     assert witness["probe_product"] <= pl.PROJ_TOL
     p, q = pl.projection_from_obj(witness["p"]), pl.projection_from_obj(witness["q"])
     assert abs((p.element * q.element).norm() - witness["probe_product"]) <= 1e-15
-
-
-@pytest.mark.parametrize("blocks", [[2], [6], [2, 3], [3, 3, 4]])
-def test_shear_witness_residual_replays_densely(blocks):
-    # the basis reading ||U_p* U_q|| agrees with the dense ||phi(p) phi(q)||
-    shape = AlgebraShape(blocks)
-    shear = [np.eye(n, dtype=complex) for n in blocks]
-    shear[int(np.argmax(blocks))][0, 1] = 1.0
-    phi = pl.from_conjugation(Element(shape, shear))
-    ok, witness = pl.preserves_orthogonality(phi, 8, 0)
-    assert not ok
-    p, q = pl.projection_from_obj(witness["p"]), pl.projection_from_obj(witness["q"])
-    dense = (phi(p).element * phi(q).element).norm()
-    assert abs(witness["residual"] - dense) <= 1e-14
+    # the residual, read off range bases, replays as the dense image product
+    assert abs((phi(p).element * phi(q).element).norm() - witness["residual"]) <= 1e-14
 
 
 def test_rank_one_permutation_passes_sampling_but_is_out_of_scope(rng):
