@@ -184,8 +184,8 @@ def coordinatize(
     must nevertheless coincide, which is what uniqueness_residual
     measures.
 
-    Psi is compiled to a ConjugationRingIso at a cost of n/k + 2
-    corner-map calls per block, k the frame's order, before anything is
+    Psi is compiled to a ConjugationRingIso at a cost of max_b n_b/k + 2
+    corner-map calls in all, k the frame's order, before anything is
     sampled.  _verify then certifies it by the theorem's identity: at
     `samples` random projections p, and at the supports l(x p') of
     `samples` random elements x times random projections p', phi(p)
@@ -289,7 +289,7 @@ def _compile(psi: _CornerMap, s_inv: Element) -> ConjugationRingIso:
     frames' order.
     """
     fr, target = psi.source, psi.target
-    corner = _skolem_noether(psi, fr.corner_shape, target.corner_shape)
+    corner = _skolem_noether(psi, fr.corner_shape)
     blocks = [None] * len(corner.block_map)
     for b, (s, t) in enumerate(zip(corner.sigma, corner.block_map)):
         v = fr.v.data[b]

@@ -228,93 +228,87 @@ class ConjugationRingIso:
         return LatticeMap(self.source, target, apply, self)
 
 
-def _skolem_noether(
-    psi: Callable[[Element], Element],
-    shape: AlgebraShape,
-    target: AlgebraShape,
-) -> ConjugationRingIso:
-    """Read a ring isomorphism off the images of matrix units.
+def _skolem_noether(psi: Callable[[Element], Element], shape: AlgebraShape) -> ConjugationRingIso:
+    """Read a ring isomorphism off one round of probes.
 
-    Each source block b goes to the target block t that receives its
-    central projection, the image of i on it gives sigma_b, and the
-    columns of T_t are the images of the units E_j0 of block b applied
-    to one probe vector, the standard basis vector that the image of
-    E_00 stretches most.  T is normalized so its largest entry is real
+    A ring isomorphism fixes integers and sends the units of a block to
+    one target block, so the probes of all blocks are summed.  The image
+    of w = sum_b (b + 1) z_b, z_b the central projection of block b,
+    gives the target shape and on each target block t the weight b + 1
+    of the source block routed there; the image of i w is there +i or
+    -i times that weight, which gives sigma_b.  Column j of T_t is block
+    t of the image of sum_b E_j0 (over blocks with n_b > j) applied to
+    one probe vector, the standard basis vector that the image of E_00
+    stretches most.  T is normalized so its largest entry is real
     positive (it is only determined up to a central scalar).  Costs
-    n_b + 2 calls of psi per block.  The central and image-of-i probes
-    must hold within CHECK_TOL.
+    max_b n_b + 2 calls of psi.  The central and image-of-i probes must
+    hold within CHECK_TOL times the block's weight.
 
     Raises:
-        NotRingIso: block counts differ, or central routing is not a
-            bijection onto matching blocks, or the image of i on a
-            block is neither i nor -i.
+        NotRingIso: block counts differ, or a target block is not the
+            weight of a source block of its size, or the weights do not
+            route blocks bijectively, or the image of i on a block is
+            neither i nor -i.
         DegenerateWitness: the image of a minimal idempotent kills
             every probe vector, or T comes out singular.
     """
-    if len(target.blocks) != len(shape.blocks):
+    k = len(shape.blocks)
+    w = Element.from_scalars(shape, range(1, k + 1))
+    fw = psi(w)
+    target = fw.shape
+    if len(target.blocks) != k:
         raise NotRingIso(f"block counts differ: source {shape}, target {target}")
-
-    block_map: list[int] = []
-    sigma: list[str] = []
-    for b in range(len(shape.blocks)):
-        z = Element.from_scalars(shape, [float(i == b) for i in range(len(shape.blocks))])
-        fz = psi(z)
-        norms = fz.block_norms()
-        t = int(np.argmax(norms))
-        eye_t = np.eye(target.blocks[t], dtype=np.complex128)
-        off = max((v for i, v in enumerate(norms) if i != t), default=0.0)
-        if (
-            np.linalg.norm(fz.data[t] - eye_t, 2) > CHECK_TOL
-            or off > CHECK_TOL
-            or shape.blocks[b] != target.blocks[t]
+    block_map = [-1] * k
+    for t, (a, m) in enumerate(zip(fw.data, target.blocks)):
+        c = float(np.rint(np.trace(a).real / m))
+        if not (
+            1 <= c <= k
+            and shape.blocks[int(c) - 1] == m
+            and np.linalg.norm(a - c * np.eye(m), 2) <= CHECK_TOL * c
         ):
-            raise NotRingIso(
-                f"central projection of source block {b} is not a single "
-                "matching target block"
-            )
-        fiz = psi(1j * z)
-        d_lin = distance(fiz, 1j * fz)
-        d_conj = distance(fiz, -1j * fz)
-        if min(d_lin, d_conj) > CHECK_TOL:
-            raise NotRingIso(f"image of i on block {b} is neither i nor -i")
-        sigma.append("id" if d_lin <= d_conj else "conj")
-        block_map.append(t)
-    if len(set(block_map)) != len(block_map):
+            raise NotRingIso(f"target block {t} reads no weight of a source block of its size")
+        block_map[int(c) - 1] = t
+    if -1 in block_map:
         raise NotRingIso("central routing of blocks is not a bijection")
 
-    t_blocks: list[np.ndarray | None] = [None] * len(target.blocks)
-    for b, n in enumerate(shape.blocks):
-        t = block_map[b]
-        f11 = _unit_image(psi, shape, b, 0).data[t]
-        # probe with the largest column: psi's error is absolute, so a
-        # small column would carry it into T at a large relative size
-        col_norms = np.linalg.norm(f11, axis=0)
-        k = int(np.argmax(col_norms))
-        if not col_norms[k] > 0:
-            raise DegenerateWitness(
-                f"image of the minimal idempotent on block {b} kills all probes"
-            )
-        tb = np.zeros((n, n), dtype=np.complex128)
-        tb[:, 0] = f11[:, k]
-        for j in range(1, n):
-            tb[:, j] = _unit_image(psi, shape, b, j).data[t][:, k]
-        sv = np.linalg.svd(tb, compute_uv=False)
+    fiw = psi(1j * w)
+    sigma: list[str] = []
+    for b, t in enumerate(block_map):
+        ic = 1j * (b + 1) * np.eye(shape.blocks[b])
+        d_lin, d_conj = (np.linalg.norm(fiw.data[t] - s * ic, 2) for s in (1, -1))
+        if min(d_lin, d_conj) > CHECK_TOL * (b + 1):
+            raise NotRingIso(f"image of i on block {b} is neither i nor -i")
+        sigma.append("id" if d_lin <= d_conj else "conj")
+
+    t_blocks = [np.zeros((m, m), dtype=np.complex128) for m in target.blocks]
+    probes = [0] * k
+    for j in range(max(shape.blocks)):
+        units = [np.zeros((n, n), dtype=np.complex128) for n in shape.blocks]
+        for u in units:
+            if j < len(u):
+                u[j, 0] = 1.0
+        image = psi(Element(shape, units)).data
+        for b, t in enumerate(block_map):
+            if j == 0:
+                # probe with the largest column: psi's error is absolute, so
+                # a small column would carry it into T at a large relative size
+                col_norms = np.linalg.norm(image[t], axis=0)
+                probes[b] = int(np.argmax(col_norms))
+                if not col_norms[probes[b]] > 0:
+                    raise DegenerateWitness(
+                        f"image of the minimal idempotent on block {b} kills all probes"
+                    )
+            if j < shape.blocks[b]:
+                t_blocks[t][:, j] = image[t][:, probes[b]]
+    for b, t in enumerate(block_map):
+        sv = np.linalg.svd(t_blocks[t], compute_uv=False)
         if sv[-1] <= RANK_REL * sv[0]:
             raise DegenerateWitness(f"conjugating element singular on block {b}")
-        t_blocks[t] = tb
     T = Element(target, t_blocks)
     flat = np.concatenate([blk.ravel() for blk in T.data])
     top = flat[np.argmax(np.abs(flat))]
     T = (top.conjugate() / abs(top)) * T
     return ConjugationRingIso(T, sigma, block_map)
-
-
-def _unit_image(
-    psi: Callable[[Element], Element], shape: AlgebraShape, b: int, j: int
-) -> Element:
-    blocks = [np.zeros((n, n), dtype=np.complex128) for n in shape.blocks]
-    blocks[b][j, 0] = 1.0
-    return psi(Element(shape, blocks))
 
 
 def from_conjugation(T: Element) -> LatticeMap:

@@ -120,15 +120,17 @@ def inner_factor(
     to the target block that receives the block's central projection;
     y conjugates it onto psi_full.  y is normalized so its largest
     entry is real positive (it is only determined up to a central
-    scalar).  Real-linearity and the Skolem-Noether probes hold within
-    CHECK_TOL, multiplicativity within 10 CHECK_TOL.
+    scalar).  Real-linearity holds within CHECK_TOL, multiplicativity
+    within 10 CHECK_TOL.  One round of max_b n_b + 2 calls of psi_full
+    (maps._skolem_noether) then reads the target shape, psi0 and y.
 
     Raises:
         NotRealLinear: sampled real-linearity fails.
-        NotRingIso: multiplicativity fails, central routing is not a
-            bijection, or the image of i on a block is neither i nor -i.
+        NotRingIso: multiplicativity fails, or a Skolem-Noether probe
+            does (block counts, routing, the image of i).
         DegenerateWitness: the image of a minimal idempotent kills
-            every probe vector (bad input, not a ring isomorphism).
+            every probe vector, or y is singular (bad input, not a ring
+            isomorphism).
     """
     rng = rng_from(seed)
     _check_real_linear(psi_full, shape, rng, max(4, samples))
@@ -139,8 +141,7 @@ def inner_factor(
         if res > CHECK_TOL * 10:
             raise NotRingIso(f"multiplicativity fails (residual {res:.3e})")
 
-    target = psi_full(Element.identity(shape)).shape
-    factored = _skolem_noether(psi_full, shape, target)
+    factored = _skolem_noether(psi_full, shape)
     worst = 0.0
     for _ in range(samples):
         x = random_element(shape, rng, norm_bound=10.0)
@@ -163,12 +164,13 @@ def dye_extension(
     projection_intertwining (||phi(p) - range Psi(p)|| over its random
     projections); "star-preservation" is the T-defect 1 - cond(T)^-2 =
     max_b ||T_b* T_b / ||T_b||^2 - 1||, zero exactly when every T_b* T_b
-    is a scalar, that is when Psi(x*) = Psi(x)*; "unit" is
-    ||Psi(1) - 1||; "hermitian-order" is the same T-defect, since
-    Ad(T) sigma is positive exactly when it preserves adjoints.  Its
-    "stages" (orthogonality-preservation and coordinatization, which
-    run before the checks) and each of its checks carry their wall time
-    in "seconds", the only entries that differ between identical runs.
+    is a scalar, that is when Psi(x*) = Psi(x)*; "unit" is the
+    coordinatization's ||Psi(1) - 1||; "hermitian-order" is the same
+    T-defect, since Ad(T) sigma is positive exactly when it preserves
+    adjoints.  Its "stages" (orthogonality-preservation and
+    coordinatization, which run before the checks) and each of its
+    checks carry their wall time in "seconds", the only entries that
+    differ between identical runs.
 
     Raises:
         OrthogonalityNotPreserved: with the witness pair.
@@ -187,8 +189,7 @@ def dye_extension(
     clock.append(perf_counter())
     residuals["star-preservation"] = 1.0 - cond(psi_full.T) ** -2
     clock.append(perf_counter())
-    one = Element.identity(phi.source)
-    residuals["unit"] = distance(psi_full(one), Element.identity(phi.target))
+    residuals["unit"] = result.diagnostics["unit"]
     clock.append(perf_counter())
     # Ad(T) sigma is positive exactly when it preserves adjoints
     residuals["hermitian-order"] = residuals["star-preservation"]

@@ -7,7 +7,7 @@ import projlat as pl
 from projlat import AlgebraShape, Element, LatticeMap
 from projlat.core import _ct
 from projlat.lattice import orth
-from projlat.maps import Opaque
+from projlat.maps import Opaque, _skolem_noether
 
 
 def test_from_conjugation_acts_on_ranges(shape, rng):
@@ -250,3 +250,53 @@ def test_rank_profile_check_reports_no_residual(rng):
     assert checks["rank-profile-constancy"].max_residual is None
     others = [c for name, c in checks.items() if name != "rank-profile-constancy"]
     assert all(isinstance(c.max_residual, float) for c in others)
+
+
+S3, S33 = AlgebraShape([3]), AlgebraShape([3, 3])
+
+
+def _real_part(x):
+    return Element(x.shape, [a.real for a in x.data])
+
+
+def _trace_scalar(x):
+    return Element(x.shape, [np.trace(a) / len(a) * np.eye(len(a)) for a in x.data])
+
+
+def _diagonal(x):
+    return Element(S33, [x.data[0], x.data[0]])
+
+
+@pytest.mark.parametrize(
+    "psi, shape, error, reason",
+    [
+        (_diagonal, S33, pl.NotRingIso, "not a bijection"),
+        (_real_part, S3, pl.NotRingIso, "image of i on block 0 is neither i nor -i"),
+        (_trace_scalar, S3, pl.DegenerateWitness, "singular on block 0"),
+        (_diagonal, S3, pl.NotRingIso, "block counts differ"),
+    ],
+    ids=["routing", "image-of-i", "singular-t", "block-counts"],
+)
+def test_skolem_noether_refuses_non_isomorphisms_by_name(psi, shape, error, reason):
+    # each is refused earlier by inner_factor's multiplicativity check,
+    # so the probes are called directly
+    with pytest.raises(error, match=reason):
+        _skolem_noether(psi, shape)
+
+
+def test_skolem_noether_reads_a_routed_iso_in_one_probe_round(rng):
+    t = pl.random_invertible(AlgebraShape([2, 3, 3]), rng, cond_max=20.0)
+    iso = pl.ConjugationRingIso(t, ("id", "conj", "id"), (0, 2, 1))
+    calls = []
+
+    def psi(x):
+        calls.append(x)
+        return iso(x)
+
+    got = _skolem_noether(psi, iso.source)
+    # max_b n_b + 2: one round of probes, not n_b + 2 per block (14)
+    assert len(calls) == 5
+    assert got.block_map == (0, 2, 1) and got.sigma == ("id", "conj", "id")
+    for _ in range(8):
+        x = pl.random_element(iso.source, rng)
+        assert pl.distance(got(x), iso(x)) <= 1e-12

@@ -153,6 +153,7 @@ class TestDyeExtension:
         defect = 1.0 - pl.cond(psi.T) ** -2
         assert res["star-preservation"] == res["hermitian-order"] == defect
         assert res["projection-extension"] == cert["coordinatization"]["projection_intertwining"]
+        assert res["unit"] == cert["coordinatization"]["unit"]
         assert res["unit"] == pl.distance(psi(Element.identity(S33)), Element.identity(S33))
 
     def test_transpose_map_certifies(self, rng):
