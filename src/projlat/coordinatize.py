@@ -27,6 +27,7 @@ from .core import (
     PROJ_TOL,
     AlgebraShape,
     Element,
+    Projection,
     distance,
     invert,
     left_support,
@@ -73,10 +74,11 @@ class CoordinatizationResult:
     to a ConjugationRingIso; normalizers are (S0, S_k), the invertible
     operators applied to the target in that order; target_frame is the
     standard frame of the target.  diagnostics holds the sampled
-    residuals: additivity and multiplicativity of psi, unit
-    (||Psi(1) - 1||), slot_agreement and two_slot_meet, and the
-    certificate of the theorem's identity phi(p) = range Psi(p), the
-    worst ||phi(p) - Psi.lattice_map()(p)|| over random projections
+    residuals: additivity and multiplicativity of psi, slot_agreement
+    and two_slot_meet, all four on the same max(2, samples // 4) pairs
+    of corner elements, unit (||Psi(1) - 1||), and the certificate of
+    the theorem's identity phi(p) = range Psi(p), the worst
+    ||phi(p) - Psi.lattice_map()(p)|| over random projections
     (projection_intertwining) and over supports l(x p') of random
     elements times random projections (support_intertwining).
     """
@@ -184,17 +186,20 @@ def coordinatize(
     must nevertheless coincide, which is what uniqueness_residual
     measures.
 
-    Psi is compiled to a ConjugationRingIso at a cost of max_b n_b/k + 2
-    corner-map calls in all, k the frame's order, before anything is
-    sampled.  _verify then certifies it by the theorem's identity: at
-    `samples` random projections p, and at the supports l(x p') of
-    `samples` random elements x times random projections p', phi(p)
-    must be within 1e-3 of Psi.lattice_map()(p), the projection onto
-    range Psi(p).  The draws are rank-deficient, so the identity is not
-    vacuous, and Psi is never re-derived from the lattice at a full
-    point.  The ring axioms are sampled on psi, one corner at a time,
-    and the unit on Psi, which also builds the T^-1 that Psi's calls
-    read.
+    The rng draws the frame's unitary (when none is given), then
+    max(2, samples // 4) pairs (x, y) of corner elements, each element
+    mapped once through slot 12 and x also through slots 13 and 23,
+    then the intertwining draws.  Psi, which does not depend on the
+    draws, is compiled to a ConjugationRingIso from max_b n_b/k + 2
+    corner-map calls, k the frame's order.  _verify certifies it by the
+    theorem's identity: at `samples` random projections p, and at the
+    supports l(x p') of `samples` random elements x times random
+    projections p', phi(p) must be within 1e-3 of Psi.lattice_map()(p),
+    the projection onto range Psi(p).  The draws are rank-deficient, so
+    the identity is not vacuous, and Psi is never re-derived from the
+    lattice at a full point.  The ring axioms and the two-slot meet read
+    the stored pairs, so the two-slot pair count follows samples, and
+    the unit is read on Psi, which also builds the T^-1 Psi's calls read.
 
     Raises:
         NotOrderThree: with no frame given, some block size is not
@@ -202,6 +207,8 @@ def coordinatize(
             independent k-ths of the target blocks.
         FrameAssemblyFailed: a slot unit does not recover or invert, or
             the normalizer S_k S0 fails the rank cutoff.
+        NotAGraphProjection: a sampled or probed slot graph maps to
+            no graph (the reason names the slot, the error the block).
         SlotMismatch: slot-13/23 recoveries disagree with slot 12;
             phi is not induced by any ring isomorphism.
         NotRingIso, DegenerateWitness: the corner map does not compile
@@ -222,14 +229,15 @@ def coordinatize(
     s_inv = invert(sk * s0)
     psi = _CornerMap(phi_norm, fr, target)
 
-    # Slots 12, 13 and 23 must tell one story; disagreement means no
-    # ring isomorphism induces phi.
-    slot_res = 0.0
+    # Every corner check reads these pairs.  Slots 12, 13 and 23 must
+    # tell one story; disagreement means no ring isomorphism induces phi.
+    pairs, slot_res = [], 0.0
     for _ in range(max(2, samples // 4)):
-        xh = random_element(fr.corner_shape, rng, norm_bound=2.0)
-        y12 = psi(xh)
+        x, y = (random_element(fr.corner_shape, rng, norm_bound=2.0) for _ in range(2))
+        fx, fy = psi(x), psi(y)
         for slot in ((0, 2), (1, 2)):
-            slot_res = max(slot_res, distance(y12, psi(xh, slot)))
+            slot_res = max(slot_res, distance(fx, psi(x, slot)))
+        pairs.append((x, y, fx, fy))
     if slot_res > 1e-5:
         raise SlotMismatch(
             f"slot recoveries disagree (residual {slot_res:.3e}); "
@@ -237,7 +245,7 @@ def coordinatize(
         )
 
     Psi = _compile(psi, s_inv)
-    diagnostics = _verify(phi, psi, Psi, samples, rng)
+    diagnostics = _verify(phi, psi, Psi, pairs, samples, rng)
     diagnostics["slot_agreement"] = float(slot_res)
     diagnostics["seed"] = seed
     diagnostics["samples"] = samples
@@ -310,16 +318,16 @@ def _verify(
     phi: LatticeMap,
     psi: _CornerMap,
     Psi: ConjugationRingIso,
+    pairs: list[tuple[Element, Element, Element, Element]],
     samples: int,
     rng: np.random.Generator,
 ) -> dict:
-    """The sampled certificate of a compiled Psi, in the order it draws:
-    the ring axioms on psi over max(2, samples // 4) pairs of corner
-    elements, then per sample a random projection p and the support
-    q = l(x p') of a random element x times a random projection p',
-    each giving ||phi(.) - Psi.lattice_map()(.)||, then the two-slot
-    meet identity on two pairs of corner elements.  Psi's unit is read
-    on Psi itself.
+    """The sampled certificate of a compiled Psi: the ring axioms and
+    the two-slot meet identity on the slot stage's pairs (x, y, psi(x),
+    psi(y)), which cost psi(x + y) and psi(x y) and nothing else, then,
+    drawn per sample, a random projection p and the support q = l(x p')
+    of a random element x times a random projection p', each giving
+    ||phi(.) - Psi.lattice_map()(.)||.  Psi's unit is read on Psi itself.
 
     Raises:
         IntertwiningFailure: the worst intertwining distance exceeds
@@ -328,14 +336,14 @@ def _verify(
     fr, target, phi_norm = psi.source, psi.target, psi.phi
     src, tgt = fr.shape, target.shape
 
-    # psi is a ring homomorphism of the corner algebra
-    add_res = mul_res = 0.0
-    for _ in range(max(2, samples // 4)):
-        x = random_element(fr.corner_shape, rng, norm_bound=2.0)
-        y = random_element(fr.corner_shape, rng, norm_bound=2.0)
-        fx, fy = psi(x), psi(y)
+    # psi is a ring homomorphism of the corner algebra, and the meet
+    # expression of a non-graph projection transports slotwise
+    add_res = mul_res = two_slot = 0.0
+    for x, y, fx, fy in pairs:
         add_res = max(add_res, distance(psi(x + y), fx + fy))
         mul_res = max(mul_res, distance(psi(x * y), fx * fy))
+        lhs = phi_norm(_two_slot(fr, x, y))
+        two_slot = max(two_slot, distance(lhs, _two_slot(target, fx, fy)))
     unit_res = distance(Psi(Element.identity(src)), Element.identity(tgt))
 
     # The theorem's identity phi(p) = range Psi(p), at rank-deficient
@@ -349,25 +357,6 @@ def _verify(
         q = left_support(random_element(src, rng) * random_projection(src, rng))
         sup_res = max(sup_res, distance(phi(q), psi_map(q)))
 
-    # Reduction identity for non-graph projections: the meet expression
-    # P_{x2,x3} = (P_12[x2] v e3) ^ (P_13[x3] v e2) must transport slotwise.
-    two_slot = 0.0
-    e, f = fr.projections, target.projections
-    for _ in range(2):
-        x2 = random_element(fr.corner_shape, rng, norm_bound=2.0)
-        x3 = random_element(fr.corner_shape, rng, norm_bound=2.0)
-        lhs = phi_norm(
-            meet(
-                join(graph_projection(fr, x2, (0, 1)), e[2]),
-                join(graph_projection(fr, x3, (0, 2)), e[1]),
-            )
-        )
-        rhs = meet(
-            join(graph_projection(target, psi(x2), (0, 1)), f[2]),
-            join(graph_projection(target, psi(x3), (0, 2)), f[1]),
-        )
-        two_slot = max(two_slot, distance(lhs, rhs))
-
     worst = max(sup_res, proj_res)
     if worst > 1e-3:
         raise IntertwiningFailure(worst)
@@ -380,6 +369,13 @@ def _verify(
         "projection_intertwining": float(proj_res),
         "two_slot_meet": float(two_slot),
     }
+
+
+def _two_slot(frame: Frame, x: Element, y: Element) -> Projection:
+    """The non-graph projection P_{x,y} = (P_12[x] v e3) ^ (P_13[y] v e2)."""
+    e = frame.projections
+    left = join(graph_projection(frame, x, (0, 1)), e[2])
+    return meet(left, join(graph_projection(frame, y, (0, 2)), e[1]))
 
 
 def uniqueness_residual(

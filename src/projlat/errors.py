@@ -88,16 +88,16 @@ class SlotMismatch(ProjlatError):
 
 
 class IntertwiningFailure(ProjlatError):
-    """The reconstructed ring map does not intertwine supports with the
-    given lattice map within tolerance.
+    """The reconstructed ring map Psi does not meet the theorem's
+    identity phi(p) = range Psi(p) within tolerance.
 
     Attributes:
-        residual: worst support-intertwining distance seen.
+        residual: worst ||phi(p) - range Psi(p)|| seen.
     """
 
     def __init__(self, residual: float):
         self.residual = residual
-        super().__init__(f"support intertwining failed (residual={residual:.3e})")
+        super().__init__(f"range intertwining failed: ||phi(p) - range Psi(p)|| = {residual:.3e}")
 
 
 class NotRingIso(ProjlatError):

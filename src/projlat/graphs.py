@@ -40,7 +40,6 @@ import numpy as np
 from .core import (
     CHECK_TOL,
     PROJ_TOL,
-    RANK_REL,
     AlgebraShape,
     Element,
     Projection,
@@ -219,7 +218,7 @@ def recover_operator(frame: Frame, q: Projection, slot=(0, 1)) -> Element:
     with both corners read off Q's range basis there, W = V* U, block by
     block: Q_dd = W_d W_d* and Q_id = W_i W_d*, so neither the dense Q
     nor its rotation V* Q V is formed.  The domain corner is singular
-    when its eigenvalues, sigma(W_d)^2, have lam_min <= RANK_REL lam_max.
+    only when sigma_min(W_d)^2 <= 0; otherwise the certificate decides.
     x is certified on W, with no graph projection rebuilt: [W_d; x W_d; 0]
     lies in the graph of x and every slot o outside (d, i) is orthogonal
     to it, so the spectral norm of the (k - 1)m x m certificate
@@ -250,7 +249,7 @@ def recover_operator(frame: Frame, q: Projection, slot=(0, 1)) -> Element:
         w = _ct(v) @ u
         wd_star = _ct(_slot(w, d, 0, k))
         lam, vec = np.linalg.eigh(_slot(w, d, 0, k) @ wd_star)  # Q_dd
-        bad = (lam[:, -1] <= 0) | (lam[:, 0] <= RANK_REL * lam[:, -1])
+        bad = lam[:, 0] <= 0
         singular.extend(idx[j] for j in np.flatnonzero(bad))
         corners.append((idx, _slot(w, im, 0, k) @ wd_star, lam, vec, w))  # Q_id
     if singular:

@@ -488,7 +488,8 @@ def preserves_orthogonality(
     report verbatim) with the offending residual; an orthogonal pair's
     witness also carries the pair's own product, probe_product.  Standard
     coordinate projections are always included among the samples since
-    they expose non-unitary conjugations immediately.
+    they expose non-unitary conjugations immediately.  The non-orthogonal
+    pairs are the random p's, mapped once, taken cyclically.
     """
     from .serialize import projection_to_obj  # deferred: serialize imports us
 
@@ -513,8 +514,11 @@ def preserves_orthogonality(
         ]
         probes.append((p, Projection._of(shape, orth(pushed))))
 
+    sampled = []  # (p, phi(p)), the halves probe first
     for p, q in probes:
-        res = _product_norm(phi(p), phi(q))
+        fp = phi(p)
+        sampled.append((p, fp))
+        res = _product_norm(fp, phi(q))
         if res > CHECK_TOL:
             # the pair's own product, so that a sampler fault shows as one
             return False, {
@@ -527,14 +531,13 @@ def preserves_orthogonality(
                 "q": projection_to_obj(q),
             }
 
-    # Non-orthogonal pairs must keep overlapping images.
-    for _ in range(samples):
-        p = random_projection(shape, rng)
-        q = random_projection(shape, rng)
+    # Non-orthogonal pairs must keep overlapping images: the random p's,
+    # taken cyclically, are independent Haar pairs.
+    for (p, fp), (q, fq) in zip(sampled[1:], sampled[2:] + sampled[1:2]):
         overlap = _product_norm(p, q)
         if overlap <= 1e-2:  # want a clear overlap to start from
             continue
-        res = _product_norm(phi(p), phi(q))
+        res = _product_norm(fp, fq)
         if res <= CHECK_TOL:
             return False, {
                 "kind": "overlapping-pair-mapped-to-orthogonal",

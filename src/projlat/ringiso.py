@@ -87,10 +87,10 @@ def _check_real_linear(
     shape: AlgebraShape,
     rng: np.random.Generator,
     samples: int,
-) -> float:
-    """Worst sampled residual of psi_full(r x + s y) = r psi_full(x) +
-    s psi_full(y); each must hold within CHECK_TOL (1 + |r| + |s|)."""
-    worst = 0.0
+) -> list[tuple[Element, Element, Element, Element]]:
+    """The sampled pairs (x, y, psi_full(x), psi_full(y)), on each of
+    which psi_full(r x + s y) = r psi_full(x) + s psi_full(y) held."""
+    pairs = []
     scalars = [0.5, -3.0, float(np.sqrt(2.0)), float(np.pi) / 3.0]
     for k in range(samples):
         x = random_element(shape, rng, norm_bound=2.0)
@@ -99,13 +99,14 @@ def _check_real_linear(
             r, s = scalars[k], -scalars[-1 - k]
         else:
             r, s = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
-        res = distance(psi_full(r * x + s * y), r * psi_full(x) + s * psi_full(y))
-        worst = max(worst, res)
+        fx, fy = psi_full(x), psi_full(y)
+        res = distance(psi_full(r * x + s * y), r * fx + s * fy)
         if res > CHECK_TOL * (1.0 + abs(r) + abs(s)):
             raise NotRealLinear(
                 f"additivity over real scalars fails (residual {res:.3e})"
             )
-    return worst
+        pairs.append((x, y, fx, fy))
+    return pairs
 
 
 def inner_factor(
@@ -120,9 +121,11 @@ def inner_factor(
     to the target block that receives the block's central projection;
     y conjugates it onto psi_full.  y is normalized so its largest
     entry is real positive (it is only determined up to a central
-    scalar).  Real-linearity holds within CHECK_TOL, multiplicativity
-    within 10 CHECK_TOL.  One round of max_b n_b + 2 calls of psi_full
-    (maps._skolem_noether) then reads the target shape, psi0 and y.
+    scalar).  Real-linearity holds within CHECK_TOL (1 + |r| + |s|) on
+    max(4, samples) pairs, and multiplicativity within 10 CHECK_TOL on
+    the first max(4, samples // 2) of them, reusing their images.  One
+    round of max_b n_b + 2 calls of psi_full (maps._skolem_noether)
+    then reads the target shape, psi0 and y.
 
     Raises:
         NotRealLinear: sampled real-linearity fails.
@@ -133,11 +136,9 @@ def inner_factor(
             isomorphism).
     """
     rng = rng_from(seed)
-    _check_real_linear(psi_full, shape, rng, max(4, samples))
-    for _ in range(max(4, samples // 2)):
-        x = random_element(shape, rng, norm_bound=2.0)
-        y = random_element(shape, rng, norm_bound=2.0)
-        res = distance(psi_full(x * y), psi_full(x) * psi_full(y))
+    pairs = _check_real_linear(psi_full, shape, rng, max(4, samples))
+    for x, y, fx, fy in pairs[: max(4, samples // 2)]:
+        res = distance(psi_full(x * y), fx * fy)
         if res > CHECK_TOL * 10:
             raise NotRingIso(f"multiplicativity fails (residual {res:.3e})")
 

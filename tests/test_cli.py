@@ -112,13 +112,26 @@ def test_verify_suite_skips_low_order_families(capsys):
     assert statuses["lattice-axioms"] == "PASS"
 
 
-def test_verify_suite_reports_are_stable_modulo_timing(capsys):
-    args = ["verify-suite", "--shape", "3", "--samples", "4", "--seed", "9", "--json"]
-    assert main(args) == 0
-    first = json.loads(capsys.readouterr().out)
-    assert main(args) == 0
-    second = json.loads(capsys.readouterr().out)
-    assert _strip_seconds(first) == _strip_seconds(second)
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["verify-suite", "--shape", "3", "--samples", "4", "--seed", "9"], 0),
+        (["coordinatize", "lattice-map"], 0),
+        # a generated lattice-map conjugates by a non-unitary, so dye refuses it
+        (["dye", "lattice-map"], 1),
+        (["factor", "ring-iso"], 0),
+    ],
+    ids=["verify-suite", "coordinatize", "dye-refusing", "factor"],
+)
+def test_verify_suite_reports_are_stable_modulo_timing(args, code, tmp_path, capsys):
+    if args[0] != "verify-suite":
+        path = _gen(tmp_path, args[1], "input.json", "--seed", "2")
+        args = [args[0], path, "--samples", "4"]
+    reports = []
+    for _ in range(2):
+        assert main([*args, "--json"]) == code
+        reports.append(_strip_seconds(json.loads(capsys.readouterr().out)))
+    assert reports[0] == reports[1]
 
 
 def test_config_records_the_tolerance_constants(capsys):

@@ -313,6 +313,7 @@ def test_conditioning_envelope_holds_on_six(c):
 _REFUSALS = (
     pl.NotOrderThree,
     pl.FrameAssemblyFailed,
+    pl.NotAGraphProjection,
     pl.SlotMismatch,
     pl.NotRingIso,
     pl.DegenerateWitness,
@@ -360,12 +361,37 @@ def test_a_map_that_switches_conjugations_by_rank_parity_is_refused():
     with pytest.raises(pl.IntertwiningFailure) as info:
         pl.coordinatize(pl.LatticeMap(S6, S6, apply), seed=1)
     assert info.value.residual > 0.5
+    # the message names the identity, not one half of its certificate
+    assert str(info.value) == (
+        f"range intertwining failed: ||phi(p) - range Psi(p)|| = {info.value.residual:.3e}"
+    )
+
+
+def test_a_map_that_keeps_only_the_frame_is_refused_as_no_graph():
+    """Ad(T1) on the seeded frame and its two unit graphs, Ad(T2)
+    elsewhere: normalization passes, and the first sampled slot-12
+    graph maps to no graph, a refusal coordinatize's docstring names."""
+    rng = np.random.default_rng(3)
+    t1, t2 = (pl.random_invertible(S6, rng, cond_max=10.0) for _ in range(2))
+    first, rest = pl.from_conjugation(t1), pl.from_conjugation(t2)
+    fr = Frame(pl.random_unitary(S6, np.random.default_rng(1)), 3)  # the frame seed 1 draws
+    one = Element.identity(fr.corner_shape)
+    kept = [*fr.projections, *(pl.graph_projection(fr, one, s) for s in ((0, 1), (0, 2)))]
+
+    def apply(p):
+        return (first if any(pl.distance(p, e) < 1e-9 for e in kept) else rest)(p)
+
+    with pytest.raises(_REFUSALS) as info:
+        pl.coordinatize(pl.LatticeMap(S6, S6, apply), seed=1)
+    assert type(info.value) is pl.NotAGraphProjection
+    assert str(info.value) == "slot 12: not a graph projection (residual 7.755e-01) on block 0"
 
 
 def test_intertwining_is_measured_on_the_documented_draws():
     """Both intertwining diagnostics are rebuilt from the seed: the
-    frame's unitary, the slot samples and the ring pairs, then per
-    sample a projection p and a support l(x p')."""
+    frame's unitary, the max(2, samples // 4) pairs of corner elements
+    that every corner check reads, then per sample a projection p and a
+    support l(x p')."""
     shape = AlgebraShape([3, 3])
     t = pl.random_invertible(shape, np.random.default_rng(8), cond_max=50.0)
     phi = pl.ConjugationRingIso(t, "conj", block_map=(1, 0)).lattice_map()
@@ -375,7 +401,7 @@ def test_intertwining_is_measured_on_the_documented_draws():
     rng = np.random.default_rng(seed)
     pl.random_unitary(shape, rng)
     corner = result.source_frame.corner_shape
-    for _ in range(3 * max(2, samples // 4)):  # slot samples, then ring pairs
+    for _ in range(2 * max(2, samples // 4)):  # the pairs of corner elements
         pl.random_element(corner, rng, norm_bound=2.0)
     proj = sup = 0.0
     for _ in range(samples):
@@ -385,6 +411,30 @@ def test_intertwining_is_measured_on_the_documented_draws():
         sup = max(sup, pl.distance(phi(q), psi_map(q)))
     assert result.diagnostics["projection_intertwining"] == proj
     assert result.diagnostics["support_intertwining"] == sup
+
+
+@pytest.mark.parametrize(
+    "blocks, samples, calls",
+    [([12], 8, 20), ([24], 8, 24), ([3] * 4, 8, 17), ([3] * 6, 8, 17), ([12], 12, 26)],
+)
+def test_each_corner_draw_is_mapped_once(blocks, samples, calls, monkeypatch):
+    """The corner-map calls of one coordinatize: normalization's two
+    slot units; per pair (x, y), psi(x) and psi(y), slots 13 and 23 at
+    x, psi(x + y) and psi(x y); the compilation's max_b n_b/3 + 2.  The
+    two-slot meets read the stored images and call nothing."""
+    shape = AlgebraShape(blocks)
+    t = pl.random_invertible(shape, np.random.default_rng(1), cond_max=50.0)
+    real, seen = _CornerMap.__call__, []
+
+    def counted(self, *args):
+        seen.append(args[1] if len(args) > 1 else (0, 1))
+        return real(self, *args)
+
+    monkeypatch.setattr(_CornerMap, "__call__", counted)
+    pl.coordinatize(pl.from_conjugation(t), samples=samples, seed=1)
+    pairs = max(2, samples // 4)
+    assert len(seen) == calls == 2 + 6 * pairs + max(blocks) // 3 + 2
+    assert seen.count((1, 2)) == pairs
 
 
 def test_psi_is_a_compiled_conjugation_ring_iso(rng):

@@ -171,6 +171,37 @@ def test_shear_witness_carries_the_probe_product(blocks, seed):
     assert abs((phi(p).element * phi(q).element).norm() - witness["residual"]) <= 1e-14
 
 
+@pytest.mark.parametrize("blocks", [[12], [3] * 6])
+def test_orthogonality_sampler_maps_each_projection_once(blocks):
+    """Two images per orthogonal pair, the halves probe included, and
+    none for the overlapping pairs, which are the sampled p's taken
+    cyclically."""
+    shape = AlgebraShape(blocks)
+    phi = pl.from_conjugation(pl.random_unitary(shape, np.random.default_rng(1)))
+    seen = []
+
+    def apply(p):
+        seen.append(p)
+        return phi(p)
+
+    ok, witness = pl.preserves_orthogonality(LatticeMap(shape, shape, apply), 12, 1)
+    assert ok and witness is None
+    assert len(seen) == 26
+
+
+def test_zero_map_sends_an_overlapping_pair_to_orthogonal_images():
+    shape = AlgebraShape([6])
+    zero = LatticeMap(shape, shape, lambda p: pl.Projection.zero(shape), Opaque("zero"))
+    ok, witness = pl.preserves_orthogonality(zero, 8, 0)
+    assert not ok and witness["kind"] == "overlapping-pair-mapped-to-orthogonal"
+    # the witness replays: the pair overlaps densely as claimed, and
+    # its images are zero
+    p, q = pl.projection_from_obj(witness["p"]), pl.projection_from_obj(witness["q"])
+    assert witness["overlap"] > 1e-2
+    assert abs((p.element * q.element).norm() - witness["overlap"]) <= 1e-12
+    assert witness["residual"] == 0.0
+
+
 def test_rank_one_permutation_passes_sampling_but_is_out_of_scope(rng):
     """On a single 2x2 block every bijection of the rank-one projections
     extends to a lattice automorphism, induced by nothing.  Sampled

@@ -122,6 +122,26 @@ def test_inner_factor_rejects_nonadditive(rng):
         pl.inner_factor(lambda x: x * x.norm(), S3)
 
 
+@pytest.mark.parametrize("samples, calls", [(4, 34), (16, 86)])
+def test_multiplicativity_reads_the_real_linearity_pairs(samples, calls):
+    """psi is called three times per real-linearity pair, once per
+    multiplicativity pair (psi(x y)), max_b n_b + 2 times by the
+    Skolem-Noether round and once per residual draw."""
+    shape = AlgebraShape([12])
+    iso = pl.ConjugationRingIso(
+        pl.random_invertible(shape, np.random.default_rng(1), cond_max=50.0), "conj"
+    )
+    seen = []
+
+    def psi(x):
+        seen.append(x)
+        return iso(x)
+
+    fac = pl.inner_factor(psi, shape, samples=samples, seed=1)
+    assert fac.iso.sigma == ("conj",)
+    assert len(seen) == calls == 3 * max(4, samples) + max(4, samples // 2) + 14 + samples
+
+
 def test_factorization_survives_serialization(rng):
     t = pl.random_invertible(S3, rng, cond_max=10.0)
     fac = pl.inner_factor(_ad(t), S3)
