@@ -28,9 +28,11 @@ from .core import (
     AlgebraShape,
     Element,
     Projection,
+    _batch,
+    _distances,
+    _left_supports,
     distance,
     invert,
-    left_support,
 )
 from .errors import (
     FrameAssemblyFailed,
@@ -51,7 +53,14 @@ from .maps import (
     compose,
     from_conjugation,
 )
-from .sampling import random_element, random_projection, random_unitary, rng_from
+from .sampling import (
+    _draw_projection,
+    _orthonormalize,
+    random_element,
+    random_projection,
+    random_unitary,
+    rng_from,
+)
 
 __all__ = [
     "CoordinatizationResult",
@@ -344,31 +353,51 @@ def _verify(
         mul_res = max(mul_res, distance(psi(x * y), fx * fy))
         lhs = phi_norm(_two_slot(fr, x, y))
         two_slot = max(two_slot, distance(lhs, _two_slot(target, fx, fy)))
-    unit_res = distance(Psi(Element.identity(src)), Element.identity(tgt))
 
-    # The theorem's identity phi(p) = range Psi(p), at rank-deficient
-    # projections: random ones, and supports l(x p'), for which
-    # l(Psi(x p')) = range Psi(l(x p')) holds exactly.
-    psi_map = Psi.lattice_map()
-    proj_res = sup_res = 0.0
-    for _ in range(samples):
-        p = random_projection(src, rng)
-        proj_res = max(proj_res, distance(phi(p), psi_map(p)))
-        q = left_support(random_element(src, rng) * random_projection(src, rng))
-        sup_res = max(sup_res, distance(phi(q), psi_map(q)))
-
+    proj_res, sup_res = _intertwining(phi, Psi, samples, rng)
     worst = max(sup_res, proj_res)
     if worst > 1e-3:
         raise IntertwiningFailure(worst)
 
     return {
-        "unit": float(unit_res),
+        "unit": float(distance(Psi(Element.identity(src)), Element.identity(tgt))),
         "additivity": float(add_res),
         "multiplicativity": float(mul_res),
         "support_intertwining": float(sup_res),
         "projection_intertwining": float(proj_res),
         "two_slot_meet": float(two_slot),
     }
+
+
+def _intertwining(
+    phi: LatticeMap, Psi: ConjugationRingIso, samples: int, rng: np.random.Generator
+) -> tuple[float, float]:
+    """The theorem's identity phi(p) = range Psi(p), at rank-deficient
+    projections: the worst ||phi(.) - Psi.lattice_map()(.)|| over
+    `samples` random projections p, and over the supports l(x p') of
+    `samples` random elements x times random projections p', for which
+    l(Psi(x p')) = range Psi(l(x p')) holds exactly.
+
+    Every draw comes first, per sample p, x and p', then each
+    factorization runs once per stack across all samples: one QR per
+    size and rank for the p's and p''s, one product and one thin SVD
+    per size for the supports, one QR per size and rank for Psi's
+    images, one SVD per size for the distances.  phi is called once per
+    probe.
+    """
+    if samples < 1:
+        return 0.0, 0.0
+    src = phi.source
+    draws, xs = [], []
+    for _ in range(samples):
+        draws.append(_draw_projection(src, rng))
+        xs.append(random_element(src, rng))
+        draws.append(_draw_projection(src, rng))
+    ps = _orthonormalize(src, draws)
+    products = [np.matmul(*g) for g in zip(_batch(src, xs), _batch(src, ps[1::2]))]
+    probes = ps[0::2] + _left_supports(src, products)
+    res = _distances(zip(map(phi, probes), Psi._images(probes)))
+    return max(res[:samples]), max(res[samples:])
 
 
 def _two_slot(frame: Frame, x: Element, y: Element) -> Projection:
@@ -392,8 +421,6 @@ def uniqueness_residual(
     certificate; the witness records the first offending input.
     """
     rng = rng_from(seed)
-    residual = 0.0
-    support_ok, support_res, witness = True, 0.0, None
     probes = [Element.identity(shape)]
     for _ in range(samples):
         probes.append(random_element(shape, rng))
@@ -401,18 +428,16 @@ def uniqueness_residual(
     # inputs, so a few projections are needed to give it teeth
     for _ in range(max(4, samples // 4)):
         probes.append(random_projection(shape, rng).element)
-    for k, x in enumerate(probes):
-        y = psi_full(x)
-        d = distance(left_support(y), left_support(x))
-        support_res = max(support_res, d)
-        if d > PROJ_TOL and support_ok:
-            support_ok = False
-            witness = {"sample": k, "support_distance": float(d)}
-        residual = max(residual, distance(y, x))
+    images = [psi_full(x) for x in probes]
+    count = len(probes)
+    supports = _left_supports(shape, _batch(shape, images + probes))
+    dists = _distances(zip(supports[:count] + images, supports[count:] + probes))
+    support_d, residuals = dists[:count], dists[count:]
+    bad = [k for k, d in enumerate(support_d) if d > PROJ_TOL]
     return UniquenessReport(
-        residual=float(residual),
-        support_ok=support_ok,
-        support_residual=float(support_res),
-        witness=witness,
-        samples=len(probes),
+        residual=float(max(residuals)),
+        support_ok=not bad,
+        support_residual=float(max(support_d)),
+        witness={"sample": bad[0], "support_distance": float(support_d[bad[0]])} if bad else None,
+        samples=count,
     )

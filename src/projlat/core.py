@@ -330,8 +330,56 @@ def _coerce(value):
 
 def distance(x, y) -> float:
     """Operator-norm distance, accepting elements or projections."""
-    a, b = _coerce(x), _coerce(y)
-    return (a - b).norm()
+    return _distances([(x, y)])[0]
+
+
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _dense(v) -> list[np.ndarray]:
+    """The dense stacks of an element or projection, one per size group.
+    A projection whose element is not built yet gets fresh writable
+    stacks, u u* per group as in Projection.element, and keeps none."""
+    if isinstance(v, Projection) and v._element is None:
+        return _regroup([(idx, u @ _ct(u)) for idx, u in v._pieces()], v.shape._groups)
+    return list(_coerce(v)._stacks)
+
+
+def _batch(shape: AlgebraShape, values) -> list[np.ndarray]:
+    """A batch: the dense stacks of values of one shape concatenated per
+    size group, value by value, so group g holds k_g slices per value."""
+    stacks = []
+    for v in values:
+        if v.shape != shape:
+            raise ShapeMismatch(f"shapes differ: {shape} vs {v.shape}")
+        stacks.append(_dense(v))
+    return [_stack(g) for g in zip(*stacks)]
+
+
+def _tops(shape: AlgebraShape, s: Sequence[np.ndarray]) -> list[float]:
+    """Each value's largest singular value, from the singular values s of
+    a batch's groups."""
+    per_group = [a[:, 0].reshape(-1, len(idx)).max(axis=1) for a, idx in zip(s, shape._groups)]
+    return np.max(per_group, axis=0).tolist()
+
+
+def _distances(pairs) -> list[float]:
+    """distance(x, y) for each pair, all of one shape: one SVD per size
+    group across all pairs.  Pairs are read one at a time and only their
+    differences are kept, each subtracted in place where x's dense
+    stacks are fresh."""
+    diffs, shape = [], None
+    for x, y in pairs:
+        shape = shape or x.shape
+        if x.shape != shape or y.shape != shape:
+            raise ShapeMismatch(f"shapes differ: {x.shape} vs {y.shape}")
+        a, b = _dense(x), _dense(y)
+        diffs.append([_freeze(np.subtract(s, t, out=s if s.flags.writeable else None))
+                      for s, t in zip(a, b)])
+    if not diffs:
+        return []
+    return _tops(shape, [_singular_values(_stack(g)) for g in zip(*diffs)])
 
 
 def _fits_basis(s: tuple, n: int) -> bool:
@@ -371,8 +419,7 @@ class Projection(_Blocks):
     @property
     def element(self) -> Element:
         if self._element is None:
-            dense = [(idx, u @ _ct(u)) for idx, u in self._pieces()]
-            self._element = Element._of(self.shape, dense)
+            self._element = Element._of(self.shape, list(zip(self.shape._groups, _dense(self))))
         return self._element
 
     @classmethod
@@ -447,13 +494,23 @@ def left_support(x: Element) -> Projection:
     the same thin SVDs that give the bases, so each stack costs one SVD.
     """
     x = _coerce(x)
-    svds = [(idx, _thin_svd(a)) for idx, a in x._pieces()]
-    cutoff = RANK_REL * max(s[:, 0].max() for _, (_, s, _) in svds)
-    pieces = []
-    for idx, (u, s, _) in svds:
-        for r, pos, sub in _split(idx, s > cutoff):
-            pieces.append((sub, u[pos, :, :r]))
-    return Projection._of(x.shape, pieces)
+    return _left_supports(x.shape, x._stacks)[0]
+
+
+def _left_supports(shape: AlgebraShape, batch: Sequence[np.ndarray]) -> list[Projection]:
+    """left_support of each element of a batch (see _batch): one thin SVD
+    per size group across all of them, each element keeping its own
+    cutoff RANK_REL * sigma_max."""
+    svds = [_thin_svd(a) for a in batch]
+    out = []
+    for j, top in enumerate(_tops(shape, [s for _, s, _ in svds])):
+        cutoff, pieces = RANK_REL * top, []
+        for idx, (u, s, _) in zip(shape._groups, svds):
+            at = slice(j * len(idx), (j + 1) * len(idx))
+            for r, pos, sub in _split(idx, s[at] > cutoff):
+                pieces.append((sub, u[at][pos, :, :r]))
+        out.append(Projection._of(shape, pieces))
+    return out
 
 
 def right_support(x: Element) -> Projection:

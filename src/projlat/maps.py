@@ -27,6 +27,7 @@ from .core import (
     _regroup,
     _require_invertible,
     _singular_values,
+    _stack,
     distance,
     left_support,
 )
@@ -200,32 +201,43 @@ class ConjugationRingIso:
         return ConjugationRingIso(Element._of(self.source, tinvs), sigma, back)
 
     def lattice_map(self) -> LatticeMap:
-        """The induced map p -> projection onto T sigma(range p).
+        """The induced map p -> projection onto T sigma(range p), its
+        images read by _images."""
+        return LatticeMap(self.source, self.T.shape, lambda p: self._images([p])[0], self)
 
-        The image basis is the Q factor of one QR of T sigma(U) per
-        stack, U the range basis of p, with no rank cutoff: T passed the
+    def _images(self, ps) -> list[Projection]:
+        """The lattice map's image of each projection of ps.
+
+        An image basis is the Q factor of the QR of T sigma(U), U the
+        range basis of p, with no rank cutoff: T passed the
         invertibility check, so the map keeps every rank exactly, as a
-        lattice isomorphism must."""
-        target = self.T.shape
+        lattice isomorphism must.  The blocks of one size and rank across
+        all of ps go through one product and one QR."""
 
         def route(idx: tuple) -> tuple:
             return tuple(self.block_map[b] for b in idx)
 
-        def apply(p: Projection) -> Projection:
+        groups: dict[tuple, list] = {}
+        for j, p in enumerate(ps):
             ts = _regroup(self.T._pieces(), [route(idx) for idx in p._groups])
-            bases = []
             for (idx, u), t in zip(p._pieces(), ts):
-                # No rank to decide: each T_b passed _require_invertible,
-                # so s_min(T_b) > RANK_REL s_max(T_b).
-                # For orthonormal U the singular values of T_b sigma(U)
-                # lie in [s_min(T_b), s_max(T_b)], so orth's relative
-                # cut would keep all r columns anyway.
-                if u.shape[2]:
-                    u = np.linalg.qr(t @ _sigma(u.copy(), self._mask(idx)))[0]
-                bases.append((route(idx), u))
-            return Projection._of(target, bases)
-
-        return LatticeMap(self.source, target, apply, self)
+                groups.setdefault(u.shape[1:], []).append((j, idx, t, u))
+        pieces: list[list] = [[] for _ in ps]
+        for (_, r), members in groups.items():
+            # No rank to decide: each T_b passed _require_invertible,
+            # so s_min(T_b) > RANK_REL s_max(T_b).
+            # For orthonormal U the singular values of T_b sigma(U)
+            # lie in [s_min(T_b), s_max(T_b)], so orth's relative
+            # cut would keep all r columns anyway.
+            if r:
+                u = np.concatenate([u for _, _, _, u in members])
+                mask = np.concatenate([self._mask(idx) for _, idx, _, _ in members])
+                q = np.linalg.qr(_stack([t for _, _, t, _ in members]) @ _sigma(u, mask))[0]
+            at = 0
+            for j, idx, _, u in members:
+                pieces[j].append((route(idx), q[at : at + len(idx)] if r else u))
+                at += len(idx)
+        return [Projection._of(self.T.shape, p) for p in pieces]
 
 
 def _skolem_noether(psi: Callable[[Element], Element], shape: AlgebraShape) -> ConjugationRingIso:

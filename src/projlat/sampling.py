@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AlgebraShape, Element, Projection
+from .core import AlgebraShape, Element, Projection, _layout
 
 __all__ = [
     "rng_from",
@@ -61,17 +61,35 @@ def random_hermitian(shape: AlgebraShape, rng) -> Element:
 
 def random_projection(shape: AlgebraShape, rng, ranks=None) -> Projection:
     """Haar-distributed range of a given (or uniformly drawn) rank profile."""
-    rng = rng_from(rng)
+    return _orthonormalize(shape, [_draw_projection(shape, rng_from(rng), ranks)])[0]
+
+
+def _draw_projection(shape: AlgebraShape, rng: np.random.Generator, ranks=None) -> tuple:
+    """The draws of one random projection, (ranks, one Gaussian (n, r)
+    block per block), in random_projection's rng order."""
     if ranks is None:
         ranks = [int(rng.integers(0, n + 1)) for n in shape.blocks]
-    bases = []
-    for n, r in zip(shape.blocks, ranks):
-        if r == 0:
-            bases.append(np.zeros((n, 0), dtype=np.complex128))
-            continue
-        q, _ = np.linalg.qr(_cgauss(rng, n, r))
-        bases.append(q)
-    return Projection.from_basis(shape, bases)
+    return tuple(ranks), [_cgauss(rng, n, r) if r else None for n, r in zip(shape.blocks, ranks)]
+
+
+def _orthonormalize(shape: AlgebraShape, draws) -> list[Projection]:
+    """One projection per draw of _draw_projection, onto the span of its
+    Gaussian blocks: the Q factors of one QR per group of blocks of one
+    size and rank across all draws, which numpy computes slice by slice
+    with the same bits as one QR per block."""
+    groups: dict[tuple, list] = {}
+    for d, (ranks, _) in enumerate(draws):
+        for idx in _layout(shape, ranks):
+            groups.setdefault((shape.blocks[idx[0]], ranks[idx[0]]), []).append((d, idx))
+    pieces: list[list] = [[] for _ in draws]
+    for (n, r), members in groups.items():
+        blocks = [draws[d][1][i] for d, idx in members for i in idx]
+        q = np.linalg.qr(np.array(blocks))[0] if r else np.zeros((len(blocks), n, 0), complex)
+        at = 0
+        for d, idx in members:
+            pieces[d].append((idx, q[at : at + len(idx)]))
+            at += len(idx)
+    return [Projection._of(shape, p) for p in pieces]
 
 
 def random_pair_with_trivial_meet(
@@ -143,15 +161,24 @@ def random_pair_with_angles(
     )
 
 
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex Gaussian (n, n) matrices, one or a
+    stack: Q of the QR, its columns rephased by R's diagonal."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(_cgauss(rng, n, n))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar(_cgauss(rng, n, n))
 
 
 def random_unitary(shape: AlgebraShape, rng) -> Element:
+    """Haar unitary blocks, drawn in block order; one QR per block size."""
     rng = rng_from(rng)
-    return Element(shape, [_haar_unitary(rng, n) for n in shape.blocks])
+    g = [_cgauss(rng, n, n) for n in shape.blocks]
+    stacks = [_haar(np.array([g[i] for i in idx])) for idx in shape._groups]
+    return Element._of(shape, list(zip(shape._groups, stacks)))
 
 
 def random_invertible(
