@@ -12,8 +12,10 @@ phi(l(x)) = l(Psi(x)) is psi reassembled entrywise; it is compiled
 once, by Skolem-Noether on the corner algebra, to a ConjugationRingIso.
 The certificate is the theorem's own identity, phi(p) = range Psi(p),
 measured by seeded sampling against the compiled Psi's lattice map on
-rank-deficient projections; the ring axioms are sampled on psi, one
-corner at a time.  The diagnostics travel with the result.
+rank-deficient projections: every sample is drawn first, then each
+factorization runs once per stack across all samples, and phi is
+called once per probe.  The ring axioms are sampled on psi, one corner
+at a time.  The diagnostics travel with the result.
 """
 
 from __future__ import annotations
@@ -204,7 +206,9 @@ def coordinatize(
     theorem's identity: at `samples` random projections p, and at the
     supports l(x p') of `samples` random elements x times random
     projections p', phi(p) must be within 1e-3 of Psi.lattice_map()(p),
-    the projection onto range Psi(p).  The draws are rank-deficient, so
+    the projection onto range Psi(p).  All of these draws come first,
+    then each QR and SVD runs once per stack across the samples, and
+    phi is called once per probe.  The draws are rank-deficient, so
     the identity is not vacuous, and Psi is never re-derived from the
     lattice at a full point.  The ring axioms and the two-slot meet read
     the stored pairs, so the two-slot pair count follows samples, and
@@ -333,10 +337,12 @@ def _verify(
 ) -> dict:
     """The sampled certificate of a compiled Psi: the ring axioms and
     the two-slot meet identity on the slot stage's pairs (x, y, psi(x),
-    psi(y)), which cost psi(x + y) and psi(x y) and nothing else, then,
-    drawn per sample, a random projection p and the support q = l(x p')
-    of a random element x times a random projection p', each giving
-    ||phi(.) - Psi.lattice_map()(.)||.  Psi's unit is read on Psi itself.
+    psi(y)), which cost psi(x + y) and psi(x y) and nothing else, then
+    the intertwining distances ||phi(.) - Psi.lattice_map()(.)|| at
+    `samples` random projections p and supports q = l(x p'), all drawn
+    first and factorized once per stack (_intertwining), and last Psi's
+    unit, read on Psi itself once the intertwining stage has let go of
+    its stacks.
 
     Raises:
         IntertwiningFailure: the worst intertwining distance exceeds

@@ -11,6 +11,12 @@ per block.  Where a rank cutoff splits a group, :func:`_regroup` cuts
 the results into the new value's stacks.  Everything is pure: results
 are fresh values whose arrays are read-only and checked finite.
 
+Many values of one shape can go through one call per stack as well: a
+batch concatenates their stacks per size group, value by value, and
+:func:`_left_supports` and :func:`_distances` take one SVD per group
+of a batch, each value keeping its own cutoff.  left_support and
+distance are their one-value cases.
+
 Supports, polar parts and the center-valued norm are computed per block
 with a relative singular-value cutoff: singular values at or below
 ``RANK_REL * sigma_max`` count as zero.  The cutoff is what makes ranks
@@ -360,8 +366,9 @@ def _batch(shape: AlgebraShape, values) -> list[np.ndarray]:
 def _tops(shape: AlgebraShape, s: Sequence[np.ndarray]) -> list[float]:
     """Each value's largest singular value, from the singular values s of
     a batch's groups."""
-    per_group = [a[:, 0].reshape(-1, len(idx)).max(axis=1) for a, idx in zip(s, shape._groups)]
-    return np.max(per_group, axis=0).tolist()
+    cols = [(a[:, 0].tolist(), len(idx)) for a, idx in zip(s, shape._groups)]
+    count = len(cols[0][0]) // cols[0][1]
+    return [max(max(c[j * k : (j + 1) * k]) for c, k in cols) for j in range(count)]
 
 
 def _distances(pairs) -> list[float]:
@@ -369,17 +376,19 @@ def _distances(pairs) -> list[float]:
     group across all pairs.  Pairs are read one at a time and only their
     differences are kept, each subtracted in place where x's dense
     stacks are fresh."""
-    diffs, shape = [], None
+    diffs = []
     for x, y in pairs:
-        shape = shape or x.shape
-        if x.shape != shape or y.shape != shape:
+        if x.shape != y.shape or diffs and x.shape != shape:
             raise ShapeMismatch(f"shapes differ: {x.shape} vs {y.shape}")
-        a, b = _dense(x), _dense(y)
-        diffs.append([_freeze(np.subtract(s, t, out=s if s.flags.writeable else None))
-                      for s, t in zip(a, b)])
+        shape = x.shape
+        diffs.append([
+            _freeze(np.subtract(a, b, out=a) if a.flags.writeable else a - b)
+            for a, b in zip(_dense(x), _dense(y))
+        ])
     if not diffs:
         return []
-    return _tops(shape, [_singular_values(_stack(g)) for g in zip(*diffs)])
+    batch = diffs[0] if len(diffs) == 1 else [np.concatenate(g) for g in zip(*diffs)]
+    return _tops(shape, [_singular_values(a) for a in batch])
 
 
 def _fits_basis(s: tuple, n: int) -> bool:
@@ -419,7 +428,9 @@ class Projection(_Blocks):
     @property
     def element(self) -> Element:
         if self._element is None:
-            self._element = Element._of(self.shape, list(zip(self.shape._groups, _dense(self))))
+            x = Element.__new__(Element)
+            x._put(self.shape, self.shape.blocks, self.shape._groups, _dense(self))
+            self._element = x
         return self._element
 
     @classmethod

@@ -214,14 +214,12 @@ class ConjugationRingIso:
         lattice isomorphism must.  The blocks of one size and rank across
         all of ps go through one product and one QR."""
 
-        def route(idx: tuple) -> tuple:
-            return tuple(self.block_map[b] for b in idx)
-
+        bm = self.block_map
         groups: dict[tuple, list] = {}
         for j, p in enumerate(ps):
-            ts = _regroup(self.T._pieces(), [route(idx) for idx in p._groups])
-            for (idx, u), t in zip(p._pieces(), ts):
-                groups.setdefault(u.shape[1:], []).append((j, idx, t, u))
+            routed = [tuple([bm[b] for b in idx]) for idx in p._groups]
+            for (idx, u), t, out in zip(p._pieces(), _regroup(self.T._pieces(), routed), routed):
+                groups.setdefault(u.shape[1:], []).append((j, idx, out, t, u))
         pieces: list[list] = [[] for _ in ps]
         for (_, r), members in groups.items():
             # No rank to decide: each T_b passed _require_invertible,
@@ -230,13 +228,16 @@ class ConjugationRingIso:
             # lie in [s_min(T_b), s_max(T_b)], so orth's relative
             # cut would keep all r columns anyway.
             if r:
-                u = np.concatenate([u for _, _, _, u in members])
-                mask = np.concatenate([self._mask(idx) for _, idx, _, _ in members])
-                q = np.linalg.qr(_stack([t for _, _, t, _ in members]) @ _sigma(u, mask))[0]
-            at = 0
-            for j, idx, _, u in members:
-                pieces[j].append((route(idx), q[at : at + len(idx)] if r else u))
-                at += len(idx)
+                _, idxs, _, ts, us = zip(*members)
+                u = np.concatenate(us) if len(us) > 1 else us[0].copy()
+                q = np.linalg.qr(_stack(ts) @ _sigma(u, self._mask(sum(idxs, ()))))[0]
+                at = 0
+                for j, idx, out, _, _ in members:
+                    pieces[j].append((out, q[at : at + len(idx)]))
+                    at += len(idx)
+            else:
+                for j, _, out, _, u in members:
+                    pieces[j].append((out, u))
         return [Projection._of(self.T.shape, p) for p in pieces]
 
 
