@@ -13,9 +13,10 @@ are fresh values whose arrays are read-only and checked finite.
 
 Many values of one shape can go through one call per stack as well: a
 batch concatenates their stacks per size group, value by value, and
-:func:`_left_supports` and :func:`_distances` take one SVD per group
-of a batch, each value keeping its own cutoff.  left_support and
-distance are their one-value cases.
+:func:`_left_supports` and :func:`_norms` take one SVD per group of a
+batch, each value keeping its own cutoff.  left_support and distance
+are their one-value cases; :func:`_distances` batches the differences
+of many pairs.
 
 Supports, polar parts and the center-valued norm are computed per block
 with a relative singular-value cutoff: singular values at or below
@@ -336,7 +337,9 @@ def _coerce(value):
 
 def distance(x, y) -> float:
     """Operator-norm distance, accepting elements or projections."""
-    return _distances([(x, y)])[0]
+    if x.shape != y.shape:
+        raise ShapeMismatch(f"shapes differ: {x.shape} vs {y.shape}")
+    return _norms(x.shape, _difference(x, y))[0]
 
 
 def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -363,32 +366,43 @@ def _batch(shape: AlgebraShape, values) -> list[np.ndarray]:
     return [_stack(g) for g in zip(*stacks)]
 
 
+def _norms(shape: AlgebraShape, batch: Sequence[np.ndarray]) -> list[float]:
+    """The operator norm of each element of a batch: one SVD per size
+    group."""
+    return _tops(shape, [_singular_values(a) for a in batch])
+
+
 def _tops(shape: AlgebraShape, s: Sequence[np.ndarray]) -> list[float]:
     """Each value's largest singular value, from the singular values s of
     a batch's groups."""
-    cols = [(a[:, 0].tolist(), len(idx)) for a, idx in zip(s, shape._groups)]
-    count = len(cols[0][0]) // cols[0][1]
-    return [max(max(c[j * k : (j + 1) * k]) for c, k in cols) for j in range(count)]
+    tops = None
+    for a, idx in zip(s, shape._groups):
+        col, k = a[:, 0].tolist(), len(idx)
+        group = [max(col[i : i + k]) for i in range(0, len(col), k)]
+        tops = group if tops is None else list(map(max, tops, group))
+    return tops
+
+
+def _difference(x, y) -> list[np.ndarray]:
+    """The dense stacks of x - y, checked finite, subtracted in place
+    into x's where _dense built them fresh."""
+    a, b = _dense(x), _dense(y)
+    if isinstance(x, Projection) and x._element is None:
+        return [_freeze(np.subtract(s, t, out=s)) for s, t in zip(a, b)]
+    return [_freeze(s - t) for s, t in zip(a, b)]
 
 
 def _distances(pairs) -> list[float]:
     """distance(x, y) for each pair, all of one shape: one SVD per size
     group across all pairs.  Pairs are read one at a time and only their
-    differences are kept, each subtracted in place where x's dense
-    stacks are fresh."""
+    differences are kept."""
     diffs = []
     for x, y in pairs:
         if x.shape != y.shape or diffs and x.shape != shape:
             raise ShapeMismatch(f"shapes differ: {x.shape} vs {y.shape}")
         shape = x.shape
-        diffs.append([
-            _freeze(np.subtract(a, b, out=a) if a.flags.writeable else a - b)
-            for a, b in zip(_dense(x), _dense(y))
-        ])
-    if not diffs:
-        return []
-    batch = diffs[0] if len(diffs) == 1 else [np.concatenate(g) for g in zip(*diffs)]
-    return _tops(shape, [_singular_values(a) for a in batch])
+        diffs.append(_difference(x, y))
+    return _norms(shape, [np.concatenate(g) for g in zip(*diffs)]) if diffs else []
 
 
 def _fits_basis(s: tuple, n: int) -> bool:

@@ -213,7 +213,6 @@ class ConjugationRingIso:
         invertibility check, so the map keeps every rank exactly, as a
         lattice isomorphism must.  The blocks of one size and rank across
         all of ps go through one product and one QR."""
-
         bm = self.block_map
         groups: dict[tuple, list] = {}
         for j, p in enumerate(ps):
