@@ -379,31 +379,34 @@ def _intertwining(
     phi: LatticeMap, Psi: ConjugationRingIso, samples: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     """The theorem's identity phi(p) = range Psi(p), at rank-deficient
-    projections: the worst ||phi(.) - Psi.lattice_map()(.)|| over
-    `samples` random projections p, and over the supports l(x p') of
-    `samples` random elements x times random projections p', for which
-    l(Psi(x p')) = range Psi(l(x p')) holds exactly.
-
-    Every draw comes first, per sample p, x and p', then each
-    factorization runs once per stack across all samples: one QR per
-    size and rank for the p's and p''s, one product and one thin SVD
-    per size for the supports, one QR per size and rank for Psi's
-    images, one SVD per size for the distances.  phi is called once per
-    probe.
+    projections: the worst ||phi(.) - Psi.lattice_map()(.)|| over the
+    `samples` random projections and over the `samples` supports that
+    _probes draws, for which l(Psi(x p')) = range Psi(l(x p')) holds
+    exactly.  Psi's images take one QR per size and rank and the
+    distances one SVD per size, across all probes; phi is called once
+    per probe.
     """
     if samples < 1:
         return 0.0, 0.0
-    src = phi.source
-    draws, xs = [], []
-    for _ in range(samples):
-        draws.append(_draw_projection(src, rng))
-        xs.append(random_element(src, rng))
-        draws.append(_draw_projection(src, rng))
-    ps = _orthonormalize(src, draws)
-    products = [np.matmul(*g) for g in zip(_batch(src, xs), _batch(src, ps[1::2]))]
-    probes = ps[0::2] + _left_supports(src, products)
+    probes = _probes(phi.source, samples, rng)
     res = _distances(zip(map(phi, probes), Psi._images(probes)))
     return max(res[:samples]), max(res[samples:])
+
+
+def _probes(shape: AlgebraShape, samples: int, rng: np.random.Generator) -> list[Projection]:
+    """The certificate's probes: every sample's draws come first, a
+    random projection p, a random element x and a random projection p',
+    then one QR per size and rank orthonormalizes the p's and p''s, and
+    one product and one thin SVD per size give the supports l(x p').
+    Returns the p's, then the supports."""
+    draws, xs = [], []
+    for _ in range(samples):
+        draws.append(_draw_projection(shape, rng))
+        xs.append(random_element(shape, rng))
+        draws.append(_draw_projection(shape, rng))
+    ps = _orthonormalize(shape, draws)
+    products = [np.matmul(*g) for g in zip(_batch(shape, xs), _batch(shape, ps[1::2]))]
+    return ps[0::2] + _left_supports(shape, products)
 
 
 def _two_slot(frame: Frame, x: Element, y: Element) -> Projection:

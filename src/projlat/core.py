@@ -386,10 +386,9 @@ def _tops(shape: AlgebraShape, s: Sequence[np.ndarray]) -> list[float]:
 def _difference(x, y) -> list[np.ndarray]:
     """The dense stacks of x - y, checked finite, subtracted in place
     into x's where _dense built them fresh."""
-    a, b = _dense(x), _dense(y)
     if isinstance(x, Projection) and x._element is None:
-        return [_freeze(np.subtract(s, t, out=s)) for s, t in zip(a, b)]
-    return [_freeze(s - t) for s, t in zip(a, b)]
+        return [_freeze(np.subtract(s, t, out=s)) for s, t in zip(_dense(x), _dense(y))]
+    return [_freeze(s - t) for s, t in zip(_coerce(x)._stacks, _dense(y))]
 
 
 def _distances(pairs) -> list[float]:
