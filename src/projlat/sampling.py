@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import AlgebraShape, Element, Projection, _layout
+from .errors import ShapeMismatch
 
 __all__ = [
     "rng_from",
@@ -69,6 +70,8 @@ def _draw_projection(shape: AlgebraShape, rng: np.random.Generator, ranks=None) 
     block per block), in random_projection's rng order."""
     if ranks is None:
         ranks = [int(rng.integers(0, n + 1)) for n in shape.blocks]
+    if len(ranks) < len(shape.blocks):
+        raise ShapeMismatch(f"shape {shape} wants {len(shape.blocks)} ranks, got {len(ranks)}")
     return tuple(ranks), [_cgauss(rng, n, r) if r else None for n, r in zip(shape.blocks, ranks)]
 
 

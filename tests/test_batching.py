@@ -13,6 +13,7 @@ import projlat as pl
 from projlat import AlgebraShape, ConjugationRingIso, Element, Frame, Projection
 from projlat.core import _ct
 from projlat.graphs import _slot, graph_projection, recover_operator
+from projlat.sampling import _cgauss, _haar_unitary
 
 MIXED = [AlgebraShape([3, 2, 3, 3]), AlgebraShape([1, 3, 3])]
 MIXED_IDS = ["3+2+3+3", "1+3+3"]
@@ -107,6 +108,45 @@ def test_join_and_meet_equal_blockwise(shape):
                 op(p, q).basis,
                 [op(block_projection(p, b), block_projection(q, b)).basis[0] for b in range(k)],
             )
+
+
+SAMPLED = MIXED + [FRAMED]
+SAMPLED_IDS = MIXED_IDS + ["3+6+3+3"]
+
+
+@pytest.mark.parametrize("shape", SAMPLED, ids=SAMPLED_IDS)
+def test_random_projection_equals_one_qr_per_block(shape):
+    """One QR per group of blocks of one size and rank gives what one QR
+    per block from the same stream gives, and leaves the generator in
+    the same state; drawn ranks and given ranks reach 0 and n."""
+    n = list(shape.blocks)
+    given = [[0] * len(n), n, [0, *n[1:-1], n[-1]], [r // 2 for r in n]]
+    seen = set()
+    for seed in range(12):
+        for ranks in [None, *given]:
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            p = pl.random_projection(shape, rng, ranks)
+            rs = ranks or [int(ref.integers(0, m + 1)) for m in n]
+            bases = [
+                np.linalg.qr(_cgauss(ref, m, r))[0] if r else np.zeros((m, 0))
+                for m, r in zip(n, rs)
+            ]
+            assert_blockwise(p.basis, bases)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            if ranks is None:
+                seen.update(zip(rs, n))
+    assert {(0, m) for m in n} | {(m, m) for m in n} <= seen
+    with pytest.raises(pl.ShapeMismatch):
+        pl.random_projection(shape, np.random.default_rng(0), n[:-1])
+
+
+@pytest.mark.parametrize("shape", SAMPLED, ids=SAMPLED_IDS)
+def test_random_unitary_equals_one_haar_qr_per_block(shape):
+    for seed in range(4):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        u = pl.random_unitary(shape, rng)
+        assert_blockwise(u.data, [_haar_unitary(ref, m) for m in shape.blocks])
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 import projlat as pl
 from projlat import AlgebraShape, Element, Frame
 from projlat.coordinatize import _CornerMap, normalize_map
-from projlat.core import _ct
+from projlat.core import PROJ_TOL, _ct
 from projlat.graphs import _slot
 from projlat.maps import Composite
 
@@ -227,6 +227,29 @@ def test_uniqueness_residual_flags_support_breakage(rng):
     assert rep.witness is not None and "support_distance" in rep.witness
 
 
+@pytest.mark.parametrize("kind", ["conjugation", "scaling"])
+def test_uniqueness_residual_equals_the_per_probe_loop(kind):
+    """The batched supports and distances give the per-probe loop's
+    report bit for bit, and the witness is its first sample over
+    PROJ_TOL."""
+    shape = AlgebraShape([2, 3, 3])
+    t = pl.random_invertible(shape, np.random.default_rng(4), cond_max=40.0)
+    t_inv = pl.invert(t)
+    psi = (lambda x: t * x * t_inv) if kind == "conjugation" else (lambda x: 2.0 * x)
+    rep = pl.uniqueness_residual(psi, shape, samples=16, seed=9)
+    rng = np.random.default_rng(9)
+    probes = [Element.identity(shape)] + [pl.random_element(shape, rng) for _ in range(16)]
+    probes += [pl.random_projection(shape, rng).element for _ in range(4)]
+    support = [pl.distance(pl.left_support(psi(x)), pl.left_support(x)) for x in probes]
+    bad = [k for k, d in enumerate(support) if d > PROJ_TOL]
+    assert bool(bad) == (kind == "conjugation")
+    assert rep.residual == max(pl.distance(psi(x), x) for x in probes)
+    assert rep.support_residual == max(support)
+    assert rep.support_ok == (not bad)
+    assert rep.witness == ({"sample": bad[0], "support_distance": support[bad[0]]} if bad else None)
+    assert rep.samples == len(probes)
+
+
 def test_normalizers_compose_to_the_returned_map(rng):
     t = pl.random_invertible(S3, rng, cond_max=20.0)
     phi = pl.from_conjugation(t)
@@ -387,15 +410,40 @@ def test_a_map_that_keeps_only_the_frame_is_refused_as_no_graph():
     assert str(info.value) == "slot 12: not a graph projection (residual 7.755e-01) on block 0"
 
 
-def test_intertwining_is_measured_on_the_documented_draws():
-    """Both intertwining diagnostics are rebuilt from the seed: the
-    frame's unitary, the max(2, samples // 4) pairs of corner elements
-    that every corner check reads, then per sample a projection p and a
-    support l(x p')."""
-    shape = AlgebraShape([3, 3])
-    t = pl.random_invertible(shape, np.random.default_rng(8), cond_max=50.0)
-    phi = pl.ConjugationRingIso(t, "conj", block_map=(1, 0)).lattice_map()
-    samples, seed = 8, 21
+def _routed_conjugation(shape, rng):
+    t = pl.random_invertible(shape, rng, cond_max=50.0)
+    return pl.ConjugationRingIso(t, "conj", block_map=(1, 0)).lattice_map()
+
+
+def _semilinear(shape, rng):
+    return pl.from_semilinear(pl.random_invertible(shape, rng, cond_max=50.0), "conj")
+
+
+def _block_reversal(shape, rng):
+    def reverse(x):
+        return Element(x.shape, x.data[::-1])
+
+    return pl.from_ring_iso(reverse, shape, shape, psi_inverse=reverse)
+
+
+INTERTWINING_CASES = {
+    "3+3-routed-conj": ([3, 3], _routed_conjugation, 21),
+    "12-id": ([12], lambda shape, rng: pl.from_conjugation(pl.random_invertible(shape, rng)), 3),
+    "3+6+3-semilinear": ([3, 6, 3], _semilinear, 5),
+    "3x6-reversal": ([3] * 6, _block_reversal, 7),
+}
+
+
+@pytest.mark.parametrize("samples", [0, 8, 12])  # 0 reaches coordinatize from the CLI
+@pytest.mark.parametrize("case", list(INTERTWINING_CASES))
+def test_intertwining_is_measured_on_the_documented_draws(case, samples):
+    """Both intertwining diagnostics equal, bit for bit, the per-sample
+    loop on the draws rebuilt from the seed: the frame's unitary, the
+    max(2, samples // 4) pairs of corner elements that every corner
+    check reads, then per sample a projection p and a support l(x p')."""
+    blocks, make, seed = INTERTWINING_CASES[case]
+    shape = AlgebraShape(blocks)
+    phi = make(shape, np.random.default_rng(8))
     result = pl.coordinatize(phi, samples=samples, seed=seed)
     psi_map = result.Psi.lattice_map()
     rng = np.random.default_rng(seed)
@@ -404,13 +452,19 @@ def test_intertwining_is_measured_on_the_documented_draws():
     for _ in range(2 * max(2, samples // 4)):  # the pairs of corner elements
         pl.random_element(corner, rng, norm_bound=2.0)
     proj = sup = 0.0
+    ranks = set()
     for _ in range(samples):
         p = pl.random_projection(shape, rng)
         proj = max(proj, pl.distance(phi(p), psi_map(p)))
-        q = pl.left_support(pl.random_element(shape, rng) * pl.random_projection(shape, rng))
+        x = pl.random_element(shape, rng)
+        p2 = pl.random_projection(shape, rng)
+        q = pl.left_support(x * p2)
         sup = max(sup, pl.distance(phi(q), psi_map(q)))
+        ranks.update((r, n) for pp in (p, p2) for r, n in zip(pp.ranks, blocks))
     assert result.diagnostics["projection_intertwining"] == proj
     assert result.diagnostics["support_intertwining"] == sup
+    if case == "3+6+3-semilinear" and samples:  # the draws reach both ends of every block size
+        assert {(0, n) for n in blocks} | {(n, n) for n in blocks} <= ranks
 
 
 @pytest.mark.parametrize(
