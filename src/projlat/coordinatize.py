@@ -11,11 +11,11 @@ off slot-12 graph projections.  The ring isomorphism Psi with
 phi(l(x)) = l(Psi(x)) is psi reassembled entrywise; it is compiled
 once, by Skolem-Noether on the corner algebra, to a ConjugationRingIso.
 The certificate is the theorem's own identity, phi(p) = range Psi(p),
-measured by seeded sampling against the compiled Psi's lattice map on
-rank-deficient projections: every sample is drawn first, then each
-factorization runs once per stack across all samples, and phi is
-called once per probe.  The ring axioms are sampled on psi, one corner
-at a time.  The diagnostics travel with the result.
+measured against the compiled Psi's lattice map on rank-deficient
+projections: seeded random ones, and the frame points that carry psi's
+ring axioms and a two-slot meet.  Every sample is drawn first, then each
+factorization runs once per stack across all probes, and phi is called
+once per probe.  The diagnostics travel with the result.
 """
 
 from __future__ import annotations
@@ -85,13 +85,15 @@ class CoordinatizationResult:
     to a ConjugationRingIso; normalizers are (S0, S_k), the invertible
     operators applied to the target in that order; target_frame is the
     standard frame of the target.  diagnostics holds the sampled
-    residuals: additivity and multiplicativity of psi, slot_agreement
-    and two_slot_meet, all four on the same max(2, samples // 4) pairs
-    of corner elements, unit (||Psi(1) - 1||), and the certificate of
-    the theorem's identity phi(p) = range Psi(p), the worst
-    ||phi(p) - Psi.lattice_map()(p)|| over random projections
-    (projection_intertwining) and over supports l(x p') of random
-    elements times random projections (support_intertwining).
+    residuals: slot_agreement, the worst ||psi(x) - psi(x, slot)|| over
+    slots 13 and 23 at max(2, samples // 4) corner elements x, unit
+    (||Psi(1) - 1||), and the certificate of the theorem's identity
+    phi(p) = range Psi(p), the worst ||phi(p) - Psi.lattice_map()(p)||
+    over random projections (projection_intertwining), over supports
+    l(x p') of random elements times random projections
+    (support_intertwining) and over the frame points P_12[y],
+    P_12[x + y], P_12[x y] and P_{x,y} of the corner pairs (x, y)
+    (frame_intertwining).
     """
 
     psi: Callable[[Element], Element]
@@ -136,7 +138,8 @@ def normalize_map(phi: LatticeMap, source_frame: Frame) -> tuple[LatticeMap, Fra
             or B is singular at the rank cutoff, so the target has no
             order-k structure to carry over.
         FrameAssemblyFailed: a slot unit does not recover or invert, or
-            S_k S0 fails the rank cutoff (the message names the block).
+            S_k S0 fails the rank cutoff (the message names the step and
+            the block).
     """
     if phi.source != source_frame.shape:
         raise ShapeMismatch("map source does not match the frame's algebra")
@@ -166,8 +169,11 @@ def normalize_map(phi: LatticeMap, source_frame: Frame) -> tuple[LatticeMap, Fra
     slot_units = _CornerMap(phi0, fr, target)
     try:
         units = [slot_units(one_hat, (0, j)) for j in range(1, k)]
+    except NotAGraphProjection as exc:
+        raise FrameAssemblyFailed(f"slot unit does not recover: {exc}") from exc
+    try:
         inverses = [invert(c) for c in units]
-    except (NotAGraphProjection, NotInvertible) as exc:
+    except NotInvertible as exc:
         raise FrameAssemblyFailed(f"slot unit not invertible: {exc}") from exc
     eye = Element.identity(shape)
     mats = [e.copy() for e in eye._stacks]
@@ -198,21 +204,21 @@ def coordinatize(
     measures.
 
     The rng draws the frame's unitary (when none is given), then
-    max(2, samples // 4) pairs (x, y) of corner elements, each element
-    mapped once through slot 12 and x also through slots 13 and 23,
-    then the intertwining draws.  Psi, which does not depend on the
-    draws, is compiled to a ConjugationRingIso from max_b n_b/k + 2
-    corner-map calls, k the frame's order.  _verify certifies it by the
-    theorem's identity: at `samples` random projections p, and at the
+    max(2, samples // 4) pairs (x, y) of corner elements, x mapped
+    through slots 12, 13 and 23, then the intertwining draws.  Psi,
+    which does not depend on the draws, is compiled to a
+    ConjugationRingIso from max_b n_b/k + 2 corner-map calls, k the
+    frame's order.  _verify certifies it by the theorem's identity:
+    phi(p) must be within 1e-3 of Psi.lattice_map()(p), the projection
+    onto range Psi(p), at `samples` random projections p, at the
     supports l(x p') of `samples` random elements x times random
-    projections p', phi(p) must be within 1e-3 of Psi.lattice_map()(p),
-    the projection onto range Psi(p).  All of these draws come first,
-    then each QR and SVD runs once per stack across the samples, and
-    phi is called once per probe.  The draws are rank-deficient, so
-    the identity is not vacuous, and Psi is never re-derived from the
-    lattice at a full point.  The ring axioms and the two-slot meet read
-    the stored pairs, so the two-slot pair count follows samples, and
-    the unit is read on Psi, which also builds the T^-1 Psi's calls read.
+    projections p', and at each pair's P_12[y], P_12[x + y], P_12[x y]
+    and two-slot P_{x,y}, which carry psi's ring axioms.  All draws
+    come first, then each QR and SVD runs once per stack across the
+    probes, and phi is called once per probe.  The probes are
+    rank-deficient, so the identity is not vacuous, and Psi is never
+    re-derived from the lattice at a full point.  The unit is read on
+    Psi, which also builds the T^-1 Psi's calls read.
 
     Raises:
         NotOrderThree: with no frame given, some block size is not
@@ -222,12 +228,12 @@ def coordinatize(
             the normalizer S_k S0 fails the rank cutoff.
         NotAGraphProjection: a sampled or probed slot graph maps to
             no graph (the reason names the slot, the error the block).
-        SlotMismatch: slot-13/23 recoveries disagree with slot 12;
-            phi is not induced by any ring isomorphism.
+        SlotMismatch: a slot-13/23 recovery is more than 1e-5 from
+            slot 12's; phi is not induced by any ring isomorphism.
         NotRingIso, DegenerateWitness: the corner map does not compile
             to a conjugation.
         IntertwiningFailure: phi(p) and range Psi(p) are more than 1e-3
-            apart at some sampled projection p.
+            apart at some probe p.
     """
     rng = rng_from(seed)
     if source_frame is None:
@@ -242,23 +248,22 @@ def coordinatize(
     s_inv = invert(sk * s0)
     psi = _CornerMap(phi_norm, fr, target)
 
-    # Every corner check reads these pairs.  Slots 12, 13 and 23 must
-    # tell one story; disagreement means no ring isomorphism induces phi.
-    pairs, slot_res = [], 0.0
+    # Slots 12, 13 and 23 must tell one story at every x drawn;
+    # disagreement means no ring isomorphism induces phi.
+    pairs, slot_res, witness = [], 0.0, None
     for _ in range(max(2, samples // 4)):
         x, y = (random_element(fr.corner_shape, rng, norm_bound=2.0) for _ in range(2))
-        fx, fy = psi(x), psi(y)
+        fx = psi(x)
         for slot in ((0, 2), (1, 2)):
-            slot_res = max(slot_res, distance(fx, psi(x, slot)))
-        pairs.append((x, y, fx, fy))
+            res = distance(fx, psi(x, slot))
+            if res > slot_res:
+                slot_res, witness = res, (slot, x)
+        pairs.append((x, y))
     if slot_res > 1e-5:
-        raise SlotMismatch(
-            f"slot recoveries disagree (residual {slot_res:.3e}); "
-            "the map is not induced by a ring isomorphism"
-        )
+        raise SlotMismatch(witness[0], slot_res, witness[1])
 
     Psi = _compile(psi, s_inv)
-    diagnostics = _verify(phi, psi, Psi, pairs, samples, rng)
+    diagnostics = _verify(phi, Psi, fr, pairs, samples, rng)
     diagnostics["slot_agreement"] = float(slot_res)
     diagnostics["seed"] = seed
     diagnostics["samples"] = samples
@@ -329,76 +334,52 @@ def _seeded_frame(shape: AlgebraShape, rng: np.random.Generator) -> Frame:
 
 def _verify(
     phi: LatticeMap,
-    psi: _CornerMap,
     Psi: ConjugationRingIso,
-    pairs: list[tuple[Element, Element, Element, Element]],
+    frame: Frame,
+    pairs: list[tuple[Element, Element]],
     samples: int,
     rng: np.random.Generator,
 ) -> dict:
-    """The sampled certificate of a compiled Psi: the ring axioms and
-    the two-slot meet identity on the slot stage's pairs (x, y, psi(x),
-    psi(y)), which cost psi(x + y) and psi(x y) and nothing else, then
-    the intertwining distances ||phi(.) - Psi.lattice_map()(.)|| at
-    `samples` random projections p and supports q = l(x p'), all drawn
-    first and factorized once per stack (_intertwining), and last Psi's
-    unit, read on Psi itself once the intertwining stage has let go of
-    its stacks.
+    """The certificate of a compiled Psi, the theorem's identity
+    phi(p) = range Psi(p): the worst ||phi(.) - Psi.lattice_map()(.)||
+    over each group of _probes' probes, random projections, supports
+    and frame points.  Psi's images take one QR per size and rank and
+    the distances one SVD per size, across all probes; phi is called
+    once per probe.  Last comes Psi's unit, read on Psi itself once the
+    probes have let go of their stacks.
 
     Raises:
-        IntertwiningFailure: the worst intertwining distance exceeds
+        IntertwiningFailure: the worst distance over all probes exceeds
             1e-3.
     """
-    fr, target, phi_norm = psi.source, psi.target, psi.phi
-    src, tgt = fr.shape, target.shape
-
-    # psi is a ring homomorphism of the corner algebra, and the meet
-    # expression of a non-graph projection transports slotwise
-    add_res = mul_res = two_slot = 0.0
-    for x, y, fx, fy in pairs:
-        add_res = max(add_res, distance(psi(x + y), fx + fy))
-        mul_res = max(mul_res, distance(psi(x * y), fx * fy))
-        lhs = phi_norm(_two_slot(fr, x, y))
-        two_slot = max(two_slot, distance(lhs, _two_slot(target, fx, fy)))
-
-    proj_res, sup_res = _intertwining(phi, Psi, samples, rng)
-    worst = max(sup_res, proj_res)
-    if worst > 1e-3:
-        raise IntertwiningFailure(worst)
+    probes = _probes(frame, pairs, samples, rng)
+    res = _distances(zip(map(phi, probes), Psi._images(probes)))
+    groups = res[:samples], res[samples : 2 * samples], res[2 * samples :]
+    proj_res, sup_res, frame_res = (max(g, default=0.0) for g in groups)
+    if max(res) > 1e-3:
+        raise IntertwiningFailure(max(res))
 
     return {
-        "unit": float(distance(Psi(Element.identity(src)), Element.identity(tgt))),
-        "additivity": float(add_res),
-        "multiplicativity": float(mul_res),
+        "unit": float(distance(Psi(Element.identity(phi.source)), Element.identity(phi.target))),
         "support_intertwining": float(sup_res),
         "projection_intertwining": float(proj_res),
-        "two_slot_meet": float(two_slot),
+        "frame_intertwining": float(frame_res),
     }
 
 
-def _intertwining(
-    phi: LatticeMap, Psi: ConjugationRingIso, samples: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """The theorem's identity phi(p) = range Psi(p), at rank-deficient
-    projections: the worst ||phi(.) - Psi.lattice_map()(.)|| over the
-    `samples` random projections and over the `samples` supports that
-    _probes draws, for which l(Psi(x p')) = range Psi(l(x p')) holds
-    exactly.  Psi's images take one QR per size and rank and the
-    distances one SVD per size, across all probes; phi is called once
-    per probe.
-    """
-    if samples < 1:
-        return 0.0, 0.0
-    probes = _probes(phi.source, samples, rng)
-    res = _distances(zip(map(phi, probes), Psi._images(probes)))
-    return max(res[:samples]), max(res[samples:])
-
-
-def _probes(shape: AlgebraShape, samples: int, rng: np.random.Generator) -> list[Projection]:
-    """The certificate's probes: every sample's draws come first, a
+def _probes(
+    frame: Frame, pairs: list[tuple[Element, Element]], samples: int, rng: np.random.Generator
+) -> list[Projection]:
+    """The certificate's probes.  Every sample's draws come first, a
     random projection p, a random element x and a random projection p',
     then one QR per size and rank orthonormalizes the p's and p''s, and
     one product and one thin SVD per size give the supports l(x p').
-    Returns the p's, then the supports."""
+    The frame points of each corner pair (x, y) need no draws: the
+    slot-12 graphs P_12[y], P_12[x + y] and P_12[x y], and the two-slot
+    P_{x,y}, on which phi must carry psi's ring axioms and the meet
+    expression of a non-graph projection.  Returns the p's, the
+    supports, then the frame points."""
+    shape = frame.shape
     draws, xs = [], []
     for _ in range(samples):
         draws.append(_draw_projection(shape, rng))
@@ -406,7 +387,11 @@ def _probes(shape: AlgebraShape, samples: int, rng: np.random.Generator) -> list
         draws.append(_draw_projection(shape, rng))
     ps = _orthonormalize(shape, draws)
     products = [np.matmul(*g) for g in zip(_batch(shape, xs), _batch(shape, ps[1::2]))]
-    return ps[0::2] + _left_supports(shape, products)
+    supports = _left_supports(shape, products) if samples else []
+    points = []
+    for x, y in pairs:
+        points += [*(graph_projection(frame, z) for z in (y, x + y, x * y)), _two_slot(frame, x, y)]
+    return ps[0::2] + supports + points
 
 
 def _two_slot(frame: Frame, x: Element, y: Element) -> Projection:

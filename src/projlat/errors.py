@@ -84,7 +84,23 @@ class FrameAssemblyFailed(ProjlatError):
 
 class SlotMismatch(ProjlatError):
     """The coordinate maps extracted through different slots disagree,
-    which means the input was not a lattice isomorphism."""
+    which means the input was not a lattice isomorphism.
+
+    Attributes:
+        slot: the slot, (0, 2) or (1, 2), whose recovery disagrees most
+            with slot 12.
+        residual: ||psi(x) - psi(x, slot)||, the worst seen.
+        x: the corner element at which it was seen.
+    """
+
+    def __init__(self, slot: tuple[int, int], residual: float, x):
+        self.slot = slot
+        self.residual = residual
+        self.x = x
+        super().__init__(
+            f"slot {slot[0] + 1}{slot[1] + 1} recovery disagrees with slot 12 "
+            f"(residual {residual:.3e}); the map is not induced by a ring isomorphism"
+        )
 
 
 class IntertwiningFailure(ProjlatError):

@@ -77,6 +77,14 @@ def _check_slot(frame: "Frame", slot) -> tuple[int, int]:
     return slot
 
 
+def _require_order(shape: AlgebraShape, k: int) -> None:
+    """NotAFrame unless k >= 1 divides every block size, naming the
+    first block it does not divide."""
+    for b, n in enumerate(shape.blocks):
+        if k < 1 or n % k:
+            raise NotAFrame(f"every block size must be divisible by {k}: block {b} has size {n}")
+
+
 class Frame:
     """A frame of order k, held as its slot coordinates: one unitary V
     per block whose k column groups V_1, ..., V_k are orthonormal bases
@@ -93,11 +101,11 @@ class Frame:
         """The frame of the given order whose slot coordinates are v.
 
         Raises:
-            NotAFrame: some block size is not divisible by the order, or
-                V is not unitary on some block, within 1e3 PROJ_TOL.
+            NotAFrame: the order is below 1 or does not divide some
+                block size (the first such block is named), or V is not
+                unitary on some block, within 1e3 PROJ_TOL.
         """
-        if order < 1 or any(n % order for n in v.shape.blocks):
-            raise NotAFrame(f"every block size must be divisible by {order}, got {v.shape}")
+        _require_order(v.shape, order)
         defects = []
         for idx, a in v._pieces():
             defect = _singular_values(_ct(a) @ a - np.eye(a.shape[1]))[:, 0]
@@ -146,8 +154,9 @@ class Frame:
         per block, U the range basis of p_1.
 
         Raises:
-            NotAFrame: the pieces do not satisfy the frame relations, or
-                V is not unitary.
+            NotAFrame: the order does not divide some block size (the
+                first such block is named), the pieces do not satisfy the
+                frame relations, or V is not unitary.
         """
         ps, ws = tuple(ps), tuple(ws)
         k, shape = len(ps), ps[0].shape
@@ -155,8 +164,7 @@ class Frame:
             raise NotAFrame("frame projections live in different algebras")
         if len(ws) != k - 1:
             raise NotAFrame(f"a frame of order {k} takes {k - 1} witnesses, got {len(ws)}")
-        if any(n % k for n in shape.blocks):
-            raise NotAFrame(f"every block size must be divisible by {k}, got {shape}")
+        _require_order(shape, k)
         for i in range(k):
             for j in range(i + 1, k):
                 if (ps[i].element * ps[j].element).norm() > PROJ_TOL:

@@ -14,7 +14,6 @@ from .errors import ShapeMismatch
 __all__ = [
     "rng_from",
     "random_element",
-    "random_hermitian",
     "random_projection",
     "random_pair_with_trivial_meet",
     "random_overlapping_pair",
@@ -49,15 +48,6 @@ def random_element(
         if current > 0:
             x = x * (float(rng.uniform(0.05, 1.0)) * norm_bound / current)
     return x
-
-
-def random_hermitian(shape: AlgebraShape, rng) -> Element:
-    rng = rng_from(rng)
-    blocks = []
-    for n in shape.blocks:
-        g = _cgauss(rng, n, n)
-        blocks.append((g + g.conj().T) / 2)
-    return Element(shape, blocks)
 
 
 def random_projection(shape: AlgebraShape, rng, ranks=None) -> Projection:

@@ -200,10 +200,11 @@ def test_coordinatize_with_an_order_four_frame(kind, rng):
 
 
 def test_coordinatize_rejects_non_order3_shapes(rng):
-    for blocks in ([2], [4], [3, 4]):
+    # the message names the first block whose size 3 does not divide
+    for blocks, b in (([2], 0), ([4], 0), ([3, 4], 1)):
         shape = AlgebraShape(blocks)
         t = pl.random_invertible(shape, rng, cond_max=10.0)
-        with pytest.raises(pl.NotOrderThree):
+        with pytest.raises(pl.NotOrderThree, match=f"by 3: block {b} has size {blocks[b]}$"):
             pl.coordinatize(pl.from_conjugation(t), samples=2, seed=0)
 
 
@@ -437,10 +438,13 @@ INTERTWINING_CASES = {
 @pytest.mark.parametrize("samples", [0, 8, 12])  # 0 reaches coordinatize from the CLI
 @pytest.mark.parametrize("case", list(INTERTWINING_CASES))
 def test_intertwining_is_measured_on_the_documented_draws(case, samples):
-    """Both intertwining diagnostics equal, bit for bit, the per-sample
-    loop on the draws rebuilt from the seed: the frame's unitary, the
-    max(2, samples // 4) pairs of corner elements that every corner
-    check reads, then per sample a projection p and a support l(x p')."""
+    """The three intertwining diagnostics equal, bit for bit, the
+    per-probe loop on the draws rebuilt from the seed: the frame's
+    unitary, the max(2, samples // 4) pairs (x, y) of corner elements,
+    then per sample a projection p and a support l(x p'); the frame
+    points P_12[y], P_12[x + y], P_12[x y] and the two-slot
+    P_{x,y} = (P_12[x] v e3) ^ (P_13[y] v e2) of each pair take no
+    draws."""
     blocks, make, seed = INTERTWINING_CASES[case]
     shape = AlgebraShape(blocks)
     phi = make(shape, np.random.default_rng(8))
@@ -448,9 +452,14 @@ def test_intertwining_is_measured_on_the_documented_draws(case, samples):
     psi_map = result.Psi.lattice_map()
     rng = np.random.default_rng(seed)
     pl.random_unitary(shape, rng)
-    corner = result.source_frame.corner_shape
-    for _ in range(2 * max(2, samples // 4)):  # the pairs of corner elements
-        pl.random_element(corner, rng, norm_bound=2.0)
+    fr = result.source_frame
+    e1, e2, e3 = fr.projections
+    points = []
+    for _ in range(max(2, samples // 4)):
+        x, y = (pl.random_element(fr.corner_shape, rng, norm_bound=2.0) for _ in range(2))
+        points += [pl.graph_projection(fr, z) for z in (y, x + y, x * y)]
+        left = pl.join(pl.graph_projection(fr, x, (0, 1)), e3)
+        points.append(pl.meet(left, pl.join(pl.graph_projection(fr, y, (0, 2)), e2)))
     proj = sup = 0.0
     ranks = set()
     for _ in range(samples):
@@ -463,6 +472,13 @@ def test_intertwining_is_measured_on_the_documented_draws(case, samples):
         ranks.update((r, n) for pp in (p, p2) for r, n in zip(pp.ranks, blocks))
     assert result.diagnostics["projection_intertwining"] == proj
     assert result.diagnostics["support_intertwining"] == sup
+    assert result.diagnostics["frame_intertwining"] == max(
+        pl.distance(phi(q), psi_map(q)) for q in points
+    )
+    assert set(result.diagnostics) == {
+        "unit", "slot_agreement", "seed", "samples",
+        "projection_intertwining", "support_intertwining", "frame_intertwining",
+    }
     if case == "3+6+3-semilinear" and samples:  # the draws reach both ends of every block size
         assert {(0, n) for n in blocks} | {(n, n) for n in blocks} <= ranks
 
@@ -473,9 +489,13 @@ def test_intertwining_is_measured_on_the_documented_draws(case, samples):
 )
 def test_each_corner_draw_is_mapped_once(blocks, samples, calls, monkeypatch):
     """The corner-map calls of one coordinatize: normalization's two
-    slot units; per pair (x, y), psi(x) and psi(y), slots 13 and 23 at
-    x, psi(x + y) and psi(x y); the compilation's max_b n_b/3 + 2.  The
-    two-slot meets read the stored images and call nothing."""
+    slot units; per pair (x, y), psi(x) and slots 13 and 23 at x; the
+    compilation's max_b n_b/3 + 2.  `calls` counts the corner points
+    read through phi: those calls, and per pair the slot-12 graphs
+    P_12[y], P_12[x + y] and P_12[x y] that the certificate maps as
+    probes, with no psi call.  phi is applied once per corner-map call,
+    once per frame projection and once per certificate probe: 2 samples
+    random ones and four frame points per pair."""
     shape = AlgebraShape(blocks)
     t = pl.random_invertible(shape, np.random.default_rng(1), cond_max=50.0)
     real, seen = _CornerMap.__call__, []
@@ -484,11 +504,100 @@ def test_each_corner_draw_is_mapped_once(blocks, samples, calls, monkeypatch):
         seen.append(args[1] if len(args) > 1 else (0, 1))
         return real(self, *args)
 
+    conj, applied = pl.from_conjugation(t), []
+
+    def apply(p):
+        applied.append(p)
+        return conj(p)
+
     monkeypatch.setattr(_CornerMap, "__call__", counted)
-    pl.coordinatize(pl.from_conjugation(t), samples=samples, seed=1)
+    pl.coordinatize(pl.LatticeMap(shape, shape, apply), samples=samples, seed=1)
     pairs = max(2, samples // 4)
-    assert len(seen) == calls == 2 + 6 * pairs + max(blocks) // 3 + 2
-    assert seen.count((1, 2)) == pairs
+    assert len(seen) + 3 * pairs == calls
+    assert len(seen) == 2 + 3 * pairs + max(blocks) // 3 + 2
+    assert seen.count((0, 2)) - 1 == seen.count((1, 2)) == pairs  # less the slot-13 unit
+    assert len(applied) == 3 + len(seen) + 4 * pairs + 2 * samples
+
+
+def _forged_slot13(shape, eps):
+    """Ad(T), except on the projections under e1 v e3 of the standard
+    frame other than e1, e3 and P_13[1], where the third index group is
+    first scaled by 1 + eps: slot 13 reads (1 + eps) psi(x), and the
+    frame and slot units stay exact."""
+    t = pl.random_invertible(shape, np.random.default_rng(1), cond_max=50.0)
+    fr = Frame.standard(shape, 3)
+    e1, _, e3 = fr.projections
+    top = pl.join(e1, e3)
+    kept = (e1, e3, pl.graph_projection(fr, Element.identity(fr.corner_shape), (0, 2)))
+    d = Element(shape, [np.diag(np.repeat([1.0, 1.0, 1.0 + eps], n // 3)) for n in shape.blocks])
+    exact, forged = pl.from_conjugation(t), pl.from_conjugation(t * d)
+
+    def apply(p):
+        under = pl.leq(p, top) and all(pl.distance(p, e) > 1e-12 for e in kept)
+        return (forged if under else exact)(p)
+
+    return pl.LatticeMap(shape, shape, apply), fr
+
+
+@pytest.mark.parametrize("blocks", [[6], [3, 3]])
+def test_a_forged_slot_13_is_refused_with_a_replayable_witness(blocks):
+    """SlotMismatch carries the slot, the residual and the corner
+    element x, and ||psi(x) - psi(x, slot)|| replays to the residual."""
+    phi, fr = _forged_slot13(AlgebraShape(blocks), 1e-3)
+    with pytest.raises(pl.SlotMismatch) as info:
+        pl.coordinatize(phi, source_frame=fr, seed=1)
+    exc = info.value
+    assert exc.slot == (0, 2)
+    assert 1e-4 < exc.residual < 2e-3
+    assert str(exc).startswith(f"slot 13 recovery disagrees with slot 12 (residual {exc.residual:.3e})")
+    phi_norm, target, _ = normalize_map(phi, fr)
+    psi = _CornerMap(phi_norm, fr, target)
+    assert pl.distance(psi(exc.x), psi(exc.x, exc.slot)) == exc.residual
+
+
+def test_a_slot_unit_that_does_not_recover_is_named_as_such():
+    """phi(p) = range((T + eps Re<G_0, p_0> G) p) conjugates by an
+    operator that depends on p, so the slot-12 unit's image is no graph:
+    normalization says recovery failed, not inversion."""
+    rng = np.random.default_rng(1)
+    t, g = pl.random_invertible(S6, rng, cond_max=50.0), pl.random_element(S6, rng)
+
+    def apply(p):
+        c = np.vdot(g.data[0], p.element.data[0]).real
+        return pl.left_support((t + 1e-6 * c * g) * p.element)
+
+    with pytest.raises(pl.FrameAssemblyFailed) as info:
+        pl.coordinatize(pl.LatticeMap(S6, S6, apply), seed=1)
+    assert str(info.value).startswith("slot unit does not recover: slot 12: not a graph projection")
+    assert isinstance(info.value.__cause__, pl.NotAGraphProjection)
+
+
+def _rank_dependent_conjugation(shape, rng):
+    """Ad(U_r) then Ad(T), U_r a unitary seeded by the rank profile r."""
+    t = pl.from_conjugation(pl.random_invertible(shape, rng, cond_max=50.0))
+
+    def apply(p):
+        u = pl.random_unitary(shape, np.random.default_rng(list(p.ranks)))
+        return t(pl.from_conjugation(u)(p))
+
+    return pl.LatticeMap(shape, shape, apply)
+
+
+def _odd_rank_transpose(shape, rng):
+    """Ad(T) on projections of even total rank, Ad(T) after the
+    transpose on odd ones."""
+    t = pl.random_invertible(shape, rng, cond_max=50.0)
+    even, odd = pl.from_conjugation(t), pl.from_semilinear(t, "conj")
+    return pl.LatticeMap(shape, shape, lambda p: (odd if sum(p.ranks) % 2 else even)(p))
+
+
+@pytest.mark.parametrize("blocks", [[6], [3, 3]])
+@pytest.mark.parametrize("make", [_rank_dependent_conjugation, _odd_rank_transpose])
+def test_rank_dependent_maps_are_refused_by_the_certificate(make, blocks):
+    shape = AlgebraShape(blocks)
+    with pytest.raises(pl.IntertwiningFailure) as info:
+        pl.coordinatize(make(shape, np.random.default_rng(1)), seed=1)
+    assert info.value.residual > 0.5
 
 
 def test_psi_is_a_compiled_conjugation_ring_iso(rng):

@@ -46,11 +46,12 @@ def test_standard_frame_structure():
 
 
 def test_standard_frame_rejects_bad_sizes():
-    with pytest.raises(pl.NotAFrame):
+    # the message names the first block whose size the order does not divide
+    with pytest.raises(pl.NotAFrame, match="by 3: block 0 has size 4$"):
         Frame.standard(AlgebraShape([4]), 3)
-    with pytest.raises(pl.NotAFrame):
+    with pytest.raises(pl.NotAFrame, match="by 3: block 1 has size 2$"):
         Frame.standard(AlgebraShape([3, 2]), 3)
-    with pytest.raises(pl.NotAFrame):
+    with pytest.raises(pl.NotAFrame, match="by 4: block 1 has size 6$"):
         Frame.standard(AlgebraShape([4, 6]), 4)
 
 
@@ -63,7 +64,7 @@ def test_frame_is_its_coordinates(rng):
     for i, e in enumerate(fr.projections):
         for v, basis in zip(u.data, e.basis):
             assert np.array_equal(basis, v[:, i * len(v) // 3 : (i + 1) * len(v) // 3])
-    with pytest.raises(pl.NotAFrame, match="divisible by 2"):
+    with pytest.raises(pl.NotAFrame, match="divisible by 2: block 1 has size 3$"):
         Frame(u, 2)
     # 2e-4 from unitary on block 1 is refused by name; 2e-6 passes
     with pytest.raises(pl.NotAFrame, match=r"not unitary on block 1 \(defect 2\.0"):
@@ -453,6 +454,10 @@ def test_frame_from_projections_validates(rng):
     uneven = [pl.random_projection(shape, rng, ranks=[r]) for r in (3, 2, 1)]
     with pytest.raises(pl.NotAFrame):
         Frame.from_projections(uneven, fr.units)
+    odd = AlgebraShape([4, 3])
+    halves = [pl.random_projection(odd, rng, ranks=[2, 1]) for _ in range(2)]
+    with pytest.raises(pl.NotAFrame, match="divisible by 2: block 1 has size 3$"):
+        Frame.from_projections(halves, [Element.identity(odd)])
 
 
 def _rotate(fr, x):
