@@ -350,14 +350,16 @@ def _verify(
 
     Raises:
         IntertwiningFailure: the worst distance over all probes exceeds
-            1e-3.
+            1e-3; it carries that probe and Psi's image of it.
     """
     probes = _probes(frame, pairs, samples, rng)
-    res = _distances(zip(map(phi, probes), Psi._images(probes)))
+    images = Psi._images(probes)
+    res = _distances(zip(map(phi, probes), images))
     groups = res[:samples], res[samples : 2 * samples], res[2 * samples :]
     proj_res, sup_res, frame_res = (max(g, default=0.0) for g in groups)
-    if max(res) > 1e-3:
-        raise IntertwiningFailure(max(res))
+    worst = int(np.argmax(res))
+    if res[worst] > 1e-3:
+        raise IntertwiningFailure(res[worst], probes[worst], images[worst])
 
     return {
         "unit": float(distance(Psi(Element.identity(phi.source)), Element.identity(phi.target))),
@@ -387,7 +389,7 @@ def _probes(
         draws.append(_draw_projection(shape, rng))
     ps = _orthonormalize(shape, draws)
     products = [np.matmul(*g) for g in zip(_batch(shape, xs), _batch(shape, ps[1::2]))]
-    supports = _left_supports(shape, products) if samples else []
+    supports = _left_supports(shape, products)
     points = []
     for x, y in pairs:
         points += [*(graph_projection(frame, z) for z in (y, x + y, x * y)), _two_slot(frame, x, y)]

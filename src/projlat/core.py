@@ -22,6 +22,12 @@ Supports, polar parts and the center-valued norm are computed per block
 with a relative singular-value cutoff: singular values at or below
 ``RANK_REL * sigma_max`` count as zero.  The cutoff is what makes ranks
 (and hence the whole projection lattice) discrete and stable.
+
+A range basis comes one of two ways.  A span of known rank (a sampled
+or graph projection, the image of a range under an invertible map)
+goes through :func:`_bases`: one QR per size and rank across all
+values, with no cutoff.  A span of unknown rank goes through a thin SVD
+cut at RANK_REL, in lattice.orth, lattice.meet and :func:`_left_supports`.
 """
 
 from __future__ import annotations
@@ -375,11 +381,11 @@ def _norms(shape: AlgebraShape, batch: Sequence[np.ndarray]) -> list[float]:
 def _tops(shape: AlgebraShape, s: Sequence[np.ndarray]) -> list[float]:
     """Each value's largest singular value, from the singular values s of
     a batch's groups."""
-    tops = None
+    tops: list[float] = []
     for a, idx in zip(s, shape._groups):
         col, k = a[:, 0].tolist(), len(idx)
         group = [max(col[i : i + k]) for i in range(0, len(col), k)]
-        tops = group if tops is None else list(map(max, tops, group))
+        tops = list(map(max, tops, group)) if tops else group
     return tops
 
 
@@ -507,6 +513,28 @@ def _cogroups(p: Projection, q: Projection) -> list[tuple]:
     size whose ranks agree in p and in q."""
     layout = _layout(p.shape, tuple(zip(p.ranks, q.ranks)))
     return list(zip(layout, _regroup(p._pieces(), layout), _regroup(q._pieces(), layout)))
+
+
+def _bases(shape: AlgebraShape, spans: Sequence[Sequence[tuple]]) -> list[Projection]:
+    """One projection per value of spans onto the column space of its
+    pieces (block indices, (k, n, r) stack of full column rank): the Q
+    factors of one QR per (n, r) across all values, with no cutoff, which
+    numpy computes slice by slice with the same bits as one QR per block.
+    Rank-0 pieces pass through."""
+    groups: dict[tuple, list] = {}
+    for j, pieces in enumerate(spans):
+        for idx, a in pieces:
+            groups.setdefault(a.shape[1:], []).append((j, idx, a))
+    out: list[list] = [[] for _ in spans]
+    for (_, r), members in groups.items():
+        q = _stack([a for _, _, a in members])
+        if r:
+            q = np.linalg.qr(q)[0]
+        at = 0
+        for j, idx, _ in members:
+            out[j].append((idx, q[at : at + len(idx)]))
+            at += len(idx)
+    return [Projection._of(shape, p) for p in out]
 
 
 def left_support(x: Element) -> Projection:

@@ -109,10 +109,12 @@ class IntertwiningFailure(ProjlatError):
 
     Attributes:
         residual: worst ||phi(p) - range Psi(p)|| seen.
+        probe: the probe p with that distance.
+        image: range Psi(p), Psi's lattice-map image of that probe.
     """
 
-    def __init__(self, residual: float):
-        self.residual = residual
+    def __init__(self, residual: float, probe, image):
+        self.residual, self.probe, self.image = residual, probe, image
         super().__init__(f"range intertwining failed: ||phi(p) - range Psi(p)|| = {residual:.3e}")
 
 

@@ -43,6 +43,7 @@ from .core import (
     AlgebraShape,
     Element,
     Projection,
+    _bases,
     _ct,
     _singular_values,
     distance,
@@ -190,7 +191,8 @@ class Frame:
 
 def graph_projection(frame: Frame, x: Element, slot=(0, 1)) -> Projection:
     """Projection onto the graph of a corner operator in the given slot,
-    orthonormalized by QR; no tolerance enters."""
+    a span of known rank orthonormalized by core._bases; no tolerance
+    enters."""
     d, im = _check_slot(frame, slot)
     if x.shape != frame.corner_shape:
         raise ShapeMismatch("graph operand must be a corner element of the frame")
@@ -200,8 +202,8 @@ def graph_projection(frame: Frame, x: Element, slot=(0, 1)) -> Projection:
         std = np.zeros((len(idx), frame.order * m, m), dtype=np.complex128)
         std[:, d * m : (d + 1) * m] = np.eye(m)
         std[:, im * m : (im + 1) * m] = a
-        pieces.append((idx, np.linalg.qr(v @ std)[0]))
-    return Projection._of(frame.shape, pieces)
+        pieces.append((idx, v @ std))
+    return _bases(frame.shape, [pieces])[0]
 
 
 def is_slot_graph_projection(frame: Frame, q: Projection, slot=(0, 1)) -> bool:

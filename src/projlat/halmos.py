@@ -33,6 +33,7 @@ from .core import (
     RANK_REL,
     Element,
     Projection,
+    _bases,
     distance,
 )
 from .errors import NotLSOrthogonal, PreconditionViolated, ShapeMismatch
@@ -186,16 +187,11 @@ def ls_char_minimal_cover(p: Projection, q: Projection, trials: int = 16, seed: 
         if sum(sub_ranks) == p.rank():  # force strictness
             nonzero = [i for i, r in enumerate(sub_ranks) if r > 0]
             sub_ranks[rng.choice(nonzero)] -= 1
-        bases = []
-        for u, r0 in zip(p.basis, sub_ranks):
-            r = u.shape[1]
-            if r0 == 0:
-                bases.append(u[:, :0])
-                continue
-            g = rng.standard_normal((r, r0)) + 1j * rng.standard_normal((r, r0))
-            qq, _ = np.linalg.qr(g)
-            bases.append(u @ qq)
-        p0 = Projection.from_basis(p.shape, bases)
+        spans = []
+        for i, (u, r0) in enumerate(zip(p.basis, sub_ranks)):
+            g = rng.standard_normal((u.shape[1], r0)) + 1j * rng.standard_normal((u.shape[1], r0))
+            spans.append(((i,), (u @ g)[None]))
+        (p0,) = _bases(p.shape, [spans])
         smaller = join(p0, q)
         if smaller.ranks == top.ranks and distance(smaller, top) <= PROJ_TOL:
             return False

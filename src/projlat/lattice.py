@@ -98,10 +98,8 @@ def orth(pieces: Sequence[tuple]) -> list[tuple]:
     pieces are (block indices, (k, n, m) stack); the result is pieces
     of (k, n, r) bases, split where the ranks of one stack differ.
     Singular values at or below RANK_REL times the largest count as
-    zero (left_support instead cuts at an absolute level).  This is for
-    spans whose rank is unknown (join, pushed sample pairs); a
-    conjugation's images keep their rank and are orthonormalized by QR
-    in ConjugationRingIso.lattice_map.
+    zero.  This is for spans of unknown rank, as in join; a span of
+    known rank goes through core._bases.
     """
     out = []
     for idx, a in pieces:

@@ -22,12 +22,12 @@ from .core import (
     AlgebraShape,
     Element,
     Projection,
+    _bases,
     _cogroups,
     _ct,
     _regroup,
     _require_invertible,
     _singular_values,
-    _stack,
     distance,
     left_support,
 )
@@ -37,8 +37,8 @@ from .errors import (
     NotRingIso,
     ShapeMismatch,
 )
-from .lattice import join, leq, meet, orth
-from .sampling import random_overlapping_pair, random_projection, rng_from
+from .lattice import join, leq, meet
+from .sampling import _draw_projection, _orthonormalize, random_overlapping_pair, rng_from
 
 __all__ = [
     "FromRingIso",
@@ -206,38 +206,16 @@ class ConjugationRingIso:
         return LatticeMap(self.source, self.T.shape, lambda p: self._images([p])[0], self)
 
     def _images(self, ps) -> list[Projection]:
-        """The lattice map's image of each projection of ps.
-
-        An image basis is the Q factor of the QR of T sigma(U), U the
-        range basis of p, with no rank cutoff: T passed the
-        invertibility check, so the map keeps every rank exactly, as a
-        lattice isomorphism must.  The blocks of one size and rank across
-        all of ps go through one product and one QR."""
-        bm = self.block_map
-        groups: dict[tuple, list] = {}
-        for j, p in enumerate(ps):
-            routed = [tuple([bm[b] for b in idx]) for idx in p._groups]
-            for (idx, u), t, out in zip(p._pieces(), _regroup(self.T._pieces(), routed), routed):
-                groups.setdefault(u.shape[1:], []).append((j, idx, out, t, u))
-        pieces: list[list] = [[] for _ in ps]
-        for (_, r), members in groups.items():
-            # No rank to decide: each T_b passed _require_invertible,
-            # so s_min(T_b) > RANK_REL s_max(T_b).
-            # For orthonormal U the singular values of T_b sigma(U)
-            # lie in [s_min(T_b), s_max(T_b)], so orth's relative
-            # cut would keep all r columns anyway.
-            if r:
-                _, idxs, _, ts, us = zip(*members)
-                u = np.concatenate(us) if len(us) > 1 else us[0].copy()
-                q = np.linalg.qr(_stack(ts) @ _sigma(u, self._mask(sum(idxs, ()))))[0]
-                at = 0
-                for j, idx, out, _, _ in members:
-                    pieces[j].append((out, q[at : at + len(idx)]))
-                    at += len(idx)
-            else:
-                for j, _, out, _, u in members:
-                    pieces[j].append((out, u))
-        return [Projection._of(self.T.shape, p) for p in pieces]
+        """The lattice map's image of each projection of ps: the range of
+        T sigma(U), U the range basis of p, through core._bases.  No rank
+        is decided: T passed _require_invertible, and for orthonormal U
+        the singular values of T_b sigma(U) lie in [s_min(T_b), s_max(T_b)]."""
+        spans = []
+        for p in ps:
+            routed = [tuple([self.block_map[b] for b in idx]) for idx in p._groups]
+            pieces = zip(p._pieces(), _regroup(self.T._pieces(), routed), routed)
+            spans.append([(out, t @ _sigma(u.copy(), self._mask(i))) for (i, u), t, out in pieces])
+        return _bases(self.T.shape, spans)
 
 
 def _skolem_noether(psi: Callable[[Element], Element], shape: AlgebraShape) -> ConjugationRingIso:
@@ -500,8 +478,10 @@ def preserves_orthogonality(
     report verbatim) with the offending residual; an orthogonal pair's
     witness also carries the pair's own product, probe_product.  Standard
     coordinate projections are always included among the samples since
-    they expose non-unitary conjugations immediately.  The non-orthogonal
-    pairs are the random p's, mapped once, taken cyclically.
+    they expose non-unitary conjugations immediately.  A sampled
+    orthogonal pair is one QR of Gaussians [G_p G_q], of ranks r and at
+    most n - r, per block: p spans G_p, and q (1 - p) range(G_q).  The
+    non-orthogonal pairs are the random p's, mapped once, taken cyclically.
     """
     from .serialize import projection_to_obj  # deferred: serialize imports us
 
@@ -514,17 +494,19 @@ def preserves_orthogonality(
     half_a = Projection.from_basis(shape, [e[:, : n // 2] for e, n in zip(eyes, shape.blocks)])
     half_b = Projection.from_basis(shape, [e[:, n // 2 :] for e, n in zip(eyes, shape.blocks)])
     probes.append((half_a, half_b))
+    cuts, draws = [], []
     for _ in range(samples):
-        p = random_projection(shape, rng)
-        comp_ranks = [
-            int(rng.integers(0, n - r + 1)) for r, n in zip(p.ranks, shape.blocks)
-        ]
-        sub = random_projection(shape, rng, comp_ranks)
-        # push sub below the complement of p
-        pushed = [
-            (idx, uc @ (_ct(uc) @ ub)) for idx, ub, uc in _cogroups(sub, p.complement())
-        ]
-        probes.append((p, Projection._of(shape, orth(pushed))))
+        ranks, gp = _draw_projection(shape, rng)
+        room = [int(rng.integers(0, n - r + 1)) for r, n in zip(ranks, shape.blocks)]
+        gq = _draw_projection(shape, rng, room)[1]
+        cuts.append(ranks)
+        draws.append((tuple(map(operator.add, ranks, room)), list(map(np.hstack, zip(gp, gq)))))
+    # one QR of [G_p G_q] per block: p is its first r columns and q the
+    # rest, which span (1 - p) range(G_q)
+    for ranks, u in zip(cuts, _orthonormalize(shape, draws)):
+        cols = list(zip(u.basis, ranks))
+        p = Projection.from_basis(shape, [b[:, :r] for b, r in cols])
+        probes.append((p, Projection.from_basis(shape, [b[:, r:] for b, r in cols])))
 
     sampled = []  # (p, phi(p)), the halves probe first
     for p, q in probes:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AlgebraShape, Element, Projection, _layout
+from .core import AlgebraShape, Element, Projection, _bases, _layout
 from .errors import ShapeMismatch
 
 __all__ = [
@@ -57,32 +57,21 @@ def random_projection(shape: AlgebraShape, rng, ranks=None) -> Projection:
 
 def _draw_projection(shape: AlgebraShape, rng: np.random.Generator, ranks=None) -> tuple:
     """The draws of one random projection, (ranks, one Gaussian (n, r)
-    block per block), in random_projection's rng order."""
+    block per block), in random_projection's rng order; a rank-0 block
+    is (n, 0) and draws nothing."""
     if ranks is None:
         ranks = [int(rng.integers(0, n + 1)) for n in shape.blocks]
     if len(ranks) < len(shape.blocks):
         raise ShapeMismatch(f"shape {shape} wants {len(shape.blocks)} ranks, got {len(ranks)}")
-    return tuple(ranks), [_cgauss(rng, n, r) if r else None for n, r in zip(shape.blocks, ranks)]
+    return tuple(ranks), [_cgauss(rng, n, r) for n, r in zip(shape.blocks, ranks)]
 
 
 def _orthonormalize(shape: AlgebraShape, draws) -> list[Projection]:
-    """One projection per draw of _draw_projection, onto the span of its
-    Gaussian blocks: the Q factors of one QR per group of blocks of one
-    size and rank across all draws, which numpy computes slice by slice
-    with the same bits as one QR per block."""
-    groups: dict[tuple, list] = {}
-    for d, (ranks, _) in enumerate(draws):
-        for idx in _layout(shape, ranks):
-            groups.setdefault((shape.blocks[idx[0]], ranks[idx[0]]), []).append((d, idx))
-    pieces: list[list] = [[] for _ in draws]
-    for (n, r), members in groups.items():
-        blocks = [draws[d][1][i] for d, idx in members for i in idx]
-        q = np.linalg.qr(np.array(blocks))[0] if r else np.zeros((len(blocks), n, 0), complex)
-        at = 0
-        for d, idx in members:
-            pieces[d].append((idx, q[at : at + len(idx)]))
-            at += len(idx)
-    return [Projection._of(shape, p) for p in pieces]
+    """One projection per draw (ranks, one (n, r) block of full column
+    rank per block), such as _draw_projection's, onto the span of its
+    blocks: core._bases, one QR per size and rank across all draws."""
+    spans = [[(idx, np.array([b[i] for i in idx])) for idx in _layout(shape, r)] for r, b in draws]
+    return _bases(shape, spans)
 
 
 def random_pair_with_trivial_meet(
@@ -105,21 +94,21 @@ def random_overlapping_pair(
 ) -> tuple[Projection, Projection]:
     """Random pair sharing a random subspace, so meets are nontrivial.
 
-    Per block, p spans the first rp columns of a random unitary and q
-    the first `shared` of them plus fresh columns beyond rp.
+    Per block, p spans the first rp columns of a random unitary (the Q
+    factor of a Gaussian, one QR per block size) and q the first
+    `shared` of them plus fresh columns beyond rp.
     """
     rng = rng_from(rng)
-    bases_p, bases_q = [], []
+    gs, takes = [], []
     for n in shape.blocks:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        u, _ = np.linalg.qr(g)
+        gs.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         shared = int(rng.integers(0, n + 1))
         rp = shared + int(rng.integers(0, n - shared + 1))
         rq_extra = int(rng.integers(0, n - rp + 1))
-        bases_p.append(u[:, :rp])
-        take = list(range(shared)) + list(range(rp, rp + rq_extra))
-        bases_q.append(u[:, take])
-    return Projection.from_basis(shape, bases_p), Projection.from_basis(shape, bases_q)
+        takes.append((rp, list(range(shared)) + list(range(rp, rp + rq_extra))))
+    (u,) = _orthonormalize(shape, [(shape.blocks, gs)])
+    p = Projection.from_basis(shape, [b[:, :rp] for b, (rp, _) in zip(u.basis, takes)])
+    return p, Projection.from_basis(shape, [b[:, take] for b, (_, take) in zip(u.basis, takes)])
 
 
 def random_pair_with_angles(

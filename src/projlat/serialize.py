@@ -17,6 +17,7 @@ from .core import PROJ_TOL, AlgebraShape, Element, Projection
 from .errors import NotAProjection
 from .graphs import Frame
 from .halmos import HalmosDecomposition
+from .lattice import canonicalize
 from .maps import ConjugationRingIso, LatticeMap
 
 __all__ = [
@@ -96,7 +97,7 @@ def projection_to_obj(p: Projection) -> dict:
 
 def projection_from_obj(d: dict) -> Projection:
     """Load a projection, validating the laws but keeping the bits;
-    the range basis is re-derived from the spectrum.
+    the range basis is read off the spectrum by lattice.canonicalize.
 
     Raises:
         NotAProjection: the payload fails Hermiticity/idempotence within
@@ -108,24 +109,19 @@ def projection_from_obj(d: dict) -> Projection:
     ranks = [_int(r, "ranks") for r in _list(d["ranks"], "ranks")]
     if len(ranks) != len(x.shape.blocks):
         raise ValueError("ranks field does not match the shape")
-    herm = max(
-        np.linalg.norm(b - b.conj().T, 2) for b in x.data
-    )
+    herm = max(np.linalg.norm(b - b.conj().T, 2) for b in x.data)
     idem = max(np.linalg.norm(b @ b - b, 2) for b in x.data)
     if herm > PROJ_TOL or idem > PROJ_TOL:
         raise NotAProjection(
             f"stored element violates the projection laws "
             f"(hermiticity {herm:.3e}, idempotence {idem:.3e})"
         )
-    bases = []
-    for b, r in zip(x.data, ranks):
-        lam, vec = np.linalg.eigh((b + b.conj().T) / 2)
-        if int(np.count_nonzero(lam >= 0.5)) != r:
-            raise NotAProjection(
-                f"stored ranks disagree with the spectrum (expected {r})"
-            )
-        bases.append(vec[:, lam >= 0.5])
-    return Projection(x, bases)
+    snapped = canonicalize(x)
+    if list(snapped.ranks) != ranks:
+        raise NotAProjection(
+            f"stored ranks {ranks} disagree with the spectrum {list(snapped.ranks)}"
+        )
+    return Projection(x, snapped.basis)
 
 
 def pair_to_obj(p: Projection, q: Projection) -> dict:

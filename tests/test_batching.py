@@ -11,7 +11,7 @@ import pytest
 
 import projlat as pl
 from projlat import AlgebraShape, ConjugationRingIso, Element, Frame, Projection
-from projlat.core import _ct
+from projlat.core import _batch, _ct, _left_supports, _norms
 from projlat.graphs import _slot, graph_projection, recover_operator
 from projlat.sampling import _cgauss, _haar_unitary
 
@@ -138,6 +138,32 @@ def test_random_projection_equals_one_qr_per_block(shape):
     assert {(0, m) for m in n} | {(m, m) for m in n} <= seen
     with pytest.raises(pl.ShapeMismatch):
         pl.random_projection(shape, np.random.default_rng(0), n[:-1])
+
+
+@pytest.mark.parametrize("shape", SAMPLED, ids=SAMPLED_IDS)
+def test_random_overlapping_pair_equals_one_qr_per_block(shape):
+    """One QR per block size gives the unitary one QR per block from the
+    same stream gives, and leaves the generator in the same state."""
+    for seed in range(8):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        p, q = pl.random_overlapping_pair(shape, rng)
+        bases_p, bases_q = [], []
+        for n in shape.blocks:
+            u = np.linalg.qr(ref.standard_normal((n, n)) + 1j * ref.standard_normal((n, n)))[0]
+            shared = int(ref.integers(0, n + 1))
+            rp = shared + int(ref.integers(0, n - shared + 1))
+            extra = int(ref.integers(0, n - rp + 1))
+            bases_p.append(u[:, :rp])
+            bases_q.append(np.concatenate([u[:, :shared], u[:, rp : rp + extra]], axis=1))
+        assert_blockwise(p.basis, bases_p)
+        assert_blockwise(q.basis, bases_q)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_a_batch_of_no_values_gives_no_results():
+    shape = AlgebraShape([3])
+    assert _left_supports(shape, _batch(shape, [])) == []
+    assert _norms(shape, _batch(shape, [])) == []
 
 
 @pytest.mark.parametrize("shape", SAMPLED, ids=SAMPLED_IDS)

@@ -595,9 +595,13 @@ def _odd_rank_transpose(shape, rng):
 @pytest.mark.parametrize("make", [_rank_dependent_conjugation, _odd_rank_transpose])
 def test_rank_dependent_maps_are_refused_by_the_certificate(make, blocks):
     shape = AlgebraShape(blocks)
+    phi = make(shape, np.random.default_rng(1))
     with pytest.raises(pl.IntertwiningFailure) as info:
-        pl.coordinatize(make(shape, np.random.default_rng(1)), seed=1)
-    assert info.value.residual > 0.5
+        pl.coordinatize(phi, seed=1)
+    exc = info.value
+    assert exc.residual > 0.5
+    # the failure carries its witness: the worst probe and Psi's image of it
+    assert pl.distance(phi(exc.probe), exc.image) == exc.residual
 
 
 def test_psi_is_a_compiled_conjugation_ring_iso(rng):

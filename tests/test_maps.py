@@ -171,22 +171,94 @@ def test_shear_witness_carries_the_probe_product(blocks, seed):
     assert abs((phi(p).element * phi(q).element).norm() - witness["residual"]) <= 1e-14
 
 
-@pytest.mark.parametrize("blocks", [[12], [3] * 6])
-def test_orthogonality_sampler_maps_each_projection_once(blocks):
-    """Two images per orthogonal pair, the halves probe included, and
-    none for the overlapping pairs, which are the sampled p's taken
-    cyclically."""
-    shape = AlgebraShape(blocks)
-    phi = pl.from_conjugation(pl.random_unitary(shape, np.random.default_rng(1)))
+def _recorded(phi):
+    """phi as a LatticeMap that records each projection it maps, in order."""
     seen = []
 
     def apply(p):
         seen.append(p)
         return phi(p)
 
-    ok, witness = pl.preserves_orthogonality(LatticeMap(shape, shape, apply), 12, 1)
+    return LatticeMap(phi.source, phi.target, apply), seen
+
+
+@pytest.mark.parametrize("blocks", [[12], [3] * 6])
+def test_orthogonality_sampler_maps_each_projection_once(blocks):
+    """Two images per orthogonal pair, the halves probe included, and
+    none for the overlapping pairs, which are the sampled p's taken
+    cyclically."""
+    shape = AlgebraShape(blocks)
+    phi, seen = _recorded(pl.from_conjugation(pl.random_unitary(shape, np.random.default_rng(1))))
+    ok, witness = pl.preserves_orthogonality(phi, 12, 1)
     assert ok and witness is None
     assert len(seen) == 26
+
+
+def _span(w):
+    """The projection basis onto the column space of w, rank cut as in orth."""
+    ((_, u),) = orth([((0,), w[None])])
+    return u[0]
+
+
+@pytest.mark.parametrize("blocks", [[12], [3] * 4, [3, 6, 3]])
+@pytest.mark.parametrize("seed", [1, 4242])
+def test_sampled_orthogonal_pairs_span_two_draws_pushed_apart(blocks, seed):
+    """Each sampled pair (p, q) is orthogonal to 1e-15 on its range bases,
+    p spans the first of two random_projection draws and q the second
+    pushed below 1 - p, from the same stream."""
+    shape = AlgebraShape(blocks)
+    phi, seen = _recorded(pl.from_conjugation(pl.random_unitary(shape, np.random.default_rng(1))))
+    ok, _ = pl.preserves_orthogonality(phi, 8, seed)
+    assert ok and len(seen) == 2 + 2 * 8
+    rng = np.random.default_rng(seed)
+    for p, q in zip(seen[2::2], seen[3::2]):  # after the halves probe
+        for up, uq in zip(p.basis, q.basis):
+            if up.size and uq.size:
+                assert np.linalg.norm(_ct(up) @ uq, 2) <= 1e-15
+        first = pl.random_projection(shape, rng)
+        room = [int(rng.integers(0, n - r + 1)) for r, n in zip(first.ranks, blocks)]
+        second = pl.random_projection(shape, rng, room)
+        pushed = [w - up @ (_ct(up) @ w) for up, w in zip(first.basis, second.basis)]
+        want = pl.Projection.from_basis(shape, [_span(w) for w in pushed])
+        assert p.ranks == first.ranks and q.ranks == want.ranks
+        assert pl.distance(p, first) <= 1e-12 and pl.distance(q, want) <= 1e-12
+
+
+def _halves_fixing(shape, rng):
+    """Ad(T) with T_b = diag(A_b, B_b) on the coordinate halves of each
+    block, A_b and B_b invertible of cond 100: not unitary."""
+    t = []
+    for n in shape.blocks:
+        h = n // 2
+        a, b = (pl.random_invertible(AlgebraShape([m]), rng, 100.0).data[0] for m in (h, n - h))
+        t.append(np.block([[a, np.zeros((h, n - h))], [np.zeros((n - h, h)), b]]))
+    return pl.from_conjugation(Element(shape, t))
+
+
+@pytest.mark.parametrize(
+    ("blocks", "seed", "ranks_p", "ranks_q"),
+    [
+        ([12], 1, [6], [3]),
+        ([24], 4242, [11], [10]),
+        ([3, 6, 3], 1, [1, 3, 3], [2, 1, 0]),
+        ([3] * 4, 4242, [1, 3, 3, 2], [0, 0, 0, 1]),
+        ([3, 3], 1, [1, 2], [1, 0]),
+    ],
+)
+def test_halves_fixing_map_is_caught_by_a_sampled_pair(blocks, seed, ranks_p, ranks_q):
+    """A non-unitary map that fixes the coordinate halves passes the
+    halves probe; a sampled pair refuses it, with the witness kind and
+    ranks the complement-push sampler gave."""
+    shape = AlgebraShape(blocks)
+    phi = _halves_fixing(shape, np.random.default_rng(seed))
+    halves = [[np.eye(n)[:, : n // 2] for n in blocks], [np.eye(n)[:, n // 2 :] for n in blocks]]
+    for half in halves:
+        p = pl.Projection.from_basis(shape, half)
+        assert pl.distance(phi(p), p) <= 1e-12
+    ok, witness = pl.preserves_orthogonality(phi, 8, seed)
+    assert not ok and witness["kind"] == "orthogonal-pair-mapped-to-overlapping"
+    assert (witness["ranks_p"], witness["ranks_q"]) == (ranks_p, ranks_q)
+    assert witness["residual"] > 0.5 and witness["probe_product"] <= pl.PROJ_TOL
 
 
 def test_zero_map_sends_an_overlapping_pair_to_orthogonal_images():
