@@ -155,6 +155,7 @@ class ConjugationRingIso:
         self.block_map = block_map
         self.source = AlgebraShape(T.shape.blocks[t] for t in block_map)
         self._conj = np.array([s == "conj" for s in sigma])
+        self._conjugated = frozenset(b for b, s in enumerate(sigma) if s == "conj")
         # per size group of T: the source blocks routed onto its blocks, the
         # source size group holding them, their positions in it and sigma's mask
         back = sorted(range(k), key=block_map.__getitem__)
@@ -214,8 +215,15 @@ class ConjugationRingIso:
         for p in ps:
             routed = [tuple([self.block_map[b] for b in idx]) for idx in p._groups]
             pieces = zip(p._pieces(), _regroup(self.T._pieces(), routed), routed)
-            spans.append([(out, t @ _sigma(u.copy(), self._mask(i))) for (i, u), t, out in pieces])
+            spans.append([(out, t @ self._sigma_of(i, u)) for (i, u), t, out in pieces])
         return _bases(self.T.shape, spans)
+
+    def _sigma_of(self, idx, u: np.ndarray) -> np.ndarray:
+        """sigma of a stack u over the source blocks idx: u itself where
+        sigma conjugates none of them, else a conjugated copy."""
+        if self._conjugated.isdisjoint(idx):
+            return u
+        return _sigma(u.copy(), self._mask(idx))
 
 
 def _skolem_noether(psi: Callable[[Element], Element], shape: AlgebraShape) -> ConjugationRingIso:
@@ -464,6 +472,23 @@ def _product_norm(p: Projection, q: Projection) -> float:
     return max((float(_singular_values(_ct(up) @ uq).max()) for up, uq in pairs), default=0.0)
 
 
+def _overlap_witness(p: Projection, q: Projection, residual: float) -> dict:
+    """The witness of an orthogonal pair p, q whose images overlap by
+    residual, as storable objects; it carries the pair's own product,
+    probe_product, so that a sampler fault shows as one."""
+    from .serialize import projection_to_obj  # deferred: serialize imports us
+
+    return {
+        "kind": "orthogonal-pair-mapped-to-overlapping",
+        "residual": float(residual),
+        "probe_product": float((p.element * q.element).norm()),
+        "ranks_p": list(p.ranks),
+        "ranks_q": list(q.ranks),
+        "p": projection_to_obj(p),
+        "q": projection_to_obj(q),
+    }
+
+
 def preserves_orthogonality(
     phi: LatticeMap,
     samples: int = 32,
@@ -476,9 +501,10 @@ def preserves_orthogonality(
     Returns (ok, witness); the witness records the first pair on which
     the biconditional failed (as storable objects, so it can go into a
     report verbatim) with the offending residual; an orthogonal pair's
-    witness also carries the pair's own product, probe_product.  Standard
-    coordinate projections are always included among the samples since
-    they expose non-unitary conjugations immediately.  A sampled
+    witness also carries the pair's own product, probe_product.  The
+    halves probe, the two coordinate halves of each block, is checked
+    first, since it exposes most non-unitary conjugations at once; at
+    samples = 0 it is the whole test: two calls of phi and no draws.  A sampled
     orthogonal pair is one QR of Gaussians [G_p G_q], of ranks r and at
     most n - r, per block: p spans G_p, and q (1 - p) range(G_q).  The
     non-orthogonal pairs are the random p's, mapped once, taken cyclically.
@@ -514,16 +540,7 @@ def preserves_orthogonality(
         sampled.append((p, fp))
         res = _product_norm(fp, phi(q))
         if res > CHECK_TOL:
-            # the pair's own product, so that a sampler fault shows as one
-            return False, {
-                "kind": "orthogonal-pair-mapped-to-overlapping",
-                "residual": float(res),
-                "probe_product": float((p.element * q.element).norm()),
-                "ranks_p": list(p.ranks),
-                "ranks_q": list(q.ranks),
-                "p": projection_to_obj(p),
-                "q": projection_to_obj(q),
-            }
+            return False, _overlap_witness(p, q, res)
 
     # Non-orthogonal pairs must keep overlapping images: the random p's,
     # taken cyclically, are independent Haar pairs.

@@ -14,7 +14,12 @@ ConjugationRingIso with T = y.
 The Dye pipeline sits on top: a lattice isomorphism that also preserves
 orthogonality coordinatizes to a ring isomorphism that is a real
 *-isomorphism; Psi = Ad(T) sigma is one exactly when every T_b* T_b is
-a scalar, so the certificate reads that off T.
+a scalar, so T decides it.  dye_extension runs the two-call halves
+probe of preserves_orthogonality, then coordinatize (which alone reads
+samples), then replays through phi the orthogonal pair whose images
+overlap most, by (k^2 - 1) / (k^2 + 1) with k = cond(T_b) on the worst
+block (Wielandt's inequality); its "orthogonality-preservation" stage
+time covers the probe and the replay.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ from .coordinatize import coordinatize
 from .maps import (
     ConjugationRingIso,
     LatticeMap,
+    _overlap_witness,
+    _product_norm,
     _skolem_noether,
     preserves_orthogonality,
 )
@@ -151,6 +158,36 @@ def inner_factor(
     return RingIsoFactorization(iso=factored, residual=float(worst))
 
 
+def _worst_pair(iso: ConjugationRingIso) -> tuple[Projection, Projection]:
+    """The orthogonal pair of rank-one projections whose images under
+    iso's lattice map overlap most.
+
+    On the target block t with the largest defect 1 - (s_min / s_max)^2
+    of T_t, take the right singular vectors v1, v2 of T_t for s_max and
+    s_min, conjugated if sigma conjugates the source block b routed to
+    t; p and q are the spans of v1 + v2 and v1 - v2 in block b.  Their
+    images overlap by (k^2 - 1) / (k^2 + 1), k = s_max / s_min, which by
+    Wielandt's inequality is the largest overlap of the images of any
+    orthogonal pair in that block.
+    """
+    # per size group of T: its most ill-conditioned block and that block's vh
+    worst = []
+    for idx, a in iso.T._pieces():
+        _, s, vh = np.linalg.svd(a)
+        k = s[:, 0] / s[:, -1]
+        j = int(np.argmax(k))
+        worst.append((k[j], idx[j], vh[j]))
+    _, t, vh = max(worst, key=lambda w: w[0])
+    b = iso.block_map.index(t)
+    # rows of vh are v*, so vh itself holds sigma(v) on a "conj" block
+    v1, v2 = (vh[0], vh[-1]) if iso.sigma[b] == "conj" else (vh[0].conj(), vh[-1].conj())
+    bases, pair = [np.zeros((n, 0)) for n in iso.source.blocks], []
+    for w in (v1 + v2, v1 - v2):
+        bases[b] = (w / np.sqrt(2.0))[:, None]
+        pair.append(Projection.from_basis(iso.source, bases))
+    return pair[0], pair[1]
+
+
 def dye_extension(
     phi: LatticeMap,
     samples: int = 12,
@@ -158,34 +195,54 @@ def dye_extension(
 ) -> tuple[Callable[[Element], Element], dict]:
     """Upgrade an orthogonality-preserving lattice iso to a real *-iso.
 
-    Runs the coordinatization engine and returns the ring isomorphism
-    (the compiled ConjugationRingIso Psi = Ad(T) sigma) and a
-    certificate read off Psi and the coordinatization, with no second
-    sampling: "projection-extension" is the coordinatization's
+    Decides in three steps.  The halves probe,
+    preserves_orthogonality(phi, 0, seed), maps the coordinate halves
+    of each block (two calls of phi).  The coordinatization engine then
+    compiles Psi = Ad(T) sigma; samples and seed feed it alone.  By
+    Dye's theorem phi preserves orthogonality exactly when every
+    T_b* T_b is a scalar, and by Wielandt's inequality the largest
+    overlap ||phi(p) phi(q)|| over orthogonal p, q in a block is
+    (k^2 - 1) / (k^2 + 1), k = cond(T_b).  So the last step replays the
+    pair that attains it on the worst block (_worst_pair) through phi
+    (two more calls) and refuses when the images overlap by more than
+    CHECK_TOL; a sampled pair could only find a smaller overlap.
+
+    Returns the ring isomorphism (the compiled ConjugationRingIso Psi)
+    and a certificate read off Psi and the coordinatization, with no
+    second sampling: "projection-extension" is the coordinatization's
     projection_intertwining (||phi(p) - range Psi(p)|| over its random
     projections); "star-preservation" is the T-defect 1 - cond(T)^-2 =
     max_b ||T_b* T_b / ||T_b||^2 - 1||, zero exactly when every T_b* T_b
     is a scalar, that is when Psi(x*) = Psi(x)*; "unit" is the
     coordinatization's ||Psi(1) - 1||; "hermitian-order" is the same
     T-defect, since Ad(T) sigma is positive exactly when it preserves
-    adjoints.  Its "stages" (orthogonality-preservation and
-    coordinatization, which run before the checks) and each of its
-    checks carry their wall time in "seconds", the only entries that
-    differ between identical runs.
+    adjoints.  Its "stages" and each of its checks carry their wall time
+    in "seconds", the only entries that differ between identical runs:
+    "orthogonality-preservation" covers the halves probe and the
+    replay, "coordinatization" the engine.
 
     Raises:
-        OrthogonalityNotPreserved: with the witness pair.
-        Any coordinatization error.
+        OrthogonalityNotPreserved: with the witness pair, from the
+            halves probe or the replay.
+        Any coordinatization error: a map that passes the halves probe
+            but is no lattice isomorphism induced by an invertible T is
+            refused by the engine.
     """
-    # clock[k + 1] - clock[k] is the wall time of the k-th stage, then check
+    # clock[k + 1] - clock[k] is the wall time of the halves probe, the
+    # engine, the replay, then each check
     clock = [perf_counter()]
-    ok, witness = preserves_orthogonality(phi, max(8, samples), seed)
+    ok, witness = preserves_orthogonality(phi, 0, seed)
     if not ok:
         raise OrthogonalityNotPreserved(witness)
     clock.append(perf_counter())
     result = coordinatize(phi, samples=samples, seed=seed)
     clock.append(perf_counter())
     psi_full = result.Psi
+    p, q = _worst_pair(psi_full)
+    overlap = _product_norm(phi(p), phi(q))
+    if overlap > CHECK_TOL:
+        raise OrthogonalityNotPreserved(_overlap_witness(p, q, overlap))
+    clock.append(perf_counter())
     residuals = {"projection-extension": result.diagnostics["projection_intertwining"]}
     clock.append(perf_counter())
     residuals["star-preservation"] = 1.0 - cond(psi_full.T) ** -2
@@ -199,12 +256,12 @@ def dye_extension(
     certificate = {
         "preserves_orthogonality": True,
         "stages": [
-            {"name": name, "seconds": dt}
-            for name, dt in zip(("orthogonality-preservation", "coordinatization"), seconds)
+            {"name": "orthogonality-preservation", "seconds": seconds[0] + seconds[2]},
+            {"name": "coordinatization", "seconds": seconds[1]},
         ],
         "checks": [
             {"name": name, "max_residual": float(res), "seconds": dt}
-            for (name, res), dt in zip(residuals.items(), seconds[2:])
+            for (name, res), dt in zip(residuals.items(), seconds[3:])
         ],
         "coordinatization": dict(result.diagnostics),
         "seed": seed,

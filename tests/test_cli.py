@@ -278,23 +278,30 @@ def test_dye_text_report_shows_every_stage_time(tmp_path, capsys):
 
 
 def test_dye_grades_a_non_unitary_t_as_failed(tmp_path, monkeypatch, capsys):
-    # past a sampler that missed the non-unitary conjugation, T still shows it
+    # past a halves probe that missed the non-unitary conjugation, T's
+    # worst orthogonal pair refuses it, with a witness that replays
     monkeypatch.setattr(pl.ringiso, "preserves_orthogonality", lambda *a: (True, None))
     rng = np.random.default_rng(6)
     shape = AlgebraShape([3])
     u, w = pl.random_unitary(shape, rng), pl.random_unitary(shape, rng)
     t = u * pl.Element(shape, [np.diag([2.0, 1.0, 1.0])]) * w
     phi = pl.from_conjugation(t)
-    _, cert = pl.dye_extension(phi, samples=4, seed=1)
-    res = {c["name"]: c["max_residual"] for c in cert["checks"]}
-    assert res["star-preservation"] >= 0.5 and res["hermitian-order"] >= 0.5
+    with pytest.raises(pl.OrthogonalityNotPreserved) as exc_info:
+        pl.dye_extension(phi, samples=4, seed=1)
+    witness = exc_info.value.witness
+    p, q = (pl.projection_from_obj(witness[k]) for k in "pq")
+    assert pl.maps._product_norm(p, q) <= 1e-15
+    # cond(T) = 2, so Wielandt's bound (4 - 1) / (4 + 1) is attained
+    assert abs(witness["residual"] - 0.6) <= 1e-12
+    assert abs(pl.maps._product_norm(phi(p), phi(q)) - witness["residual"]) <= 1e-14
     path = tmp_path / "nonunitary.json"
     pl.save_json(pl.map_to_obj(phi), str(path))
     assert main(["dye", str(path), "--json", "--samples", "4"]) == 1
     captured = capsys.readouterr()
-    checks = {c["name"]: c["status"] for c in json.loads(captured.out)["checks"]}
-    assert checks["star-preservation"] == checks["hermitian-order"] == "FAIL"
-    assert "first failing check: star-preservation" in captured.err
+    (check,) = json.loads(captured.out)["checks"]
+    assert (check["name"], check["status"]) == ("orthogonality-preservation", "FAIL")
+    assert check["counterexample"]["kind"] == "orthogonal-pair-mapped-to-overlapping"
+    assert "first failing check: orthogonality-preservation" in captured.err
 
 
 def test_dye_refusal_reports_the_time_until_refusal(tmp_path, capsys):

@@ -7,7 +7,8 @@ import projlat as pl
 from projlat import AlgebraShape, Element, LatticeMap
 from projlat.core import _ct
 from projlat.lattice import orth
-from projlat.maps import Opaque, _skolem_noether
+from projlat.maps import Opaque, _product_norm, _skolem_noether
+from projlat.ringiso import _worst_pair
 
 
 def test_from_conjugation_acts_on_ranges(shape, rng):
@@ -259,6 +260,46 @@ def test_halves_fixing_map_is_caught_by_a_sampled_pair(blocks, seed, ranks_p, ra
     assert not ok and witness["kind"] == "orthogonal-pair-mapped-to-overlapping"
     assert (witness["ranks_p"], witness["ranks_q"]) == (ranks_p, ranks_q)
     assert witness["residual"] > 0.5 and witness["probe_product"] <= pl.PROJ_TOL
+
+
+def _block_reversal(shape):
+    """The lattice map of Ad(1) with source block b routed to k - 1 - b."""
+    k = len(shape.blocks)
+    return pl.ConjugationRingIso(Element.identity(shape), "id", range(k)[::-1]).lattice_map()
+
+
+@pytest.mark.parametrize("variant", ["conj", "reversed"])
+@pytest.mark.parametrize("seed", [1, 4242])
+@pytest.mark.parametrize("blocks", [[6], [12], [3, 3], [3] * 4], ids=str)
+def test_dye_refuses_a_halves_fixing_map_with_a_witness_that_replays(blocks, seed, variant):
+    """A halves-fixing map passes dye_extension's halves probe; T refuses
+    it with the orthogonal pair whose images overlap most, and the
+    witness replays through phi to Wielandt's (1 - r^2) / (1 + r^2),
+    r = 1 / cond(T)."""
+    shape = AlgebraShape(blocks)
+    phi = _halves_fixing(shape, np.random.default_rng(seed))
+    if variant == "conj":
+        phi = pl.from_semilinear(phi.provenance.T, "conj")
+    else:
+        phi = pl.compose(_block_reversal(shape), phi)
+    assert pl.preserves_orthogonality(phi, 0, seed) == (True, None)
+    with pytest.raises(pl.OrthogonalityNotPreserved) as exc_info:
+        pl.dye_extension(phi, samples=6, seed=seed)
+    w = exc_info.value.witness
+    assert w["kind"] == "orthogonal-pair-mapped-to-overlapping"
+    # the stored pair is the one dye_extension replayed: rebuilt off the
+    # same Psi it stores as the witness and maps to its residual exactly
+    psi = pl.coordinatize(phi, samples=6, seed=seed).Psi
+    p, q = _worst_pair(psi)
+    assert (pl.projection_to_obj(p), pl.projection_to_obj(q)) == (w["p"], w["q"])
+    assert _product_norm(p, q) <= 1e-15
+    assert _product_norm(phi(p), phi(q)) == w["residual"]
+    r = 1.0 / pl.cond(psi.T)
+    assert abs(w["residual"] - (1 - r * r) / (1 + r * r)) <= 1e-12
+    # loaded back, the pair is still orthogonal and replays to rounding
+    p, q = (pl.projection_from_obj(w[k]) for k in "pq")
+    assert _product_norm(p, q) <= 1e-15 and w["probe_product"] <= 1e-15
+    assert abs(_product_norm(phi(p), phi(q)) - w["residual"]) <= 1e-14
 
 
 def test_zero_map_sends_an_overlapping_pair_to_orthogonal_images():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from projlat import AlgebraShape, Element
+from projlat import AlgebraShape, Element, LatticeMap
+from projlat.maps import Opaque
 
 
 S3 = AlgebraShape([3])
@@ -199,6 +200,59 @@ class TestDyeExtension:
         after = pl.distance(phi(p).element * phi(q).element, zero)
         # one side orthogonal, the other not
         assert (before < 1e-8) != (after < 1e-8)
+
+    @pytest.mark.parametrize("blocks", [[12], [3] * 4], ids=str)
+    def test_refusal_witness_is_the_halves_probe(self, blocks):
+        # a cond-100 conjugation, as the benchmark's refused input
+        shape = AlgebraShape(blocks)
+        t = pl.random_invertible(shape, np.random.default_rng(1), cond_max=100.0)
+        phi = pl.from_conjugation(t)
+        with pytest.raises(pl.OrthogonalityNotPreserved) as exc_info:
+            pl.dye_extension(phi, seed=1)
+        ok, witness = pl.preserves_orthogonality(phi, 0, 1)
+        assert not ok and exc_info.value.witness == witness
+
+    def test_dye_maps_four_projections_beyond_coordinatize(self, rng):
+        # two for the halves probe and two for the replayed worst pair
+        u = pl.random_unitary(S33, rng)
+        phi, calls = pl.from_conjugation(u), []
+        counted = LatticeMap(S33, S33, lambda p: calls.append(p) or phi(p), Opaque("counted"))
+        pl.coordinatize(counted, samples=6, seed=3)
+        engine = len(calls)
+        calls.clear()
+        pl.dye_extension(counted, samples=6, seed=3)
+        assert len(calls) == engine + 4
+
+    def test_certificate_is_pinned(self):
+        # the values dye_extension returned when it sampled
+        # preserves_orthogonality(phi, max(8, samples), seed) first
+        u = pl.random_unitary(S33, np.random.default_rng(7))
+        _, cert = pl.dye_extension(pl.from_semilinear(u, "conj"), samples=4, seed=1)
+        assert [s["name"] for s in cert.pop("stages")] == [
+            "orthogonality-preservation", "coordinatization",
+        ]
+        for check in cert["checks"]:
+            assert check.pop("seconds") > 0
+        assert cert == {
+            "preserves_orthogonality": True,
+            "checks": [
+                {"name": "projection-extension", "max_residual": 1.4172200739932882e-15},
+                {"name": "star-preservation", "max_residual": 2.220446049250313e-15},
+                {"name": "unit", "max_residual": 2.7916341487006796e-16},
+                {"name": "hermitian-order", "max_residual": 2.220446049250313e-15},
+            ],
+            "coordinatization": {
+                "unit": 2.7916341487006796e-16,
+                "support_intertwining": 8.785393043338453e-16,
+                "projection_intertwining": 1.4172200739932882e-15,
+                "frame_intertwining": 6.799484899477185e-16,
+                "slot_agreement": 2.391493584112727e-15,
+                "seed": 1,
+                "samples": 4,
+            },
+            "seed": 1,
+            "samples": 4,
+        }
 
     def test_rejection_happens_before_coordinatization(self, rng):
         # a non-unitary map on a shape coordinatize cannot handle still
