@@ -14,8 +14,8 @@ The certificate is the theorem's own identity, phi(p) = range Psi(p),
 measured against the compiled Psi's lattice map on rank-deficient
 projections: seeded random ones, and the frame points that carry psi's
 ring axioms and a two-slot meet.  Every sample is drawn first, then each
-factorization runs once per stack across all probes, and phi is called
-once per probe.  The diagnostics travel with the result.
+factorization runs once per stack across all probes, and phi maps them
+all in one batched application.  The diagnostics travel with the result.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def normalize_map(phi: LatticeMap, source_frame: Frame) -> tuple[LatticeMap, Fra
     if phi.source != source_frame.shape:
         raise ShapeMismatch("map source does not match the frame's algebra")
     fr, shape, k = source_frame, phi.target, source_frame.order
-    images = [phi(e) for e in fr.projections]
+    images = phi.images(fr.projections)
     for i, g in enumerate(images, 1):
         if g.shape != shape:
             raise ShapeMismatch("frame images do not live in the map's target")
@@ -168,7 +168,7 @@ def normalize_map(phi: LatticeMap, source_frame: Frame) -> tuple[LatticeMap, Fra
     one_hat = Element.identity(fr.corner_shape)
     slot_units = _CornerMap(phi0, fr, target)
     try:
-        units = [slot_units(one_hat, (0, j)) for j in range(1, k)]
+        units = slot_units.images([(one_hat, (0, j)) for j in range(1, k)])
     except NotAGraphProjection as exc:
         raise FrameAssemblyFailed(f"slot unit does not recover: {exc}") from exc
     try:
@@ -204,8 +204,9 @@ def coordinatize(
     measures.
 
     The rng draws the frame's unitary (when none is given), then
-    max(2, samples // 4) pairs (x, y) of corner elements, x mapped
-    through slots 12, 13 and 23, then the intertwining draws.  Psi,
+    max(2, samples // 4) pairs (x, y) of corner elements, every x then
+    mapped through slots 12, 13 and 23 in one batch, then the
+    intertwining draws.  Psi,
     which does not depend on the draws, is compiled to a
     ConjugationRingIso from max_b n_b/k + 2 corner-map calls, k the
     frame's order.  _verify certifies it by the theorem's identity:
@@ -215,7 +216,7 @@ def coordinatize(
     projections p', and at each pair's P_12[y], P_12[x + y], P_12[x y]
     and two-slot P_{x,y}, which carry psi's ring axioms.  All draws
     come first, then each QR and SVD runs once per stack across the
-    probes, and phi is called once per probe.  The probes are
+    probes, and phi maps them in one batch.  The probes are
     rank-deficient, so the identity is not vacuous, and Psi is never
     re-derived from the lattice at a full point.  The unit is read on
     Psi, which also builds the T^-1 Psi's calls read.
@@ -252,13 +253,14 @@ def coordinatize(
     # disagreement means no ring isomorphism induces phi.
     pairs, slot_res, witness = [], 0.0, None
     for _ in range(max(2, samples // 4)):
-        x, y = (random_element(fr.corner_shape, rng, norm_bound=2.0) for _ in range(2))
-        fx = psi(x)
-        for slot in ((0, 2), (1, 2)):
-            res = distance(fx, psi(x, slot))
+        pairs.append(tuple(random_element(fr.corner_shape, rng, norm_bound=2.0) for _ in range(2)))
+    slots = ((0, 1), (0, 2), (1, 2))
+    reads = iter(psi.images([(x, slot) for x, _ in pairs for slot in slots]))
+    for (x, _), fx in zip(pairs, reads):  # the slot-13 and 23 reads follow fx
+        for slot in slots[1:]:
+            res = distance(fx, next(reads))
             if res > slot_res:
                 slot_res, witness = res, (slot, x)
-        pairs.append((x, y))
     if slot_res > 1e-5:
         raise SlotMismatch(witness[0], slot_res, witness[1])
 
@@ -288,7 +290,7 @@ class _CornerMap:
     operator.  A call is one graph projection (one QR per stack), one
     application of phi' (phi, then one conjugation) and one recovery
     (one eigh per stack for the operator, certified on the image's
-    range basis).  It holds phi', the source frame and the standard
+    range basis); images maps many points through one application.  It holds phi', the source frame and the standard
     target frame, and nothing else.
     """
 
@@ -300,8 +302,13 @@ class _CornerMap:
     def __call__(self, xhat: Element, slot=(0, 1)) -> Element:
         """psi at one corner through the given slot; a recovery error
         names the slot."""
-        graph = graph_projection(self.source, xhat, slot)
-        return recover_operator(self.target, self.phi(graph), slot)
+        return self.images([(xhat, slot)])[0]
+
+    def images(self, points: list[tuple[Element, tuple]]) -> list[Element]:
+        """psi at each (corner, slot) of points: their graph projections,
+        one batch through phi', then the recoveries in list order."""
+        images = self.phi.images([graph_projection(self.source, x, s) for x, s in points])
+        return [recover_operator(self.target, q, slot) for q, (_, slot) in zip(images, points)]
 
 
 def _compile(psi: _CornerMap, s_inv: Element) -> ConjugationRingIso:
@@ -344,8 +351,8 @@ def _verify(
     phi(p) = range Psi(p): the worst ||phi(.) - Psi.lattice_map()(.)||
     over each group of _probes' probes, random projections, supports
     and frame points.  Psi's images take one QR per size and rank and
-    the distances one SVD per size, across all probes; phi is called
-    once per probe.  Last comes Psi's unit, read on Psi itself once the
+    the distances one SVD per size, across all probes; phi maps them
+    in one batch.  Last comes Psi's unit, read on Psi itself once the
     probes have let go of their stacks.
 
     Raises:
@@ -354,7 +361,7 @@ def _verify(
     """
     probes = _probes(frame, pairs, samples, rng)
     images = Psi._images(probes)
-    res = _distances(zip(map(phi, probes), images))
+    res = _distances(zip(phi.images(probes), images))
     groups = res[:samples], res[samples : 2 * samples], res[2 * samples :]
     proj_res, sup_res, frame_res = (max(g, default=0.0) for g in groups)
     worst = int(np.argmax(res))

@@ -23,13 +23,14 @@ from .core import (
     Element,
     Projection,
     _bases,
+    _batch,
     _cogroups,
     _ct,
+    _left_supports,
     _regroup,
     _require_invertible,
     _singular_values,
     distance,
-    left_support,
 )
 from .errors import (
     DegenerateWitness,
@@ -65,6 +66,12 @@ class FromRingIso:
     psi: Callable[[Element], Element]
     psi_inverse: Callable[[Element], Element] | None = None
 
+    def _images(self, ps) -> list[Projection]:
+        """left_support(psi(p)) for each p of ps: psi once per p, then one
+        thin SVD per size group across all the images."""
+        xs = [self.psi(p.element) for p in ps]
+        return _left_supports(xs[0].shape, _batch(xs[0].shape, xs)) if xs else []
+
 
 @dataclass(frozen=True)
 class Composite:
@@ -82,7 +89,10 @@ class LatticeMap:
     """Total map on projections with provenance.
 
     apply must be pure and deterministic; by construction every map
-    built here sends 0 to 0 and 1 to 1.
+    built here sends 0 to 0 and 1 to 1.  images batches by provenance,
+    as invert_map inverts: a ring-iso provenance maps all projections
+    through its _images and a composite part by part, and apply is the
+    one-value case; any other provenance calls apply per projection.
     """
 
     source: AlgebraShape
@@ -91,11 +101,22 @@ class LatticeMap:
     provenance: object = field(default_factory=Opaque)
 
     def __call__(self, p: Projection) -> Projection:
-        if p.shape != self.source:
-            raise ShapeMismatch(
-                f"map expects projections in [{self.source}], got [{p.shape}]"
-            )
-        return self.apply(p)
+        return self.apply(self._own(p))
+
+    def images(self, ps) -> list[Projection]:
+        """The image of each projection of ps, in order, in one batched
+        application; a p of another shape raises ShapeMismatch."""
+        ps, prov = [self._own(p) for p in ps], self.provenance
+        if isinstance(prov, (ConjugationRingIso, FromRingIso)):
+            return prov._images(ps)
+        if isinstance(prov, Composite):
+            return prov.outer.images(prov.inner.images(ps))
+        return [self.apply(p) for p in ps]
+
+    def _own(self, p: Projection) -> Projection:
+        if p.shape == self.source:
+            return p
+        raise ShapeMismatch(f"map expects projections in [{self.source}], got [{p.shape}]")
 
 
 def from_ring_iso(
@@ -107,11 +128,8 @@ def from_ring_iso(
     """Lattice map induced by a ring isomorphism: p -> left support of
     psi(p)."""
     target = target or source
-
-    def apply(p: Projection) -> Projection:
-        return left_support(psi(p.element))
-
-    return LatticeMap(source, target, apply, FromRingIso(psi, psi_inverse))
+    prov = FromRingIso(psi, psi_inverse)
+    return LatticeMap(source, target, lambda p: prov._images([p])[0], prov)
 
 
 def _sigma(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -344,7 +362,7 @@ def compose(outer: LatticeMap, inner: LatticeMap) -> LatticeMap:
     return LatticeMap(
         inner.source,
         outer.target,
-        lambda p: outer.apply(inner.apply(p)),
+        lambda p: outer.images(inner.images([p]))[0],
         Composite(outer, inner),
     )
 
@@ -404,8 +422,11 @@ def verify_lattice_iso(phi: LatticeMap, samples: int = 32, seed: int = 0) -> Map
     shape = phi.source
     checks: list[MapCheck] = []
 
-    zero_img = phi(Projection.zero(shape))
-    one_img = phi(Projection.identity(shape))
+    # every point is source-side, so phi maps them all in one batch
+    pairs = [random_overlapping_pair(shape, rng) for _ in range(samples)]
+    points = [Projection.zero(shape), Projection.identity(shape)]
+    points += [x for p, q in pairs for x in (p, q, meet(p, q), join(p, q))]
+    zero_img, one_img, *images = phi.images(points)
     res = max(
         distance(zero_img, Projection.zero(phi.target)),
         distance(one_img, Projection.identity(phi.target)),
@@ -417,9 +438,8 @@ def verify_lattice_iso(phi: LatticeMap, samples: int = 32, seed: int = 0) -> Map
     profile_map: dict[tuple, tuple] = {}
     profile_ok, profile_ce = True, None
 
-    for k in range(samples):
-        p, q = random_overlapping_pair(shape, rng)
-        fp, fq = phi(p), phi(q)
+    for k, (p, q) in enumerate(pairs):
+        fp, fq, f_meet, f_join = images[4 * k : 4 * k + 4]
 
         for a, b, fa, fb in ((p, q, fp, fq), (q, p, fq, fp)):
             # back is leq(fa, fb), kept as its residual
@@ -436,8 +456,8 @@ def verify_lattice_iso(phi: LatticeMap, samples: int = 32, seed: int = 0) -> Map
                     "leq_target": back,
                 }
 
-        fm = distance(phi(meet(p, q)), meet(fp, fq))
-        fj = distance(phi(join(p, q)), join(fp, fq))
+        fm = distance(f_meet, meet(fp, fq))
+        fj = distance(f_join, join(fp, fq))
         worst_mj = max(worst_mj, fm, fj)
         if fm > CHECK_TOL or fj > CHECK_TOL:
             mj_ok = False
@@ -502,12 +522,15 @@ def preserves_orthogonality(
     the biconditional failed (as storable objects, so it can go into a
     report verbatim) with the offending residual; an orthogonal pair's
     witness also carries the pair's own product, probe_product.  The
-    halves probe, the two coordinate halves of each block, is checked
-    first, since it exposes most non-unitary conjugations at once; at
-    samples = 0 it is the whole test: two calls of phi and no draws.  A sampled
+    halves probe, the two coordinate halves of each block, is mapped
+    and checked first, since it exposes most non-unitary conjugations
+    at once; at samples = 0 it is the whole test.  A map it refuses pays
+    no draws (a Generator passed as seed is advanced less).  A sampled
     orthogonal pair is one QR of Gaussians [G_p G_q], of ranks r and at
-    most n - r, per block: p spans G_p, and q (1 - p) range(G_q).  The
-    non-orthogonal pairs are the random p's, mapped once, taken cyclically.
+    most n - r, per block: p spans G_p, and q (1 - p) range(G_q).  All
+    pairs are mapped in one batch, the rest even after the first pair
+    whose images overlap.  The non-orthogonal pairs are the random p's,
+    mapped once, taken cyclically.
     """
     from .serialize import projection_to_obj  # deferred: serialize imports us
 
@@ -515,11 +538,12 @@ def preserves_orthogonality(
     shape = phi.source
 
     # Deterministic probes: disjoint halves of the standard basis.
-    probes: list[tuple[Projection, Projection]] = []
     eyes = [np.eye(n, dtype=np.complex128) for n in shape.blocks]
     half_a = Projection.from_basis(shape, [e[:, : n // 2] for e, n in zip(eyes, shape.blocks)])
     half_b = Projection.from_basis(shape, [e[:, n // 2 :] for e, n in zip(eyes, shape.blocks)])
-    probes.append((half_a, half_b))
+    res = _product_norm(*phi.images([half_a, half_b]))
+    if res > CHECK_TOL:
+        return False, _overlap_witness(half_a, half_b, res)
     cuts, draws = [], []
     for _ in range(samples):
         ranks, gp = _draw_projection(shape, rng)
@@ -529,22 +553,21 @@ def preserves_orthogonality(
         draws.append((tuple(map(operator.add, ranks, room)), list(map(np.hstack, zip(gp, gq)))))
     # one QR of [G_p G_q] per block: p is its first r columns and q the
     # rest, which span (1 - p) range(G_q)
+    probes = []  # p, q of each pair in turn
     for ranks, u in zip(cuts, _orthonormalize(shape, draws)):
         cols = list(zip(u.basis, ranks))
-        p = Projection.from_basis(shape, [b[:, :r] for b, r in cols])
-        probes.append((p, Projection.from_basis(shape, [b[:, r:] for b, r in cols])))
-
-    sampled = []  # (p, phi(p)), the halves probe first
-    for p, q in probes:
-        fp = phi(p)
-        sampled.append((p, fp))
-        res = _product_norm(fp, phi(q))
+        probes.append(Projection.from_basis(shape, [b[:, :r] for b, r in cols]))
+        probes.append(Projection.from_basis(shape, [b[:, r:] for b, r in cols]))
+    images = phi.images(probes)
+    for p, q, fp, fq in zip(probes[::2], probes[1::2], images[::2], images[1::2]):
+        res = _product_norm(fp, fq)
         if res > CHECK_TOL:
             return False, _overlap_witness(p, q, res)
 
     # Non-orthogonal pairs must keep overlapping images: the random p's,
     # taken cyclically, are independent Haar pairs.
-    for (p, fp), (q, fq) in zip(sampled[1:], sampled[2:] + sampled[1:2]):
+    sampled = list(zip(probes[::2], images[::2]))  # (p, phi(p))
+    for (p, fp), (q, fq) in zip(sampled, sampled[1:] + sampled[:1]):
         overlap = _product_norm(p, q)
         if overlap <= 1e-2:  # want a clear overlap to start from
             continue

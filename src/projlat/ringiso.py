@@ -14,12 +14,12 @@ ConjugationRingIso with T = y.
 The Dye pipeline sits on top: a lattice isomorphism that also preserves
 orthogonality coordinatizes to a ring isomorphism that is a real
 *-isomorphism; Psi = Ad(T) sigma is one exactly when every T_b* T_b is
-a scalar, so T decides it.  dye_extension runs the two-call halves
-probe of preserves_orthogonality, then coordinatize (which alone reads
-samples), then replays through phi the orthogonal pair whose images
-overlap most, by (k^2 - 1) / (k^2 + 1) with k = cond(T_b) on the worst
-block (Wielandt's inequality); its "orthogonality-preservation" stage
-time covers the probe and the replay.
+a scalar, so T decides it.  dye_extension runs the halves probe of
+preserves_orthogonality (one batch of two), then coordinatize (which
+alone reads samples), then replays through phi the orthogonal pair
+whose images overlap most, by (k^2 - 1) / (k^2 + 1) with k = cond(T_b)
+on the worst block (Wielandt's inequality); the time of its stage
+"orthogonality-preservation" covers the probe and the replay.
 """
 
 from __future__ import annotations
@@ -197,14 +197,14 @@ def dye_extension(
 
     Decides in three steps.  The halves probe,
     preserves_orthogonality(phi, 0, seed), maps the coordinate halves
-    of each block (two calls of phi).  The coordinatization engine then
+    of each block (one batch of two).  The coordinatization engine then
     compiles Psi = Ad(T) sigma; samples and seed feed it alone.  By
     Dye's theorem phi preserves orthogonality exactly when every
     T_b* T_b is a scalar, and by Wielandt's inequality the largest
     overlap ||phi(p) phi(q)|| over orthogonal p, q in a block is
     (k^2 - 1) / (k^2 + 1), k = cond(T_b).  So the last step replays the
     pair that attains it on the worst block (_worst_pair) through phi
-    (two more calls) and refuses when the images overlap by more than
+    (one more batch of two) and refuses when the images overlap by more than
     CHECK_TOL; a sampled pair could only find a smaller overlap.
 
     Returns the ring isomorphism (the compiled ConjugationRingIso Psi)
@@ -239,7 +239,7 @@ def dye_extension(
     clock.append(perf_counter())
     psi_full = result.Psi
     p, q = _worst_pair(psi_full)
-    overlap = _product_norm(phi(p), phi(q))
+    overlap = _product_norm(*phi.images([p, q]))
     if overlap > CHECK_TOL:
         raise OrthogonalityNotPreserved(_overlap_witness(p, q, overlap))
     clock.append(perf_counter())

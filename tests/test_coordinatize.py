@@ -488,21 +488,23 @@ def test_intertwining_is_measured_on_the_documented_draws(case, samples):
     [([12], 8, 20), ([24], 8, 24), ([3] * 4, 8, 17), ([3] * 6, 8, 17), ([12], 12, 26)],
 )
 def test_each_corner_draw_is_mapped_once(blocks, samples, calls, monkeypatch):
-    """The corner-map calls of one coordinatize: normalization's two
-    slot units; per pair (x, y), psi(x) and slots 13 and 23 at x; the
-    compilation's max_b n_b/3 + 2.  `calls` counts the corner points
-    read through phi: those calls, and per pair the slot-12 graphs
+    """The corner points of one coordinatize, counted at the corner
+    map's batched entry (its call is the one-point case): normalization's
+    two slot units; per pair (x, y), psi(x) and slots 13 and 23 at x;
+    the compilation's max_b n_b/3 + 2.  `calls` counts the corner points
+    read through phi: those points, and per pair the slot-12 graphs
     P_12[y], P_12[x + y] and P_12[x y] that the certificate maps as
-    probes, with no psi call.  phi is applied once per corner-map call,
+    probes, with no psi call.  phi is applied once per corner point,
     once per frame projection and once per certificate probe: 2 samples
     random ones and four frame points per pair."""
     shape = AlgebraShape(blocks)
     t = pl.random_invertible(shape, np.random.default_rng(1), cond_max=50.0)
-    real, seen = _CornerMap.__call__, []
+    real, seen = _CornerMap.images, []
 
-    def counted(self, *args):
-        seen.append(args[1] if len(args) > 1 else (0, 1))
-        return real(self, *args)
+    def counted(self, points):
+        points = list(points)
+        seen.extend(slot for _, slot in points)
+        return real(self, points)
 
     conj, applied = pl.from_conjugation(t), []
 
@@ -510,13 +512,34 @@ def test_each_corner_draw_is_mapped_once(blocks, samples, calls, monkeypatch):
         applied.append(p)
         return conj(p)
 
-    monkeypatch.setattr(_CornerMap, "__call__", counted)
+    monkeypatch.setattr(_CornerMap, "images", counted)
     pl.coordinatize(pl.LatticeMap(shape, shape, apply), samples=samples, seed=1)
     pairs = max(2, samples // 4)
     assert len(seen) + 3 * pairs == calls
     assert len(seen) == 2 + 3 * pairs + max(blocks) // 3 + 2
     assert seen.count((0, 2)) - 1 == seen.count((1, 2)) == pairs  # less the slot-13 unit
     assert len(applied) == 3 + len(seen) + 4 * pairs + 2 * samples
+
+
+@pytest.mark.parametrize("blocks, calls, mapped", [([12], 19, 79), ([3] * 4, 13, 73)])
+def test_each_batch_is_one_conjugation_call(blocks, calls, mapped, monkeypatch):
+    """ConjugationRingIso._images calls of one coordinatize of Ad(T):
+    phi's frame projections and phi's certificate probes, one each; the
+    slot units, the slot stage and each of the compilation's
+    max_b n_b/3 + 2 corner points, two each (phi, then Ad(S_k S0));
+    Psi's probes, one.  The projections mapped stay one per probe."""
+    shape = AlgebraShape(blocks)
+    t = pl.random_invertible(shape, np.random.default_rng(1), cond_max=100.0)
+    real, seen = pl.ConjugationRingIso._images, []
+
+    def counted(self, ps):
+        seen.append(len(ps))
+        return real(self, ps)
+
+    monkeypatch.setattr(pl.ConjugationRingIso, "_images", counted)
+    pl.coordinatize(pl.from_conjugation(t), seed=1)
+    assert len(seen) == calls == 7 + 2 * (max(blocks) // 3 + 2)
+    assert sum(seen) == mapped
 
 
 def _forged_slot13(shape, eps):

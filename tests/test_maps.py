@@ -124,6 +124,48 @@ def test_shape_mismatch_guard(rng):
         pl.compose(phi, pl.from_conjugation(Element.identity(AlgebraShape([4]))))
 
 
+def _reverse_blocks(x):
+    return Element(x.shape, x.data[::-1])
+
+
+_PROVENANCES = {
+    "conjugation": lambda t: pl.from_conjugation(t),
+    "semilinear-routed": lambda t: pl.ConjugationRingIso(t, ("conj", "id", "id"), (2, 0, 1)).lattice_map(),
+    "composite": lambda t: pl.compose(pl.from_semilinear(t, "conj"), pl.from_conjugation(t)),
+    "ring-iso-reversal": lambda t: pl.from_ring_iso(_reverse_blocks, t.shape),
+    "opaque": lambda t: LatticeMap(t.shape, t.shape, pl.from_conjugation(t)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PROVENANCES))
+def test_images_are_the_maps_own_images_bit_for_bit(kind):
+    """images(ps) is [phi(p) for p in ps] to the last bit for every
+    provenance, ranks 0 and full included; an empty list maps to an
+    empty list, and a projection of another shape is refused as a
+    single call refuses it."""
+    shape = AlgebraShape([3, 3, 3])
+    rng = np.random.default_rng(7)
+    phi = _PROVENANCES[kind](pl.random_invertible(shape, rng, cond_max=50.0))
+    ps = [pl.Projection.zero(shape), pl.Projection.identity(shape)]
+    ps += [pl.random_projection(shape, rng) for _ in range(6)]
+    got, want = phi.images(ps), [phi(p) for p in ps]
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and a.ranks == b.ranks
+        assert [u.tobytes() for u in a.basis] == [u.tobytes() for u in b.basis]
+    assert phi.images([]) == []
+    other = pl.random_projection(AlgebraShape([3, 3]), rng)
+    with pytest.raises(pl.ShapeMismatch, match=r"map expects projections in \[3,3,3\], got \[3,3\]"):
+        phi.images([ps[2], other])
+
+
+def test_images_of_an_opaque_map_call_apply_once_per_projection_in_order(rng):
+    shape = AlgebraShape([2, 3])
+    phi, seen = _recorded(pl.from_conjugation(pl.random_invertible(shape, rng, cond_max=20.0)))
+    ps = [pl.random_projection(shape, rng) for _ in range(5)]
+    phi.images(ps)
+    assert [id(p) for p in seen] == [id(p) for p in ps]
+
+
 def test_verify_lattice_iso_passes_conjugations(shape, rng):
     t = pl.random_invertible(shape, rng, cond_max=60.0)
     ver = pl.verify_lattice_iso(pl.from_conjugation(t), samples=12, seed=0)
@@ -193,6 +235,24 @@ def test_orthogonality_sampler_maps_each_projection_once(blocks):
     ok, witness = pl.preserves_orthogonality(phi, 12, 1)
     assert ok and witness is None
     assert len(seen) == 26
+
+
+@pytest.mark.parametrize("blocks", [[3], [2, 3]])
+def test_a_halves_refusal_maps_two_projections_and_draws_nothing(blocks):
+    """The suite's shear is refused by the halves probe, which is mapped
+    and checked before any draw: phi sees the two halves alone, and a
+    Generator passed as seed is left where it was."""
+    shape = AlgebraShape(blocks)
+    shear = [np.eye(n, dtype=complex) for n in blocks]
+    shear[int(np.argmax(blocks))][0, 1] = 1.0
+    phi, seen = _recorded(pl.from_conjugation(Element(shape, shear)))
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    ok, witness = pl.preserves_orthogonality(phi, 8, rng)
+    assert not ok and witness["kind"] == "orthogonal-pair-mapped-to-overlapping"
+    halves = [[np.eye(n)[:, : n // 2] for n in blocks], [np.eye(n)[:, n // 2 :] for n in blocks]]
+    assert [[u.tolist() for u in p.basis] for p in seen] == [[u.tolist() for u in h] for h in halves]
+    assert rng.bit_generator.state == state
 
 
 def _span(w):
