@@ -168,7 +168,7 @@ def normalize_map(phi: LatticeMap, source_frame: Frame) -> tuple[LatticeMap, Fra
     one_hat = Element.identity(fr.corner_shape)
     slot_units = _CornerMap(phi0, fr, target)
     try:
-        units = slot_units.images([(one_hat, (0, j)) for j in range(1, k)])
+        units = [slot_units(one_hat, (0, j)) for j in range(1, k)]  # a refusal stops the rest
     except NotAGraphProjection as exc:
         raise FrameAssemblyFailed(f"slot unit does not recover: {exc}") from exc
     try:
@@ -206,13 +206,12 @@ def coordinatize(
     The rng draws the frame's unitary (when none is given), then
     max(2, samples // 4) pairs (x, y) of corner elements, every x then
     mapped through slots 12, 13 and 23 in one batch, then the
-    intertwining draws.  Psi,
-    which does not depend on the draws, is compiled to a
-    ConjugationRingIso from max_b n_b/k + 2 corner-map calls, k the
-    frame's order.  _verify certifies it by the theorem's identity:
-    phi(p) must be within 1e-3 of Psi.lattice_map()(p), the projection
-    onto range Psi(p), at `samples` random projections p, at the
-    supports l(x p') of `samples` random elements x times random
+    intertwining draws.  Psi, which does not depend on the draws, is
+    compiled to a ConjugationRingIso from max_b n_b/k + 2 corner-map
+    calls, k the frame's order.  _verify certifies it by the theorem's
+    identity: phi(p) must be within 1e-3 of Psi.lattice_map()(p), the
+    projection onto range Psi(p), at `samples` random projections p, at
+    the supports l(x p') of `samples` random elements x times random
     projections p', and at each pair's P_12[y], P_12[x + y], P_12[x y]
     and two-slot P_{x,y}, which carry psi's ring axioms.  All draws
     come first, then each QR and SVD runs once per stack across the
@@ -290,8 +289,9 @@ class _CornerMap:
     operator.  A call is one graph projection (one QR per stack), one
     application of phi' (phi, then one conjugation) and one recovery
     (one eigh per stack for the operator, certified on the image's
-    range basis); images maps many points through one application.  It holds phi', the source frame and the standard
-    target frame, and nothing else.
+    range basis); images maps many points through one application of
+    phi'.  It holds phi', the source frame and the standard target
+    frame, and nothing else.
     """
 
     def __init__(self, phi: LatticeMap, source: Frame, target: Frame):
@@ -305,8 +305,7 @@ class _CornerMap:
         return self.images([(xhat, slot)])[0]
 
     def images(self, points: list[tuple[Element, tuple]]) -> list[Element]:
-        """psi at each (corner, slot) of points: their graph projections,
-        one batch through phi', then the recoveries in list order."""
+        """psi at each (x^, slot) of points: one batch through phi', recoveries in order."""
         images = self.phi.images([graph_projection(self.source, x, s) for x, s in points])
         return [recover_operator(self.target, q, slot) for q, (_, slot) in zip(images, points)]
 

@@ -59,24 +59,34 @@ __all__ = [
 ]
 
 
+class _Batched:
+    """A provenance that maps a list of projections at once, _images(ps);
+    _apply, its one-value case, is the apply of the maps built on it."""
+
+    def _apply(self, p: Projection) -> Projection:
+        return self._images([p])[0]
+
+
 @dataclass(frozen=True)
-class FromRingIso:
+class FromRingIso(_Batched):
     """psi and its inverse, if known."""
 
     psi: Callable[[Element], Element]
     psi_inverse: Callable[[Element], Element] | None = None
 
     def _images(self, ps) -> list[Projection]:
-        """left_support(psi(p)) for each p of ps: psi once per p, then one
-        thin SVD per size group across all the images."""
+        """left_support(psi(p)) for each p of ps, one thin SVD per size group."""
         xs = [self.psi(p.element) for p in ps]
         return _left_supports(xs[0].shape, _batch(xs[0].shape, xs)) if xs else []
 
 
 @dataclass(frozen=True)
-class Composite:
+class Composite(_Batched):
     outer: "LatticeMap"
     inner: "LatticeMap"
+
+    def _images(self, ps) -> list[Projection]:
+        return self.outer.images(self.inner.images(ps))
 
 
 @dataclass(frozen=True)
@@ -90,9 +100,9 @@ class LatticeMap:
 
     apply must be pure and deterministic; by construction every map
     built here sends 0 to 0 and 1 to 1.  images batches by provenance,
-    as invert_map inverts: a ring-iso provenance maps all projections
-    through its _images and a composite part by part, and apply is the
-    one-value case; any other provenance calls apply per projection.
+    as invert_map inverts, while apply is the provenance's own _apply:
+    a ring-iso one maps all projections through _images, a composite
+    part by part.  Any other apply is called once per projection.
     """
 
     source: AlgebraShape
@@ -101,22 +111,18 @@ class LatticeMap:
     provenance: object = field(default_factory=Opaque)
 
     def __call__(self, p: Projection) -> Projection:
-        return self.apply(self._own(p))
+        return self.images([p])[0]
 
     def images(self, ps) -> list[Projection]:
         """The image of each projection of ps, in order, in one batched
         application; a p of another shape raises ShapeMismatch."""
-        ps, prov = [self._own(p) for p in ps], self.provenance
-        if isinstance(prov, (ConjugationRingIso, FromRingIso)):
+        ps, prov = list(ps), self.provenance
+        for p in ps:
+            if p.shape != self.source:
+                raise ShapeMismatch(f"map expects projections in [{self.source}], got [{p.shape}]")
+        if isinstance(prov, _Batched) and self.apply == prov._apply:
             return prov._images(ps)
-        if isinstance(prov, Composite):
-            return prov.outer.images(prov.inner.images(ps))
         return [self.apply(p) for p in ps]
-
-    def _own(self, p: Projection) -> Projection:
-        if p.shape == self.source:
-            return p
-        raise ShapeMismatch(f"map expects projections in [{self.source}], got [{p.shape}]")
 
 
 def from_ring_iso(
@@ -129,7 +135,7 @@ def from_ring_iso(
     psi(p)."""
     target = target or source
     prov = FromRingIso(psi, psi_inverse)
-    return LatticeMap(source, target, lambda p: prov._images([p])[0], prov)
+    return LatticeMap(source, target, prov._apply, prov)
 
 
 def _sigma(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -138,7 +144,7 @@ def _sigma(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.conjugate(a, out=a, where=mask)
 
 
-class ConjugationRingIso:
+class ConjugationRingIso(_Batched):
     """Ring isomorphism x -> T sigma(x) T^{-1}, with blocks routed.
 
     sigma applies the identity ("id") or entrywise complex conjugation
@@ -222,7 +228,7 @@ class ConjugationRingIso:
     def lattice_map(self) -> LatticeMap:
         """The induced map p -> projection onto T sigma(range p), its
         images read by _images."""
-        return LatticeMap(self.source, self.T.shape, lambda p: self._images([p])[0], self)
+        return LatticeMap(self.source, self.T.shape, self._apply, self)
 
     def _images(self, ps) -> list[Projection]:
         """The lattice map's image of each projection of ps: the range of
@@ -359,12 +365,8 @@ def compose(outer: LatticeMap, inner: LatticeMap) -> LatticeMap:
     """outer after inner."""
     if inner.target != outer.source:
         raise ShapeMismatch("inner target does not match outer source")
-    return LatticeMap(
-        inner.source,
-        outer.target,
-        lambda p: outer.images(inner.images([p]))[0],
-        Composite(outer, inner),
-    )
+    prov = Composite(outer, inner)
+    return LatticeMap(inner.source, outer.target, prov._apply, prov)
 
 
 def invert_map(phi: LatticeMap) -> LatticeMap:
@@ -422,11 +424,10 @@ def verify_lattice_iso(phi: LatticeMap, samples: int = 32, seed: int = 0) -> Map
     shape = phi.source
     checks: list[MapCheck] = []
 
-    # every point is source-side, so phi maps them all in one batch
     pairs = [random_overlapping_pair(shape, rng) for _ in range(samples)]
     points = [Projection.zero(shape), Projection.identity(shape)]
     points += [x for p, q in pairs for x in (p, q, meet(p, q), join(p, q))]
-    zero_img, one_img, *images = phi.images(points)
+    zero_img, one_img, *images = phi.images(points)  # all source-side: one batch
     res = max(
         distance(zero_img, Projection.zero(phi.target)),
         distance(one_img, Projection.identity(phi.target)),
@@ -528,9 +529,9 @@ def preserves_orthogonality(
     no draws (a Generator passed as seed is advanced less).  A sampled
     orthogonal pair is one QR of Gaussians [G_p G_q], of ranks r and at
     most n - r, per block: p spans G_p, and q (1 - p) range(G_q).  All
-    pairs are mapped in one batch, the rest even after the first pair
-    whose images overlap.  The non-orthogonal pairs are the random p's,
-    mapped once, taken cyclically.
+    pairs are mapped in one batch, even those after the first pair whose
+    images overlap; the random p's, mapped once and taken cyclically,
+    are the non-orthogonal pairs.
     """
     from .serialize import projection_to_obj  # deferred: serialize imports us
 

@@ -521,11 +521,11 @@ def test_each_corner_draw_is_mapped_once(blocks, samples, calls, monkeypatch):
     assert len(applied) == 3 + len(seen) + 4 * pairs + 2 * samples
 
 
-@pytest.mark.parametrize("blocks, calls, mapped", [([12], 19, 79), ([3] * 4, 13, 73)])
+@pytest.mark.parametrize("blocks, calls, mapped", [([12], 21, 79), ([3] * 4, 15, 73)])
 def test_each_batch_is_one_conjugation_call(blocks, calls, mapped, monkeypatch):
     """ConjugationRingIso._images calls of one coordinatize of Ad(T):
-    phi's frame projections and phi's certificate probes, one each; the
-    slot units, the slot stage and each of the compilation's
+    phi's frame projections and phi's certificate probes, one each; each
+    of the two slot units, the slot stage and each of the compilation's
     max_b n_b/3 + 2 corner points, two each (phi, then Ad(S_k S0));
     Psi's probes, one.  The projections mapped stay one per probe."""
     shape = AlgebraShape(blocks)
@@ -538,7 +538,7 @@ def test_each_batch_is_one_conjugation_call(blocks, calls, mapped, monkeypatch):
 
     monkeypatch.setattr(pl.ConjugationRingIso, "_images", counted)
     pl.coordinatize(pl.from_conjugation(t), seed=1)
-    assert len(seen) == calls == 7 + 2 * (max(blocks) // 3 + 2)
+    assert len(seen) == calls == 9 + 2 * (max(blocks) // 3 + 2)
     assert sum(seen) == mapped
 
 
@@ -593,6 +593,67 @@ def test_a_slot_unit_that_does_not_recover_is_named_as_such():
         pl.coordinatize(pl.LatticeMap(S6, S6, apply), seed=1)
     assert str(info.value).startswith("slot unit does not recover: slot 12: not a graph projection")
     assert isinstance(info.value.__cause__, pl.NotAGraphProjection)
+
+
+def _logged(shape, apply):
+    """An opaque LatticeMap of apply that logs each projection it maps."""
+    log = []
+
+    def logging(p):
+        log.append(p)
+        return apply(p)
+
+    return pl.LatticeMap(shape, shape, logging), log
+
+
+def _bits(ps):
+    return [[u.tobytes() for u in p.basis] for p in ps]
+
+
+def test_a_slot_unit_refusal_maps_the_frame_and_that_unit_alone():
+    """The slot units are read one at a time: when the slot-12 unit
+    does not recover, phi has seen the frame projections and that
+    unit's graph, and nothing else."""
+    rng = np.random.default_rng(1)
+    t, g = pl.random_invertible(S6, rng, cond_max=50.0), pl.random_element(S6, rng)
+
+    def apply(p):
+        c = np.vdot(g.data[0], p.element.data[0]).real
+        return pl.left_support((t + 1e-6 * c * g) * p.element)
+
+    phi, log = _logged(S6, apply)
+    fr = Frame.standard(S6, 3)
+    with pytest.raises(pl.FrameAssemblyFailed, match="slot unit does not recover: slot 12"):
+        pl.coordinatize(phi, source_frame=fr, seed=1)
+    unit = pl.graph_projection(fr, Element.identity(fr.corner_shape), (0, 1))
+    assert _bits(log) == _bits([*fr.projections, unit])
+
+
+@pytest.mark.parametrize("blocks", [[6], [3, 3]])
+def test_a_slot_stage_refusal_comes_after_the_whole_stage_is_mapped(blocks):
+    """The slot stage maps x at slots 12, 13 and 23 for every pair in
+    one batch, then recovers in that order: phi maps a slot-13 graph to
+    a projection of the wrong rank, and the refusal names slot 13 after
+    phi has seen the frame, the two slot units and every graph of the
+    stage, in the order of the draws."""
+    shape = AlgebraShape(blocks)
+    fr = Frame.standard(shape, 3)
+    e1, _, e3 = fr.projections
+    top, one = pl.join(e1, e3), Element.identity(fr.corner_shape)
+    kept = (e1, e3, pl.graph_projection(fr, one, (0, 2)))
+    exact = pl.from_conjugation(pl.random_invertible(shape, np.random.default_rng(1), cond_max=50.0))
+
+    def apply(p):
+        under = pl.leq(p, top) and all(pl.distance(p, e) > 1e-12 for e in kept)
+        return exact(top if under else p)
+
+    phi, log = _logged(shape, apply)
+    with pytest.raises(pl.NotAGraphProjection, match="^slot 13: rank"):
+        pl.coordinatize(phi, source_frame=fr, samples=8, seed=1)
+    rng = pl.rng_from(1)
+    xs = [[pl.random_element(fr.corner_shape, rng, norm_bound=2.0) for _ in range(2)][0] for _ in range(2)]
+    points = [(one, (0, 1)), (one, (0, 2))] + [(x, s) for x in xs for s in ((0, 1), (0, 2), (1, 2))]
+    assert _bits(log) == _bits([*fr.projections, *(pl.graph_projection(fr, x, s) for x, s in points)])
 
 
 def _rank_dependent_conjugation(shape, rng):

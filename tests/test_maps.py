@@ -1,5 +1,7 @@
 """Lattice maps, their verification, and the limits of sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,46 @@ def test_images_of_an_opaque_map_call_apply_once_per_projection_in_order(rng):
     ps = [pl.random_projection(shape, rng) for _ in range(5)]
     phi.images(ps)
     assert [id(p) for p in seen] == [id(p) for p in ps]
+
+
+_CALLERS = {
+    "coordinatize": lambda phi: [a.tobytes() for a in pl.coordinatize(phi, seed=1).Psi.T.data],
+    "dye_extension": lambda phi: [a.tobytes() for a in pl.dye_extension(phi, seed=1)[0].T.data],
+    "verify_lattice_iso": lambda phi: [
+        (c.name, c.passed, c.max_residual) for c in pl.verify_lattice_iso(phi, samples=4, seed=1).checks
+    ],
+    "preserves_orthogonality": lambda phi: pl.preserves_orthogonality(phi, 4, 1),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_CALLERS))
+def test_a_replaced_apply_sees_every_projection_the_map_is_asked_for(caller, monkeypatch):
+    """dataclasses.replace(phi, apply=...) keeps phi's provenance, but
+    images batches through it only while apply is the provenance's own:
+    a replaced apply sees, one call each and in order, every projection
+    that phi's provenance maps when phi is called as built, and the
+    outcome is the same to the bit."""
+    shape = AlgebraShape([3, 3])
+    phi = pl.from_conjugation(pl.random_unitary(shape, np.random.default_rng(5)))
+    real, batched = pl.ConjugationRingIso._images, []
+
+    def recorded(self, ps):
+        if self is phi.provenance:
+            batched.extend(ps)
+        return real(self, ps)
+
+    monkeypatch.setattr(pl.ConjugationRingIso, "_images", recorded)
+    want = _CALLERS[caller](phi)
+    mapped, seen = list(batched), []
+
+    def counting(p):
+        seen.append(p)
+        return phi(p)
+
+    assert _CALLERS[caller](dataclasses.replace(phi, apply=counting)) == want
+    assert len(seen) == len(mapped) > 0
+    for a, b in zip(seen, mapped):
+        assert [u.tobytes() for u in a.basis] == [u.tobytes() for u in b.basis]
 
 
 def test_verify_lattice_iso_passes_conjugations(shape, rng):
