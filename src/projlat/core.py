@@ -420,8 +420,8 @@ class Projection(_Blocks):
     The range bases of the blocks of each size and rank are one
     read-only (k, n, r) stack; basis is one (n, r) view into them per
     block, in block order.  The basis is what the lattice operations
-    actually consume; the dense matrix ``element`` serves arithmetic
-    against plain elements.  A projection made from a basis builds it,
+    actually consume; arithmetic goes through the dense matrix
+    ``element``, as a projection has none of its own.  A projection made from a basis builds it,
     u u* per block, when it is first read: most projections met inside
     a lattice computation are only ever used through their basis.
     """
@@ -478,31 +478,6 @@ class Projection(_Blocks):
 
     def is_zero(self) -> bool:
         return self.rank() == 0
-
-    # Arithmetic on projections drops down to elements; the results are
-    # generally not projections, so they come back as plain elements.
-    def __add__(self, other):
-        return self.element + _coerce(other)
-
-    def __radd__(self, other):
-        return _coerce(other) + self.element
-
-    def __sub__(self, other):
-        return self.element - _coerce(other)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self.element
-
-    def __neg__(self):
-        return -self.element
-
-    def __mul__(self, other):
-        return self.element * _coerce(other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex, np.number)):
-            return self.element * other
-        return _coerce(other) * self.element
 
     def __repr__(self) -> str:
         return f"Projection(shape=[{self.shape}], ranks={list(self.ranks)})"

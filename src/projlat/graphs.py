@@ -180,12 +180,8 @@ class Frame:
                 raise NotAFrame(f"w1{j}* w1{j} is not the slot projection")
 
         vmats = []
-        for b, n in enumerate(shape.blocks):
-            u1 = ps[0].basis[b]
-            v = np.concatenate([u1] + [w.data[b].conj().T @ u1 for w in ws], axis=1)
-            if v.shape != (n, n):
-                raise NotAFrame(f"slot ranks do not fill block {b}")
-            vmats.append(v)
+        for b, u1 in enumerate(ps[0].basis):
+            vmats.append(np.concatenate([u1] + [w.data[b].conj().T @ u1 for w in ws], axis=1))
         return cls(Element(shape, vmats), k)
 
 

@@ -12,6 +12,9 @@ that the generic part of q is
 in the (e1, e2) frame given by v.  The eigenvalues of a are the cosines
 of the principal angles between the generic parts.
 
+Every projection built here is a span of orthonormal columns that the
+layer already holds; none is snapped back from a dense sum.
+
 The decomposition drives two constructions: the invertible operator S
 (the orthogonalizer) that pushes q off p while fixing p and the
 complement of p v q, and the corner witness projection that encodes an
@@ -37,7 +40,7 @@ from .core import (
     distance,
 )
 from .errors import NotLSOrthogonal, PreconditionViolated, ShapeMismatch
-from .lattice import canonicalize, join, meet
+from .lattice import join, meet
 
 __all__ = [
     "HalmosDecomposition",
@@ -90,11 +93,12 @@ def halmos_decompose(p: Projection, q: Projection) -> HalmosDecomposition:
     pqc = meet(p, qc)
     pcq = meet(pc, q)
     pcqc = meet(pc, qc)
-    e1 = canonicalize(p - pq - pqc)
-    e2 = canonicalize(pc - pcq - pcqc)
+    e1 = meet(p, join(pq, pqc).complement())
+    e2 = meet(pc, join(pcq, pcqc).complement())
 
-    # Generic part of q, with both corners under q removed.
-    m = q - pq - pcq
+    # q's generic part, read off its range basis: both corners under q
+    # are orthogonal to e1 and e2, so with g = U_e1* U_q and h = U_e2* U_q
+    # it is a^2 = g g* on e1 and a b v = g h* from e2 to e1.
     a_blocks, b_blocks, v_blocks, angle_blocks = [], [], [], []
     for i, n in enumerate(shape.blocks):
         u1, u2 = e1.basis[i], e2.basis[i]
@@ -110,13 +114,13 @@ def halmos_decompose(p: Projection, q: Projection) -> HalmosDecomposition:
             v_blocks.append(zero)
             angle_blocks.append(np.zeros(0))
             continue
-        mb = m.data[i]
-        c = u1.conj().T @ mb @ u1
+        g, h = u1.conj().T @ q.basis[i], u2.conj().T @ q.basis[i]
+        c = g @ g.conj().T
         lam, vec = np.linalg.eigh((c + c.conj().T) / 2)
         lam = np.clip(lam, 0.0, 1.0)
         a_small = (vec * np.sqrt(lam)) @ vec.conj().T
         b_small = (vec * np.sqrt(1.0 - lam)) @ vec.conj().T
-        x_small = u1.conj().T @ mb @ u2
+        x_small = g @ h.conj().T
         uu, _, vvh = np.linalg.svd(x_small)
         v_small = uu @ vvh  # full unitary pairing of the generic parts
         a_blocks.append(u1 @ a_small @ u1.conj().T)
@@ -141,13 +145,16 @@ def halmos_decompose(p: Projection, q: Projection) -> HalmosDecomposition:
 
 
 def reconstruct(d: HalmosDecomposition) -> tuple[Projection, Projection]:
-    """Rebuild (p, q) from a decomposition."""
-    p = canonicalize(d.p_and_q + d.p_and_qc + d.e1)
-    ab = d.a * d.b
-    vstar = d.v.adjoint()
-    q_generic = d.a * d.a + ab * d.v + vstar * ab + vstar * (d.b * d.b) * d.v
-    q = canonicalize(d.p_and_q + d.pc_and_q + q_generic)
-    return p, q
+    """Rebuild (p, q) from a decomposition: p spans the bases of p^q,
+    p^q' and e1, q those of p^q, p'^q and the orthonormal columns of
+    (a + v* b) e1 (as a^2 + b^2 = e1 and v v* = e1)."""
+    w = d.a + d.v.adjoint() * d.b
+    p_bases, q_bases = [], []
+    for i, u1 in enumerate(d.e1.basis):
+        p_bases.append(np.concatenate([d.p_and_q.basis[i], d.p_and_qc.basis[i], u1], axis=1))
+        q_bases.append(np.concatenate([d.p_and_q.basis[i], d.pc_and_q.basis[i], w.data[i] @ u1], axis=1))
+    shape = d.e1.shape
+    return Projection.from_basis(shape, p_bases), Projection.from_basis(shape, q_bases)
 
 
 def ls_orthogonal(p: Projection, q: Projection) -> bool:
@@ -210,12 +217,12 @@ def orthogonalizer(p: Projection, q: Projection) -> Element:
         NotLSOrthogonal: the pair is not LS-orthogonal, or a principal
             angle sits at the rank cutoff (see halmos_decompose).
     """
-    if meet(p, q).rank() != 0:
-        raise NotLSOrthogonal("pair has a nonzero meet")
     try:
         d = halmos_decompose(p, q)
     except PreconditionViolated as exc:
         raise NotLSOrthogonal(str(exc)) from exc
+    if d.p_and_q.rank() != 0:
+        raise NotLSOrthogonal("pair has a nonzero meet")
     shape = p.shape
     blocks = []
     for i, n in enumerate(shape.blocks):
@@ -247,7 +254,8 @@ def corner_witness_projection(x: Element, p: Projection, q: Projection) -> Proje
 
     is a projection below p + q whose (p, q)-corner is exactly x.  The
     pairing v comes from the polar part of x, extended by the kernel
-    unitaries of the SVD.
+    unitaries of the SVD.  With U_p* x U_q = U diag(sin t cos t) Vh,
+    e spans the orthonormal columns U_p U cos t + U_q Vh* sin t.
 
     Raises:
         PreconditionViolated: p not orthogonal to q, ranks differ,
@@ -264,27 +272,13 @@ def corner_witness_projection(x: Element, p: Projection, q: Projection) -> Proje
     if x.norm() > 0.5 + EQ_TOL:
         raise PreconditionViolated(f"||x|| = {x.norm():.4f} exceeds 1/2")
 
-    shape = p.shape
-    blocks = []
-    for i, n in enumerate(shape.blocks):
+    bases = []
+    for i, n in enumerate(p.shape.blocks):
         up, uq = p.basis[i], q.basis[i]
-        r = up.shape[1]
-        if r == 0:
-            blocks.append(np.zeros((n, n)))
+        if up.shape[1] == 0:
+            bases.append(np.zeros((n, 0)))
             continue
-        xs = up.conj().T @ x.data[i] @ uq
-        uu, sig, vvh = np.linalg.svd(xs)
-        sig = np.clip(sig, 0.0, 0.5)
-        v_small = uu @ vvh
-        theta = 0.5 * np.arcsin(2.0 * sig)
-        cos2 = (uu * np.cos(theta) ** 2) @ uu.conj().T
-        sincos = (uu * (np.sin(theta) * np.cos(theta))) @ uu.conj().T
-        sin2 = (uu * np.sin(theta) ** 2) @ uu.conj().T
-        blk = (
-            up @ cos2 @ up.conj().T
-            + up @ sincos @ v_small @ uq.conj().T
-            + uq @ v_small.conj().T @ sincos @ up.conj().T
-            + uq @ v_small.conj().T @ sin2 @ v_small @ uq.conj().T
-        )
-        blocks.append(blk)
-    return canonicalize(Element(shape, blocks))
+        uu, sig, vvh = np.linalg.svd(up.conj().T @ x.data[i] @ uq)
+        theta = 0.5 * np.arcsin(2.0 * np.clip(sig, 0.0, 0.5))
+        bases.append(up @ uu * np.cos(theta) + uq @ vvh.conj().T * np.sin(theta))
+    return Projection.from_basis(p.shape, bases)

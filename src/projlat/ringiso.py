@@ -192,7 +192,7 @@ def dye_extension(
     phi: LatticeMap,
     samples: int = 12,
     seed: int = 0,
-) -> tuple[Callable[[Element], Element], dict]:
+) -> tuple[ConjugationRingIso, dict]:
     """Upgrade an orthogonality-preserving lattice iso to a real *-iso.
 
     Decides in three steps.  The halves probe,

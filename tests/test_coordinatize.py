@@ -31,6 +31,35 @@ def test_normalize_map_lands_on_target_frame(rng):
         assert pl.distance(img, pl.graph_projection(target, one, slot)) < 1e-7
 
 
+def _unit_graph_to_e1(fr):
+    """The identity on [3], except that the slot-12 unit graph goes to
+    e_1, the graph of 0 there."""
+    unit_graph = pl.graph_projection(fr, Element.identity(fr.corner_shape))
+    e1 = fr.projections[0]
+    return lambda p: e1 if p.ranks == unit_graph.ranks and pl.distance(p, unit_graph) < 1e-12 else p
+
+
+@pytest.mark.parametrize(
+    "make_phi, error, message",
+    [
+        (lambda fr: pl.from_conjugation(pl.random_unitary(S6, 0)), pl.ShapeMismatch,
+         "map source does not match the frame's algebra"),
+        (lambda fr: pl.LatticeMap(S3, S3, lambda p: pl.Projection.identity(S6)), pl.ShapeMismatch,
+         "frame images do not live in the map's target"),
+        (lambda fr: pl.LatticeMap(S3, S3, lambda p: p.complement()), pl.NotOrderThree,
+         "image of frame projection 1 has rank 2 on block 0 of size 3"),
+        (lambda fr: pl.LatticeMap(S3, S3, lambda p: fr.projections[0]), pl.NotOrderThree,
+         "frame images are not independent"),
+        (lambda fr: pl.LatticeMap(S3, S3, _unit_graph_to_e1(fr)), pl.FrameAssemblyFailed,
+         "slot unit not invertible"),
+    ],
+)
+def test_normalize_map_refusals(make_phi, error, message):
+    fr = Frame.standard(S3, 3)
+    with pytest.raises(error, match=message):
+        normalize_map(make_phi(fr), fr)
+
+
 @pytest.mark.parametrize("blocks", [[3], [6], [3, 3]])
 def test_coordinatize_conjugation(blocks, rng):
     shape = AlgebraShape(blocks)

@@ -458,6 +458,17 @@ def test_frame_from_projections_validates(rng):
     halves = [pl.random_projection(odd, rng, ranks=[2, 1]) for _ in range(2)]
     with pytest.raises(pl.NotAFrame, match="divisible by 2: block 1 has size 3$"):
         Frame.from_projections(halves, [Element.identity(odd)])
+    e3_elsewhere = Frame.standard(AlgebraShape([3, 3]), 3).projections[2]
+    w12, w13 = fr.units
+    refusals = [
+        ([e1, e2, e3_elsewhere], fr.units, "live in different algebras"),
+        ([e1, e2, pl.Projection.zero(shape)], fr.units, "do not sum to 1"),
+        (fr.projections, [w12, 2.0 * w13], "w13 w\\* is not p1"),
+        (fr.projections, [w13, w12], "w12\\* w12 is not the slot projection"),
+    ]
+    for ps, ws, message in refusals:
+        with pytest.raises(pl.NotAFrame, match=message):
+            Frame.from_projections(ps, ws)
 
 
 def _rotate(fr, x):

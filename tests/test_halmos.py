@@ -206,3 +206,55 @@ def test_corner_witness_preconditions(rng):
         pl.corner_witness_projection(big, p, q)
     with pytest.raises(pl.PreconditionViolated):
         pl.corner_witness_projection(0.1 * big, p, p)
+
+
+def test_reconstruct_p_is_the_columns_of_its_three_parts(rng):
+    shape = AlgebraShape([1, 4, 3])
+    for _ in range(5):
+        dec = pl.halmos_decompose(pl.random_projection(shape, rng), pl.random_projection(shape, rng))
+        p2, _ = pl.reconstruct(dec)
+        for i in range(len(shape.blocks)):
+            parts = [dec.p_and_q.basis[i], dec.p_and_qc.basis[i], dec.e1.basis[i]]
+            assert np.array_equal(p2.basis[i], np.concatenate(parts, axis=1))
+
+
+def test_orthogonalizer_reads_the_meet_off_the_decomposition(monkeypatch, rng):
+    # the orthogonalizer makes exactly the meets of its decomposition
+    # (four corners and the two generic parts), none of its own
+    calls = []
+    real = pl.halmos.meet
+    monkeypatch.setattr(pl.halmos, "meet", lambda p, q: calls.append(1) or real(p, q))
+    p, q = pl.random_pair_with_trivial_meet(AlgebraShape([2, 3]), rng)
+    pl.halmos_decompose(p, q)
+    decompose_calls = len(calls)
+    calls.clear()
+    pl.orthogonalizer(p, q)
+    assert len(calls) == decompose_calls == 6
+
+
+def _orthonormality_defect(proj):
+    return max(
+        (np.abs(u.conj().T @ u - np.eye(u.shape[1])).max() for u in proj.basis if u.shape[1]),
+        default=0.0,
+    )
+
+
+@pytest.mark.parametrize("blocks", [[1, 4, 3], [3, 3, 2], [6]])
+def test_reconstruct_and_corner_witness_bases_are_orthonormal(blocks):
+    # these shapes include blocks whose generic part is empty
+    shape = AlgebraShape(blocks)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        p, q = pl.random_projection(shape, rng), pl.random_projection(shape, rng)
+        for proj in pl.reconstruct(pl.halmos_decompose(p, q)):
+            assert _orthonormality_defect(proj) <= 1e-13, (blocks, seed)
+        u = pl.random_unitary(shape, rng)
+        ranks = [int(rng.integers(0, n // 2 + 1)) for n in blocks]
+        pw = Projection.from_basis(shape, [b[:, :r] for b, r in zip(u.data, ranks)])
+        qw = Projection.from_basis(shape, [b[:, r : 2 * r] for b, r in zip(u.data, ranks)])
+        x = pw.element * pl.random_element(shape, rng) * qw.element
+        if x.norm() > 0:
+            x = (0.45 / x.norm()) * x
+        e = pl.corner_witness_projection(x, pw, qw)
+        assert _orthonormality_defect(e) <= 1e-13, (blocks, seed)
+        assert pl.distance(pw.element * e.element * qw.element, x) < 1e-12
