@@ -9,224 +9,38 @@ with the orthogonality-preserving extension and the inner factorization
 of ring isomorphisms.
 """
 
-from .core import (
-    CHECK_TOL,
-    EQ_TOL,
-    PROJ_TOL,
-    RANK_REL,
-    AlgebraShape,
-    Element,
-    Projection,
-    center_valued_norm,
-    cond,
-    distance,
-    invert,
-    is_central,
-    left_support,
-    polar_decompose,
-    right_support,
-)
-from .coordinatize import (
-    CoordinatizationResult,
-    UniquenessReport,
-    coordinatize,
-    normalize_map,
-    uniqueness_residual,
-)
-from .errors import (
-    DegenerateWitness,
-    FrameAssemblyFailed,
-    IntertwiningFailure,
-    NotAFrame,
-    NotAGraphProjection,
-    NotAProjection,
-    NotInvertible,
-    NotInvertibleProvenance,
-    NotLSOrthogonal,
-    NotOrderThree,
-    NotRealLinear,
-    NotRingIso,
-    OrthogonalityNotPreserved,
-    PreconditionViolated,
-    ProjlatError,
-    ShapeMismatch,
-    SlotMismatch,
-)
-from .graphs import (
-    Frame,
-    graph_projection,
-    inverse_coincidence,
-    is_slot_graph_projection,
-    lattice_product,
-    lattice_sum,
-    recover_operator,
-)
-from .halmos import (
-    HalmosDecomposition,
-    corner_witness_projection,
-    halmos_decompose,
-    ls_char_minimal_cover,
-    ls_orthogonal,
-    orthogonalizer,
-    reconstruct,
-)
-from .lattice import (
-    canonicalize,
-    central_support,
-    is_central_projection,
-    join,
-    leq,
-    meet,
-    mv_equivalent,
-    principal_ideal_leq,
-)
-from .maps import (
-    ConjugationRingIso,
-    LatticeMap,
-    MapVerification,
-    compose,
-    from_conjugation,
-    from_ring_iso,
-    from_semilinear,
-    invert_map,
-    preserves_orthogonality,
-    verify_lattice_iso,
-)
-from .report import CheckResult, Report, run_check
-from .ringiso import (
-    RingIsoFactorization,
-    dye_extension,
-    inner_factor,
-)
-from .sampling import (
-    random_element,
-    random_invertible,
-    random_overlapping_pair,
-    random_pair_with_angles,
-    random_pair_with_trivial_meet,
-    random_projection,
-    random_unitary,
-    rng_from,
-)
-from .serialize import (
-    element_from_obj,
-    element_to_obj,
-    frame_from_obj,
-    frame_to_obj,
-    halmos_to_obj,
-    load_json,
-    map_from_obj,
-    map_to_obj,
-    pair_from_obj,
-    pair_to_obj,
-    projection_from_obj,
-    projection_to_obj,
-    ring_iso_from_obj,
-    ring_iso_to_obj,
-    save_json,
-)
-from .suite import verify_suite
+from . import coordinatize, core, errors, graphs, halmos, lattice
+from . import maps, report, ringiso, sampling, serialize, suite
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one declaration of its public names.  It
+# is read here, before the star imports rebind coordinatize to the
+# function of that name.
 __all__ = [
-    "AlgebraShape",
-    "CHECK_TOL",
-    "CheckResult",
-    "ConjugationRingIso",
-    "CoordinatizationResult",
-    "EQ_TOL",
-    "DegenerateWitness",
-    "Element",
-    "Frame",
-    "FrameAssemblyFailed",
-    "HalmosDecomposition",
-    "IntertwiningFailure",
-    "LatticeMap",
-    "MapVerification",
-    "NotAFrame",
-    "NotAGraphProjection",
-    "NotAProjection",
-    "NotInvertible",
-    "NotInvertibleProvenance",
-    "NotLSOrthogonal",
-    "NotOrderThree",
-    "NotRealLinear",
-    "NotRingIso",
-    "OrthogonalityNotPreserved",
-    "PROJ_TOL",
-    "PreconditionViolated",
-    "ProjlatError",
-    "Projection",
-    "RANK_REL",
-    "Report",
-    "RingIsoFactorization",
-    "ShapeMismatch",
-    "SlotMismatch",
-    "UniquenessReport",
-    "canonicalize",
-    "center_valued_norm",
-    "central_support",
-    "compose",
-    "cond",
-    "coordinatize",
-    "corner_witness_projection",
-    "distance",
-    "dye_extension",
-    "element_from_obj",
-    "element_to_obj",
-    "frame_from_obj",
-    "frame_to_obj",
-    "from_conjugation",
-    "from_ring_iso",
-    "from_semilinear",
-    "graph_projection",
-    "halmos_decompose",
-    "halmos_to_obj",
-    "inner_factor",
-    "invert",
-    "invert_map",
-    "inverse_coincidence",
-    "is_central",
-    "is_central_projection",
-    "is_slot_graph_projection",
-    "join",
-    "lattice_product",
-    "lattice_sum",
-    "leq",
-    "left_support",
-    "load_json",
-    "ls_char_minimal_cover",
-    "ls_orthogonal",
-    "map_from_obj",
-    "map_to_obj",
-    "meet",
-    "mv_equivalent",
-    "normalize_map",
-    "orthogonalizer",
-    "pair_from_obj",
-    "pair_to_obj",
-    "polar_decompose",
-    "preserves_orthogonality",
-    "principal_ideal_leq",
-    "projection_from_obj",
-    "projection_to_obj",
-    "random_element",
-    "random_invertible",
-    "random_overlapping_pair",
-    "random_pair_with_angles",
-    "random_pair_with_trivial_meet",
-    "random_projection",
-    "random_unitary",
-    "reconstruct",
-    "recover_operator",
-    "right_support",
-    "ring_iso_from_obj",
-    "ring_iso_to_obj",
-    "rng_from",
-    "run_check",
-    "save_json",
-    "uniqueness_residual",
-    "verify_lattice_iso",
-    "verify_suite",
+    *coordinatize.__all__,
+    *core.__all__,
+    *errors.__all__,
+    *graphs.__all__,
+    *halmos.__all__,
+    *lattice.__all__,
+    *maps.__all__,
+    *report.__all__,
+    *ringiso.__all__,
+    *sampling.__all__,
+    *serialize.__all__,
+    *suite.__all__,
 ]
+
+from .coordinatize import *
+from .core import *
+from .errors import *
+from .graphs import *
+from .halmos import *
+from .lattice import *
+from .maps import *
+from .report import *
+from .ringiso import *
+from .sampling import *
+from .serialize import *
+from .suite import *

@@ -286,12 +286,6 @@ class Element(_Blocks):
     def __sub__(self, other):
         return self._zip(other, np.subtract)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if not isinstance(other, Element):
-            return NotImplemented
-        return other.__sub__(self)
-
     def __neg__(self):
         return self._like([-a for a in self._stacks])
 
@@ -420,10 +414,11 @@ class Projection(_Blocks):
     The range bases of the blocks of each size and rank are one
     read-only (k, n, r) stack; basis is one (n, r) view into them per
     block, in block order.  The basis is what the lattice operations
-    actually consume; arithmetic goes through the dense matrix
-    ``element``, as a projection has none of its own.  A projection made from a basis builds it,
-    u u* per block, when it is first read: most projections met inside
-    a lattice computation are only ever used through their basis.
+    actually consume.  A projection has no arithmetic of its own; that
+    goes through the dense matrix ``element``.  A projection made from
+    a basis builds it, u u* per block, when it is first read: most
+    projections met inside a lattice computation are only ever used
+    through their basis.
     """
 
     __slots__ = ("_element",)
@@ -475,9 +470,6 @@ class Projection(_Blocks):
 
     def rank(self) -> int:
         return sum(self.ranks)
-
-    def is_zero(self) -> bool:
-        return self.rank() == 0
 
     def __repr__(self) -> str:
         return f"Projection(shape=[{self.shape}], ranks={list(self.ranks)})"

@@ -7,6 +7,26 @@ rebuild a useful diagnostic (block index, offending value, witness).
 
 from __future__ import annotations
 
+__all__ = [
+    "ProjlatError",
+    "ShapeMismatch",
+    "NotInvertible",
+    "NotAProjection",
+    "PreconditionViolated",
+    "NotLSOrthogonal",
+    "NotAFrame",
+    "NotAGraphProjection",
+    "NotOrderThree",
+    "FrameAssemblyFailed",
+    "SlotMismatch",
+    "IntertwiningFailure",
+    "NotRingIso",
+    "NotRealLinear",
+    "DegenerateWitness",
+    "OrthogonalityNotPreserved",
+    "NotInvertibleProvenance",
+]
+
 
 class ProjlatError(Exception):
     """Base class for all library errors."""

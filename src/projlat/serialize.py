@@ -47,6 +47,17 @@ def _int(v, field: str) -> int:
     return v
 
 
+def _dict(v, field: str, *keys: str) -> dict:
+    """v, a JSON object holding every key of keys; anything else is a
+    ValueError naming field."""
+    if not isinstance(v, dict):
+        raise ValueError(f"{field}: expected an object, got {v!r}")
+    for k in keys:
+        if k not in v:
+            raise ValueError(f"{field}: lacks the field {k!r}")
+    return v
+
+
 def _list(v, field: str) -> list:
     """v, a JSON list; anything else is a ValueError naming field."""
     if not isinstance(v, list):
@@ -73,11 +84,9 @@ def element_to_obj(x: Element) -> dict:
 
 
 def element_from_obj(d: dict) -> Element:
-    try:
-        shape = AlgebraShape(_int(n, "shape") for n in d["shape"])
-        raw = d["blocks"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed element object: {exc}") from exc
+    d = _dict(d, "element", "shape", "blocks")
+    shape = AlgebraShape(_int(n, "shape") for n in _list(d["shape"], "shape"))
+    raw = _list(d["blocks"], "blocks")
     if len(raw) != len(shape.blocks):
         raise ValueError(
             f"element has {len(raw)} blocks for shape {shape}"
@@ -103,9 +112,7 @@ def projection_from_obj(d: dict) -> Projection:
         NotAProjection: the payload fails Hermiticity/idempotence within
             PROJ_TOL, or its spectrum disagrees with the stored ranks.
     """
-    x = element_from_obj(d)
-    if "ranks" not in d:
-        raise ValueError("projection object lacks a ranks field")
+    x = element_from_obj(_dict(d, "projection", "ranks"))
     ranks = [_int(r, "ranks") for r in _list(d["ranks"], "ranks")]
     if len(ranks) != len(x.shape.blocks):
         raise ValueError("ranks field does not match the shape")
@@ -133,8 +140,9 @@ def pair_to_obj(p: Projection, q: Projection) -> dict:
 
 
 def pair_from_obj(d: dict) -> tuple[Projection, Projection]:
-    if d.get("kind") != "projection-pair":
+    if _dict(d, "projection-pair").get("kind") != "projection-pair":
         raise ValueError(f'expected kind "projection-pair", got {d.get("kind")!r}')
+    _dict(d, "projection-pair", "p", "q")
     return projection_from_obj(d["p"]), projection_from_obj(d["q"])
 
 
@@ -152,8 +160,9 @@ def _iso_to_obj(kind: str, T: Element, sigma, block_map=None) -> dict:
 
 
 def _iso_from_obj(kind: str, d: dict) -> ConjugationRingIso:
-    if d.get("kind") != kind:
+    if _dict(d, kind).get("kind") != kind:
         raise ValueError(f'expected kind "{kind}", got {d.get("kind")!r}')
+    _dict(d, kind, "T")
     block_map = d.get("block_map")
     if block_map is not None:
         block_map = [_int(t, "block_map") for t in _list(block_map, "block_map")]
@@ -211,12 +220,14 @@ def frame_from_obj(d: dict) -> Frame:
     formats load through Frame.from_projections, with range bases
     re-derived: a "frame" of k projections and units w_12 ... w_1k,
     and an order-3 "three-frame" (p1, p2, p3, w12, w13)."""
-    kind = d.get("kind")
+    kind = _dict(d, "frame").get("kind")
     if kind == "frame" and "v" in d:
         return Frame(element_from_obj(d["v"]), _int(d.get("order"), "frame order"))
     if kind == "three-frame":
+        _dict(d, kind, "p1", "p2", "p3", "w12", "w13")
         ps, ws = [d["p1"], d["p2"], d["p3"]], [d["w12"], d["w13"]]
     elif kind == "frame":
+        _dict(d, kind, "projections", "units")
         ps, ws = _list(d["projections"], "projections"), _list(d["units"], "units")
     else:
         raise ValueError(f'expected kind "frame", got {kind!r}')

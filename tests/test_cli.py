@@ -185,6 +185,14 @@ def test_corrupt_input_is_usage_error(tmp_path, capsys):
     assert main(["halmos", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["halmos", "coordinatize", "dye", "factor"])
+def test_non_object_payload_is_usage_error(command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("[1]")
+    assert main([command, str(path)]) == 2
+    assert "expected an object" in capsys.readouterr().err
+
+
 def test_wrong_payload_kind_is_usage_error(tmp_path, capsys):
     path = _gen(tmp_path, "lattice-map", "map.json")
     assert main(["halmos", path]) == 2

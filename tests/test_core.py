@@ -31,6 +31,19 @@ def test_element_arithmetic(shape, rng):
     assert pl.distance(x.transpose(), x.adjoint().conj()) == 0.0
 
 
+def test_a_projection_is_only_a_right_operand_of_subtraction_and_products(rng):
+    # an element coerces a projection on its right; with a projection on
+    # the left, arithmetic goes through p.element
+    shape = AlgebraShape([3])
+    p, x = pl.random_projection(shape, rng), pl.random_element(shape, rng)
+    assert pl.distance(x - p, x - p.element) == 0.0
+    assert pl.distance(x * p, x * p.element) == 0.0
+    with pytest.raises(TypeError):
+        p - x
+    with pytest.raises(TypeError):
+        p * x
+
+
 def test_element_shape_mismatch():
     x = Element.identity(AlgebraShape([2]))
     y = Element.identity(AlgebraShape([3]))

@@ -252,6 +252,38 @@ def test_list_fields_that_are_not_lists_are_refused(field, tmp_path, rng, capsys
             assert "expected a" in capsys.readouterr().err
 
 
+_LOADERS = [
+    ("halmos", pl.pair_from_obj),
+    ("coordinatize", pl.map_from_obj),
+    ("factor", pl.ring_iso_from_obj),
+    (None, pl.frame_from_obj),
+]
+
+
+@pytest.mark.parametrize(
+    "command, loader, obj",
+    [(command, loader, obj) for command, loader in _LOADERS for obj in ([1], 5)]
+    + [
+        (None, pl.element_from_obj, {"shape": [3], "blocks": 5}),
+        ("halmos", pl.pair_from_obj, {"kind": "projection-pair"}),
+        ("halmos", pl.pair_from_obj, {"kind": "projection-pair", "p": [1], "q": [1]}),
+        ("coordinatize", pl.map_from_obj, {"kind": "conjugation"}),
+        (None, pl.frame_from_obj, {"kind": "three-frame"}),
+    ],
+)
+def test_a_non_object_or_a_missing_key_is_refused(command, loader, obj, tmp_path, capsys):
+    # d.get on a list or d[key] on a missing key would raise
+    # AttributeError or KeyError inside the library; the loaders'
+    # contract is ValueError, which the CLI calls a usage error
+    with pytest.raises(ValueError):
+        loader(obj)
+    if command:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_three_frame_file_loads_bit_equal_to_its_pieces():
     # a "three-frame" object, the frame format before frames of any
     # order, written for a seeded frame on [6]

@@ -129,23 +129,40 @@ def test_no_public_function_ignores_a_parameter():
 
 def test_no_module_imports_an_unread_name():
     """Every name a module imports is read in it or re-exported through
-    its __all__: an import left behind by deleted code is deleted too."""
+    its __all__, and a star import re-exports a projlat module that
+    declares __all__: an import left behind by deleted code is deleted
+    too."""
     unread = []
     for path in sorted(Path(pl.__file__).parent.glob("*.py")):
+        module = "projlat" if path.stem == "__init__" else f"projlat.{path.stem}"
+        exported = set(getattr(importlib.import_module(module), "__all__", ()))
         tree = ast.parse(path.read_text())
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        exported = set()
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                exported = set(ast.literal_eval(node.value))
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
+                    if alias.name == "*":
+                        source = node.level == 1 and importlib.import_module(f"projlat.{node.module}")
+                        if not hasattr(source, "__all__"):
+                            unread.append(f"{path.name}: {node.module} *")
+                        continue
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read and name not in exported:
                         unread.append(f"{path.name}: {name}")
     assert unread == []
+
+
+def test_the_package_exports_exactly_its_modules_all():
+    """Each public name is declared once, in its module's __all__: the
+    package's __all__ is their concatenation, in module order, and a
+    star import of the package binds exactly those names."""
+    modules = [info.name for info in pkgutil.iter_modules(pl.__path__) if info.name != "cli"]
+    names = [n for m in modules for n in importlib.import_module(f"projlat.{m}").__all__]
+    assert pl.__all__ == names
+    assert len(set(names)) == len(names)
+    namespace = {}
+    exec("from projlat import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)
+    assert callable(pl.coordinatize) and pl.suite is importlib.import_module("projlat.suite")
