@@ -30,7 +30,7 @@ from .coordinatize import coordinatize
 from .errors import OrthogonalityNotPreserved, ProjlatError
 from .halmos import halmos_decompose, reconstruct
 from .maps import ConjugationRingIso, from_conjugation
-from .report import CheckResult, Report, run_check
+from .report import CheckResult, Report, _error, run_check
 from .ringiso import dye_extension, inner_factor
 from .sampling import random_element, random_invertible, random_projection, rng_from
 from .serialize import (
@@ -85,7 +85,7 @@ def _parse_shape(text: str) -> AlgebraShape:
 def _load(path: str, loader):
     try:
         return loader(load_json(path))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
     except ProjlatError as exc:
         raise _InputError(f"{path}: {type(exc).__name__}: {exc}") from exc
@@ -209,17 +209,13 @@ def _cmd_dye(args) -> int:
     t0 = time.perf_counter()
     try:
         _, cert = dye_extension(phi, samples=samples, seed=seed)
-    except OrthogonalityNotPreserved as exc:
-        report.checks.append(
-            CheckResult(
-                "orthogonality-preservation",
-                anchor,
-                "FAIL",
-                None,
-                time.perf_counter() - t0,
-                exc.witness,
-            )
-        )
+    except ProjlatError as exc:
+        # a witness pair is reported as it is; the engine's refusal by
+        # its error, as coordinatize reports it
+        name, ce = "coordinatization", _error(exc)
+        if isinstance(exc, OrthogonalityNotPreserved):
+            name, ce = "orthogonality-preservation", exc.witness
+        report.checks.append(CheckResult(name, anchor, "FAIL", None, time.perf_counter() - t0, ce))
         return _emit(report, args)
     # timings go to the checks, so the certificate is the same on every run
     for stage in cert.pop("stages"):

@@ -46,8 +46,7 @@ from .errors import (
     ShapeMismatch,
     SlotMismatch,
 )
-from .graphs import Frame, _slot, graph_projection, recover_operator
-from .lattice import join, meet
+from .graphs import Frame, _slot, _two_slot, graph_projection, recover_operator
 from .maps import (
     ConjugationRingIso,
     LatticeMap,
@@ -121,19 +120,18 @@ def normalize_map(phi: LatticeMap, source_frame: Frame) -> tuple[LatticeMap, Fra
     of phi(e_i) and k the frame's order: Ad(S0) o phi carries e_i
     exactly onto the i-th index group.  The diagonal
     S_k = diag(1, c12^{-1}, ..., c1k^{-1}) then rescales the slots,
-    where c1j is the slot unit read through Ad(S0) o phi, so the unit
-    graph projections are fixed.  The normalizers compose as elements:
-    the returned map is phi' = Ad(S) o phi with S = S_k S0, one
-    conjugation after phi (a two-part Composite, whose outer provenance
-    is the ConjugationRingIso of S).  phi' satisfies phi'(e_i) = f_i
-    for the standard target frame (f_1, ..., f_k) and
-    phi'(P_1j[1]) = P_1j[1] in the two frames' coordinates.
+    c1j the slot unit read off Ad(S0) phi(P_1j[1]): phi maps the frame
+    and the unit graphs in one batch, Ad(S0) the unit images in one
+    more.  S = S_k S0 is built once, as the ConjugationRingIso of
+    phi' = Ad(S) o phi, a two-part Composite that holds S^{-1} once
+    read; phi'(e_i) = f_i for the standard target frame (f_1, ..., f_k)
+    and phi'(P_1j[1]) = P_1j[1] in the two frames' coordinates.
 
     Returns (phi', target_frame, [S0, S_k]).
 
     Raises:
         ShapeMismatch: the map's source is not the frame's algebra, or
-            a frame image lives outside the map's target.
+            an image of the frame or a unit graph is outside its target.
         NotOrderThree: some phi(e_i) is not a k-th of a target block,
             or B is singular at the rank cutoff, so the target has no
             order-k structure to carry over.
@@ -144,31 +142,33 @@ def normalize_map(phi: LatticeMap, source_frame: Frame) -> tuple[LatticeMap, Fra
     if phi.source != source_frame.shape:
         raise ShapeMismatch("map source does not match the frame's algebra")
     fr, shape, k = source_frame, phi.target, source_frame.order
-    images = phi.images(fr.projections)
-    for i, g in enumerate(images, 1):
-        if g.shape != shape:
-            raise ShapeMismatch("frame images do not live in the map's target")
+    one_hat = Element.identity(fr.corner_shape)
+    unit_graphs = [graph_projection(fr, one_hat, (0, j)) for j in range(1, k)]
+    images = phi.images([*fr.projections, *unit_graphs])
+    if any(g.shape != shape for g in images):
+        raise ShapeMismatch("frame images do not live in the map's target")
+    for i, g in enumerate(images[:k], 1):
         for b, (r, n) in enumerate(zip(g.ranks, shape.blocks)):
             if k * r != n:
                 raise NotOrderThree(
                     f"image of frame projection {i} has rank {r} on block {b} of size {n}"
                 )
     # all ranks are n/k, so the k images share the layout of shape
-    stacks = zip(*(g._stacks for g in images))
+    stacks = zip(*(g._stacks for g in images[:k]))
     b_mat = Element._of(
         shape, [(idx, np.concatenate(ps, axis=2)) for idx, ps in zip(shape._groups, stacks)]
     )
     try:
         s0 = invert(b_mat)
-        phi0 = compose(from_conjugation(s0), phi)
+        ad_s0 = ConjugationRingIso(s0)
     except NotInvertible as exc:
         raise NotOrderThree(f"frame images are not independent: {exc}") from exc
 
     target = Frame.standard(shape, k)
-    one_hat = Element.identity(fr.corner_shape)
-    slot_units = _CornerMap(phi0, fr, target)
     try:
-        units = [slot_units(one_hat, (0, j)) for j in range(1, k)]  # a refusal stops the rest
+        units = [
+            recover_operator(target, q, (0, j)) for j, q in enumerate(ad_s0._images(images[k:]), 1)
+        ]
     except NotAGraphProjection as exc:
         raise FrameAssemblyFailed(f"slot unit does not recover: {exc}") from exc
     try:
@@ -181,7 +181,6 @@ def normalize_map(phi: LatticeMap, source_frame: Frame) -> tuple[LatticeMap, Fra
         for d, a in zip(mats, c._stacks):
             _slot(d, j, j, k)[...] = a
     sk = eye._like(mats)
-    # S = S_k S0 is the product coordinatize inverts
     try:
         phi_norm = compose(from_conjugation(sk * s0), phi)
     except NotInvertible as exc:
@@ -243,9 +242,8 @@ def coordinatize(
             raise NotOrderThree(str(exc)) from exc
     fr = source_frame
 
-    phi_norm, target, normalizers = normalize_map(phi, fr)
-    s0, sk = normalizers
-    s_inv = invert(sk * s0)
+    phi_norm, target, (s0, sk) = normalize_map(phi, fr)
+    ad_s = phi_norm.provenance.outer.provenance  # Ad(S), S = S_k S0
     psi = _CornerMap(phi_norm, fr, target)
 
     # Slots 12, 13 and 23 must tell one story at every x drawn;
@@ -263,7 +261,7 @@ def coordinatize(
     if slot_res > 1e-5:
         raise SlotMismatch(witness[0], slot_res, witness[1])
 
-    Psi = _compile(psi, s_inv)
+    Psi = _compile(psi, ad_s.T._like(ad_s._tinvs))
     diagnostics = _verify(phi, Psi, fr, pairs, samples, rng)
     diagnostics["slot_agreement"] = float(slot_res)
     diagnostics["seed"] = seed
@@ -400,13 +398,6 @@ def _probes(
     for x, y in pairs:
         points += [*(graph_projection(frame, z) for z in (y, x + y, x * y)), _two_slot(frame, x, y)]
     return ps[0::2] + supports + points
-
-
-def _two_slot(frame: Frame, x: Element, y: Element) -> Projection:
-    """The non-graph projection P_{x,y} = (P_12[x] v e3) ^ (P_13[y] v e2)."""
-    e = frame.projections
-    left = join(graph_projection(frame, x, (0, 1)), e[2])
-    return meet(left, join(graph_projection(frame, y, (0, 2)), e[1]))
 
 
 def uniqueness_residual(

@@ -294,21 +294,25 @@ def lattice_product(frame: Frame, x: Element, y: Element) -> Projection:
 def lattice_sum(frame: Frame, x: Element, y: Element) -> Projection:
     """Graph projection of the sum x + y, computed only with meet/join.
 
-    With f = (P_12[x] v e3) ^ (P_13[1] v e2) and
+    With f = P_{x,1} = (P_12[x] v e3) ^ (P_13[1] v e2) and
     g = (P_12[y] v P_13[1]) ^ (e2 v e3), the projection
     (f v g) ^ (e1 v e2) equals P_12[x + y].
     """
     e = frame.projections
     one = Element.identity(frame.corner_shape)
-    f = meet(
-        join(graph_projection(frame, x, (0, 1)), e[2]),
-        join(graph_projection(frame, one, (0, 2)), e[1]),
-    )
+    f = _two_slot(frame, x, one)
     g = meet(
         join(graph_projection(frame, y, (0, 1)), graph_projection(frame, one, (0, 2))),
         join(e[1], e[2]),
     )
     return meet(join(f, g), join(e[0], e[1]))
+
+
+def _two_slot(frame: Frame, x: Element, y: Element) -> Projection:
+    """The non-graph projection P_{x,y} = (P_12[x] v e3) ^ (P_13[y] v e2)."""
+    e = frame.projections
+    left = join(graph_projection(frame, x, (0, 1)), e[2])
+    return meet(left, join(graph_projection(frame, y, (0, 2)), e[1]))
 
 
 def inverse_coincidence(frame: Frame, x: Element) -> bool:

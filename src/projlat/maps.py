@@ -18,7 +18,6 @@ import numpy as np
 from .core import (
     CHECK_TOL,
     EQ_TOL,
-    RANK_REL,
     AlgebraShape,
     Element,
     Projection,
@@ -34,6 +33,7 @@ from .core import (
 )
 from .errors import (
     DegenerateWitness,
+    NotInvertible,
     NotInvertibleProvenance,
     NotRingIso,
     ShapeMismatch,
@@ -272,7 +272,8 @@ def _skolem_noether(psi: Callable[[Element], Element], shape: AlgebraShape) -> C
             route blocks bijectively, or the image of i on a block is
             neither i nor -i.
         DegenerateWitness: the image of a minimal idempotent kills
-            every probe vector, or T comes out singular.
+            every probe vector, or ConjugationRingIso finds T singular
+            (the message names the source block routed there).
     """
     k = len(shape.blocks)
     w = Element.from_scalars(shape, range(1, k + 1))
@@ -322,15 +323,15 @@ def _skolem_noether(psi: Callable[[Element], Element], shape: AlgebraShape) -> C
                     )
             if j < shape.blocks[b]:
                 t_blocks[t][:, j] = image[t][:, probes[b]]
-    for b, t in enumerate(block_map):
-        sv = np.linalg.svd(t_blocks[t], compute_uv=False)
-        if sv[-1] <= RANK_REL * sv[0]:
-            raise DegenerateWitness(f"conjugating element singular on block {b}")
     T = Element(target, t_blocks)
     flat = np.concatenate([blk.ravel() for blk in T.data])
     top = flat[np.argmax(np.abs(flat))]
     T = (top.conjugate() / abs(top)) * T
-    return ConjugationRingIso(T, sigma, block_map)
+    try:
+        return ConjugationRingIso(T, sigma, block_map)
+    except NotInvertible as exc:
+        b = block_map.index(exc.block)
+        raise DegenerateWitness(f"conjugating element singular on block {b}") from exc
 
 
 def from_conjugation(T: Element) -> LatticeMap:

@@ -83,6 +83,14 @@ class Report:
         return json.dumps(self.to_obj(), indent=2)
 
 
+def _error(exc: Exception) -> dict:
+    """The counterexample of a check that raised exc: its class and
+    message, and the innermost raising frame ("package/module.py:function")."""
+    where = traceback.extract_tb(exc.__traceback__)[-1]
+    frame = f"{'/'.join(Path(where.filename).parts[-2:])}:{where.name}"
+    return {"error": f"{type(exc).__name__}: {exc}", "frame": frame}
+
+
 def run_check(
     name: str,
     anchor: str,
@@ -108,16 +116,7 @@ def run_check(
         reason = getattr(exc, "skip_reason", None)
         if reason is not None:
             return CheckResult(name, anchor, f"SKIPPED({reason})", None, dt)
-        where = traceback.extract_tb(exc.__traceback__)[-1]
-        frame = f"{'/'.join(Path(where.filename).parts[-2:])}:{where.name}"
-        return CheckResult(
-            name,
-            anchor,
-            "FAIL",
-            None,
-            dt,
-            {"error": f"{type(exc).__name__}: {exc}", "frame": frame},
-        )
+        return CheckResult(name, anchor, "FAIL", None, dt, _error(exc))
     dt = time.perf_counter() - t0
     residual = None if residual is None else float(residual)
     passed = ce is None and (residual is None or residual <= gate)

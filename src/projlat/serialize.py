@@ -70,7 +70,12 @@ def _matrix_to_lists(a: np.ndarray) -> list:
 
 
 def _matrix_from_lists(rows, n: int, where: str) -> np.ndarray:
-    a = np.asarray(rows, dtype=np.float64)
+    """rows, n x n [re, im] pairs of numbers, as a complex matrix;
+    anything else is a ValueError naming where."""
+    try:
+        a = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: expected {n}x{n} [re, im] entries of numbers ({exc})") from None
     if a.shape != (n, n, 2):
         raise ValueError(f"{where}: expected {n}x{n} [re, im] entries, got {a.shape}")
     return a[..., 0] + 1j * a[..., 1]

@@ -320,6 +320,25 @@ def test_dye_refusal_reports_the_time_until_refusal(tmp_path, capsys):
     assert check["seconds"] > 0
 
 
+def test_dye_reports_an_engine_refusal_as_coordinatize_does(tmp_path, capsys):
+    # [4] has no frame of order 3: the halves probe passes the unitary
+    # map, then the engine refuses it
+    path = _unitary_map(tmp_path, "unitary4.json", [4])
+    assert main(["coordinatize", path, "--json"]) == 1
+    refused = json.loads(capsys.readouterr().out)["checks"][0]["counterexample"]
+    assert refused["error"].startswith("NotOrderThree: ")
+    assert main(["dye", path, "--json"]) == 1
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert rep["status"] == "FAIL"
+    (check,) = rep["checks"]
+    assert (check["name"], check["status"], check["max_residual"]) == ("coordinatization", "FAIL", None)
+    assert check["counterexample"] == refused
+    assert "first failing check: coordinatization" in captured.err
+    assert main(["dye", path]) == 1
+    assert capsys.readouterr().out.endswith("status: FAIL\n")
+
+
 def test_coordinatize_grades_every_diagnostic(tmp_path, monkeypatch, capsys):
     path = _gen(tmp_path, "lattice-map", "map.json", "--seed", "2")
     real = cli.coordinatize

@@ -60,6 +60,19 @@ def test_normalize_map_refusals(make_phi, error, message):
         normalize_map(make_phi(fr), fr)
 
 
+def test_a_unit_graph_mapped_into_another_algebra_is_a_shape_mismatch():
+    """phi keeps the frame projections and sends everything else, the
+    unit graphs among it, to 1 of [6]: the unit images are refused
+    before Ad(S0) reads them."""
+    fr = Frame.standard(S3, 3)
+
+    def apply(p):
+        return p if any(pl.distance(p, e) < 1e-12 for e in fr.projections) else pl.Projection.identity(S6)
+
+    with pytest.raises(pl.ShapeMismatch, match="frame images do not live in the map's target"):
+        normalize_map(pl.LatticeMap(S3, S3, apply), fr)
+
+
 @pytest.mark.parametrize("blocks", [[3], [6], [3, 3]])
 def test_coordinatize_conjugation(blocks, rng):
     shape = AlgebraShape(blocks)
@@ -518,10 +531,11 @@ def test_intertwining_is_measured_on_the_documented_draws(case, samples):
 )
 def test_each_corner_draw_is_mapped_once(blocks, samples, calls, monkeypatch):
     """The corner points of one coordinatize, counted at the corner
-    map's batched entry (its call is the one-point case): normalization's
-    two slot units; per pair (x, y), psi(x) and slots 13 and 23 at x;
-    the compilation's max_b n_b/3 + 2.  `calls` counts the corner points
-    read through phi: those points, and per pair the slot-12 graphs
+    map's batched entry (its call is the one-point case): per pair
+    (x, y), psi(x) and slots 13 and 23 at x; the compilation's
+    max_b n_b/3 + 2.  `calls` counts the corner points read through phi:
+    normalization's two slot units, which it maps with the frame and
+    no corner map, those points, and per pair the slot-12 graphs
     P_12[y], P_12[x + y] and P_12[x y] that the certificate maps as
     probes, with no psi call.  phi is applied once per corner point,
     once per frame projection and once per certificate probe: 2 samples
@@ -544,19 +558,20 @@ def test_each_corner_draw_is_mapped_once(blocks, samples, calls, monkeypatch):
     monkeypatch.setattr(_CornerMap, "images", counted)
     pl.coordinatize(pl.LatticeMap(shape, shape, apply), samples=samples, seed=1)
     pairs = max(2, samples // 4)
-    assert len(seen) + 3 * pairs == calls
-    assert len(seen) == 2 + 3 * pairs + max(blocks) // 3 + 2
-    assert seen.count((0, 2)) - 1 == seen.count((1, 2)) == pairs  # less the slot-13 unit
-    assert len(applied) == 3 + len(seen) + 4 * pairs + 2 * samples
+    assert 2 + len(seen) + 3 * pairs == calls
+    assert len(seen) == 3 * pairs + max(blocks) // 3 + 2
+    assert seen.count((0, 2)) == seen.count((1, 2)) == pairs
+    assert len(applied) == 3 + 2 + len(seen) + 4 * pairs + 2 * samples
 
 
-@pytest.mark.parametrize("blocks, calls, mapped", [([12], 21, 79), ([3] * 4, 15, 73)])
+@pytest.mark.parametrize("blocks, calls, mapped", [([12], 18, 79), ([3] * 4, 12, 73)])
 def test_each_batch_is_one_conjugation_call(blocks, calls, mapped, monkeypatch):
     """ConjugationRingIso._images calls of one coordinatize of Ad(T):
-    phi's frame projections and phi's certificate probes, one each; each
-    of the two slot units, the slot stage and each of the compilation's
-    max_b n_b/3 + 2 corner points, two each (phi, then Ad(S_k S0));
-    Psi's probes, one.  The projections mapped stay one per probe."""
+    phi's frame projections with the two unit graphs, and phi's
+    certificate probes, one each; the unit graphs' images under Ad(S0),
+    one; the slot stage and each of the compilation's max_b n_b/3 + 2
+    corner points, two each (phi, then Ad(S_k S0)); Psi's probes, one.
+    The projections mapped stay one per probe."""
     shape = AlgebraShape(blocks)
     t = pl.random_invertible(shape, np.random.default_rng(1), cond_max=100.0)
     real, seen = pl.ConjugationRingIso._images, []
@@ -567,7 +582,7 @@ def test_each_batch_is_one_conjugation_call(blocks, calls, mapped, monkeypatch):
 
     monkeypatch.setattr(pl.ConjugationRingIso, "_images", counted)
     pl.coordinatize(pl.from_conjugation(t), seed=1)
-    assert len(seen) == calls == 9 + 2 * (max(blocks) // 3 + 2)
+    assert len(seen) == calls == 6 + 2 * (max(blocks) // 3 + 2)
     assert sum(seen) == mapped
 
 
@@ -639,10 +654,11 @@ def _bits(ps):
     return [[u.tobytes() for u in p.basis] for p in ps]
 
 
-def test_a_slot_unit_refusal_maps_the_frame_and_that_unit_alone():
-    """The slot units are read one at a time: when the slot-12 unit
-    does not recover, phi has seen the frame projections and that
-    unit's graph, and nothing else."""
+def test_a_slot_unit_refusal_maps_the_frame_and_every_unit_graph():
+    """The unit graphs are mapped in one batch with the frame: when the
+    slot-12 unit does not recover, phi has seen the frame projections
+    and the slot-12 and slot-13 unit graphs, in that order, and nothing
+    else."""
     rng = np.random.default_rng(1)
     t, g = pl.random_invertible(S6, rng, cond_max=50.0), pl.random_element(S6, rng)
 
@@ -654,8 +670,9 @@ def test_a_slot_unit_refusal_maps_the_frame_and_that_unit_alone():
     fr = Frame.standard(S6, 3)
     with pytest.raises(pl.FrameAssemblyFailed, match="slot unit does not recover: slot 12"):
         pl.coordinatize(phi, source_frame=fr, seed=1)
-    unit = pl.graph_projection(fr, Element.identity(fr.corner_shape), (0, 1))
-    assert _bits(log) == _bits([*fr.projections, unit])
+    one = Element.identity(fr.corner_shape)
+    units = [pl.graph_projection(fr, one, slot) for slot in ((0, 1), (0, 2))]
+    assert _bits(log) == _bits([*fr.projections, *units])
 
 
 @pytest.mark.parametrize("blocks", [[6], [3, 3]])

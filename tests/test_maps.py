@@ -118,6 +118,43 @@ def test_from_ring_iso(rng):
     assert pl.distance(phi(p), pl.from_conjugation(t)(p)) < 1e-8
 
 
+def test_invert_map_of_a_ring_iso_map_swaps_psi_and_its_inverse(rng):
+    # block-routed, so the inverse map runs from [3, 2] back to [2, 3]
+    t = pl.random_invertible(AlgebraShape([3, 2]), rng, cond_max=20.0)
+    psi = pl.ConjugationRingIso(t, "id", block_map=(1, 0))
+    source, target = psi.source, t.shape
+    phi = pl.from_ring_iso(psi, source, target, psi.inverse())
+    back = pl.invert_map(phi)
+    assert (back.source, back.target) == (target, source)
+    assert back.provenance.psi is phi.provenance.psi_inverse
+    assert back.provenance.psi_inverse is psi
+    for _ in range(4):
+        p = pl.random_projection(source, rng)
+        assert pl.distance(back(phi(p)), p) < 1e-8
+    with pytest.raises(pl.NotInvertibleProvenance, match="ring-iso provenance has no inverse"):
+        pl.invert_map(pl.from_ring_iso(psi, source, target))
+
+
+def test_a_wrapped_builtin_apply_maps_one_projection_per_call(rng):
+    """A map whose apply wraps the built-in one, as a tracer does, is
+    called once per projection, each through its provenance's
+    one-value case, and gives the batch's bits."""
+    shape = AlgebraShape([3, 3])
+    phi = pl.ConjugationRingIso(pl.random_invertible(shape, rng, cond_max=20.0), ("id", "conj")).lattice_map()
+    seen = []
+
+    def traced(p):
+        seen.append(p)
+        return phi.apply(p)
+
+    ps = [pl.random_projection(shape, rng) for _ in range(4)]
+    got = dataclasses.replace(phi, apply=traced).images(ps)
+    assert [id(p) for p in seen] == [id(p) for p in ps]
+    for a, b in zip(got, phi.images(ps), strict=True):
+        assert a.ranks == b.ranks
+        assert [u.tobytes() for u in a.basis] == [u.tobytes() for u in b.basis]
+
+
 def test_shape_mismatch_guard(rng):
     phi = pl.from_conjugation(Element.identity(AlgebraShape([3])))
     with pytest.raises(pl.ShapeMismatch):
@@ -214,6 +251,21 @@ def test_verify_lattice_iso_passes_conjugations(shape, rng):
     assert ver.passed, [c.name for c in ver.checks if not c.passed]
     names = {c.name for c in ver.checks}
     assert "order-preservation" in names or len(names) >= 3
+
+
+def test_a_rank_profile_that_is_no_function_is_refused_with_both_images():
+    """p -> p, or its complement when p's first diagonal entry is below
+    1/2, sends projections of one rank profile to two."""
+    shape = AlgebraShape([3])
+    flip = LatticeMap(shape, shape, lambda p: p if p.element.data[0][0, 0].real >= 0.5 else p.complement())
+    ver = pl.verify_lattice_iso(flip, samples=16, seed=0)
+    assert not ver.passed
+    check = {c.name: c for c in ver.checks}["rank-profile-constancy"]
+    assert not check.passed and check.max_residual is None
+    ce = check.counterexample
+    assert ce["check"] == "rank-profile"
+    (r,) = ce["profile"]
+    assert sorted(ce["images"]) == sorted([[r], [3 - r]]) and r != 3 - r
 
 
 def test_preserves_orthogonality_unitary(rng):
@@ -513,6 +565,12 @@ def _diagonal(x):
     return Element(S33, [x.data[0], x.data[0]])
 
 
+def _swap_then_scalar(x):
+    """Source block 1, made a trace scalar, on target block 0, and
+    source block 0 on target block 1."""
+    return Element(S33, [_trace_scalar(x).data[1], x.data[0]])
+
+
 @pytest.mark.parametrize(
     "psi, shape, error, reason",
     [
@@ -520,8 +578,10 @@ def _diagonal(x):
         (_real_part, S3, pl.NotRingIso, "image of i on block 0 is neither i nor -i"),
         (_trace_scalar, S3, pl.DegenerateWitness, "singular on block 0"),
         (_diagonal, S3, pl.NotRingIso, "block counts differ"),
+        # T is singular on target block 0, which source block 1 feeds
+        (_swap_then_scalar, S33, pl.DegenerateWitness, "singular on block 1$"),
     ],
-    ids=["routing", "image-of-i", "singular-t", "block-counts"],
+    ids=["routing", "image-of-i", "singular-t", "block-counts", "singular-routed-t"],
 )
 def test_skolem_noether_refuses_non_isomorphisms_by_name(psi, shape, error, reason):
     # each is refused earlier by inner_factor's multiplicativity check,

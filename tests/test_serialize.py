@@ -35,6 +35,10 @@ def test_projection_load_rejects_tampering(rng):
     obj["blocks"][1][0][0] = [0.7, 0.1]  # no longer idempotent
     with pytest.raises(pl.NotAProjection):
         pl.projection_from_obj(obj)
+    obj = pl.projection_to_obj(p)
+    obj["ranks"] = [1, 1]  # a projection still, of other ranks
+    with pytest.raises(pl.NotAProjection, match=r"stored ranks \[1, 1\] disagree with the spectrum \[1, 2\]"):
+        pl.projection_from_obj(obj)
 
 
 def test_element_load_rejects_ragged_matrix():
@@ -45,6 +49,20 @@ def test_element_load_rejects_ragged_matrix():
     }
     with pytest.raises(ValueError):
         pl.element_from_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "shape, blocks, where",
+    [
+        ([3], [{}], "block 0: expected 3x3"),
+        ([3, 1], [np.zeros((3, 3, 2)).tolist(), [[[1, {}]]]], "block 1: expected 1x1"),
+    ],
+)
+def test_an_entry_that_is_no_number_is_refused_naming_its_block(shape, blocks, where):
+    # numpy's float conversion raises TypeError on a JSON object; the
+    # loaders' contract is ValueError, naming the block
+    with pytest.raises(ValueError, match=where):
+        pl.element_from_obj({"shape": shape, "blocks": blocks})
 
 
 def test_wrong_kind_tag_is_rejected(rng):
@@ -252,6 +270,10 @@ def test_list_fields_that_are_not_lists_are_refused(field, tmp_path, rng, capsys
             assert "expected a" in capsys.readouterr().err
 
 
+# a pair whose matrix entries hold a JSON object where a number belongs
+_OBJECT_ENTRY = {"shape": [1], "blocks": [[[[1, {}]]]], "ranks": [1]}
+_OBJECT_ENTRY_PAIR = {"kind": "projection-pair", "p": _OBJECT_ENTRY, "q": _OBJECT_ENTRY}
+
 _LOADERS = [
     ("halmos", pl.pair_from_obj),
     ("coordinatize", pl.map_from_obj),
@@ -269,6 +291,8 @@ _LOADERS = [
         ("halmos", pl.pair_from_obj, {"kind": "projection-pair", "p": [1], "q": [1]}),
         ("coordinatize", pl.map_from_obj, {"kind": "conjugation"}),
         (None, pl.frame_from_obj, {"kind": "three-frame"}),
+        (None, pl.element_from_obj, {"shape": [3], "blocks": [{}]}),
+        ("halmos", pl.pair_from_obj, _OBJECT_ENTRY_PAIR),
     ],
 )
 def test_a_non_object_or_a_missing_key_is_refused(command, loader, obj, tmp_path, capsys):
